@@ -17,7 +17,8 @@ from .evolution import (EvolutionKernel, evolve, fractional_ft,
                         standard_inner, unitarity_residual, unrescale)
 from .fock import (MatchedLevel, SpectrumReport, TridiagonalOperator,
                    build_F_of_H, build_H, build_ladders, build_P, build_Q,
-                   commutator, eigendecompose, spectrum_report)
+                   commutator, eigendecompose, eigenvalues,
+                   spectrum_report)
 from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
                       apply_H_momentum, apply_H_position, apply_P_momentum,
                       apply_P_position, apply_Q_momentum, apply_Q_position,

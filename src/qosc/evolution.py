@@ -13,6 +13,12 @@ and moves to F = sqrt(w) f values:
 Phi^tau diagonalizes the rescaled modes F_n = sqrt(w) p_n with eigenvalue
 e^{i n tau}; evolve() is a plain matrix product against rescaled values.
 
+Only the phases e^{i n tau} depend on tau. Everything else (the position
+mode table, c, sqrt(w), the completeness tail and s_match) is built once
+per context by _plan and cached for the few most recent contexts, so
+repeated tau on one context pay for two real matrix products each.
+s_match comes from spectrum_report, which computes eigenvalues only.
+
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
 truncates its input side. The *_residual helpers therefore evaluate on a
@@ -26,6 +32,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .errors import (AlreadyRescaled, DimensionMismatch, KindMismatch,
                      NotRescaled, ValidationError)
 from .fock import build_P, build_Q, spectrum_report
 from .hilbert import LatticeFunction
-from .qhermite import (ModeTable, _weight_prefactor, build_mode_table,
+from .qhermite import (_weight_prefactor, build_mode_table,
                        completeness_defect, lattice_weight_window,
                        norm_c_window, window_values)
 
@@ -70,38 +77,65 @@ class EvolutionKernel:
         return s > self.s_match - 4
 
 
-def _bilinear(tau: float, ctx: DeformationContext) -> tuple[np.ndarray, ModeTable]:
+@dataclass(frozen=True)
+class _Plan:
+    """The tau-independent part of both kernels on one window.
+
+    modes[n, i] = p_n at window site i (the position mode table A); c and
+    sqrt_w are per site. The arrays are read-only because one plan is
+    shared by every caller with an equal context.
+    """
+
+    modes: np.ndarray
+    c: np.ndarray
+    sqrt_w: np.ndarray
+    tail_estimate: float
+    s_match: int
+
+
+@lru_cache(maxsize=4)
+def _plan(ctx: DeformationContext) -> _Plan:
     table = build_mode_table("position", ctx)
-    phases = np.exp(1j * tau * np.arange(ctx.fock_dim))
-    G = table.values.T @ (phases[:, None] * table.values)
-    return G, table
+    c = norm_c_window(ctx)
+    sqrt_w = np.sqrt(lattice_weight_window(ctx))
+    for a in (table.values, c, sqrt_w):
+        a.flags.writeable = False
+    return _Plan(modes=table.values, c=c, sqrt_w=sqrt_w,
+                 tail_estimate=completeness_defect(table, ctx),
+                 s_match=spectrum_report(build_Q(ctx), ctx).s_match)
+
+
+def _bilinear(tau: float, plan: _Plan) -> np.ndarray:
+    """A^T diag(e^{i n tau}) A, as two real products for its two parts."""
+    A = plan.modes
+    phases = np.exp(1j * tau * np.arange(A.shape[0]))
+    G = np.empty((A.shape[1], A.shape[1]), dtype=complex)
+    G.real = A.T @ (phases.real[:, None] * A)
+    G.imag = A.T @ (phases.imag[:, None] * A)
+    return G
+
+
+def _kernel(tau: float, variant: str, matrix: np.ndarray,
+            ctx: DeformationContext, plan: _Plan) -> EvolutionKernel:
+    return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
+                           n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
+                           matrix=matrix, tail_estimate=plan.tail_estimate,
+                           s_match=plan.s_match)
 
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
-    G, table = _bilinear(tau, ctx)
-    cs = norm_c_window(ctx)
-    matrix = cmath.exp(1j * tau / 2.0) * G * cs[None, :]
-    rep = spectrum_report(build_Q(ctx), ctx)
-    return EvolutionKernel(tau=float(tau), variant="raw_K", q=ctx.q,
-                           n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=matrix,
-                           tail_estimate=completeness_defect(table, ctx),
-                           s_match=rep.s_match)
+    plan = _plan(ctx)
+    matrix = cmath.exp(1j * tau / 2.0) * _bilinear(tau, plan) * plan.c[None, :]
+    return _kernel(tau, "raw_K", matrix, ctx, plan)
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
-    G, table = _bilinear(tau, ctx)
-    cs = norm_c_window(ctx)
-    sw = np.sqrt(lattice_weight_window(ctx))
-    matrix = (sw[:, None] / sw[None, :]) * G * cs[None, :]
-    rep = spectrum_report(build_Q(ctx), ctx)
-    return EvolutionKernel(tau=float(tau), variant="rescaled_Phi", q=ctx.q,
-                           n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=matrix,
-                           tail_estimate=completeness_defect(table, ctx),
-                           s_match=rep.s_match)
+    plan = _plan(ctx)
+    sw = plan.sqrt_w
+    matrix = (sw[:, None] / sw[None, :]) * _bilinear(tau, plan) * plan.c[None, :]
+    return _kernel(tau, "rescaled_Phi", matrix, ctx, plan)
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
@@ -130,9 +164,9 @@ def unrescale(F: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
 
 def rescaled_mode(n: int, ctx: DeformationContext) -> LatticeFunction:
     """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau}."""
-    table = build_mode_table("position", ctx)
-    sw = np.sqrt(lattice_weight_window(ctx))
-    return LatticeFunction("position", sw * table.values[n], rescaled=True)
+    plan = _plan(ctx)
+    return LatticeFunction("position", plan.sqrt_w * plan.modes[n],
+                           rescaled=True)
 
 
 def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
@@ -271,12 +305,11 @@ def phase_map_residual(ctx: DeformationContext, n_modes: int = 20,
     """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes."""
     deep = _deepened(ctx, buffer_levels)
     k = fractional_ft(math.pi / 2.0, deep).matrix
-    table = build_mode_table("position", deep)
-    sw = np.sqrt(lattice_weight_window(deep))
+    plan = _plan(deep)
     core = 2 * ctx.lattice_depth
     worst = 0.0
     for n in range(n_modes + 1):
-        F = sw * table.values[n]
+        F = plan.sqrt_w * plan.modes[n]
         d = (k @ F - 1j**n * F)[:core]
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
@@ -292,12 +325,11 @@ def intertwine_residual(ctx: DeformationContext, n_support: int = 12,
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
     deep = _deepened(ctx, buffer_levels)
-    table = build_mode_table("position", deep)
-    sw = np.sqrt(lattice_weight_window(deep))
-    F_pos = sw * (b @ table.values[:n_support])
+    plan = _plan(deep)
+    F_pos = plan.sqrt_w * (b @ plan.modes[:n_support])
     evolved = fractional_ft(math.pi / 2.0, deep).matrix @ F_pos
     phases = 1j ** np.arange(n_support)
-    F_mom = sw * ((b * phases) @ table.values[:n_support])
+    F_mom = plan.sqrt_w * ((b * phases) @ plan.modes[:n_support])
     core = 2 * ctx.lattice_depth
     return float(np.max(np.abs((evolved - F_mom)[:core])))
 
@@ -313,13 +345,12 @@ def norm_drift_max(ctx: DeformationContext, n_support: int = 10,
     """
     rng = np.random.default_rng(seed)
     kernel = fractional_ft(1.0, ctx)
-    table = build_mode_table("position", ctx)
-    sw = np.sqrt(lattice_weight_window(ctx))
+    plan = _plan(ctx)
     absx = np.abs(window_values(ctx))
     worst = 0.0
     for _ in range(n_draws):
         b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
-        F = sw * (b @ table.values[:n_support])
+        F = plan.sqrt_w * (b @ plan.modes[:n_support])
         G = kernel.matrix @ F
         n0 = float(np.sum(absx * np.abs(F) ** 2))
         n1 = float(np.sum(absx * np.abs(G) ** 2))

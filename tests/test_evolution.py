@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   periodicity_residual, phase_map_residual, rescale,
                   rescaled_mode, standard_inner, unitarity_residual,
                   unrescale)
+from qosc.evolution import _plan
+from qosc.qhermite import (build_mode_table, lattice_weight_window,
+                           norm_c_window)
 
 
 @pytest.fixture
@@ -148,3 +152,39 @@ def test_standard_inner_requires_rescaled(ectx):
     f = mode_function(0, ectx)
     with pytest.raises(NotRescaled):
         standard_inner(f, f, ectx)
+
+
+def test_plan_arrays_are_read_only(ectx):
+    plan = _plan(ectx)
+    for a in (plan.modes, plan.c, plan.sqrt_w):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    k = fractional_ft(0.6, ectx)
+    expected = k.matrix.copy()
+    k.matrix[:] = 0.0
+    assert np.array_equal(fractional_ft(0.6, ectx).matrix, expected)
+
+
+def test_plan_cache_stays_bounded(ectx):
+    maxsize = _plan.cache_info().maxsize
+    for depth in range(4, 4 + maxsize + 3):
+        fractional_ft(0.2, replace(ectx, lattice_depth=depth,
+                                   fock_dim=2 * depth))
+        assert _plan.cache_info().currsize <= maxsize
+
+
+@pytest.mark.parametrize("q", [0.5, 0.95])
+def test_kernels_match_complex_gemm(q):
+    # the kernels split A^T diag(e^{i n tau}) A into two real products;
+    # the plain complex product, from freshly built tables, is the reference
+    ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
+    tau = 0.83
+    A = build_mode_table("position", ctx).values
+    G = A.T @ (np.exp(1j * tau * np.arange(ctx.fock_dim))[:, None] * A)
+    cs = norm_c_window(ctx)
+    sw = np.sqrt(lattice_weight_window(ctx))
+    phi = (sw[:, None] / sw[None, :]) * G * cs[None, :]
+    raw = np.exp(1j * tau / 2.0) * G * cs[None, :]
+    for got, want in ((fractional_ft(tau, ctx).matrix, phi),
+                      (kernel_K(tau, ctx).matrix, raw)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

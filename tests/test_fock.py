@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, DimensionMismatch, NotHermitian,
-                  TridiagonalOperator, build_F_of_H, build_H, build_ladders,
-                  build_P, build_Q, commutator, coupling, eigendecompose,
-                  spectrum_report)
+from qosc import (DeformationContext, DimensionMismatch, NoConvergence,
+                  NotHermitian, TridiagonalOperator, build_F_of_H, build_H,
+                  build_ladders, build_P, build_Q, commutator, coupling,
+                  eigendecompose, eigenvalues, spectrum_report)
 
 
 def test_tridiagonal_shape_guard():
@@ -131,3 +131,31 @@ def test_spectrum_negation_symmetry():
     vals, _ = eigendecompose(build_Q(ctx), ctx)
     v = np.sort(vals)
     assert np.max(np.abs(v + v[::-1])) < 1e-13
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 0.9999])
+@pytest.mark.parametrize("n", [1, 2, 64, 200])
+@pytest.mark.parametrize("build", [build_Q, build_P])
+def test_spectrum_report_eigenvalues_bit_identical(q, n, build):
+    # spectrum_report forms no eigenvectors; its values must still be
+    # exactly those of the checked eigenpairs, for Q and for the
+    # complex-gauge P alike
+    ctx = DeformationContext(q=q, fock_dim=n)
+    T = build(ctx)
+    reference, _ = eigendecompose(T, ctx)
+    assert np.array_equal(eigenvalues(T, ctx), reference)
+    rep = spectrum_report(T, ctx)
+    reported = [m.value for m in rep.matched] + list(rep.unmatched)
+    assert np.array_equal(np.sort(reported), reference)
+
+
+def test_eigensolver_failures_are_typed(ctx):
+    # a NaN defeats both LAPACK drivers; callers see NoConvergence
+    bad = TridiagonalOperator(np.array([0.0, np.nan, 0.0]), np.ones(2))
+    with pytest.raises(NoConvergence):
+        eigendecompose(bad, ctx)
+    with pytest.raises(NoConvergence):
+        eigenvalues(bad, ctx)
+    with pytest.raises(NotHermitian):
+        eigenvalues(TridiagonalOperator(np.zeros(3), np.ones(2),
+                                        hermitian=False), ctx)
