@@ -8,6 +8,7 @@ report is the one exception, since it embeds wall-clock timings.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -19,10 +20,10 @@ from .context import DeformationContext
 from .errors import QoscError, ValidationError
 from .evolution import evolve, fractional_ft, kernel_K, rescale
 from .fock import build_Q, spectrum_report
-from .qhermite import build_mode_table, hermite_eval, mode_poly
-from .serialize import (atomic_write_text, load_lattice_function,
-                        write_kernel, write_lattice_function,
-                        write_mode_table, write_spectrum_report,
+from .qhermite import build_mode_table, hermite_eval, lattice_window, mode_poly
+from .serialize import (load_lattice_function, write_kernel,
+                        write_lattice_function, write_mode_table,
+                        write_polynomial_table, write_spectrum_report,
                         write_verify_report)
 from .verify import run_verification
 
@@ -35,6 +36,9 @@ _DEFAULTS = {
 }
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"seed"}
+
+# Largest table `hermite --grid` or `hermite --family hermite` may write.
+MAX_TABLE_ROWS = 1_000_000
 
 
 def _parse_config_file(path: str) -> dict:
@@ -145,56 +149,49 @@ def hermite(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
     ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
                       lattice_depth=lattice_depth, tail_tol=tail_tol,
                       match_tol=match_tol)
-    if n_max is not None:
-        if n_max < 0 or n_max >= ctx.fock_dim:
-            raise ValidationError(
-                f"--n-max must lie in [0, {ctx.fock_dim}), got {n_max}")
-        top = n_max
-    else:
-        top = ctx.fock_dim - 1
+    top = ctx.fock_dim - 1 if n_max is None else n_max
+    if not 0 <= top < ctx.fock_dim:
+        raise ValidationError(
+            f"--n-max must lie in [0, {ctx.fock_dim}), got {n_max}")
 
     if grid is None and family == "orthonormal":
         path = out or f"modes.{fmt}"
         table = build_mode_table("position", ctx)
         if top < ctx.fock_dim - 1:
-            table = type(table)(kind=table.kind, q=table.q,
-                                fock_dim=top + 1,
-                                lattice_depth=table.lattice_depth,
-                                values=table.values[: top + 1],
-                                tail_start=table.tail_start[: top + 1])
+            table = dataclasses.replace(table, fock_dim=top + 1,
+                                        values=table.values[: top + 1],
+                                        tail_start=table.tail_start[: top + 1])
         write_mode_table(table, path, fmt)
         click.echo(path)
         return
 
     if grid is None:
-        xs = [(f"{sg}", f"{s}", x)
-              for s in range(ctx.lattice_depth)
-              for sg, x in ((1, ctx.q**s), (-1, -(ctx.q**s)))]
+        count = 2 * ctx.lattice_depth
     else:
         try:
             start, stop, step = (float(p) for p in grid.split(":"))
         except ValueError:
             raise ValidationError(
                 f"--grid expects start:stop:step, got {grid!r}")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValidationError(f"--grid needs finite numbers, got {grid!r}")
         if step <= 0 or stop < start:
             raise ValidationError(f"--grid range is empty: {grid!r}")
-        count = int((stop - start) / step + 1e-9) + 1
+        count = int(min((stop - start) / step + 1e-9, MAX_TABLE_ROWS)) + 1
+    if (top + 1) * count > MAX_TABLE_ROWS:
+        raise ValidationError(
+            f"the table would exceed {MAX_TABLE_ROWS} rows; lower --n-max, "
+            f"the grid size or --lattice-depth")
+    if grid is None:
+        xs = [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
+    else:
         xs = [("", "", start + k * step) for k in range(count)]
 
     evalf = hermite_eval if family == "hermite" else mode_poly
-    lines = ["n,sign,s,x,value"]
-    for n in range(top + 1):
-        for sg, s, x in xs:
-            lines.append(f"{n},{sg},{s},{x!r},{float(evalf(n, x, ctx))!r}")
+    rows = [(n, sign, s, x, float(evalf(n, x, ctx)))
+            for n in range(top + 1) for sign, s, x in xs]
     path = out or f"hermite.{fmt}"
-    if fmt == "json":
-        rows = [{"n": n, "x": x, "value": float(evalf(n, x, ctx))}
-                for n in range(top + 1) for _, _, x in xs]
-        atomic_write_text(path, json.dumps(
-            {"schema_version": 1, "family": family, "q": ctx.q,
-             "rows": rows}, indent=1) + "\n")
-    else:
-        atomic_write_text(path, "\n".join(lines) + "\n")
+    write_polynomial_table(rows, family, ctx.q, path, fmt)
     click.echo(path)
 
 

@@ -8,7 +8,6 @@ are frozen; derive variants with dataclasses.replace.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -70,12 +69,3 @@ def suggested_depth(q: float, eps: float) -> int:
         raise ValidationError(f"eps must lie in (0, 1), got {eps!r}")
     return int(math.ceil(math.log(eps) / math.log(q)))
 
-
-def thread_limit() -> int:
-    """Worker count for column-parallel table builds (QOSC_THREADS, min 1)."""
-    raw = os.environ.get("QOSC_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)

@@ -29,13 +29,12 @@ meant for shallow degrees.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
-from .context import DeformationContext, thread_limit
+from .context import DeformationContext
 from .errors import IndexOutOfRange, ValidationError
 from .qcore import coupling, qpoch, qpoch_inf
 
@@ -78,8 +77,9 @@ def lattice_window(ctx: DeformationContext) -> List[LatticePoint]:
     return pts
 
 
-def window_index(sign: int, s: int) -> int:
-    return 2 * s + (0 if sign > 0 else 1)
+def window_index(sign, s):
+    """Window position of site (sign, s); elementwise on integer arrays."""
+    return 2 * s + (sign < 0)
 
 
 def window_values(ctx: DeformationContext) -> np.ndarray:
@@ -185,19 +185,9 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             live = meet < 0
             colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
     a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
-    todo = [c for c in range(m) if 0 <= meet[c] < nmax - 1]
-
-    def run(cols):
-        for c in cols:
+    for c in range(m):
+        if 0 <= meet[c] < nmax - 1:
             tail_start[c] = _backfill_column(P, c, float(x[c]), int(meet[c]), a_all, w)
-
-    workers = thread_limit()
-    if workers > 1 and len(todo) > 1:
-        chunks = [todo[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(run, chunks))
-    else:
-        run(todo)
     return P, tail_start
 
 
@@ -267,6 +257,11 @@ class ModeTable:
     values: np.ndarray
     tail_start: np.ndarray
 
+    def __post_init__(self):
+        if self.kind not in ("position", "momentum"):
+            raise ValidationError(
+                f"kind must be 'position' or 'momentum', got {self.kind!r}")
+
     @property
     def points(self) -> List[LatticePoint]:
         ctx = DeformationContext(q=self.q, fock_dim=self.fock_dim,
@@ -275,14 +270,7 @@ class ModeTable:
 
 
 def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:
-    """Tabulate all modes n < fock_dim over the window.
-
-    Set QOSC_THREADS to parallelize the per-column tail refill; outputs
-    are bit-identical at any thread count.
-    """
-    if kind not in ("position", "momentum"):
-        raise ValidationError(
-            f"kind must be 'position' or 'momentum', got {kind!r}")
+    """Tabulate all modes n < fock_dim over the window."""
     x = window_values(ctx)
     P, tail_start = _p_matrix(x, ctx.fock_dim, ctx)
     if kind == "momentum":

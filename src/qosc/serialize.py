@@ -1,8 +1,17 @@
 """CSV/JSON persistence for tables, functions, kernels and reports.
 
-All writers go through an atomic temp-file-plus-rename, so a crashed run
-never leaves a half-written artifact. Floats are emitted with repr,
-which round-trips exactly; identical inputs produce identical bytes.
+One private codec owns every format: JSON documents lead with
+schema_version and object, CSV files with an optional '# key=value'
+metadata line and a header. Writes are atomic (temp file, then rename)
+and emit floats with repr, so values round-trip exactly and identical
+inputs give identical bytes. On load, a missing or ill-typed field
+raises ValidationError.
+
+Every cell is placed exactly once: CSV rows and JSON kernel entries are
+keyed by window site (sign, s), plus degree n in mode tables, and a key
+that is missing, repeated, negative or out of range raises
+ValidationError. JSON mode tables and lattice functions hold nested
+arrays in window order, whose shape is checked.
 
 Column layouts:
 
@@ -10,18 +19,21 @@ Column layouts:
     lattice function CSV  sign,s,x,re,im,rescaled_flag
     kernel CSV            row_sign,row_s,col_sign,col_s,re,im,low_confidence
                           (metadata on a leading '#' line)
-    spectrum CSV          sign,s,lambda,error  (unmatched rows leave
-                          sign and s empty)
+    spectrum CSV          sign,s,lambda,error  (unmatched: sign, s empty)
+    polynomial CSV        n,sign,s,x,value  (grid rows: sign, s empty)
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -31,18 +43,25 @@ from .errors import ValidationError
 from .evolution import EvolutionKernel
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
-from .qhermite import ModeTable, window_levels, window_signs, window_values
+from .qhermite import ModeTable, window_index
 
 SCHEMA_VERSION = 1
 
+_MODE_COLUMNS = ["sign", "s", "x", "n", "value_re", "value_im"]
+_LATTICE_COLUMNS = ["sign", "s", "x", "re", "im", "rescaled_flag"]
+_KERNEL_COLUMNS = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
+                   "low_confidence"]
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text then rename into place; never exposes partial content."""
+
+# -- the codec ---------------------------------------------------------
+
+@contextmanager
+def _atomic_open(path: str):
     d = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".qosc-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -50,6 +69,12 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text then rename into place; never exposes partial content."""
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def _infer_format(path: str, fmt: Optional[str]) -> str:
@@ -60,101 +85,172 @@ def _infer_format(path: str, fmt: Optional[str]) -> str:
     return fmt
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=1) + "\n"
+def _document(obj: Optional[str], **fields) -> dict:
+    """A JSON payload: schema_version, the object tag unless None, fields."""
+    head = {"schema_version": SCHEMA_VERSION}
+    if obj is not None:
+        head["object"] = obj
+    return {**head, **fields}
 
 
-def _require(payload: dict, obj: str):
-    if not isinstance(payload, dict):
-        raise ValidationError("top-level JSON payload must be an object")
-    if payload.get("schema_version") != SCHEMA_VERSION:
+def _write_json(path: str, payload: dict) -> None:
+    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+
+
+def _write_csv(path: str, header, rows, meta: Optional[dict] = None) -> None:
+    """Optional '# key=value' line, the header, then rows streamed to disk."""
+    with _atomic_open(path) as fh:
+        if meta is not None:
+            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+
+
+@contextmanager
+def _fields(path: str, what: str):
+    """Open an artifact; what is malformed in it raises ValidationError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} file {path!r} is malformed: {exc!r}") from exc
+
+
+@contextmanager
+def _read_json(path: str, obj: str):
+    with _fields(path, obj) as fh:
+        payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValidationError("top-level JSON payload must be an object")
+        for key, want in (("schema_version", SCHEMA_VERSION), ("object", obj)):
+            if payload.get(key) != want:
+                raise ValidationError(
+                    f"expected {key} {want!r}, found {payload.get(key)!r}")
+        yield payload
+
+
+@contextmanager
+def _read_csv(path: str, what: str, header, meta: bool = False):
+    """Yield (metadata dict or None, rows as lists of strings)."""
+    with _fields(path, what) as fh:
+        info = None
+        if meta:
+            line = fh.readline()
+            if not line.startswith("# "):
+                raise ValidationError(f"{what} CSV is missing its metadata line")
+            info = dict(tok.partition("=")[::2] for tok in line[2:].split())
+        reader = csv.reader(fh)
+        if next(reader, None) != header:
+            raise ValidationError(
+                f"{what} CSV header is wrong, expected {','.join(header)}")
+        rows = list(reader)
+        if set(map(len, rows)) != {len(header)}:
+            raise ValidationError(
+                f"{what} CSV needs one or more rows of {len(header)} fields")
+        yield info, rows
+
+
+def _columns(rows, keys) -> list:
+    """Columns picked out of CSV rows by index or JSON entries by key."""
+    return [list(map(itemgetter(k), rows)) for k in keys]
+
+
+def _complexes(re, im) -> np.ndarray:
+    out = np.empty(len(re), dtype=complex)
+    out.real = np.fromiter(map(float, re), dtype=float, count=len(re))
+    out.imag = np.fromiter(map(float, im), dtype=float, count=len(im))
+    return out
+
+
+def _site(sign, s) -> np.ndarray:
+    """Window positions of (sign, s) key columns; signs must be +1 or -1."""
+    sign = np.array(sign, dtype=np.int64)
+    if not np.all((sign == 1) | (sign == -1)):
+        raise ValidationError("site sign must be +1 or -1")
+    return window_index(sign, np.array(s, dtype=np.int64))
+
+
+def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
+    """Dense table of this shape with values[k] at cell (index[0][k], ...).
+
+    Every cell must be keyed exactly once; a key that is negative, out of
+    range, repeated or absent raises ValidationError.
+    """
+    size = math.prod(shape)
+    if len(values) != size:
         raise ValidationError(
-            f"unsupported schema_version {payload.get('schema_version')!r}")
-    if payload.get("object") != obj:
-        raise ValidationError(
-            f"expected object {obj!r}, found {payload.get('object')!r}")
+            f"{what} has {len(values)} cells, a {shape} table needs {size}")
+    try:
+        flat = np.ravel_multi_index(index, shape)
+    except ValueError as exc:
+        raise ValidationError(f"{what} has a key outside its {shape} table") from exc
+    if not np.all(np.bincount(flat, minlength=size) == 1):
+        raise ValidationError(f"{what} must hold every cell exactly once")
+    out = np.empty(size, dtype=values.dtype)
+    out[flat] = values
+    return out.reshape(shape)
 
 
-def _site_triples(q: float, depth: int):
-    for s in range(depth):
-        yield 1, s, q**s
-        yield -1, s, -(q**s)
+def _pairs(values: np.ndarray) -> list:
+    """Nested [re, im] lists of Python floats: the JSON form of a complex
+    array, and the cells of a CSV row."""
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def _from_pairs(pairs, shape: tuple) -> np.ndarray:
+    a = np.array(pairs, dtype=float)
+    if a.shape != (*shape, 2):
+        raise ValidationError(f"values have shape {a.shape}, not {(*shape, 2)}")
+    return a.view(complex)[..., 0]
+
+
+def _sites(q: float, depth: int) -> list:
+    """(sign, s, x) per window site; x is Python's q**s, not numpy's."""
+    return [(sign, s, sign * q**s) for s in range(depth) for sign in (1, -1)]
 
 
 # -- mode tables -------------------------------------------------------
 
 def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> None:
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["sign", "s", "x", "n", "value_re", "value_im"])
-        sites = list(_site_triples(table.q, table.lattice_depth))
-        for n in range(table.fock_dim):
-            for i, (sign, s, x) in enumerate(sites):
-                v = complex(table.values[n, i])
-                w.writerow([sign, s, repr(x), n, repr(v.real), repr(v.imag)])
-        atomic_write_text(path, buf.getvalue())
+    if _infer_format(path, fmt) == "json":
+        _write_json(path, _document(
+            "mode_table", kind=table.kind, q=table.q, fock_dim=table.fock_dim,
+            lattice_depth=table.lattice_depth,
+            tail_start=[int(t) for t in table.tail_start],
+            values=_pairs(table.values)))
         return
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "object": "mode_table",
-        "kind": table.kind,
-        "q": table.q,
-        "fock_dim": table.fock_dim,
-        "lattice_depth": table.lattice_depth,
-        "tail_start": [int(t) for t in table.tail_start],
-        "values": [[[complex(v).real, complex(v).imag] for v in row]
-                   for row in table.values],
-    }
-    atomic_write_text(path, _json_dump(payload))
+    sites = _sites(table.q, table.lattice_depth)
+    _write_csv(path, _MODE_COLUMNS, (
+        (sign, s, x, n, re, im)
+        for n, row in enumerate(table.values)
+        for (sign, s, x), (re, im) in zip(sites, _pairs(row))))
 
 
 def load_mode_table(path: str, fmt: Optional[str] = None,
                     kind: str = "position") -> ModeTable:
-    fmt = _infer_format(path, fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "json":
-        payload = json.loads(text)
-        _require(payload, "mode_table")
-        vals = np.array([[complex(re, im) for re, im in row]
-                         for row in payload["values"]])
-        if vals.shape != (payload["fock_dim"], 2 * payload["lattice_depth"]):
-            raise ValidationError("mode table values have the wrong shape")
-        if payload["kind"] == "position":
-            vals = vals.real
-        return ModeTable(kind=payload["kind"], q=float(payload["q"]),
-                         fock_dim=int(payload["fock_dim"]),
-                         lattice_depth=int(payload["lattice_depth"]),
-                         values=vals,
-                         tail_start=np.asarray(payload["tail_start"], dtype=int))
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["sign", "s", "x", "n", "value_re", "value_im"]:
-        raise ValidationError("mode table CSV header is wrong")
-    body = rows[1:]
-    if not body:
-        raise ValidationError("mode table CSV has no rows")
-    try:
-        degrees = sorted({int(r[3]) for r in body})
-        levels = sorted({int(r[1]) for r in body})
-        q_est = None
-        depth = len(levels)
-        nmax = len(degrees)
-        vals = np.zeros((nmax, 2 * depth), dtype=complex)
-        for r in body:
-            sign, s, x, n = int(r[0]), int(r[1]), float(r[2]), int(r[3])
-            if s == 1 and sign == 1:
-                q_est = x
-            vals[n, 2 * s + (0 if sign > 0 else 1)] = complex(float(r[4]), float(r[5]))
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"mode table CSV is malformed: {exc}") from exc
-    if degrees != list(range(nmax)) or levels != list(range(depth)) or q_est is None:
-        raise ValidationError("mode table CSV does not cover a full window")
+    if _infer_format(path, fmt) == "json":
+        with _read_json(path, "mode_table") as doc:
+            kind, q = doc["kind"], float(doc["q"])
+            nmax, depth = int(doc["fock_dim"]), int(doc["lattice_depth"])
+            values = _from_pairs(doc["values"], (nmax, 2 * depth))
+            tail_start = np.asarray(doc["tail_start"], dtype=int)
+    else:
+        with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
+            sign, s, n, re, im = _columns(rows, (0, 1, 3, 4, 5))
+            site, n = _site(sign, s), np.array(n, dtype=np.int64)
+            nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
+            values = _place(_complexes(re, im), (n, site), (nmax, 2 * depth),
+                            "mode table CSV")
+            at_q = np.flatnonzero(site == window_index(1, 1))
+            if not at_q.size:
+                raise ValidationError("mode table CSV needs level s=1 to give q")
+            q = float(rows[at_q[0]][2])
+        tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
-        vals = vals.real
-    return ModeTable(kind=kind, q=q_est, fock_dim=nmax, lattice_depth=depth,
-                     values=vals, tail_start=np.full(2 * depth, nmax, dtype=int))
+        values = values.real
+    return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,
+                     values=values, tail_start=tail_start)
 
 
 # -- lattice functions -------------------------------------------------
@@ -166,236 +262,140 @@ def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
         raise ValidationError(
             f"function has {f.values.shape[0]} sites, context wants "
             f"{2 * ctx.lattice_depth}")
-    if fmt == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["sign", "s", "x", "re", "im", "rescaled_flag"])
-        flag = 1 if f.rescaled else 0
-        for i, (sign, s, x) in enumerate(_site_triples(ctx.q, ctx.lattice_depth)):
-            v = complex(f.values[i])
-            w.writerow([sign, s, repr(x), repr(v.real), repr(v.imag), flag])
-        atomic_write_text(path, buf.getvalue())
+    if fmt == "json":
+        _write_json(path, _document(
+            "lattice_function", kind=f.kind, q=ctx.q,
+            lattice_depth=ctx.lattice_depth, rescaled=bool(f.rescaled),
+            values=_pairs(f.values)))
         return
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "object": "lattice_function",
-        "kind": f.kind,
-        "q": ctx.q,
-        "lattice_depth": ctx.lattice_depth,
-        "rescaled": bool(f.rescaled),
-        "values": [[complex(v).real, complex(v).imag] for v in f.values],
-    }
-    atomic_write_text(path, _json_dump(payload))
+    _write_csv(path, _LATTICE_COLUMNS, (
+        (sign, s, x, re, im, int(f.rescaled))
+        for (sign, s, x), (re, im) in zip(_sites(ctx.q, ctx.lattice_depth),
+                                          _pairs(f.values))))
 
 
 def load_lattice_function(path: str, fmt: Optional[str] = None,
                           kind: str = "position") -> LatticeFunction:
-    fmt = _infer_format(path, fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not valid JSON: {exc}") from exc
-        _require(payload, "lattice_function")
-        vals = np.array([complex(re, im) for re, im in payload["values"]])
-        if vals.shape[0] != 2 * int(payload["lattice_depth"]):
-            raise ValidationError("lattice function length mismatch")
-        return LatticeFunction(payload["kind"], vals,
-                               rescaled=bool(payload["rescaled"]))
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["sign", "s", "x", "re", "im", "rescaled_flag"]:
-        raise ValidationError("lattice function CSV header is wrong")
-    body = rows[1:]
-    if not body or len(body) % 2 != 0:
-        raise ValidationError("lattice function CSV needs an even, nonzero "
-                              "number of site rows")
-    vals = np.zeros(len(body), dtype=complex)
-    flags = set()
-    try:
-        for r in body:
-            sign, s = int(r[0]), int(r[1])
-            idx = 2 * s + (0 if sign > 0 else 1)
-            if not 0 <= idx < len(body):
-                raise ValidationError(f"site (sign={sign}, s={s}) out of range")
-            vals[idx] = complex(float(r[3]), float(r[4]))
-            flags.add(int(r[5]))
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"lattice function CSV is malformed: {exc}") from exc
+    if _infer_format(path, fmt) == "json":
+        with _read_json(path, "lattice_function") as doc:
+            values = _from_pairs(doc["values"], (2 * int(doc["lattice_depth"]),))
+            return LatticeFunction(doc["kind"], values,
+                                   rescaled=bool(doc["rescaled"]))
+    with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
+        sign, s, re, im, flag = _columns(rows, (0, 1, 3, 4, 5))
+        site = _site(sign, s)
+        values = _place(_complexes(re, im), (site,),
+                        (int(site.max()) // 2 * 2 + 2,), "lattice function CSV")
+        flags = set(map(int, flag))
     if len(flags) != 1:
         raise ValidationError("rescaled_flag must be constant across rows")
-    return LatticeFunction(kind, vals, rescaled=bool(flags.pop()))
+    return LatticeFunction(kind, values, rescaled=bool(flags.pop()))
 
 
 # -- evolution kernels -------------------------------------------------
 
-def _kernel_meta(k: EvolutionKernel) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "object": "evolution_kernel",
-        "variant": k.variant,
-        "tau": k.tau,
-        "q": k.q,
-        "n_max": k.n_max,
-        "lattice_depth": k.lattice_depth,
-        "s_match": k.s_match,
-        "tail_estimate": k.tail_estimate,
-    }
+def _kernel_cells(k: EvolutionKernel, flag):
+    """Rows of the kernel file in window order; flag formats low_confidence."""
+    sites = _sites(k.q, k.lattice_depth)
+    for (rs, rl, _), row in zip(sites, k.matrix):
+        low = flag(k.low_confidence(rl))
+        for (cs, cl, _), (re, im) in zip(sites, _pairs(row)):
+            yield rs, rl, cs, cl, re, im, low
 
 
 def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> None:
     fmt = _infer_format(path, fmt)
-    sites = list(_site_triples(k.q, k.lattice_depth))
+    meta = _document("evolution_kernel", variant=k.variant, tau=k.tau, q=k.q,
+                     n_max=k.n_max, lattice_depth=k.lattice_depth,
+                     s_match=k.s_match, tail_estimate=k.tail_estimate)
     if fmt == "csv":
-        buf = io.StringIO()
-        meta = _kernel_meta(k)
-        buf.write("# " + " ".join(f"{key}={meta[key]}" for key in meta) + "\n")
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["row_sign", "row_s", "col_sign", "col_s", "re", "im",
-                    "low_confidence"])
-        for i, (rs, rl, _) in enumerate(sites):
-            flag = 1 if k.low_confidence(rl) else 0
-            for j, (cs_, cl, _) in enumerate(sites):
-                v = complex(k.matrix[i, j])
-                w.writerow([rs, rl, cs_, cl, repr(v.real), repr(v.imag), flag])
-        atomic_write_text(path, buf.getvalue())
+        _write_csv(path, _KERNEL_COLUMNS, _kernel_cells(k, int), meta)
         return
-    payload = _kernel_meta(k)
-    payload["entries"] = [
-        {"row_sign": rs, "row_s": rl, "col_sign": cs_, "col_s": cl,
-         "re": complex(k.matrix[i, j]).real, "im": complex(k.matrix[i, j]).imag,
-         "low_confidence": k.low_confidence(rl)}
-        for i, (rs, rl, _) in enumerate(sites)
-        for j, (cs_, cl, _) in enumerate(sites)
-    ]
-    atomic_write_text(path, _json_dump(payload))
+    meta["entries"] = [dict(zip(_KERNEL_COLUMNS, cell))
+                       for cell in _kernel_cells(k, bool)]
+    _write_json(path, meta)
+
+
+def _kernel(meta: dict, rows, keys) -> EvolutionKernel:
+    rs, rl, cs, cl, re, im = _columns(rows, keys)
+    depth = int(meta["lattice_depth"])
+    matrix = _place(_complexes(re, im), (_site(rs, rl), _site(cs, cl)),
+                    (2 * depth, 2 * depth), "kernel")
+    return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
+                           q=float(meta["q"]), n_max=int(meta["n_max"]),
+                           lattice_depth=depth, matrix=matrix,
+                           tail_estimate=float(meta["tail_estimate"]),
+                           s_match=int(meta["s_match"]))
 
 
 def load_kernel(path: str, fmt: Optional[str] = None) -> EvolutionKernel:
-    fmt = _infer_format(path, fmt)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    if fmt == "json":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not valid JSON: {exc}") from exc
-        _require(payload, "evolution_kernel")
-        depth = int(payload["lattice_depth"])
-        m = np.zeros((2 * depth, 2 * depth), dtype=complex)
-        for e in payload["entries"]:
-            i = 2 * int(e["row_s"]) + (0 if int(e["row_sign"]) > 0 else 1)
-            j = 2 * int(e["col_s"]) + (0 if int(e["col_sign"]) > 0 else 1)
-            m[i, j] = complex(float(e["re"]), float(e["im"]))
-        return EvolutionKernel(tau=float(payload["tau"]),
-                               variant=payload["variant"],
-                               q=float(payload["q"]),
-                               n_max=int(payload["n_max"]),
-                               lattice_depth=depth, matrix=m,
-                               tail_estimate=float(payload["tail_estimate"]),
-                               s_match=int(payload["s_match"]))
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("# "):
-        raise ValidationError("kernel CSV is missing its metadata line")
-    meta = {}
-    for tok in lines[0][2:].split():
-        key, _, val = tok.partition("=")
-        meta[key] = val
-    try:
-        depth = int(meta["lattice_depth"])
-        rows = list(csv.reader(io.StringIO("\n".join(lines[1:]))))
-        if rows[0] != ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
-                       "low_confidence"]:
-            raise ValidationError("kernel CSV header is wrong")
-        m = np.zeros((2 * depth, 2 * depth), dtype=complex)
-        for r in rows[1:]:
-            i = 2 * int(r[1]) + (0 if int(r[0]) > 0 else 1)
-            j = 2 * int(r[3]) + (0 if int(r[2]) > 0 else 1)
-            m[i, j] = complex(float(r[4]), float(r[5]))
-        return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
-                               q=float(meta["q"]), n_max=int(meta["n_max"]),
-                               lattice_depth=depth, matrix=m,
-                               tail_estimate=float(meta["tail_estimate"]),
-                               s_match=int(meta["s_match"]))
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValidationError(f"kernel CSV is malformed: {exc}") from exc
+    if _infer_format(path, fmt) == "json":
+        with _read_json(path, "evolution_kernel") as doc:
+            return _kernel(doc, doc["entries"], _KERNEL_COLUMNS[:6])
+    with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
+        return _kernel(meta, rows, range(6))
 
 
 # -- reports -----------------------------------------------------------
 
 def spectrum_report_payload(rep: SpectrumReport) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "object": "spectrum_report",
-        "q": rep.q,
-        "fock_dim": rep.fock_dim,
-        "lattice_depth": rep.lattice_depth,
-        "match_tol": rep.match_tol,
-        "s_match": rep.s_match,
-        "max_error": rep.max_error,
-        "matched": [{"sign": m.sign, "s": m.s, "lambda": m.value,
-                     "error": m.error} for m in rep.matched],
-        "unmatched": list(rep.unmatched),
-    }
+    return _document(
+        "spectrum_report", q=rep.q, fock_dim=rep.fock_dim,
+        lattice_depth=rep.lattice_depth, match_tol=rep.match_tol,
+        s_match=rep.s_match, max_error=rep.max_error,
+        matched=[{"sign": m.sign, "s": m.s, "lambda": m.value,
+                  "error": m.error} for m in rep.matched],
+        unmatched=list(rep.unmatched))
 
 
 def write_spectrum_report(rep: SpectrumReport, path: str,
                           fmt: Optional[str] = None) -> None:
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
-        atomic_write_text(path, _json_dump(spectrum_report_payload(rep)))
+    if _infer_format(path, fmt) == "json":
+        _write_json(path, spectrum_report_payload(rep))
         return
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["sign", "s", "lambda", "error"])
-    for m in rep.matched:
-        w.writerow([m.sign, m.s, repr(m.value), repr(m.error)])
-    for v in rep.unmatched:
-        w.writerow(["", "", repr(v), ""])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["sign", "s", "lambda", "error"], chain(
+        ((m.sign, m.s, m.value, m.error) for m in rep.matched),
+        (("", "", v, "") for v in rep.unmatched)))
 
 
 def load_spectrum_report(path: str) -> SpectrumReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"not valid JSON: {exc}") from exc
-    _require(payload, "spectrum_report")
-    matched = [MatchedLevel(int(m["sign"]), int(m["s"]), float(m["lambda"]),
-                            float(m["error"])) for m in payload["matched"]]
-    return SpectrumReport(q=float(payload["q"]),
-                          fock_dim=int(payload["fock_dim"]),
-                          lattice_depth=int(payload["lattice_depth"]),
-                          match_tol=float(payload["match_tol"]),
-                          matched=matched,
-                          unmatched=[float(v) for v in payload["unmatched"]],
-                          s_match=int(payload["s_match"]),
-                          max_error=float(payload["max_error"]))
+    with _read_json(path, "spectrum_report") as doc:
+        matched = [MatchedLevel(int(m["sign"]), int(m["s"]),
+                                float(m["lambda"]), float(m["error"]))
+                   for m in doc["matched"]]
+        return SpectrumReport(q=float(doc["q"]), fock_dim=int(doc["fock_dim"]),
+                              lattice_depth=int(doc["lattice_depth"]),
+                              match_tol=float(doc["match_tol"]),
+                              matched=matched,
+                              unmatched=[float(v) for v in doc["unmatched"]],
+                              s_match=int(doc["s_match"]),
+                              max_error=float(doc["max_error"]))
 
 
 def verify_report_payload(rep) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "object": "verify_report",
-        "overall_pass": bool(rep.overall_pass),
-        "seed": rep.seed,
-        "qs": list(rep.qs),
-        "runtime_s": rep.runtime_s,
-        "checks": [asdict(c) for c in rep.checks],
-    }
+    return _document("verify_report", overall_pass=bool(rep.overall_pass),
+                     seed=rep.seed, qs=list(rep.qs), runtime_s=rep.runtime_s,
+                     checks=[asdict(c) for c in rep.checks])
 
 
 def write_verify_report(rep, path: str, fmt: Optional[str] = None) -> None:
-    fmt = _infer_format(path, fmt)
-    if fmt == "json":
-        atomic_write_text(path, _json_dump(verify_report_payload(rep)))
+    if _infer_format(path, fmt) == "json":
+        _write_json(path, verify_report_payload(rep))
         return
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["name", "status", "residual", "tolerance", "runtime_s"])
-    for c in rep.checks:
-        w.writerow([c.name, "pass" if c.passed else "fail",
-                    repr(c.residual), repr(c.tolerance), repr(c.runtime_s)])
-    atomic_write_text(path, buf.getvalue())
+    _write_csv(path, ["name", "status", "residual", "tolerance", "runtime_s"], (
+        (c.name, "pass" if c.passed else "fail", c.residual, c.tolerance,
+         c.runtime_s) for c in rep.checks))
+
+
+def write_polynomial_table(rows: list, family: str, q: float, path: str,
+                           fmt: Optional[str] = None) -> None:
+    """Rows (n, sign, s, x, value) tabulated by `qosc hermite`.
+
+    sign and s are "" for grid points. The JSON form keeps n, x and value
+    and has no object tag.
+    """
+    if _infer_format(path, fmt) == "json":
+        _write_json(path, _document(None, family=family, q=q, rows=[
+            {"n": n, "x": x, "value": v} for n, _, _, x, v in rows]))
+        return
+    _write_csv(path, ["n", "sign", "s", "x", "value"], rows)

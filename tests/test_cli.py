@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qosc import DeformationContext, rescaled_mode
+from qosc import DeformationContext, hermite_eval, rescaled_mode
 from qosc.cli import main
 from qosc.serialize import load_lattice_function, write_lattice_function
 
@@ -180,3 +180,33 @@ def test_verify_corrupt_coupling_fails(runner):
     r = runner.invoke(main, ["verify", "--corrupt-coupling"])
     assert r.exit_code == 2
     assert "FAIL" in r.output
+
+
+@pytest.mark.parametrize("args", [
+    ["--grid", "0:nan:0.1"], ["--grid", "nan:1:0.1"], ["--grid", "0:1:nan"],
+    ["--grid", "0:inf:1"], ["--grid", "-1e308:1e308:1e-300"],
+    ["--grid", "0:1:1e-9"],
+    ["--family", "hermite", "--fock-dim", "2", "--lattice-depth", "600000"],
+], ids=["nan-stop", "nan-start", "nan-step", "inf-stop", "overflow-count",
+        "oversized-grid", "oversized-lattice"])
+def test_hermite_table_edges_are_validation_errors(runner, args):
+    r = runner.invoke(main, ["hermite", *args])
+    assert r.exit_code == 1
+    assert isinstance(r.exception, SystemExit), r.exception
+    assert r.output.startswith("error:")
+
+
+def test_hermite_json_evaluates_each_value_once(runner, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(n, x, ctx):
+        calls.append((n, x))
+        return hermite_eval(n, x, ctx)
+
+    monkeypatch.setattr("qosc.cli.hermite_eval", counting)
+    out = str(tmp_path / "h.json")
+    r = runner.invoke(main, ["hermite", "--family", "hermite", "--n-max", "2",
+                             "--grid", "0.0:1.0:0.5", "--format", "json",
+                             "--out", out])
+    assert r.exit_code == 0, r.output
+    assert len(json.load(open(out))["rows"]) == len(calls) == 9

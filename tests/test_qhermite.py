@@ -1,5 +1,4 @@
 import math
-import os
 
 import numpy as np
 import pytest
@@ -100,17 +99,6 @@ def test_table_rebuild_is_bitwise_stable(ctx):
     b = build_mode_table("position", ctx)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.tail_start, b.tail_start)
-
-
-def test_threaded_backfill_bitwise_matches_serial():
-    ctx = DeformationContext(q=0.8, fock_dim=96, lattice_depth=40)
-    serial = build_mode_table("position", ctx)
-    os.environ["QOSC_THREADS"] = "4"
-    try:
-        threaded = build_mode_table("position", ctx)
-    finally:
-        del os.environ["QOSC_THREADS"]
-    assert np.array_equal(serial.values, threaded.values)
 
 
 def test_lattice_weight_profile(ctx):

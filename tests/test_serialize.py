@@ -101,14 +101,11 @@ def test_spectrum_csv_has_unmatched_rows(tmp_path):
     ctx = DeformationContext(q=0.5, fock_dim=24, lattice_depth=4)
     rep = spectrum_report(build_Q(ctx), ctx)
     assert rep.unmatched
-    p = "s.csv"
-    write_spectrum_report(rep, str(p))
-    try:
-        rows = open(p).read().splitlines()[1:]
-        empties = [r for r in rows if r.startswith(",")]
-        assert len(empties) == len(rep.unmatched)
-    finally:
-        os.remove(p)
+    p = str(tmp_path / "s.csv")
+    write_spectrum_report(rep, p)
+    rows = open(p).read().splitlines()[1:]
+    empties = [r for r in rows if r.startswith(",")]
+    assert len(empties) == len(rep.unmatched)
 
 
 def test_write_is_deterministic(tmp_path, sctx):
@@ -200,3 +197,106 @@ def test_verify_report_write(tmp_path):
         write_verify_report(vr, p)
         body = open(p).read()
         assert "a" in body and "b" in body
+
+
+_WRITERS = {
+    "kernel": lambda c, p: write_kernel(fractional_ft(0.37, c), p),
+    "mode_table": lambda c, p: write_mode_table(
+        build_mode_table("position", c), p),
+    "lattice_function": lambda c, p: write_lattice_function(
+        mode_function(3, c), c, p),
+    "spectrum_report": lambda c, p: write_spectrum_report(
+        spectrum_report(build_Q(c), c), p),
+}
+_LOADERS = {"kernel": load_kernel, "mode_table": load_mode_table,
+            "lattice_function": load_lattice_function,
+            "spectrum_report": load_spectrum_report}
+
+
+def _rows(edit):
+    """Edit the CSV data rows, keeping the header and any '#' line."""
+    def apply(text):
+        lines = text.splitlines()
+        head = 2 if lines[0].startswith("#") else 1
+        return "\n".join(lines[:head] + edit(lines[head:])) + "\n"
+    return apply
+
+
+def _doc(edit):
+    """Edit the parsed JSON document in place."""
+    def apply(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return apply
+
+
+def _first_cell(col, value):
+    def edit(rows):
+        cells = rows[0].split(",")
+        cells[col] = value
+        return [",".join(cells)] + rows[1:]
+    return edit
+
+
+def _truncated(rows):
+    return rows[:-10]
+
+
+def _duplicated(rows):
+    return rows[:-1] + rows[:1]
+
+
+@pytest.mark.parametrize("artifact,fmt,damage", [
+    pytest.param("kernel", "csv", _rows(_truncated), id="kernel-csv-truncated"),
+    pytest.param("kernel", "csv", _rows(_duplicated), id="kernel-csv-duplicate"),
+    pytest.param("kernel", "csv", _rows(_first_cell(1, "-1")),
+                 id="kernel-csv-negative-site"),
+    pytest.param("kernel", "csv", _rows(_first_cell(0, "0")),
+                 id="kernel-csv-zero-sign"),
+    pytest.param("kernel", "json", _doc(lambda d: d["entries"].pop()),
+                 id="kernel-json-truncated"),
+    pytest.param("kernel", "json",
+                 _doc(lambda d: d["entries"].__setitem__(-1, d["entries"][0])),
+                 id="kernel-json-duplicate"),
+    pytest.param("kernel", "json",
+                 _doc(lambda d: d["entries"][0].__setitem__("row_s", -1)),
+                 id="kernel-json-negative-site"),
+    pytest.param("kernel", "json",
+                 _doc(lambda d: d["entries"][0].__setitem__("col_s", 8)),
+                 id="kernel-json-out-of-range-site"),
+    pytest.param("kernel", "json", _doc(lambda d: d.pop("entries")),
+                 id="kernel-json-missing-key"),
+    pytest.param("mode_table", "csv", _rows(_truncated),
+                 id="mode-table-csv-truncated"),
+    pytest.param("mode_table", "csv", _rows(_duplicated),
+                 id="mode-table-csv-duplicate"),
+    pytest.param("mode_table", "json", lambda text: text[:-5],
+                 id="mode-table-json-invalid"),
+    pytest.param("mode_table", "json", _doc(lambda d: d.pop("values")),
+                 id="mode-table-json-missing-key"),
+    pytest.param("mode_table", "json",
+                 _doc(lambda d: d.__setitem__("kind", "bogus")),
+                 id="mode-table-json-unknown-kind"),
+    pytest.param("lattice_function", "csv", _rows(_duplicated),
+                 id="lattice-function-csv-duplicate"),
+    pytest.param("lattice_function", "json", _doc(lambda d: d.pop("rescaled")),
+                 id="lattice-function-json-missing-key"),
+    pytest.param("spectrum_report", "json", _doc(lambda d: d.pop("matched")),
+                 id="spectrum-json-missing-key"),
+])
+def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
+    p = tmp_path / f"a.{fmt}"
+    _WRITERS[artifact](sctx, str(p))
+    p.write_text(damage(p.read_text()))
+    with pytest.raises(ValidationError):
+        _LOADERS[artifact](str(p))
+
+
+def test_huge_site_key_is_rejected_before_allocating(tmp_path, sctx):
+    # the window size is inferred from the largest level in a lattice CSV
+    p = tmp_path / "f.csv"
+    write_lattice_function(mode_function(0, sctx), sctx, str(p))
+    p.write_text(_rows(_first_cell(1, str(10**12)))(p.read_text()))
+    with pytest.raises(ValidationError):
+        load_lattice_function(str(p))
