@@ -15,6 +15,7 @@ import math
 import sys
 
 import click
+import numpy as np
 
 from .context import DeformationContext
 from .errors import QoscError, ValidationError
@@ -160,7 +161,8 @@ def hermite(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
         if top < ctx.fock_dim - 1:
             table = dataclasses.replace(table, fock_dim=top + 1,
                                         values=table.values[: top + 1],
-                                        tail_start=table.tail_start[: top + 1])
+                                        tail_start=np.minimum(table.tail_start,
+                                                              top + 1))
         write_mode_table(table, path, fmt)
         click.echo(path)
         return
@@ -249,11 +251,7 @@ def evolve_cmd(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out,
     ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
                       lattice_depth=lattice_depth, tail_tol=tail_tol,
                       match_tol=match_tol)
-    f = load_lattice_function(input_path)
-    if len(f.values) != 2 * ctx.lattice_depth:
-        raise ValidationError(
-            f"input has {len(f.values)} samples, window needs "
-            f"{2 * ctx.lattice_depth}; pass --lattice-depth to match")
+    f = load_lattice_function(input_path, ctx=ctx)
     if rescale_input and not f.rescaled:
         f = rescale(f, ctx)
     result = evolve(f, tau, ctx)

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .context import DeformationContext
 from .errors import (DimensionMismatch, NoConvergence, NotHermitian,
@@ -153,6 +152,11 @@ def _real_form(T: TridiagonalOperator) -> Tuple[np.ndarray, np.ndarray, bool]:
 
 def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, eigvals_only: bool):
     """Bisection (plus inverse iteration for vectors), implicit QL as fallback."""
+    # Imported on first use: loading scipy.linalg more than doubles the
+    # start-up of `import qosc.cli` (0.24 s -> 0.55 s on a 2-core Xeon VM),
+    # which commands that solve no eigenproblem (qosc hermite) need not pay.
+    from scipy.linalg import eigh_tridiagonal
+
     try:
         return eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
                                 lapack_driver="stebz")

@@ -4,8 +4,11 @@ One private codec owns every format: JSON documents lead with
 schema_version and object, CSV files with an optional '# key=value'
 metadata line and a header. Writes are atomic (temp file, then rename)
 and emit floats with repr, so values round-trip exactly and identical
-inputs give identical bytes. On load, a missing or ill-typed field
-raises ValidationError.
+inputs give identical bytes; the file mode follows the umask. Mode
+tables, lattice functions and kernels are streamed one window row (or
+degree n) at a time, as the very text json.dumps(indent=1) or csv.writer
+would give, without building the file in memory. On load, a missing or
+ill-typed field raises ValidationError.
 
 Every cell is placed exactly once: CSV rows and JSON kernel entries are
 keyed by window site (sign, s), plus degree n in mode tables, and a key
@@ -29,10 +32,10 @@ import csv
 import json
 import math
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -57,8 +60,15 @@ _KERNEL_COLUMNS = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
 
 @contextmanager
 def _atomic_open(path: str):
-    d = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".qosc-", suffix=".tmp")
+    """A temp file beside path, renamed onto it once the block completes.
+
+    The temp file is created with mode 0o666, so the process umask sets
+    the artifact's final mode, as it would for a plain open().
+    """
+    d = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(d, f".qosc-{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                 | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -71,10 +81,12 @@ def _atomic_open(path: str):
         raise
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text then rename into place; never exposes partial content."""
+def atomic_write_text(path: str, text: str, chunks=()) -> None:
+    """Write text, then each of chunks, then rename into place; never
+    exposes partial content."""
     with _atomic_open(path) as fh:
         fh.write(text)
+        fh.writelines(chunks)
 
 
 def _infer_format(path: str, fmt: Optional[str]) -> str:
@@ -93,18 +105,47 @@ def _document(obj: Optional[str], **fields) -> dict:
     return {**head, **fields}
 
 
-def _write_json(path: str, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+def _write_json(path: str, payload: dict, items=()) -> None:
+    """json.dumps(payload, indent=1) and a newline, written to path.
+
+    With items, payload's last field is an empty list and items are the
+    texts of its elements, indented as json.dumps would indent them; they
+    are streamed in one at a time instead of going through the encoder.
+    """
+    text = json.dumps(payload, indent=1)
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        atomic_write_text(path, text + "\n")
+    else:  # text ends in '[]\n}'
+        atomic_write_text(path, f"{text[:-3]}\n{first}", chain(
+            map(",\n".__add__, items), ["\n ]\n}\n"]))
 
 
-def _write_csv(path: str, header, rows, meta: Optional[dict] = None) -> None:
-    """Optional '# key=value' line, the header, then rows streamed to disk."""
+def _write_csv(path: str, header, rows) -> None:
+    """A small mixed-type table through csv.writer: header, then rows."""
     with _atomic_open(path) as fh:
-        if meta is not None:
-            fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _floats(values: np.ndarray, fmt: str) -> list:
+    """Text of each float as csv and json write it: repr, except that
+    JSON spells nan and +-inf as NaN and +-Infinity."""
+    text = list(map(repr, values.tolist()))
+    if fmt == "json" and not np.isfinite(values).all():
+        text = [_JSON_NONFINITE.get(t, t) for t in text]
+    return text
+
+
+def _cells(heads, row: np.ndarray, mid: str, end: str, fmt: str) -> list:
+    """head + re + mid + im + end for each value of a 1-D row."""
+    return list(map("".join, zip(heads, _floats(row.real, fmt), repeat(mid),
+                                 _floats(row.imag, fmt), repeat(end))))
 
 
 @contextmanager
@@ -192,17 +233,17 @@ def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _pairs(values: np.ndarray) -> list:
-    """Nested [re, im] lists of Python floats: the JSON form of a complex
-    array, and the cells of a CSV row."""
-    return np.stack((values.real, values.imag), axis=-1).tolist()
-
-
 def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     a = np.array(pairs, dtype=float)
     if a.shape != (*shape, 2):
         raise ValidationError(f"values have shape {a.shape}, not {(*shape, 2)}")
     return a.view(complex)[..., 0]
+
+
+def _csv_q(rows, site: np.ndarray) -> Optional[float]:
+    """q read from the x cell of window site (+1, s=1); None if absent."""
+    at = np.flatnonzero(site == window_index(1, 1))
+    return float(rows[at[0]][2]) if at.size else None
 
 
 def _sites(q: float, depth: int) -> list:
@@ -213,18 +254,21 @@ def _sites(q: float, depth: int) -> list:
 # -- mode tables -------------------------------------------------------
 
 def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> None:
-    if _infer_format(path, fmt) == "json":
+    fmt = _infer_format(path, fmt)
+    if fmt == "json":
         _write_json(path, _document(
             "mode_table", kind=table.kind, q=table.q, fock_dim=table.fock_dim,
             lattice_depth=table.lattice_depth,
-            tail_start=[int(t) for t in table.tail_start],
-            values=_pairs(table.values)))
+            tail_start=[int(t) for t in table.tail_start], values=[]), (
+            "  [\n" + ",\n".join(_cells(repeat("   [\n    "), row, ",\n    ",
+                                         "\n   ]", fmt)) + "\n  ]"
+            for row in table.values))
         return
-    sites = _sites(table.q, table.lattice_depth)
-    _write_csv(path, _MODE_COLUMNS, (
-        (sign, s, x, n, re, im)
-        for n, row in enumerate(table.values)
-        for (sign, s, x), (re, im) in zip(sites, _pairs(row))))
+    sites = [f"{sign},{s},{x}," for sign, s, x in
+             _sites(table.q, table.lattice_depth)]
+    atomic_write_text(path, ",".join(_MODE_COLUMNS) + "\n", (
+        "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n", fmt))
+        for n, row in enumerate(table.values)))
 
 
 def load_mode_table(path: str, fmt: Optional[str] = None,
@@ -235,6 +279,10 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
             nmax, depth = int(doc["fock_dim"]), int(doc["lattice_depth"])
             values = _from_pairs(doc["values"], (nmax, 2 * depth))
             tail_start = np.asarray(doc["tail_start"], dtype=int)
+        if tail_start.shape != (2 * depth,):
+            raise ValidationError(
+                f"tail_start has shape {tail_start.shape}, one entry per "
+                f"window site needs {(2 * depth,)}")
     else:
         with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
             sign, s, n, re, im = _columns(rows, (0, 1, 3, 4, 5))
@@ -242,10 +290,9 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
             values = _place(_complexes(re, im), (n, site), (nmax, 2 * depth),
                             "mode table CSV")
-            at_q = np.flatnonzero(site == window_index(1, 1))
-            if not at_q.size:
-                raise ValidationError("mode table CSV needs level s=1 to give q")
-            q = float(rows[at_q[0]][2])
+            q = _csv_q(rows, site)
+        if q is None:
+            raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
         values = values.real
@@ -266,54 +313,82 @@ def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
         _write_json(path, _document(
             "lattice_function", kind=f.kind, q=ctx.q,
             lattice_depth=ctx.lattice_depth, rescaled=bool(f.rescaled),
-            values=_pairs(f.values)))
+            values=[]),
+            [",\n".join(_cells(repeat("  [\n   "), f.values, ",\n   ", "\n  ]",
+                               fmt))])
         return
-    _write_csv(path, _LATTICE_COLUMNS, (
-        (sign, s, x, re, im, int(f.rescaled))
-        for (sign, s, x), (re, im) in zip(_sites(ctx.q, ctx.lattice_depth),
-                                          _pairs(f.values))))
+    atomic_write_text(path, ",".join(_LATTICE_COLUMNS) + "\n", _cells(
+        [f"{sign},{s},{x}," for sign, s, x in _sites(ctx.q, ctx.lattice_depth)],
+        f.values, ",", f",{int(f.rescaled)}\n", fmt))
 
 
 def load_lattice_function(path: str, fmt: Optional[str] = None,
-                          kind: str = "position") -> LatticeFunction:
+                          kind: str = "position",
+                          ctx: Optional[DeformationContext] = None
+                          ) -> LatticeFunction:
+    """Read a lattice function; with ctx, the file must lie on ctx's window.
+
+    That is, it must hold 2 * ctx.lattice_depth sites and have been
+    written at ctx.q (the JSON q, or the CSV x at site (+1, s=1)), or
+    ValidationError is raised.
+    """
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "lattice_function") as doc:
+            q = float(doc["q"])
             values = _from_pairs(doc["values"], (2 * int(doc["lattice_depth"]),))
-            return LatticeFunction(doc["kind"], values,
-                                   rescaled=bool(doc["rescaled"]))
-    with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
-        sign, s, re, im, flag = _columns(rows, (0, 1, 3, 4, 5))
-        site = _site(sign, s)
-        values = _place(_complexes(re, im), (site,),
-                        (int(site.max()) // 2 * 2 + 2,), "lattice function CSV")
-        flags = set(map(int, flag))
-    if len(flags) != 1:
-        raise ValidationError("rescaled_flag must be constant across rows")
-    return LatticeFunction(kind, values, rescaled=bool(flags.pop()))
+            f = LatticeFunction(doc["kind"], values,
+                                rescaled=bool(doc["rescaled"]))
+    else:
+        with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
+            sign, s, re, im, flag = _columns(rows, (0, 1, 3, 4, 5))
+            site = _site(sign, s)
+            values = _place(_complexes(re, im), (site,),
+                            (int(site.max()) // 2 * 2 + 2,), "lattice function CSV")
+            flags = set(map(int, flag))
+            q = _csv_q(rows, site)
+        if len(flags) != 1:
+            raise ValidationError("rescaled_flag must be constant across rows")
+        f = LatticeFunction(kind, values, rescaled=bool(flags.pop()))
+    if ctx is None:
+        return f
+    if len(f.values) != 2 * ctx.lattice_depth:
+        raise ValidationError(
+            f"{path!r} holds {len(f.values)} samples, a window of depth "
+            f"{ctx.lattice_depth} needs {2 * ctx.lattice_depth}")
+    # q is None only for a one-level window, which is {+-1} for every q.
+    if q is not None and q != ctx.q:
+        raise ValidationError(
+            f"{path!r} was written at q={q!r}, the context has q={ctx.q!r}")
+    return f
 
 
 # -- evolution kernels -------------------------------------------------
-
-def _kernel_cells(k: EvolutionKernel, flag):
-    """Rows of the kernel file in window order; flag formats low_confidence."""
-    sites = _sites(k.q, k.lattice_depth)
-    for (rs, rl, _), row in zip(sites, k.matrix):
-        low = flag(k.low_confidence(rl))
-        for (cs, cl, _), (re, im) in zip(sites, _pairs(row)):
-            yield rs, rl, cs, cl, re, im, low
-
 
 def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> None:
     fmt = _infer_format(path, fmt)
     meta = _document("evolution_kernel", variant=k.variant, tau=k.tau, q=k.q,
                      n_max=k.n_max, lattice_depth=k.lattice_depth,
                      s_match=k.s_match, tail_estimate=k.tail_estimate)
+    sites = [(sign, s) for sign, s, _ in _sites(k.q, k.lattice_depth)]
+    rows = zip(sites, k.matrix)
     if fmt == "csv":
-        _write_csv(path, _KERNEL_COLUMNS, _kernel_cells(k, int), meta)
+        head = " ".join(f"{key}={v}" for key, v in meta.items())
+        cols = [f"{sign},{s}," for sign, s in sites]
+        atomic_write_text(path, f"# {head}\n{','.join(_KERNEL_COLUMNS)}\n", (
+            "".join(_cells([f"{rs},{rl},{col}" for col in cols], row, ",",
+                           f",{int(k.low_confidence(rl))}\n", fmt))
+            for (rs, rl), row in rows))
         return
-    meta["entries"] = [dict(zip(_KERNEL_COLUMNS, cell))
-                       for cell in _kernel_cells(k, bool)]
-    _write_json(path, meta)
+    cols = [f'   "col_sign": {sign},\n   "col_s": {s},\n   "re": '
+            for sign, s in sites]
+    meta["entries"] = []
+    _write_json(path, meta, (
+        ",\n".join(_cells(
+            [f'  {{\n   "row_sign": {rs},\n   "row_s": {rl},\n{col}'
+             for col in cols], row, ',\n   "im": ',
+            f',\n   "low_confidence": {json.dumps(bool(k.low_confidence(rl)))}'
+            '\n  }', fmt))
+        for (rs, rl), row in rows))
 
 
 def _kernel(meta: dict, rows, keys) -> EvolutionKernel:

@@ -1,13 +1,19 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qosc import DeformationContext, hermite_eval, rescaled_mode
+import qosc
+from qosc import (DeformationContext, build_mode_table, hermite_eval,
+                  rescaled_mode)
 from qosc.cli import main
-from qosc.serialize import load_lattice_function, write_lattice_function
+from qosc.serialize import (load_lattice_function, load_mode_table,
+                            write_lattice_function)
 
 
 @pytest.fixture
@@ -46,6 +52,32 @@ def test_hermite_lattice_table(runner, tmp_path):
     assert r.exit_code == 0
     header = open(out).readline().strip()
     assert header == "sign,s,x,n,value_re,value_im"
+
+
+def test_hermite_n_max_keeps_a_tail_start_per_site(runner, tmp_path):
+    out = str(tmp_path / "m.json")
+    r = runner.invoke(main, ["hermite", "--n-max", "4", "--fock-dim", "12",
+                             "--lattice-depth", "6", "--format", "json",
+                             "--out", out])
+    assert r.exit_code == 0, r.output
+    full = build_mode_table(
+        "position", DeformationContext(q=0.5, fock_dim=12, lattice_depth=6))
+    back = load_mode_table(out)
+    assert back.fock_dim == 5
+    assert np.array_equal(back.tail_start, np.minimum(full.tail_start, 5))
+
+
+def test_hermite_does_not_import_scipy(tmp_path):
+    code = ("import sys\n"
+            "from qosc.cli import main\n"
+            "main(['hermite', '--fock-dim', '8', '--lattice-depth', '4',\n"
+            "      '--out', sys.argv[1]], standalone_mode=False)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(qosc.__file__).parents[1]))
+    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.csv")],
+                       env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "m.csv").exists()
 
 
 def test_hermite_grid(runner, tmp_path):
@@ -118,6 +150,19 @@ def test_evolve_window_mismatch(runner, tmp_path):
     r = runner.invoke(main, ["evolve", "--input", src,
                              "--lattice-depth", "12"])
     assert r.exit_code == 1
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_rejects_input_written_at_another_q(runner, tmp_path, fmt):
+    ctx = DeformationContext(q=0.8, lattice_depth=10, fock_dim=44)
+    src = str(tmp_path / f"in.{fmt}")
+    write_lattice_function(rescaled_mode(1, ctx), ctx, src)
+    args = ["evolve", "--input", src, "--lattice-depth", "10", "--fock-dim",
+            "44", "--out", str(tmp_path / "o.csv")]
+    r = runner.invoke(main, [*args, "--q", "0.5"])
+    assert r.exit_code == 1
+    assert "q=0.8" in r.output
+    assert runner.invoke(main, [*args, "--q", "0.8"]).exit_code == 0
 
 
 def test_config_file_and_flag_precedence(runner, tmp_path):

@@ -1,10 +1,14 @@
+import csv
+import io
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, ValidationError, build_Q,
+from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
+                  ModeTable, ValidationError, build_Q,
                   build_mode_table, fractional_ft, kernel_K, load_kernel,
                   load_lattice_function, load_mode_table,
                   load_spectrum_report, mode_function, rescale,
@@ -278,6 +282,8 @@ def _duplicated(rows):
     pytest.param("mode_table", "json",
                  _doc(lambda d: d.__setitem__("kind", "bogus")),
                  id="mode-table-json-unknown-kind"),
+    pytest.param("mode_table", "json", _doc(lambda d: d["tail_start"].pop()),
+                 id="mode-table-json-short-tail-start"),
     pytest.param("lattice_function", "csv", _rows(_duplicated),
                  id="lattice-function-csv-duplicate"),
     pytest.param("lattice_function", "json", _doc(lambda d: d.pop("rescaled")),
@@ -300,3 +306,118 @@ def test_huge_site_key_is_rejected_before_allocating(tmp_path, sctx):
     p.write_text(_rows(_first_cell(1, str(10**12)))(p.read_text()))
     with pytest.raises(ValidationError):
         load_lattice_function(str(p))
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)],
+                         ids=["022", "002"])
+def test_artifact_mode_follows_umask(tmp_path, sctx, umask, mode):
+    p = tmp_path / "f.csv"
+    old = os.umask(umask)
+    try:
+        write_lattice_function(mode_function(0, sctx), sctx, str(p))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(p.stat().st_mode) == mode
+
+
+# The streamed writers against the encoders they replaced: json.dumps on
+# the dict/list payload and csv.writer on the row tuples, at a size and
+# with values (nan, +-inf, -0.0, the smallest subnormal) the golden files
+# do not have.
+
+_SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
+
+
+def _awkward(rng, shape):
+    v = np.empty(shape, dtype=complex)
+    for part in (v.real, v.imag):
+        part[...] = rng.standard_normal(shape)
+        part.reshape(-1)[rng.permutation(part.size)[:len(_SPECIAL)]] = _SPECIAL
+    return v
+
+
+def _pairs(values):
+    return np.stack((values.real, values.imag), axis=-1).tolist()
+
+
+def _sites(q, depth):
+    return [(sign, s, sign * q**s) for s in range(depth) for sign in (1, -1)]
+
+
+def _csv_text(header, rows, meta=None):
+    buf = io.StringIO()
+    if meta is not None:
+        buf.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _mode_table_text(t, fmt):
+    if fmt == "json":
+        return json.dumps({
+            "schema_version": 1, "object": "mode_table", "kind": t.kind,
+            "q": t.q, "fock_dim": t.fock_dim, "lattice_depth": t.lattice_depth,
+            "tail_start": [int(v) for v in t.tail_start],
+            "values": _pairs(t.values)}, indent=1) + "\n"
+    return _csv_text(["sign", "s", "x", "n", "value_re", "value_im"], [
+        (sign, s, x, n, re, im) for n, row in enumerate(t.values)
+        for (sign, s, x), (re, im) in zip(_sites(t.q, t.lattice_depth),
+                                          _pairs(row))])
+
+
+def _lattice_function_text(f, ctx, fmt):
+    if fmt == "json":
+        return json.dumps({
+            "schema_version": 1, "object": "lattice_function", "kind": f.kind,
+            "q": ctx.q, "lattice_depth": ctx.lattice_depth,
+            "rescaled": f.rescaled, "values": _pairs(f.values)},
+            indent=1) + "\n"
+    return _csv_text(["sign", "s", "x", "re", "im", "rescaled_flag"], [
+        (sign, s, x, re, im, int(f.rescaled))
+        for (sign, s, x), (re, im) in zip(_sites(ctx.q, ctx.lattice_depth),
+                                          _pairs(f.values))])
+
+
+def _kernel_text(k, fmt):
+    columns = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
+               "low_confidence"]
+    sites = _sites(k.q, k.lattice_depth)
+    flag = bool if fmt == "json" else int
+    cells = [(rs, rl, cs, cl, re, im, flag(k.low_confidence(rl)))
+             for (rs, rl, _), row in zip(sites, k.matrix)
+             for (cs, cl, _), (re, im) in zip(sites, _pairs(row))]
+    meta = {"schema_version": 1, "object": "evolution_kernel",
+            "variant": k.variant, "tau": k.tau, "q": k.q, "n_max": k.n_max,
+            "lattice_depth": k.lattice_depth, "s_match": k.s_match,
+            "tail_estimate": k.tail_estimate}
+    if fmt == "json":
+        meta["entries"] = [dict(zip(columns, c)) for c in cells]
+        return json.dumps(meta, indent=1) + "\n"
+    return _csv_text(columns, cells, meta)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("artifact", ["mode_table", "lattice_function",
+                                      "kernel"])
+def test_streamed_writer_matches_reference_encoder(tmp_path, artifact, fmt):
+    q, N, S = 0.6, 9, 7
+    rng = np.random.default_rng(409)
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    p = tmp_path / f"a.{fmt}"
+    if artifact == "mode_table":
+        t = ModeTable("momentum", q, N, S, _awkward(rng, (N, 2 * S)),
+                      rng.integers(0, N + 1, 2 * S))
+        write_mode_table(t, str(p))
+        want = _mode_table_text(t, fmt)
+    elif artifact == "lattice_function":
+        f = LatticeFunction("position", _awkward(rng, 2 * S), rescaled=True)
+        write_lattice_function(f, ctx, str(p))
+        want = _lattice_function_text(f, ctx, fmt)
+    else:
+        k = EvolutionKernel(0.3, "raw_K", q, N, S,
+                            _awkward(rng, (2 * S, 2 * S)), float("inf"), 5)
+        write_kernel(k, str(p))
+        want = _kernel_text(k, fmt)
+    assert p.read_bytes() == want.encode("utf-8")
