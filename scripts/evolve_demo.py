@@ -18,8 +18,8 @@ import math
 import numpy as np
 import scipy.linalg
 
-from qosc import (DeformationContext, LatticeFunction, evolve, fractional_ft,
-                  rescale, rescaled_mode, standard_inner)
+from qosc import (DeformationContext, LatticeFunction, evolve, rescale,
+                  rescaled_mode, standard_inner)
 
 
 def band_gram(fns, ctx):
@@ -31,9 +31,8 @@ def band_gram(fns, ctx):
 
 
 def drift_scan(ctx, band, tau):
-    kern = fractional_ft(tau, ctx)
     modes = [rescaled_mode(n, ctx) for n in range(band)]
-    moved = [evolve(f, tau, ctx, kernel=kern) for f in modes]
+    moved = [evolve(f, tau, ctx) for f in modes]
     g0 = band_gram(modes, ctx)
     g1 = band_gram(moved, ctx)
     mu = scipy.linalg.eigvalsh(g1 - g0, g0)

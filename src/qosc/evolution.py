@@ -11,13 +11,17 @@ and moves to F = sqrt(w) f values:
     Phi^tau(x, x') = sqrt(w(x) / w(x')) c_{s(x')} sum_n p_n p_n e^{i n tau}
 
 Phi^tau diagonalizes the rescaled modes F_n = sqrt(w) p_n with eigenvalue
-e^{i n tau}; evolve() is a plain matrix product against rescaled values.
+e^{i n tau}.
 
-Only the phases e^{i n tau} depend on tau. Everything else (the position
-mode table, c, sqrt(w), the completeness tail and s_match) is built once
-per context by _plan and cached for the few most recent contexts, so
-repeated tau on one context pay for two real matrix products each.
-s_match comes from spectrum_report, which computes eigenvalues only.
+Only the phases e^{i n tau} depend on tau. Everything else (p_n on the
++x half of the window, c, sqrt(w), the completeness tail and s_match) is
+built once per context by _plan and cached for the few most recent
+contexts. s_match comes from spectrum_report, which computes eigenvalues
+only. Since p_n(-x) = (-1)^n p_n(x), the sum over n splits into an even
+part E and an odd part O on the half window: sites of equal sign get
+E + O, sites of opposite sign E - O. A kernel is then four real S x N/2
+x S products, and evolve() applies the same split to a vector in
+O(N S) without forming any kernel.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
@@ -41,8 +45,7 @@ from .errors import (AlreadyRescaled, DimensionMismatch, KindMismatch,
                      NotRescaled, ValidationError)
 from .fock import build_P, build_Q, spectrum_report
 from .hilbert import LatticeFunction
-from .qhermite import (_weight_prefactor, build_mode_table,
-                       completeness_defect, lattice_weight_window,
+from .qhermite import (_p_matrix, _weight_prefactor, lattice_weight_window,
                        norm_c_window, window_values)
 
 _VARIANTS = ("raw_K", "rescaled_Phi")
@@ -79,40 +82,84 @@ class EvolutionKernel:
 
 @dataclass(frozen=True)
 class _Plan:
-    """The tau-independent part of both kernels on one window.
+    """The tau-independent part of both kernels, on the +x half of the window.
 
-    modes[n, i] = p_n at window site i (the position mode table A); c and
-    sqrt_w are per site. The arrays are read-only because one plan is
-    shared by every caller with an equal context.
+    half[n, s] = p_n(+q^s); the site -q^s carries (-1)^n times it, since
+    p_n has the parity of n. c and sqrt_w are per level, equal for both
+    signs. The arrays are read-only because one plan is shared by every
+    caller with an equal context.
     """
 
-    modes: np.ndarray
+    half: np.ndarray
     c: np.ndarray
     sqrt_w: np.ndarray
     tail_estimate: float
     s_match: int
 
+    def rescaled_modes(self, n) -> np.ndarray:
+        """F_n = sqrt(w) p_n on the interleaved window, for a degree n or an
+        array of degrees (one row each), mirrored from the half table."""
+        n = np.asarray(n)
+        h = self.sqrt_w * self.half[n]
+        out = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
+        out[..., 0::2] = h
+        out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h)
+        return out
+
 
 @lru_cache(maxsize=4)
 def _plan(ctx: DeformationContext) -> _Plan:
-    table = build_mode_table("position", ctx)
-    c = norm_c_window(ctx)
-    sqrt_w = np.sqrt(lattice_weight_window(ctx))
-    for a in (table.values, c, sqrt_w):
+    half, _ = _p_matrix(window_values(ctx)[0::2], ctx.fock_dim, ctx)
+    c = norm_c_window(ctx)[0::2].copy()
+    sqrt_w = np.sqrt(lattice_weight_window(ctx)[0::2])
+    for a in (half, c, sqrt_w):
         a.flags.writeable = False
-    return _Plan(modes=table.values, c=c, sqrt_w=sqrt_w,
-                 tail_estimate=completeness_defect(table, ctx),
+    # completeness_defect's per-site sums, which are equal for +-x
+    tail = float(np.max(np.abs(1.0 - c * np.sum(half**2, axis=0))))
+    return _Plan(half=half, c=c, sqrt_w=sqrt_w, tail_estimate=tail,
                  s_match=spectrum_report(build_Q(ctx), ctx).s_match)
 
 
-def _bilinear(tau: float, plan: _Plan) -> np.ndarray:
-    """A^T diag(e^{i n tau}) A, as two real products for its two parts."""
-    A = plan.modes
-    phases = np.exp(1j * tau * np.arange(A.shape[0]))
-    G = np.empty((A.shape[1], A.shape[1]), dtype=complex)
-    G.real = A.T @ (phases.real[:, None] * A)
-    G.imag = A.T @ (phases.imag[:, None] * A)
+def _fold(tau: float, plan: _Plan, scale) -> np.ndarray:
+    """scale * A^T diag(e^{i n tau}) A on the interleaved window, by parity.
+
+    E and O are the sums over even and odd n on the half table (two real
+    products each); sites of equal sign get E + O, opposite signs E - O.
+    scale is indexed by level pairs, so it is shared by all four blocks.
+    """
+    half = plan.half
+    phases = np.exp(1j * tau * np.arange(half.shape[0]))
+    S = half.shape[1]
+    E, O = (np.empty((S, S), dtype=complex) for _ in range(2))
+    for part, A, ph in ((E, half[0::2], phases[0::2]),
+                        (O, half[1::2], phases[1::2])):
+        part.real = A.T @ (ph.real[:, None] * A)
+        part.imag = A.T @ (ph.imag[:, None] * A)
+    G = np.empty((2 * S, 2 * S), dtype=complex)
+    G[0::2, 0::2] = G[1::2, 1::2] = scale * (E + O)
+    G[0::2, 1::2] = G[1::2, 0::2] = scale * (E - O)
     return G
+
+
+def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Real A times complex v, as one real product on its (re, im) columns."""
+    v = np.ascontiguousarray(v, dtype=complex)
+    return (A @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+
+
+def _apply(tau: float, F: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Phi^tau F in O(N S): the parity split of _fold on a vector."""
+    half, sw = plan.half, plan.sqrt_w
+    phases = np.exp(1j * tau * np.arange(half.shape[0]))
+    plus = plan.c * F[0::2] / sw
+    minus = plan.c * F[1::2] / sw
+    A_e, A_o = half[0::2], half[1::2]
+    even = _matvec(A_e.T, phases[0::2] * _matvec(A_e, plus + minus))
+    odd = _matvec(A_o.T, phases[1::2] * _matvec(A_o, plus - minus))
+    out = np.empty(F.shape[0], dtype=complex)
+    out[0::2] = sw * (even + odd)
+    out[1::2] = sw * (even - odd)
+    return out
 
 
 def _kernel(tau: float, variant: str, matrix: np.ndarray,
@@ -126,7 +173,7 @@ def _kernel(tau: float, variant: str, matrix: np.ndarray,
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
     plan = _plan(ctx)
-    matrix = cmath.exp(1j * tau / 2.0) * _bilinear(tau, plan) * plan.c[None, :]
+    matrix = _fold(tau, plan, cmath.exp(1j * tau / 2.0) * plan.c[None, :])
     return _kernel(tau, "raw_K", matrix, ctx, plan)
 
 
@@ -134,8 +181,8 @@ def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
     plan = _plan(ctx)
     sw = plan.sqrt_w
-    matrix = (sw[:, None] / sw[None, :]) * _bilinear(tau, plan) * plan.c[None, :]
-    return _kernel(tau, "rescaled_Phi", matrix, ctx, plan)
+    scale = (sw[:, None] / sw[None, :]) * plan.c[None, :]
+    return _kernel(tau, "rescaled_Phi", _fold(tau, plan, scale), ctx, plan)
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
@@ -164,14 +211,21 @@ def unrescale(F: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
 
 def rescaled_mode(n: int, ctx: DeformationContext) -> LatticeFunction:
     """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau}."""
-    plan = _plan(ctx)
-    return LatticeFunction("position", plan.sqrt_w * plan.modes[n],
+    return LatticeFunction("position", _plan(ctx).rescaled_modes(n),
                            rescaled=True)
 
 
 def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
            kernel: EvolutionKernel | None = None) -> LatticeFunction:
-    """Apply Phi^tau to a rescaled position function."""
+    """Apply Phi^tau to a rescaled position function, matrix-free.
+
+    Each call costs O(fock_dim * lattice_depth) on the cached plan; no
+    kernel is formed. kernel= is accepted from callers that already hold
+    fractional_ft(tau, ctx): it must be the rescaled_Phi variant
+    (KindMismatch otherwise) built at this tau, q, fock_dim and
+    lattice_depth (ValidationError otherwise). Its matrix is not applied,
+    so the result is the same with or without it.
+    """
     if F.kind != "position":
         raise KindMismatch(f"evolve wants a position function, got {F.kind}")
     if not F.rescaled:
@@ -180,15 +234,17 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
         raise DimensionMismatch(
             f"function has {F.values.shape[0]} sites, window wants "
             f"{2 * ctx.lattice_depth}")
-    if kernel is None:
-        kernel = fractional_ft(tau, ctx)
-    if kernel.variant != "rescaled_Phi":
-        raise KindMismatch("evolve needs the rescaled_Phi kernel variant")
-    if kernel.matrix.shape[0] != F.values.shape[0]:
-        raise DimensionMismatch(
-            f"kernel window {kernel.matrix.shape[0]} does not match "
-            f"function window {F.values.shape[0]}")
-    return LatticeFunction("position", kernel.matrix @ F.values, rescaled=True)
+    if kernel is not None:
+        if kernel.variant != "rescaled_Phi":
+            raise KindMismatch("evolve needs the rescaled_Phi kernel variant")
+        got = (kernel.tau, kernel.q, kernel.n_max, kernel.lattice_depth)
+        want = (float(tau), ctx.q, ctx.fock_dim, ctx.lattice_depth)
+        if got != want:
+            raise ValidationError(
+                f"kernel (tau, q, n_max, lattice_depth) = {got} does not "
+                f"match the call's {want}")
+    return LatticeFunction("position", _apply(tau, F.values, _plan(ctx)),
+                           rescaled=True)
 
 
 def standard_inner(F1: LatticeFunction, F2: LatticeFunction,
@@ -303,14 +359,12 @@ def inverse_residual(tau: float, ctx: DeformationContext,
 def phase_map_residual(ctx: DeformationContext, n_modes: int = 20,
                        buffer_levels: int = 40) -> float:
     """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes."""
-    deep = _deepened(ctx, buffer_levels)
-    k = fractional_ft(math.pi / 2.0, deep).matrix
-    plan = _plan(deep)
+    plan = _plan(_deepened(ctx, buffer_levels))
     core = 2 * ctx.lattice_depth
     worst = 0.0
     for n in range(n_modes + 1):
-        F = plan.sqrt_w * plan.modes[n]
-        d = (k @ F - 1j**n * F)[:core]
+        F = plan.rescaled_modes(n)
+        d = (_apply(math.pi / 2.0, F, plan) - 1j**n * F)[:core]
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
@@ -324,12 +378,10 @@ def intertwine_residual(ctx: DeformationContext, n_support: int = 12,
     """
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
-    deep = _deepened(ctx, buffer_levels)
-    plan = _plan(deep)
-    F_pos = plan.sqrt_w * (b @ plan.modes[:n_support])
-    evolved = fractional_ft(math.pi / 2.0, deep).matrix @ F_pos
-    phases = 1j ** np.arange(n_support)
-    F_mom = plan.sqrt_w * ((b * phases) @ plan.modes[:n_support])
+    plan = _plan(_deepened(ctx, buffer_levels))
+    modes = plan.rescaled_modes(np.arange(n_support))
+    evolved = _apply(math.pi / 2.0, b @ modes, plan)
+    F_mom = (b * 1j ** np.arange(n_support)) @ modes
     core = 2 * ctx.lattice_depth
     return float(np.max(np.abs((evolved - F_mom)[:core])))
 
@@ -344,14 +396,14 @@ def norm_drift_max(ctx: DeformationContext, n_support: int = 10,
     on a 30-level window, whatever the implementation does).
     """
     rng = np.random.default_rng(seed)
-    kernel = fractional_ft(1.0, ctx)
     plan = _plan(ctx)
+    modes = plan.rescaled_modes(np.arange(n_support))
     absx = np.abs(window_values(ctx))
     worst = 0.0
     for _ in range(n_draws):
         b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
-        F = plan.sqrt_w * (b @ plan.modes[:n_support])
-        G = kernel.matrix @ F
+        F = b @ modes
+        G = _apply(1.0, F, plan)
         n0 = float(np.sum(absx * np.abs(F) ** 2))
         n1 = float(np.sum(absx * np.abs(G) ** 2))
         worst = max(worst, abs(n1 - n0) / n0)

@@ -35,7 +35,7 @@ from typing import List
 import numpy as np
 
 from .context import DeformationContext
-from .errors import IndexOutOfRange, ValidationError
+from .errors import DomainError, IndexOutOfRange, ValidationError
 from .qcore import coupling, qpoch, qpoch_inf
 
 TAIL_MARGIN = 4
@@ -163,7 +163,8 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
 
     Returns (values, tail_start) where values[n, c] = p_n(x[c]) and
     tail_start[c] is the first degree stored as exact zero (nmax if the
-    column has no flagged tail).
+    column has no flagged tail). Raises DomainError if any value is not
+    finite, which happens on deep windows where the couplings underflow.
     """
     m = x.shape[0]
     a = coupling(np.arange(max(nmax, 2), dtype=float), ctx)
@@ -177,7 +178,7 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     P[1] = x / a[0]
     colmax = np.maximum(1.0, np.abs(P[1]))
     meet = np.full(m, -1, dtype=int)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(1, nmax - 1):
             P[n + 1] = (x * P[n] - a[n - 1] * P[n - 1]) / a[n]
             hit = (meet < 0) & (a[n] < ax) & (np.abs(P[n]) < 1e-2 * colmax)
@@ -185,9 +186,20 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             live = meet < 0
             colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
     a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
-    for c in range(m):
-        if 0 <= meet[c] < nmax - 1:
-            tail_start[c] = _backfill_column(P, c, float(x[c]), int(meet[c]), a_all, w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in range(m):
+            if 0 <= meet[c] < nmax - 1:
+                tail_start[c] = _backfill_column(P, c, float(x[c]), int(meet[c]),
+                                                 a_all, w)
+    bad = np.argwhere(~np.isfinite(P))
+    if bad.size:
+        n, c = bad[0]
+        xc = float(x[c])
+        level = round(math.log(abs(xc), ctx.q)) if xc else None
+        raise DomainError(
+            f"p_{n} is not finite at x = {xc!r} (level {level}): the "
+            f"recurrence leaves double range at q={ctx.q}, fock_dim={nmax}; "
+            f"use a smaller fock_dim or lattice_depth")
     return P, tail_start
 
 

@@ -100,6 +100,15 @@ def test_hermite_bad_n_max(runner):
     assert r.exit_code == 1
 
 
+def test_hermite_deep_window_is_a_domain_error(runner, tmp_path):
+    out = tmp_path / "modes.csv"
+    r = runner.invoke(main, ["hermite", "--q", "0.3", "--fock-dim", "800",
+                             "--lattice-depth", "300", "--out", str(out)])
+    assert r.exit_code == 1
+    assert "not finite" in r.output
+    assert not out.exists()
+
+
 def test_kernel_writes_metadata(runner, tmp_path):
     out = str(tmp_path / "k.csv")
     r = runner.invoke(main, ["kernel", "--tau", "0.5", "--lattice-depth",

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
-                  EvolutionKernel, KindMismatch, LatticeFunction, NotRescaled,
-                  ValidationError, evolve, fractional_ft, group_law_residual,
-                  heisenberg_rotation_check, identity_residual,
-                  intertwine_residual, inverse_residual, kernel_K,
-                  kernel_sign_flip_residual, mode_function, norm_drift_max,
-                  periodicity_residual, phase_map_residual, rescale,
-                  rescaled_mode, standard_inner, unitarity_residual,
+                  DomainError, EvolutionKernel, KindMismatch, LatticeFunction,
+                  NotRescaled, ValidationError, evolve, fractional_ft,
+                  group_law_residual, heisenberg_rotation_check,
+                  identity_residual, intertwine_residual, inverse_residual,
+                  kernel_K, kernel_sign_flip_residual, mode_function,
+                  norm_drift_max, periodicity_residual, phase_map_residual,
+                  rescale, rescaled_mode, standard_inner, unitarity_residual,
                   unrescale)
 from qosc.evolution import _plan
 from qosc.qhermite import (build_mode_table, lattice_weight_window,
@@ -156,7 +156,7 @@ def test_standard_inner_requires_rescaled(ectx):
 
 def test_plan_arrays_are_read_only(ectx):
     plan = _plan(ectx)
-    for a in (plan.modes, plan.c, plan.sqrt_w):
+    for a in (plan.half, plan.c, plan.sqrt_w):
         with pytest.raises(ValueError):
             a[0] = 1.0
     k = fractional_ft(0.6, ectx)
@@ -175,8 +175,9 @@ def test_plan_cache_stays_bounded(ectx):
 
 @pytest.mark.parametrize("q", [0.5, 0.95])
 def test_kernels_match_complex_gemm(q):
-    # the kernels split A^T diag(e^{i n tau}) A into two real products;
-    # the plain complex product, from freshly built tables, is the reference
+    # the kernels fold A^T diag(e^{i n tau}) A by parity into real products
+    # on the half window; the plain complex product over the full, freshly
+    # built table is the reference
     ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
     tau = 0.83
     A = build_mode_table("position", ctx).values
@@ -188,3 +189,52 @@ def test_kernels_match_complex_gemm(q):
     for got, want in ((fractional_ft(tau, ctx).matrix, phi),
                       (kernel_K(tau, ctx).matrix, raw)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("change", ["tau", "q", "n_max", "lattice_depth"])
+def test_evolve_rejects_a_kernel_built_for_another_call(change, ectx):
+    # the kernel's matrix is not applied, so a mismatch would otherwise be
+    # silently ignored
+    other = {"tau": (0.3, ectx), "q": (0.7, replace(ectx, q=0.8)),
+             "n_max": (0.7, replace(ectx, fock_dim=90)),
+             "lattice_depth": (0.7, replace(ectx, lattice_depth=31))}
+    tau, ctx = other[change]
+    k = fractional_ft(tau, ctx)
+    with pytest.raises(ValidationError):
+        evolve(rescaled_mode(2, ectx), 0.7, ectx, kernel=k)
+
+
+def test_deep_window_raises_instead_of_non_finite_values():
+    ctx = DeformationContext(q=0.3, fock_dim=800, lattice_depth=300)
+    with pytest.raises(DomainError, match=r"p_588 .*\(level 291\)"):
+        build_mode_table("position", ctx)
+    with pytest.raises(DomainError):
+        fractional_ft(0.5, ctx)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+def test_plan_half_is_the_tables_plus_x_columns(q):
+    ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
+    table = build_mode_table("position", ctx).values
+    assert np.array_equal(_plan(ctx).half, table[:, 0::2])
+    sw = np.sqrt(lattice_weight_window(ctx))
+    for n in (0, 1, 6, 37):
+        assert np.array_equal(rescaled_mode(n, ctx).values, sw * table[n])
+
+
+@pytest.mark.parametrize("make", [fractional_ft, kernel_K])
+def test_kernel_parity_blocks_are_bitwise_equal(make, ectx):
+    K = make(0.9, ectx).matrix
+    assert np.array_equal(K[0::2, 0::2], K[1::2, 1::2])
+    assert np.array_equal(K[0::2, 1::2], K[1::2, 0::2])
+
+
+@pytest.mark.parametrize("q", [0.5, 0.95])
+def test_matrix_free_evolve_matches_the_dense_kernel(q):
+    ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal(80) + 1j * rng.standard_normal(80)
+    for tau in (0.0, 0.83, -2.1):
+        got = evolve(LatticeFunction("position", F, rescaled=True), tau, ctx)
+        want = fractional_ft(tau, ctx).matrix @ F
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(F))
