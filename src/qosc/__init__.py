@@ -20,12 +20,10 @@ from .fock import (MatchedLevel, SpectrumReport, TridiagonalOperator,
                    commutator, eigendecompose, eigenvalues,
                    spectrum_report)
 from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
-                      apply_H_momentum, apply_H_position, apply_P_momentum,
-                      apply_P_position, apply_Q_momentum, apply_Q_position,
-                      decompose, fock_to_momentum, fock_to_position,
-                      mode_function, momentum_inner, normalized_eigenfunction,
-                      phi_eval, phi_product_residuals, position_inner,
-                      psi_eval, q_difference_P_oracle, q_difference_bracket)
+                      apply_H, apply_P, apply_Q, decompose, fock_to_lattice,
+                      lattice_inner, mode_function, normalized_eigenfunction,
+                      phi_eval, phi_product_residuals, psi_eval,
+                      q_difference_P_oracle, q_difference_bracket)
 from .qcore import (CoefficientVector, InfiniteProduct, apply_lowering,
                     apply_raising, basis_coeff, coupling, fock_inner,
                     fock_monomial, q_diff, q_number, qpoch, qpoch_inf,
@@ -34,9 +32,9 @@ from .qhermite import (LatticePoint, ModeTable, build_mode_table,
                        completeness_defect, dual_orthogonality_residual,
                        hermite_eval, lattice_point, lattice_weight,
                        lattice_weight_window, lattice_window, mode_poly,
-                       norm_c, norm_c_window, normalized_hermite,
-                       orthogonality_residual, window_index, window_levels,
-                       window_signs, window_values)
+                       norm_c, norm_c_window, orthogonality_residual,
+                       window_index, window_levels, window_signs,
+                       window_values)
 from .serialize import (SCHEMA_VERSION, load_kernel, load_lattice_function,
                         load_mode_table, load_spectrum_report,
                         spectrum_report_payload, verify_report_payload,

@@ -90,30 +90,36 @@ def _resolve(config, **flags):
     return DeformationContext(**merged), seed
 
 
-def common_options(fn):
-    opts = [
-        click.option("--q", type=float, default=None,
-                     help="Deformation parameter in (0, 1). [default: 0.5]"),
-        click.option("--fock-dim", type=int, default=None,
-                     help="Truncation dimension N. [default: 64]"),
-        click.option("--lattice-depth", type=int, default=None,
-                     help="Lattice levels per sign S. [default: 32]"),
-        click.option("--tol", "tail_tol", type=float, default=None,
-                     help="Infinite-product tail tolerance. [default: 1e-15]"),
-        click.option("--match-tol", type=float, default=None,
-                     help="Spectrum matching tolerance. [default: 1e-10]"),
-        click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                     default="csv", show_default=True),
-        click.option("--out", type=click.Path(dir_okay=False), default=None,
-                     help="Output path; a per-command default is used if omitted."),
-        click.option("--seed", type=int, default=None,
-                     help="Seed for randomized checks. [default: 0]"),
-        click.option("--config", type=click.Path(dir_okay=False), default=None,
-                     help="JSON or key=value file; explicit flags win."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_OPTIONS = {
+    "q": click.option("--q", type=float, default=None,
+                      help="Deformation parameter in (0, 1). [default: 0.5]"),
+    "fock_dim": click.option("--fock-dim", type=int, default=None,
+                             help="Truncation dimension N. [default: 64]"),
+    "lattice_depth": click.option("--lattice-depth", type=int, default=None,
+                                  help="Lattice levels per sign S. [default: 32]"),
+    "tail_tol": click.option("--tol", "tail_tol", type=float, default=None,
+                             help="Infinite-product tail tolerance. [default: 1e-15]"),
+    "match_tol": click.option("--match-tol", type=float, default=None,
+                              help="Spectrum matching tolerance. [default: 1e-10]"),
+    "fmt": click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
+                        default="csv", show_default=True),
+    "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
+                        help="Output path; a per-command default is used if omitted."),
+    "seed": click.option("--seed", type=int, default=None,
+                         help="Seed for randomized checks. [default: 0]"),
+    "config": click.option("--config", type=click.Path(dir_okay=False), default=None,
+                           help="JSON or key=value file; explicit flags win."),
+}
+
+
+def options(*names):
+    """The named shared options, in the order given; a command takes only
+    the ones it reads."""
+    def decorate(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+    return decorate
 
 
 def guarded(fn):
@@ -136,7 +142,7 @@ def main():
 
 
 @main.command()
-@common_options
+@options("q", "fock_dim", "lattice_depth", "fmt", "out", "config")
 @click.option("--n-max", type=int, default=None,
               help="Highest degree to tabulate; defaults to fock_dim - 1.")
 @click.option("--grid", type=str, default=None,
@@ -144,12 +150,9 @@ def main():
 @click.option("--family", type=click.Choice(["orthonormal", "hermite"]),
               default="orthonormal", show_default=True)
 @guarded
-def hermite(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
-            config, n_max, grid, family):
+def hermite(fmt, out, config, n_max, grid, family, **flags):
     """Tabulate wavefunction polynomials on the lattice or a grid."""
-    ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
-                      lattice_depth=lattice_depth, tail_tol=tail_tol,
-                      match_tol=match_tol)
+    ctx, _ = _resolve(config, **flags)
     top = ctx.fock_dim - 1 if n_max is None else n_max
     if not 0 <= top < ctx.fock_dim:
         raise ValidationError(
@@ -198,16 +201,13 @@ def hermite(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
 
 
 @main.command()
-@common_options
+@options("q", "fock_dim", "lattice_depth", "match_tol", "fmt", "out", "config")
 @click.option("--require-s", type=int, default=0, show_default=True,
               help="Fail (exit 2) unless the matched prefix reaches this depth.")
 @guarded
-def spectrum(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
-             config, require_s):
+def spectrum(fmt, out, config, require_s, **flags):
     """Diagonalize the position operator and match levels to +-q^s."""
-    ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
-                      lattice_depth=lattice_depth, tail_tol=tail_tol,
-                      match_tol=match_tol)
+    ctx, _ = _resolve(config, **flags)
     rep = spectrum_report(build_Q(ctx), ctx)
     path = out or f"spectrum.{fmt}"
     write_spectrum_report(rep, path, fmt)
@@ -219,18 +219,16 @@ def spectrum(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
 
 
 @main.command()
-@common_options
+@options("q", "fock_dim", "lattice_depth", "tail_tol", "match_tol", "fmt",
+         "out", "config")
 @click.option("--tau", type=float, default=math.pi / 2, show_default="pi/2",
               help="Evolution angle.")
 @click.option("--variant", type=click.Choice(["rescaled", "raw"]),
               default="rescaled", show_default=True)
 @guarded
-def kernel(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
-           config, tau, variant):
+def kernel(fmt, out, config, tau, variant, **flags):
     """Write the finite-time evolution kernel on the lattice window."""
-    ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
-                      lattice_depth=lattice_depth, tail_tol=tail_tol,
-                      match_tol=match_tol)
+    ctx, _ = _resolve(config, **flags)
     k = fractional_ft(tau, ctx) if variant == "rescaled" else kernel_K(tau, ctx)
     path = out or f"kernel.{fmt}"
     write_kernel(k, path, fmt)
@@ -238,19 +236,17 @@ def kernel(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
 
 
 @main.command(name="evolve")
-@common_options
+@options("q", "fock_dim", "lattice_depth", "tail_tol", "match_tol", "fmt",
+         "out", "config")
 @click.option("--input", "input_path", type=click.Path(dir_okay=False),
               required=True, help="Lattice function to evolve.")
 @click.option("--tau", type=float, default=math.pi / 2, show_default="pi/2")
 @click.option("--rescale-input", is_flag=True,
               help="Apply the sqrt-weight rescaling to the input first.")
 @guarded
-def evolve_cmd(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out,
-               seed, config, input_path, tau, rescale_input):
+def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
     """Evolve a rescaled position-realization function by angle tau."""
-    ctx, _ = _resolve(config, q=q, fock_dim=fock_dim,
-                      lattice_depth=lattice_depth, tail_tol=tail_tol,
-                      match_tol=match_tol)
+    ctx, _ = _resolve(config, **flags)
     f = load_lattice_function(input_path, ctx=ctx)
     if rescale_input and not f.rescaled:
         f = rescale(f, ctx)
@@ -261,16 +257,13 @@ def evolve_cmd(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out,
 
 
 @main.command()
-@common_options
+@options("fmt", "out", "seed", "config")
 @click.option("--corrupt-coupling", is_flag=True,
               help="Deliberately break one coupling; the run must then fail.")
 @guarded
-def verify(q, fock_dim, lattice_depth, tail_tol, match_tol, fmt, out, seed,
-           config, corrupt_coupling):
+def verify(fmt, out, seed, config, corrupt_coupling):
     """Run the named verification battery and report per-check results."""
-    _, run_seed = _resolve(config, q=q, fock_dim=fock_dim,
-                           lattice_depth=lattice_depth, tail_tol=tail_tol,
-                           match_tol=match_tol, seed=seed)
+    _, run_seed = _resolve(config, seed=seed)
     rep = run_verification(seed=run_seed, corrupt_coupling=corrupt_coupling)
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"

@@ -41,10 +41,9 @@ from functools import lru_cache
 import numpy as np
 
 from .context import DeformationContext
-from .errors import (AlreadyRescaled, DimensionMismatch, KindMismatch,
-                     NotRescaled, ValidationError)
+from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
 from .fock import build_P, build_Q, spectrum_report
-from .hilbert import LatticeFunction
+from .hilbert import LatticeFunction, _check_window
 from .qhermite import (_p_matrix, _weight_prefactor, lattice_weight_window,
                        norm_c_window, window_values)
 
@@ -189,10 +188,7 @@ def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     """Multiply by sqrt(w(x)); evolution and standard_inner want this form."""
     if f.rescaled:
         raise AlreadyRescaled("values already carry the sqrt(w) factor")
-    if f.values.shape[0] != 2 * ctx.lattice_depth:
-        raise DimensionMismatch(
-            f"function has {f.values.shape[0]} sites, window wants "
-            f"{2 * ctx.lattice_depth}")
+    _check_window(f, ctx)
     sw = np.sqrt(lattice_weight_window(ctx))
     return LatticeFunction(f.kind, sw * f.values, rescaled=True)
 
@@ -201,10 +197,7 @@ def unrescale(F: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     """Inverse of rescale; the weights are strictly positive."""
     if not F.rescaled:
         raise NotRescaled("values do not carry the sqrt(w) factor")
-    if F.values.shape[0] != 2 * ctx.lattice_depth:
-        raise DimensionMismatch(
-            f"function has {F.values.shape[0]} sites, window wants "
-            f"{2 * ctx.lattice_depth}")
+    _check_window(F, ctx)
     sw = np.sqrt(lattice_weight_window(ctx))
     return LatticeFunction(F.kind, F.values / sw, rescaled=False)
 
@@ -230,10 +223,7 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
         raise KindMismatch(f"evolve wants a position function, got {F.kind}")
     if not F.rescaled:
         raise NotRescaled("evolve acts on rescaled values; call rescale first")
-    if F.values.shape[0] != 2 * ctx.lattice_depth:
-        raise DimensionMismatch(
-            f"function has {F.values.shape[0]} sites, window wants "
-            f"{2 * ctx.lattice_depth}")
+    _check_window(F, ctx)
     if kernel is not None:
         if kernel.variant != "rescaled_Phi":
             raise KindMismatch("evolve needs the rescaled_Phi kernel variant")
@@ -258,10 +248,7 @@ def standard_inner(F1: LatticeFunction, F2: LatticeFunction,
     for F in (F1, F2):
         if not F.rescaled:
             raise NotRescaled("standard_inner is defined on rescaled values")
-        if F.values.shape[0] != 2 * ctx.lattice_depth:
-            raise DimensionMismatch(
-                f"function has {F.values.shape[0]} sites, window wants "
-                f"{2 * ctx.lattice_depth}")
+        _check_window(F, ctx)
     if F1.kind != F2.kind:
         raise KindMismatch(f"kinds differ: {F1.kind} vs {F2.kind}")
     absx = np.abs(window_values(ctx))

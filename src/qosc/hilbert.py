@@ -2,8 +2,9 @@
 
 A state with number-basis coefficients b_n becomes the lattice function
 f(x) = sum_n b_n p_n(x) on the position window, or
-F(p) = sum_n b_n i^n p_n(p) on the momentum window (same grid). Both
-carry the inner product
+F(p) = sum_n b_n i^n p_n(p) on the momentum window (same grid). Each
+function here reads the representation from its input's kind. Both
+kinds carry the inner product
 
     <f, g> = sum_s c_s [ f(+q^s) conj(g(+q^s)) + f(-q^s) conj(g(-q^s)) ]
 
@@ -14,11 +15,12 @@ just approximately.
 The generating-function wavefunctions are
 
     psi_x(y) = sum_n h_n(x) y^n / (q; q)_n = (y^2; q^2)_inf / (x y; q)_inf
-    phi_p(y) = sum_n h_n(p) (i y)^n / (q; q)_n
+    phi_p(y) = psi_p(i y) = (-y^2; q^2)_inf / (i p y; q)_inf
 
-for |y| < 1. phi's closed product form is contested between three
-numerator candidates; phi_product_residuals reports all of them against
-the series, which is the ground truth here.
+for |y| < 1: the momentum form twists h_n by i^n, which is the position
+form at i y. phi_product_residuals measures that numerator against the
+two other candidates in circulation; only (-y^2; q^2)_inf matches the
+series.
 """
 
 from __future__ import annotations
@@ -71,26 +73,31 @@ def _check_window(f: LatticeFunction, ctx: DeformationContext):
             f"{2 * ctx.lattice_depth}")
 
 
-def _check_kind(f: LatticeFunction, kind: str, ctx: DeformationContext):
+def _check_bare(f: LatticeFunction, ctx: DeformationContext):
     _check_window(f, ctx)
-    if f.kind != kind:
-        raise KindMismatch(f"expected a {kind} function, got {f.kind}")
     if f.rescaled:
         raise KindMismatch("expected bare values, got rescaled ones")
 
 
-def _series_sum(x: float, y: complex, ctx: DeformationContext,
-                phase: complex = 1.0) -> complex:
-    """sum_n h_n(x) (phase*y)^n / (q; q)_n, truncated at tail_tol.
+def _mode_table(kind: str, ctx: DeformationContext,
+                table: Optional[ModeTable]) -> ModeTable:
+    """The caller's table if it holds `kind` modes, else a fresh one."""
+    if table is None:
+        return build_mode_table(kind, ctx)
+    if table.kind != kind:
+        raise KindMismatch(f"a {table.kind} mode table cannot serve a {kind} "
+                           "function")
+    return table
+
+
+def _series_sum(x: float, z: complex, ctx: DeformationContext) -> complex:
+    """sum_n h_n(x) z^n / (q; q)_n, truncated at tail_tol.
 
     Stops only after three consecutive terms fall below the running
     threshold: individual h_n values pass through zero, so one small
     term proves nothing.
     """
-    if abs(y) >= 1.0:
-        raise DomainError(f"generating argument must satisfy |y| < 1, got |y|={abs(y)}")
     q = ctx.q
-    z = phase * complex(y)
     if z == 0:
         return 1.0 + 0.0j
     h_prev, h_cur = 1.0, x
@@ -117,44 +124,28 @@ def _series_sum(x: float, y: complex, ctx: DeformationContext,
     return total
 
 
-def psi_eval(qry: WavefunctionQuery, ctx: DeformationContext) -> complex:
-    """Position eigenfunction generating value psi_x(y).
+def _generating(x: float, z: complex, mode: str,
+                ctx: DeformationContext) -> complex:
+    """sum_n h_n(x) z^n / (q;q)_n by mode "series", or its closed form
+    (z^2; q^2)_inf / (x z; q)_inf by mode "product"."""
+    if abs(z) >= 1.0:
+        raise DomainError(f"generating argument must satisfy |y| < 1, got |y|={abs(z)}")
+    if mode == "series":
+        return _series_sum(x, z, ctx)
+    if mode == "product":
+        num = qpoch_inf(z * z, ctx, base=ctx.q * ctx.q).value
+        return complex(num) / complex(qpoch_inf(x * z, ctx).value)
+    raise ValidationError(f"mode must be 'series' or 'product', got {mode!r}")
 
-    mode "series" sums h_n(x) y^n / (q;q)_n; mode "product" evaluates the
-    closed form (y^2; q^2)_inf / (x y; q)_inf. The two agree to the
-    series truncation level for |y| < 1.
-    """
-    x = qry.point.value
-    if qry.mode == "series":
-        return _series_sum(x, qry.y, ctx)
-    if qry.mode == "product":
-        if abs(qry.y) >= 1.0:
-            raise DomainError(f"|y| must be < 1, got {abs(qry.y)}")
-        q2 = ctx.q * ctx.q
-        num = qpoch_inf(complex(qry.y) ** 2, ctx, base=q2).value
-        den = qpoch_inf(x * complex(qry.y), ctx).value
-        return complex(num) / complex(den)
-    raise ValidationError(f"mode must be 'series' or 'product', got {qry.mode!r}")
+
+def psi_eval(qry: WavefunctionQuery, ctx: DeformationContext) -> complex:
+    """Position eigenfunction generating value psi_x(y), by qry.mode."""
+    return _generating(qry.point.value, complex(qry.y), qry.mode, ctx)
 
 
 def phi_eval(qry: WavefunctionQuery, ctx: DeformationContext) -> complex:
-    """Momentum-side generating value phi_p(y) = sum h_n(p) (iy)^n/(q;q)_n.
-
-    mode "product" evaluates (y^2; q^2)_inf / (i p y; q)_inf, the stated
-    closed form; see phi_product_residuals before trusting it, the
-    numerator is contested and the series is authoritative.
-    """
-    p = qry.point.value
-    if qry.mode == "series":
-        return _series_sum(p, qry.y, ctx, phase=1j)
-    if qry.mode == "product":
-        if abs(qry.y) >= 1.0:
-            raise DomainError(f"|y| must be < 1, got {abs(qry.y)}")
-        q2 = ctx.q * ctx.q
-        num = qpoch_inf(complex(qry.y) ** 2, ctx, base=q2).value
-        den = qpoch_inf(1j * p * complex(qry.y), ctx).value
-        return complex(num) / complex(den)
-    raise ValidationError(f"mode must be 'series' or 'product', got {qry.mode!r}")
+    """Momentum eigenfunction generating value phi_p(y) = psi_p(iy)."""
+    return _generating(qry.point.value, 1j * complex(qry.y), qry.mode, ctx)
 
 
 def phi_product_residuals(qry: WavefunctionQuery,
@@ -167,7 +158,7 @@ def phi_product_residuals(qry: WavefunctionQuery,
     residuals confirm it is the one that matches the series.
     """
     p = qry.point.value
-    series = _series_sum(p, qry.y, ctx, phase=1j)
+    series = _generating(p, 1j * complex(qry.y), "series", ctx)
     y2 = complex(qry.y) ** 2
     q2 = ctx.q * ctx.q
     den = complex(qpoch_inf(1j * p * complex(qry.y), ctx).value)
@@ -194,28 +185,16 @@ def normalized_eigenfunction(kind: str, pt: LatticePoint, n_max: int,
     return b
 
 
-def fock_to_position(b: np.ndarray, ctx: DeformationContext,
-                     table: Optional[ModeTable] = None) -> LatticeFunction:
-    """Realize coefficients as a window function sum_n b_n p_n(x)."""
+def fock_to_lattice(b: np.ndarray, kind: str, ctx: DeformationContext,
+                    table: Optional[ModeTable] = None) -> LatticeFunction:
+    """Realize coefficients as a window function of `kind`: sum_n b_n p_n(x)
+    for position, sum_n b_n i^n p_n(p) for momentum."""
     b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] > ctx.fock_dim:
         raise DimensionMismatch(
             f"{b.shape[0]} coefficients exceed fock_dim={ctx.fock_dim}")
-    if table is None:
-        table = build_mode_table("position", ctx)
-    return LatticeFunction("position", b @ table.values[: b.shape[0]])
-
-
-def fock_to_momentum(b: np.ndarray, ctx: DeformationContext,
-                     table: Optional[ModeTable] = None) -> LatticeFunction:
-    """Realize coefficients on the momentum window: sum_n b_n i^n p_n(p)."""
-    b = np.asarray(b, dtype=complex).reshape(-1)
-    if b.shape[0] > ctx.fock_dim:
-        raise DimensionMismatch(
-            f"{b.shape[0]} coefficients exceed fock_dim={ctx.fock_dim}")
-    if table is None:
-        table = build_mode_table("momentum", ctx)
-    return LatticeFunction("momentum", b @ table.values[: b.shape[0]])
+    table = _mode_table(kind, ctx, table)
+    return LatticeFunction(kind, b @ table.values[: b.shape[0]])
 
 
 def _paired_inner(v1: np.ndarray, v2: np.ndarray,
@@ -226,19 +205,13 @@ def _paired_inner(v1: np.ndarray, v2: np.ndarray,
     return complex(np.sum(cs * paired))
 
 
-def position_inner(f1: LatticeFunction, f2: LatticeFunction,
-                   ctx: DeformationContext) -> complex:
-    """Weighted window inner product of two bare position functions."""
-    _check_kind(f1, "position", ctx)
-    _check_kind(f2, "position", ctx)
-    return _paired_inner(f1.values, f2.values, ctx)
-
-
-def momentum_inner(f1: LatticeFunction, f2: LatticeFunction,
-                   ctx: DeformationContext) -> complex:
-    """Same weights as position_inner, on the momentum window."""
-    _check_kind(f1, "momentum", ctx)
-    _check_kind(f2, "momentum", ctx)
+def lattice_inner(f1: LatticeFunction, f2: LatticeFunction,
+                  ctx: DeformationContext) -> complex:
+    """Weighted window inner product of two bare functions of one kind."""
+    _check_bare(f1, ctx)
+    _check_bare(f2, ctx)
+    if f1.kind != f2.kind:
+        raise KindMismatch(f"kinds differ: {f1.kind} vs {f2.kind}")
     return _paired_inner(f1.values, f2.values, ctx)
 
 
@@ -250,20 +223,15 @@ class ModeExpansion:
 
 def decompose(f: LatticeFunction, ctx: DeformationContext,
               table: Optional[ModeTable] = None) -> ModeExpansion:
-    """Project a bare window function onto the modes.
+    """Project a bare window function onto the modes of its kind.
 
     coeffs[n] = <f, mode_n> with the window weights; tail is the mass
     |<f, f> - sum |coeffs|^2| the window could not attribute to modes
     n < fock_dim. Callers that resum after acting on coefficients should
     treat a large tail as a failure (the apply_* helpers do).
     """
-    if f.kind not in _KINDS:
-        raise KindMismatch(f"unknown kind {f.kind!r}")
-    _check_window(f, ctx)
-    if f.rescaled:
-        raise KindMismatch("decompose wants bare values, got rescaled ones")
-    if table is None:
-        table = build_mode_table(f.kind, ctx)
+    _check_bare(f, ctx)
+    table = _mode_table(f.kind, ctx, table)
     cs = norm_c_window(ctx)
     b = np.conj(table.values) @ (cs * f.values)
     norm = _paired_inner(f.values, f.values, ctx).real
@@ -297,43 +265,32 @@ def _tridiag_action(b: np.ndarray, ctx: DeformationContext,
     return out
 
 
-def apply_Q_position(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
-    """Position operator on its own window: multiply by the site value."""
-    _check_kind(f, "position", ctx)
-    return LatticeFunction("position", window_values(ctx) * f.values)
+def _act(f: LatticeFunction, ctx: DeformationContext, own_kind: Optional[str],
+         action) -> LatticeFunction:
+    """An operator on a bare function: multiplication by the site value on
+    the operator's own window (own_kind), else action on the coefficients."""
+    _check_bare(f, ctx)
+    if f.kind == own_kind:
+        return LatticeFunction(f.kind, window_values(ctx) * f.values)
+    return _roundtrip(f, ctx, action)
 
 
-def apply_P_position(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
-    """Momentum operator on position functions, through the mode side:
-    coefficients map by b_n -> i a_{n-1} b_{n-1} - i a_n b_{n+1}."""
-    _check_kind(f, "position", ctx)
-    return _roundtrip(f, ctx, lambda b: _tridiag_action(b, ctx, -1j, 1j))
+def apply_Q(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
+    """Position operator. On momentum functions it is the same real
+    tridiagonal coefficient action as Q has on the number basis."""
+    return _act(f, ctx, "position", lambda b: _tridiag_action(b, ctx, 1.0, 1.0))
 
 
-def apply_H_position(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
+def apply_P(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
+    """Momentum operator. On position functions it maps coefficients by
+    b_n -> i a_{n-1} b_{n-1} - i a_n b_{n+1}."""
+    return _act(f, ctx, "momentum", lambda b: _tridiag_action(b, ctx, -1j, 1j))
+
+
+def apply_H(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     """Oscillator Hamiltonian: multiplies mode n by n + 1/2."""
-    _check_kind(f, "position", ctx)
     n = np.arange(ctx.fock_dim, dtype=float) + 0.5
-    return _roundtrip(f, ctx, lambda b: n * b)
-
-
-def apply_Q_momentum(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
-    """Position operator on momentum functions: the same real tridiagonal
-    coefficient action as Q has on the number basis."""
-    _check_kind(f, "momentum", ctx)
-    return _roundtrip(f, ctx, lambda b: _tridiag_action(b, ctx, 1.0, 1.0))
-
-
-def apply_P_momentum(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
-    """Momentum operator on its own window: multiply by the site value."""
-    _check_kind(f, "momentum", ctx)
-    return LatticeFunction("momentum", window_values(ctx) * f.values)
-
-
-def apply_H_momentum(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
-    _check_kind(f, "momentum", ctx)
-    n = np.arange(ctx.fock_dim, dtype=float) + 0.5
-    return _roundtrip(f, ctx, lambda b: n * b)
+    return _act(f, ctx, None, lambda b: n * b)
 
 
 def mode_function(n: int, ctx: DeformationContext,
@@ -386,7 +343,7 @@ def q_difference_P_oracle(n: int, ctx: DeformationContext) -> LatticeFunction:
     P = -i (1 - q) q^{exponent of the level above the ground} times the
     bracket, where the diagonal factor weights the p_{n+1} component by
     q^{n+1} and the p_{n-1} component by q^{n-1}. Serves as an
-    independent check of apply_P_position.
+    independent check of apply_P on position functions.
     """
     q = ctx.q
     x = window_values(ctx)

@@ -247,11 +247,6 @@ def lattice_weight_window(ctx: DeformationContext) -> np.ndarray:
     return w
 
 
-def normalized_hermite(n: int, pt: LatticePoint, ctx: DeformationContext) -> float:
-    """sqrt(c_s) p_n at the site: the unit-norm lattice mode value."""
-    return math.sqrt(norm_c(pt.s, ctx)) * float(mode_poly(n, pt.value, ctx))
-
-
 @dataclass(frozen=True)
 class ModeTable:
     """p_n (or i^n p_n) tabulated over the window.

@@ -30,13 +30,11 @@ from .evolution import (fractional_ft, group_law_residual,
 from .fock import (build_F_of_H, build_H, build_ladders, build_P, build_Q,
                    commutator, eigendecompose, eigenvalues,
                    spectrum_report)
-from .hilbert import (WavefunctionQuery, apply_P_position, apply_Q_position,
-                      fock_to_position, mode_function,
-                      normalized_eigenfunction, phi_product_residuals,
-                      position_inner, psi_eval, q_difference_P_oracle)
-from .qcore import (CoefficientVector, apply_lowering, apply_raising,
-                    basis_coeff, coupling, fock_inner, fock_monomial, qpoch,
-                    qpoch_inf, scale_op)
+from .hilbert import (WavefunctionQuery, apply_P, apply_Q, fock_to_lattice,
+                      lattice_inner, mode_function, normalized_eigenfunction,
+                      phi_product_residuals, psi_eval, q_difference_P_oracle)
+from .qcore import (apply_lowering, apply_raising, coupling, fock_inner,
+                    fock_monomial, qpoch, qpoch_inf, scale_op)
 from .qhermite import (build_mode_table, dual_orthogonality_residual,
                        hermite_eval, lattice_point, mode_poly, norm_c,
                        norm_c_window, orthogonality_residual, window_values)
@@ -272,24 +270,6 @@ def _phi_candidates(q: float):
         f"(-y^2;q^2) matches the series; alternatives off by {others:.2e}")
 
 
-def _eigenfunction_orthonormal(q: float):
-    ctx = _ctx(q, fock_dim=60)
-    pts = [lattice_point(sg, s, ctx) for sg in (1, -1) for s in (0, 1, 3)]
-    vecs = [normalized_eigenfunction("position", p, ctx.fock_dim, ctx)
-            for p in pts]
-    worst = 0.0
-    for i, u in enumerate(vecs):
-        for j, v in enumerate(vecs):
-            val = complex(np.vdot(v, u))
-            worst = max(worst, abs(val - (1.0 if i == j else 0.0)))
-    cn = np.array([basis_coeff(n, ctx) for n in range(ctx.fock_dim)])
-    f0 = CoefficientVector(vecs[0] * cn)
-    f1 = CoefficientVector(vecs[2] * cn)
-    worst = max(worst, abs(fock_inner(f0, f0, ctx) - 1.0),
-                abs(fock_inner(f0, f1, ctx)))
-    return worst, 1e-8, "mode coefficients orthonormal; fock_inner pairing agrees"
-
-
 def _eigenvector_mode_ratio(q: float):
     # past n ~ 9 the q^{-n^2/4} dominant branch amplifies the eigenvalue's
     # truncation error and the comparison stops being meaningful
@@ -312,8 +292,8 @@ def _position_eigenrelation(q: float):
     for s in (0, 3, 7):
         pt = lattice_point(1, s, ctx)
         b = normalized_eigenfunction("position", pt, ctx.fock_dim, ctx)
-        f = fock_to_position(b, ctx, table=table)
-        xf = apply_Q_position(f, ctx)
+        f = fock_to_lattice(b, "position", ctx, table=table)
+        xf = apply_Q(f, ctx)
         worst = max(worst, float(np.max(np.abs(xf.values - q**s * f.values))))
     return worst, 1e-8, "multiplication by x fixes the eigenfunction, up to truncation"
 
@@ -336,7 +316,7 @@ def _q_difference_P(q: float):
     worst = 0.0
     for n in (1, 2, 3):
         oracle = q_difference_P_oracle(n, ctx)
-        direct = apply_P_position(mode_function(n, ctx), ctx)
+        direct = apply_P(mode_function(n, ctx), ctx)
         diff = oracle.values[core] - direct.values[core]
         worst = max(worst, float(np.max(np.abs(diff))))
     return worst, 5e-9, "q-difference route vs recurrence route for P, s <= 20"
@@ -351,10 +331,10 @@ def _parseval(q: float, seed: int, draws: int = 20):
     for _ in range(draws):
         b1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         b2 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f1 = fock_to_position(b1, ctx, table=table)
-        f2 = fock_to_position(b2, ctx, table=table)
+        f1 = fock_to_lattice(b1, "position", ctx, table=table)
+        f2 = fock_to_lattice(b2, "position", ctx, table=table)
         lhs = complex(np.sum(b1 * np.conj(b2)))
-        rhs = position_inner(f1, f2, ctx)
+        rhs = lattice_inner(f1, f2, ctx)
         worst = max(worst, abs(lhs - rhs))
     return worst, 1e-8, f"mode-space vs window inner product, S={depth}, {draws} draws"
 

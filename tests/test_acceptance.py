@@ -23,15 +23,15 @@ from qosc import (
     build_Q,
     commutator,
     dual_orthogonality_residual,
-    fock_to_position,
+    fock_to_lattice,
     group_law_residual,
     heisenberg_rotation_check,
     identity_residual,
+    lattice_inner,
     lattice_point,
     norm_drift_max,
     orthogonality_residual,
     phase_map_residual,
-    position_inner,
     psi_eval,
     spectrum_report,
 )
@@ -174,9 +174,9 @@ def test_criterion_8_parseval():
     worst = 0.0
     for _ in range(100):
         b = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f = fock_to_position(b, ctx, table=table)
+        f = fock_to_lattice(b, "position", ctx, table=table)
         lhs = float(np.sum(np.abs(b) ** 2))
-        rhs = position_inner(f, f, ctx)
+        rhs = lattice_inner(f, f, ctx)
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-8
     _criterion(8, "synthesis map is an isometry", ok, f"worst={worst:.3e}")

@@ -236,6 +236,20 @@ def test_verify_corrupt_coupling_fails(runner):
     assert "FAIL" in r.output
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("hermite", "--tol"), ("hermite", "--match-tol"), ("hermite", "--seed"),
+    ("spectrum", "--tol"), ("spectrum", "--seed"), ("kernel", "--seed"),
+    ("evolve", "--seed"), ("verify", "--q"), ("verify", "--fock-dim"),
+    ("verify", "--lattice-depth"), ("verify", "--tol"),
+    ("verify", "--match-tol"),
+])
+def test_unread_flag_is_usage_error(runner, command, flag):
+    # each command takes only the options it reads
+    r = runner.invoke(main, [command, flag, "1"])
+    assert r.exit_code == 2
+    assert "No such option" in r.output and flag in r.output
+
+
 @pytest.mark.parametrize("args", [
     ["--grid", "0:nan:0.1"], ["--grid", "nan:1:0.1"], ["--grid", "0:1:nan"],
     ["--grid", "0:inf:1"], ["--grid", "-1e308:1e308:1e-300"],

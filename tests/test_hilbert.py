@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, DimensionMismatch, DomainError,
-                  KindMismatch, LatticeFunction, TailTooLarge,
-                  ValidationError, WavefunctionQuery, apply_H_momentum,
-                  apply_H_position, apply_P_momentum, apply_P_position,
-                  apply_Q_momentum, apply_Q_position, coupling, decompose,
-                  fock_to_momentum, fock_to_position, lattice_point,
-                  mode_function, momentum_inner, normalized_eigenfunction,
-                  phi_eval, phi_product_residuals, position_inner, psi_eval,
-                  q_difference_P_oracle, q_difference_bracket, window_values)
+from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
+                  DomainError, KindMismatch, LatticeFunction, TailTooLarge,
+                  ValidationError, WavefunctionQuery, apply_H, apply_P,
+                  apply_Q, basis_coeff, build_mode_table, coupling, decompose,
+                  fock_inner, fock_to_lattice, lattice_inner, lattice_point,
+                  mode_function, normalized_eigenfunction, phi_eval,
+                  phi_product_residuals, psi_eval, q_difference_P_oracle,
+                  q_difference_bracket, window_values)
 
 
 def test_lattice_function_kind_guard():
@@ -59,44 +58,76 @@ def test_phi_candidate_residuals(ctx):
     assert res["(-y^2;q^2)"] < 1e-10
     assert res["(y^2;q^2)"] > 1e-3
     assert res["(y^2;q)"] > 1e-3
-    # the stated closed form is what phi_eval(product) computes, faithfully
-    stated = phi_eval(WavefunctionQuery(lattice_point(1, 1, ctx), 0.5, "product"), ctx)
-    assert np.isfinite(stated.real)
+    # phi_eval's product form is the matching candidate, phi_p(y) = psi_p(iy)
+    for s in (0, 1, 3):
+        for sign in (1, -1):
+            pt = lattice_point(sign, s, ctx)
+            for y in (0.4, -0.62, 0.3 + 0.5j, 0.9j):
+                a = phi_eval(WavefunctionQuery(pt, y, "series"), ctx)
+                b = phi_eval(WavefunctionQuery(pt, y, "product"), ctx)
+                assert a == pytest.approx(b, rel=1e-11)
 
 
 def test_normalized_eigenfunction_unit_norm(ctx):
     b = normalized_eigenfunction("position", lattice_point(1, 0, ctx),
                                  ctx.fock_dim, ctx)
     assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(1.0, abs=1e-12)
+    # six eigenvectors at N = 60 are orthonormal, and fock_inner agrees
+    ctx = DeformationContext(q=0.5, fock_dim=60)
+    pts = [lattice_point(sg, s, ctx) for sg in (1, -1) for s in (0, 1, 3)]
+    vecs = np.array([normalized_eigenfunction("position", p, ctx.fock_dim, ctx)
+                     for p in pts])
+    assert np.max(np.abs(np.conj(vecs) @ vecs.T - np.eye(len(pts)))) < 1e-8
+    cn = np.array([basis_coeff(n, ctx) for n in range(ctx.fock_dim)])
+    f0 = CoefficientVector(vecs[0] * cn)
+    f1 = CoefficientVector(vecs[2] * cn)
+    assert abs(fock_inner(f0, f0, ctx) - 1.0) < 1e-8
+    assert abs(fock_inner(f0, f1, ctx)) < 1e-8
 
 
 def test_roundtrip_fock_window_fock(rng):
     ctx = DeformationContext(q=0.5, lattice_depth=50)
     b = np.zeros(ctx.fock_dim, dtype=complex)
     b[:24] = rng.standard_normal(24) + 1j * rng.standard_normal(24)
-    f = fock_to_position(b, ctx)
+    f = fock_to_lattice(b, "position", ctx)
     exp = decompose(f, ctx)
     assert np.allclose(exp.coeffs, b, atol=1e-8)
     assert exp.tail < 1e-10
+    g = fock_to_lattice(b, "momentum", ctx)
+    exp = decompose(g, ctx)
+    assert np.allclose(exp.coeffs, b, atol=1e-8)
+    assert exp.tail < 1e-10
+
+
+def test_table_kind_must_match(ctx):
+    momentum = build_mode_table("momentum", ctx)
+    with pytest.raises(KindMismatch):
+        fock_to_lattice(np.ones(4), "position", ctx, table=momentum)
+    with pytest.raises(KindMismatch):
+        decompose(mode_function(3, ctx), ctx, table=momentum)
+    # the matching table gives the plain coefficient
+    exp = decompose(mode_function(3, ctx), ctx,
+                    table=build_mode_table("position", ctx))
+    assert exp.coeffs[3] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parity_inner_products_exactly_zero(ctx):
     f_even = mode_function(2, ctx)
     f_odd = mode_function(3, ctx)
-    assert position_inner(f_even, f_odd, ctx) == 0j
+    assert lattice_inner(f_even, f_odd, ctx) == 0j
 
 
 def test_position_inner_kind_guards(ctx):
     f = mode_function(1, ctx)
     g = LatticeFunction(kind="momentum", values=f.values)
     with pytest.raises(KindMismatch):
-        position_inner(f, g, ctx)
+        lattice_inner(f, g, ctx)
     r = LatticeFunction(kind="position", values=f.values, rescaled=True)
     with pytest.raises(KindMismatch):
-        position_inner(f, r, ctx)
+        lattice_inner(f, r, ctx)
     short = LatticeFunction(kind="position", values=f.values[:10])
     with pytest.raises(DimensionMismatch):
-        position_inner(f, short, ctx)
+        lattice_inner(f, short, ctx)
 
 
 def test_momentum_inner_orthonormal_modes(ctx):
@@ -104,23 +135,23 @@ def test_momentum_inner_orthonormal_modes(ctx):
         f = mode_function(n, ctx, kind="momentum")
         g = mode_function(m, ctx, kind="momentum")
         want = 1.0 if n == m else 0.0
-        assert momentum_inner(f, g, ctx) == pytest.approx(want, abs=1e-9)
+        assert lattice_inner(f, g, ctx) == pytest.approx(want, abs=1e-9)
 
 
 def test_fock_to_position_length_guard(ctx):
     with pytest.raises(DimensionMismatch):
-        fock_to_position(np.zeros(ctx.fock_dim + 1), ctx)
+        fock_to_lattice(np.zeros(ctx.fock_dim + 1), "position", ctx)
 
 
 def test_apply_Q_is_multiplication(ctx):
     f = mode_function(4, ctx)
-    xf = apply_Q_position(f, ctx)
+    xf = apply_Q(f, ctx)
     assert np.allclose(xf.values, window_values(ctx) * f.values, atol=1e-12)
 
 
 def test_apply_Q_recurrence_in_mode_space(ctx):
     n = 4
-    got = apply_Q_position(mode_function(n, ctx), ctx)
+    got = apply_Q(mode_function(n, ctx), ctx)
     a_n = float(coupling(n, ctx))
     a_m = float(coupling(n - 1, ctx))
     want = a_n * mode_function(n + 1, ctx).values \
@@ -130,11 +161,11 @@ def test_apply_Q_recurrence_in_mode_space(ctx):
 
 def test_apply_H_scales_modes(ctx):
     n = 3
-    out = apply_H_position(mode_function(n, ctx), ctx)
+    out = apply_H(mode_function(n, ctx), ctx)
     # reconstruction noise in the deep modes is amplified by n + 1/2
     assert np.allclose(out.values, (n + 0.5) * mode_function(n, ctx).values,
                        atol=1e-7)
-    out_m = apply_H_momentum(mode_function(n, ctx, kind="momentum"), ctx)
+    out_m = apply_H(mode_function(n, ctx, kind="momentum"), ctx)
     assert np.allclose(out_m.values,
                        (n + 0.5) * mode_function(n, ctx, kind="momentum").values,
                        atol=1e-7)
@@ -142,15 +173,15 @@ def test_apply_H_scales_modes(ctx):
 
 def test_apply_P_momentum_is_multiplication(ctx):
     f = mode_function(2, ctx, kind="momentum")
-    pf = apply_P_momentum(f, ctx)
+    pf = apply_P(f, ctx)
     assert np.allclose(pf.values, window_values(ctx) * f.values, atol=1e-12)
 
 
 def test_position_momentum_twist(ctx):
     # multiplying coefficients by i^n turns Q-action into P-action
     n = 3
-    qn = apply_Q_momentum(mode_function(n, ctx, kind="momentum"), ctx)
-    pn = apply_P_position(mode_function(n, ctx), ctx)
+    qn = apply_Q(mode_function(n, ctx, kind="momentum"), ctx)
+    pn = apply_P(mode_function(n, ctx), ctx)
     a_n = float(coupling(n, ctx))
     a_m = float(coupling(n - 1, ctx))
     want_q = a_n * mode_function(n + 1, ctx, kind="momentum").values \
@@ -169,14 +200,14 @@ def test_tail_guard_fires():
     f = LatticeFunction(kind="position",
                         values=rng.standard_normal(48).astype(complex))
     with pytest.raises(TailTooLarge):
-        apply_H_position(f, ctx)
+        apply_H(f, ctx)
 
 
 def test_q_difference_oracle_matches_recurrence(ctx):
     core = slice(0, 42)
     for n in (1, 2, 3):
         oracle = q_difference_P_oracle(n, ctx)
-        direct = apply_P_position(mode_function(n, ctx), ctx)
+        direct = apply_P(mode_function(n, ctx), ctx)
         assert np.max(np.abs(oracle.values[core] - direct.values[core])) < 5e-9
 
 
