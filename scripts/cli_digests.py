@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""SHA-256 of every artifact of a fixed set of qosc CLI commands.
+
+The set runs at q = 0.5, S = 128, N = 320:
+
+    hermite                    CSV, JSON, and --n-max 4 JSON
+    spectrum --format json
+    kernel                     CSV, and --variant raw JSON
+    evolve                     on a seeded rescaled state
+    verify --seed 3            its stdout, with the timings stripped
+
+Each command runs in a fresh temporary directory, as a subprocess that
+imports qosc from --src (default: this checkout's src/) with BLAS pinned
+to one thread. One line per artifact is printed: digest, then name. Run
+it on two checkouts and diff the output to see whether a change moved
+any written byte:
+
+    python scripts/cli_digests.py [--src path/to/src]
+
+No digest is committed: kernel bytes depend on the BLAS build's
+summation order, so they are only comparable on one machine.
+"""
+
+import argparse
+import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SIZE = ["--q", "0.5", "--lattice-depth", "128", "--fock-dim", "320"]
+
+# (artifact name, qosc arguments); each writes its artifact to --out
+COMMANDS = [
+    ("hermite.csv", ["hermite", *SIZE]),
+    ("hermite.json", ["hermite", *SIZE, "--format", "json"]),
+    ("hermite_n4.json", ["hermite", *SIZE, "--n-max", "4", "--format", "json"]),
+    ("spectrum.json", ["spectrum", *SIZE, "--format", "json"]),
+    ("kernel.csv", ["kernel", *SIZE]),
+    ("kernel_raw.json", ["kernel", *SIZE, "--variant", "raw", "--format",
+                         "json"]),
+    ("evolved.csv", ["evolve", *SIZE, "--input", "state.csv"]),
+]
+
+_TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")
+
+
+def _run(src: Path, cwd: str, args: list) -> str:
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    r = subprocess.run([sys.executable, "-m", "qosc.cli", *args], cwd=cwd,
+                       env=env, capture_output=True, text=True)
+    if r.returncode != 0:
+        raise SystemExit(f"qosc {' '.join(args)} exited {r.returncode}:\n"
+                         f"{r.stderr}")
+    return r.stdout
+
+
+def _seeded_state(src: Path, path: str) -> None:
+    """A rescaled position function of seeded values at the set's size."""
+    code = (
+        "import sys, numpy as np, qosc\n"
+        "ctx = qosc.DeformationContext(q=0.5, lattice_depth=128, "
+        "fock_dim=320)\n"
+        "v = np.random.default_rng(3).standard_normal((2, 256))\n"
+        "f = qosc.LatticeFunction('position', v[0] + 1j * v[1], "
+        "rescaled=True)\n"
+        "qosc.write_lattice_function(f, ctx, sys.argv[1])\n")
+    subprocess.run([sys.executable, "-c", code, path], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def digests(src: Path) -> list:
+    out = []
+    for name, args in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            if "evolve" in args:
+                _seeded_state(src, os.path.join(tmp, "state.csv"))
+            _run(src, tmp, [*args, "--out", name])
+            out.append((hashlib.sha256(Path(tmp, name).read_bytes())
+                        .hexdigest(), name))
+    with tempfile.TemporaryDirectory() as tmp:
+        stdout = _run(src, tmp, ["verify", "--seed", "3"])
+    text = "".join(_TIMING.sub("", line) + "\n"
+                   for line in stdout.splitlines())
+    out.append((hashlib.sha256(text.encode()).hexdigest(), "verify-seed3.txt"))
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("--src", type=Path,
+                    default=Path(__file__).resolve().parent.parent / "src",
+                    help="directory holding the qosc package to run")
+    args = ap.parse_args(argv)
+    for digest, name in digests(args.src.resolve()):
+        print(f"{digest}  {name}")
+
+
+if __name__ == "__main__":
+    main()

@@ -77,17 +77,20 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-def _resolve(config, **flags):
+def _settings(config, **flags) -> dict:
     """Defaults, then config file, then explicit flags."""
-    merged = dict(_DEFAULTS)
-    merged["seed"] = 0
+    merged = {**_DEFAULTS, "seed": 0}
     if config is not None:
         merged.update(_parse_config_file(config))
-    for key, value in flags.items():
-        if value is not None:
-            merged[key] = value
-    seed = int(merged.pop("seed"))
-    return DeformationContext(**merged), seed
+    merged.update((k, v) for k, v in flags.items() if v is not None)
+    return merged
+
+
+def _resolve(config, **flags) -> DeformationContext:
+    """The context of a command that computes; a config seed is unused."""
+    merged = _settings(config, **flags)
+    del merged["seed"]
+    return DeformationContext(**merged)
 
 
 _OPTIONS = {
@@ -152,7 +155,7 @@ def main():
 @guarded
 def hermite(fmt, out, config, n_max, grid, family, **flags):
     """Tabulate wavefunction polynomials on the lattice or a grid."""
-    ctx, _ = _resolve(config, **flags)
+    ctx = _resolve(config, **flags)
     top = ctx.fock_dim - 1 if n_max is None else n_max
     if not 0 <= top < ctx.fock_dim:
         raise ValidationError(
@@ -207,7 +210,7 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
 @guarded
 def spectrum(fmt, out, config, require_s, **flags):
     """Diagonalize the position operator and match levels to +-q^s."""
-    ctx, _ = _resolve(config, **flags)
+    ctx = _resolve(config, **flags)
     rep = spectrum_report(build_Q(ctx), ctx)
     path = out or f"spectrum.{fmt}"
     write_spectrum_report(rep, path, fmt)
@@ -228,7 +231,7 @@ def spectrum(fmt, out, config, require_s, **flags):
 @guarded
 def kernel(fmt, out, config, tau, variant, **flags):
     """Write the finite-time evolution kernel on the lattice window."""
-    ctx, _ = _resolve(config, **flags)
+    ctx = _resolve(config, **flags)
     k = fractional_ft(tau, ctx) if variant == "rescaled" else kernel_K(tau, ctx)
     path = out or f"kernel.{fmt}"
     write_kernel(k, path, fmt)
@@ -246,7 +249,7 @@ def kernel(fmt, out, config, tau, variant, **flags):
 @guarded
 def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
     """Evolve a rescaled position-realization function by angle tau."""
-    ctx, _ = _resolve(config, **flags)
+    ctx = _resolve(config, **flags)
     f = load_lattice_function(input_path, ctx=ctx)
     if rescale_input and not f.rescaled:
         f = rescale(f, ctx)
@@ -263,7 +266,7 @@ def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
 @guarded
 def verify(fmt, out, seed, config, corrupt_coupling):
     """Run the named verification battery and report per-check results."""
-    _, run_seed = _resolve(config, seed=seed)
+    run_seed = _settings(config, seed=seed)["seed"]
     rep = run_verification(seed=run_seed, corrupt_coupling=corrupt_coupling)
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"

@@ -48,14 +48,6 @@ class DeformationContext:
             raise ValidationError(
                 f"match_tol must lie in (0, 1), got {self.match_tol!r}")
 
-    @property
-    def N(self) -> int:
-        return self.fock_dim
-
-    @property
-    def S(self) -> int:
-        return self.lattice_depth
-
 
 def suggested_depth(q: float, eps: float) -> int:
     """Smallest S with q^S < eps: depth at which lattice tails drop below eps.

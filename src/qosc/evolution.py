@@ -13,15 +13,15 @@ and moves to F = sqrt(w) f values:
 Phi^tau diagonalizes the rescaled modes F_n = sqrt(w) p_n with eigenvalue
 e^{i n tau}.
 
-Only the phases e^{i n tau} depend on tau. Everything else (p_n on the
-+x half of the window, c, sqrt(w), the completeness tail and s_match) is
-built once per context by _plan and cached for the few most recent
-contexts. s_match comes from spectrum_report, which computes eigenvalues
-only. Since p_n(-x) = (-1)^n p_n(x), the sum over n splits into an even
-part E and an odd part O on the half window: sites of equal sign get
-E + O, sites of opposite sign E - O. A kernel is then four real S x N/2
-x S products, and evolve() applies the same split to a vector in
-O(N S) without forming any kernel.
+Only the phases e^{i n tau} depend on tau. qhermite owns the window:
+p_n on its +x half, c and sqrt(w) are its cached per-context arrays.
+_plan adds the completeness tail and s_match (from spectrum_report,
+eigenvalues only) and is cached for the few most recent contexts. Since
+p_n(-x) = (-1)^n p_n(x), the sum over n splits into an even part E and
+an odd part O on the half window: sites of equal sign get E + O, sites
+of opposite sign E - O. A kernel is then four real S x N/2 x S products,
+and evolve() applies the same split to a vector in O(N S) without
+forming any kernel.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
@@ -44,8 +44,8 @@ from .context import DeformationContext
 from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
 from .fock import build_P, build_Q, spectrum_report
 from .hilbert import LatticeFunction, _check_window
-from .qhermite import (_p_matrix, _weight_prefactor, lattice_weight_window,
-                       norm_c_window, window_values)
+from .qhermite import (_half_table, _modes, _weights, lattice_weight_window,
+                       window_values)
 
 _VARIANTS = ("raw_K", "rescaled_Phi")
 
@@ -85,8 +85,7 @@ class _Plan:
 
     half[n, s] = p_n(+q^s); the site -q^s carries (-1)^n times it, since
     p_n has the parity of n. c and sqrt_w are per level, equal for both
-    signs. The arrays are read-only because one plan is shared by every
-    caller with an equal context.
+    signs. All three are qhermite's cached read-only arrays, not copies.
     """
 
     half: np.ndarray
@@ -95,27 +94,13 @@ class _Plan:
     tail_estimate: float
     s_match: int
 
-    def rescaled_modes(self, n) -> np.ndarray:
-        """F_n = sqrt(w) p_n on the interleaved window, for a degree n or an
-        array of degrees (one row each), mirrored from the half table."""
-        n = np.asarray(n)
-        h = self.sqrt_w * self.half[n]
-        out = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
-        out[..., 0::2] = h
-        out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h)
-        return out
-
 
 @lru_cache(maxsize=4)
 def _plan(ctx: DeformationContext) -> _Plan:
-    half, _ = _p_matrix(window_values(ctx)[0::2], ctx.fock_dim, ctx)
-    c = norm_c_window(ctx)[0::2].copy()
-    sqrt_w = np.sqrt(lattice_weight_window(ctx)[0::2])
-    for a in (half, c, sqrt_w):
-        a.flags.writeable = False
+    half, w = _half_table(ctx)[0], _weights(ctx)
     # completeness_defect's per-site sums, which are equal for +-x
-    tail = float(np.max(np.abs(1.0 - c * np.sum(half**2, axis=0))))
-    return _Plan(half=half, c=c, sqrt_w=sqrt_w, tail_estimate=tail,
+    tail = float(np.max(np.abs(1.0 - w.c * np.sum(half**2, axis=0))))
+    return _Plan(half=half, c=w.c, sqrt_w=w.sqrt_w, tail_estimate=tail,
                  s_match=spectrum_report(build_Q(ctx), ctx).s_match)
 
 
@@ -202,10 +187,14 @@ def unrescale(F: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     return LatticeFunction(F.kind, F.values / sw, rescaled=False)
 
 
+def _rescaled_modes(n, ctx: DeformationContext) -> np.ndarray:
+    """F_n = sqrt(w) p_n on the window, for a degree n or one per row."""
+    return np.repeat(_weights(ctx).sqrt_w, 2) * _modes("position", n, ctx)
+
+
 def rescaled_mode(n: int, ctx: DeformationContext) -> LatticeFunction:
     """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau}."""
-    return LatticeFunction("position", _plan(ctx).rescaled_modes(n),
-                           rescaled=True)
+    return LatticeFunction("position", _rescaled_modes(n, ctx), rescaled=True)
 
 
 def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
@@ -254,7 +243,7 @@ def standard_inner(F1: LatticeFunction, F2: LatticeFunction,
     absx = np.abs(window_values(ctx))
     prod = absx * F1.values * np.conj(F2.values)
     paired = prod[0::2] + prod[1::2]
-    return complex(np.sum(paired)) / _weight_prefactor(ctx)
+    return complex(np.sum(paired)) / _weights(ctx).prefactor
 
 
 def heisenberg_rotation_check(tau: float, ctx: DeformationContext) -> float:
@@ -283,7 +272,7 @@ def unitarity_residual(kernel: EvolutionKernel,
     what window truncation alone can account for."""
     if kernel.variant != "rescaled_Phi":
         raise KindMismatch("unitarity is a statement about rescaled_Phi")
-    absx = np.abs(window_values(ctx)) / _weight_prefactor(ctx)
+    absx = np.abs(window_values(ctx)) / _weights(ctx).prefactor
     A = kernel.matrix.conj().T @ (absx[:, None] * kernel.matrix)
     resid = float(np.max(np.abs(A - np.diag(absx))))
     bound = 1e3 * max(ctx.q**ctx.lattice_depth / (1.0 - ctx.q),
@@ -346,11 +335,12 @@ def inverse_residual(tau: float, ctx: DeformationContext,
 def phase_map_residual(ctx: DeformationContext, n_modes: int = 20,
                        buffer_levels: int = 40) -> float:
     """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes."""
-    plan = _plan(_deepened(ctx, buffer_levels))
+    deep = _deepened(ctx, buffer_levels)
+    plan = _plan(deep)
     core = 2 * ctx.lattice_depth
     worst = 0.0
     for n in range(n_modes + 1):
-        F = plan.rescaled_modes(n)
+        F = _rescaled_modes(n, deep)
         d = (_apply(math.pi / 2.0, F, plan) - 1j**n * F)[:core]
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
@@ -365,8 +355,9 @@ def intertwine_residual(ctx: DeformationContext, n_support: int = 12,
     """
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
-    plan = _plan(_deepened(ctx, buffer_levels))
-    modes = plan.rescaled_modes(np.arange(n_support))
+    deep = _deepened(ctx, buffer_levels)
+    plan = _plan(deep)
+    modes = _rescaled_modes(np.arange(n_support), deep)
     evolved = _apply(math.pi / 2.0, b @ modes, plan)
     F_mom = (b * 1j ** np.arange(n_support)) @ modes
     core = 2 * ctx.lattice_depth
@@ -384,7 +375,7 @@ def norm_drift_max(ctx: DeformationContext, n_support: int = 10,
     """
     rng = np.random.default_rng(seed)
     plan = _plan(ctx)
-    modes = plan.rescaled_modes(np.arange(n_support))
+    modes = _rescaled_modes(np.arange(n_support), ctx)
     absx = np.abs(window_values(ctx))
     worst = 0.0
     for _ in range(n_draws):

@@ -24,6 +24,7 @@ from .context import DeformationContext
 from .errors import (DimensionMismatch, NoConvergence, NotHermitian,
                      ValidationError)
 from .qcore import coupling
+from .qhermite import window_index, window_values
 
 _RESIDUAL_FACTOR = 1e-12
 
@@ -242,6 +243,7 @@ def spectrum_report(T: TridiagonalOperator,
     needed here.
     """
     vals = eigenvalues(T, ctx)
+    targets = window_values(ctx).tolist()
     pos = sorted([float(v) for v in vals if v > 0], reverse=True)
     neg = sorted([float(v) for v in vals if v <= 0])
     matched: List[MatchedLevel] = []
@@ -252,8 +254,7 @@ def spectrum_report(T: TridiagonalOperator,
             if s >= ctx.lattice_depth:
                 unmatched.extend(pool[s:])
                 break
-            target = sign * ctx.q**s
-            err = abs(v - target)
+            err = abs(v - targets[window_index(sign, s)])
             matched.append(MatchedLevel(sign, s, v, err))
             per_level.setdefault(s, []).append(err)
     s_match = -1

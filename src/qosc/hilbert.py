@@ -8,9 +8,10 @@ kinds carry the inner product
 
     <f, g> = sum_s c_s [ f(+q^s) conj(g(+q^s)) + f(-q^s) conj(g(-q^s)) ]
 
-with the normalized weights c_s from qhermite. Opposite-sign terms are
-paired before accumulation, so parity-odd products cancel exactly, not
-just approximately.
+with the normalized weights c_s. qhermite owns the window: every mode
+table and weight read here comes from its per-context caches. Opposite-
+sign terms are paired before accumulation, so parity-odd products
+cancel exactly, not just approximately.
 
 The generating-function wavefunctions are
 
@@ -35,8 +36,9 @@ from .context import DeformationContext
 from .errors import (DimensionMismatch, DomainError, KindMismatch,
                      NonConvergent, TailTooLarge, ValidationError)
 from .qcore import coupling, qpoch_inf
-from .qhermite import (LatticePoint, ModeTable, _p_matrix, build_mode_table,
-                       mode_poly, norm_c, norm_c_window, window_values)
+from .qhermite import (LatticePoint, _modes, _weights, build_mode_table,
+                       mode_poly, norm_c, norm_c_window, window_index,
+                       window_values)
 
 _KINDS = ("position", "momentum")
 _SERIES_CAP = 100000
@@ -77,17 +79,6 @@ def _check_bare(f: LatticeFunction, ctx: DeformationContext):
     _check_window(f, ctx)
     if f.rescaled:
         raise KindMismatch("expected bare values, got rescaled ones")
-
-
-def _mode_table(kind: str, ctx: DeformationContext,
-                table: Optional[ModeTable]) -> ModeTable:
-    """The caller's table if it holds `kind` modes, else a fresh one."""
-    if table is None:
-        return build_mode_table(kind, ctx)
-    if table.kind != kind:
-        raise KindMismatch(f"a {table.kind} mode table cannot serve a {kind} "
-                           "function")
-    return table
 
 
 def _series_sum(x: float, z: complex, ctx: DeformationContext) -> complex:
@@ -172,37 +163,33 @@ def phi_product_residuals(qry: WavefunctionQuery,
     return out
 
 
-def normalized_eigenfunction(kind: str, pt: LatticePoint, n_max: int,
+def normalized_eigenfunction(kind: str, pt: LatticePoint,
                              ctx: DeformationContext) -> np.ndarray:
-    """Number-basis coefficients of the unit eigenvector with eigenvalue
+    """Coefficients n < fock_dim of the unit eigenvector with eigenvalue
     sign*q^s: b_n = sqrt(c_s) p_n(x) for position, times i^n for momentum."""
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
-    col, _ = _p_matrix(np.array([pt.value]), n_max, ctx)
-    b = math.sqrt(norm_c(pt.s, ctx)) * col[:, 0].astype(complex)
-    if kind == "momentum":
-        b = b * 1j ** np.arange(n_max)
-    return b
+    scale = math.sqrt(norm_c(pt.s, ctx))
+    return scale * build_mode_table(kind, ctx).values[
+        :, window_index(pt.sign, pt.s)].astype(complex)
 
 
-def fock_to_lattice(b: np.ndarray, kind: str, ctx: DeformationContext,
-                    table: Optional[ModeTable] = None) -> LatticeFunction:
+def fock_to_lattice(b: np.ndarray, kind: str,
+                    ctx: DeformationContext) -> LatticeFunction:
     """Realize coefficients as a window function of `kind`: sum_n b_n p_n(x)
     for position, sum_n b_n i^n p_n(p) for momentum."""
     b = np.asarray(b, dtype=complex).reshape(-1)
     if b.shape[0] > ctx.fock_dim:
         raise DimensionMismatch(
             f"{b.shape[0]} coefficients exceed fock_dim={ctx.fock_dim}")
-    table = _mode_table(kind, ctx, table)
-    return LatticeFunction(kind, b @ table.values[: b.shape[0]])
+    return LatticeFunction(kind, b @ _modes(kind, np.arange(b.shape[0]), ctx))
 
 
 def _paired_inner(v1: np.ndarray, v2: np.ndarray,
                   ctx: DeformationContext) -> complex:
     prod = v1 * np.conj(v2)
     paired = prod[0::2] + prod[1::2]
-    cs = norm_c_window(ctx)[0::2]
-    return complex(np.sum(cs * paired))
+    return complex(np.sum(_weights(ctx).c * paired))
 
 
 def lattice_inner(f1: LatticeFunction, f2: LatticeFunction,
@@ -221,8 +208,7 @@ class ModeExpansion:
     tail: float
 
 
-def decompose(f: LatticeFunction, ctx: DeformationContext,
-              table: Optional[ModeTable] = None) -> ModeExpansion:
+def decompose(f: LatticeFunction, ctx: DeformationContext) -> ModeExpansion:
     """Project a bare window function onto the modes of its kind.
 
     coeffs[n] = <f, mode_n> with the window weights; tail is the mass
@@ -231,9 +217,8 @@ def decompose(f: LatticeFunction, ctx: DeformationContext,
     treat a large tail as a failure (the apply_* helpers do).
     """
     _check_bare(f, ctx)
-    table = _mode_table(f.kind, ctx, table)
-    cs = norm_c_window(ctx)
-    b = np.conj(table.values) @ (cs * f.values)
+    table = build_mode_table(f.kind, ctx)
+    b = np.conj(table.values) @ (norm_c_window(ctx) * f.values)
     norm = _paired_inner(f.values, f.values, ctx).real
     tail = abs(norm - float(np.sum(np.abs(b) ** 2)))
     return ModeExpansion(coeffs=b, tail=tail)
@@ -245,15 +230,14 @@ def _roundtrip(f: LatticeFunction, ctx: DeformationContext, action) -> LatticeFu
     The tail guard fires at sqrt(match_tol): window-edge noise sits many
     orders below that, genuinely unresolvable content many above.
     """
-    table = build_mode_table(f.kind, ctx)
-    exp = decompose(f, ctx, table=table)
+    exp = decompose(f, ctx)
     if exp.tail >= math.sqrt(ctx.match_tol):
         raise TailTooLarge(
             f"mode expansion discards {exp.tail:.3e} of the norm "
             f"(limit {math.sqrt(ctx.match_tol):.1e}); deepen the window "
             "or raise fock_dim")
     out = action(exp.coeffs)
-    return LatticeFunction(f.kind, out @ table.values)
+    return LatticeFunction(f.kind, out @ build_mode_table(f.kind, ctx).values)
 
 
 def _tridiag_action(b: np.ndarray, ctx: DeformationContext,
@@ -296,8 +280,7 @@ def apply_H(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
 def mode_function(n: int, ctx: DeformationContext,
                   kind: str = "position") -> LatticeFunction:
     """The n-th mode as a window function (a table row)."""
-    table = build_mode_table(kind, ctx)
-    return LatticeFunction(kind, table.values[n].copy())
+    return LatticeFunction(kind, _modes(kind, n, ctx))
 
 
 def q_difference_bracket(n: int, ctx: DeformationContext) -> np.ndarray:

@@ -19,18 +19,22 @@ holds -q^s, for s = 0 .. lattice_depth-1. Orthogonality weights:
 so that sum over the window of c_{s(x)} p_k(x) p_m(x) = delta_km up to
 the lattice tail.
 
-build_mode_table is the authoritative evaluator: the three-term
-recurrence run forward is unstable past the turning point n > 2s, so the
-decaying tail of each column is re-filled by backward (Miller) recurrence.
-Pointwise mode_poly/hermite_eval use the plain forward recurrence and are
-meant for shallow degrees.
+This module owns the window: window_values defines its abscissas, and
+two read-only per-context caches hold the rest. _weights holds every
+weight the package reads. _half_table holds p_n(+q^s); every window
+table is its parity mirror (_modes). The forward recurrence is unstable
+past the turning point n > 2s, so the decaying tail of each column is
+re-filled by backward (Miller) recurrence. Pointwise mode_poly and
+hermite_eval use the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from typing import List
+from functools import lru_cache
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -62,19 +66,14 @@ class LatticePoint:
 
 
 def lattice_point(sign: int, s: int, ctx: DeformationContext) -> LatticePoint:
-    if not 0 <= s < ctx.lattice_depth:
-        raise IndexOutOfRange(
-            f"level {s!r} outside [0, {ctx.lattice_depth})")
-    return LatticePoint(sign, int(s), sign * ctx.q ** int(s))
+    s = _level(s, ctx)
+    return LatticePoint(sign, s, float(window_values(ctx)[window_index(sign, s)]))
 
 
 def lattice_window(ctx: DeformationContext) -> List[LatticePoint]:
     """All 2S sites, interleaved: +q^0, -q^0, +q^1, -q^1, ..."""
-    pts = []
-    for s in range(ctx.lattice_depth):
-        pts.append(LatticePoint(1, s, ctx.q**s))
-        pts.append(LatticePoint(-1, s, -(ctx.q**s)))
-    return pts
+    return [LatticePoint(int(sign), int(s), x) for sign, s, x in zip(
+        window_signs(ctx), window_levels(ctx), window_values(ctx).tolist())]
 
 
 def window_index(sign, s):
@@ -83,11 +82,11 @@ def window_index(sign, s):
 
 
 def window_values(ctx: DeformationContext) -> np.ndarray:
-    x = np.empty(2 * ctx.lattice_depth)
-    levels = ctx.q ** np.arange(ctx.lattice_depth, dtype=float)
-    x[0::2] = levels
-    x[1::2] = -levels
-    return x
+    """The abscissas +q^0, -q^0, +q^1, ...; every site's x comes from here.
+    Python's q ** s is correctly rounded at nearly every level, where
+    numpy's vectorized power misses by one ulp at about one in twenty."""
+    levels = np.array([ctx.q ** s for s in range(ctx.lattice_depth)])
+    return np.stack([levels, -levels], axis=1).ravel()
 
 
 def window_levels(ctx: DeformationContext) -> np.ndarray:
@@ -102,11 +101,10 @@ def hermite_eval(n: int, z, ctx: DeformationContext):
     """h_n(z) by the forward three-term recurrence."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise IndexOutOfRange(f"degree must be a non-negative int, got {n!r}")
-    if n == 0:
-        return 1.0 if np.isscalar(z) else np.ones_like(np.asarray(z, dtype=float))
-    q = ctx.q
     prev = 1.0 if np.isscalar(z) else np.ones_like(np.asarray(z, dtype=float))
-    cur = z
+    if n == 0:
+        return prev
+    q, cur = ctx.q, z
     for k in range(1, int(n)):
         prev, cur = cur, z * cur - q ** (k - 1) * (1.0 - q**k) * prev
     return cur
@@ -120,9 +118,9 @@ def mode_poly(n: int, x, ctx: DeformationContext):
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise IndexOutOfRange(f"degree must be a non-negative int, got {n!r}")
-    if n == 0:
-        return 1.0 if np.isscalar(x) else np.ones_like(np.asarray(x, dtype=float))
     prev = 1.0 if np.isscalar(x) else np.ones_like(np.asarray(x, dtype=float))
+    if n == 0:
+        return prev
     cur = x / coupling(0, ctx)
     for k in range(1, int(n)):
         prev, cur = cur, (x * cur - coupling(k - 1, ctx) * prev) / coupling(k, ctx)
@@ -203,48 +201,75 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     return P, tail_start
 
 
+class Weights(NamedTuple):
+    """Per level s < lattice_depth: w_s, sqrt(w_s) and c_s = q^s w_s /
+    prefactor, with prefactor = 2 (q; q)_inf (-q; q)_inf^2."""
+
+    w: np.ndarray
+    sqrt_w: np.ndarray
+    c: np.ndarray
+    prefactor: float
+
+
+@lru_cache(maxsize=4)
+def _weights(ctx: DeformationContext) -> Weights:
+    """Every level's weights, computed once per context.
+
+    The prefactor and w_0, the smallest w_s, must be finite positive
+    normal floats (from q ~ 0.998 on they are not), or DomainError is
+    raised. c_s may underflow to 0 on deep levels, which weighs nothing.
+    """
+    q, q2, tiny = ctx.q, ctx.q * ctx.q, sys.float_info.min
+    pq = float(qpoch_inf(q, ctx).value)
+    mq = float(qpoch_inf(-q, ctx).value)
+    pref = 2.0 * pq * (mq * mq)
+    if not (math.isfinite(pref) and pref >= tiny):
+        raise DomainError(f"weight prefactor {pref!r} outside double range at q={q}")
+    w = np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2).value)
+                  for s in range(ctx.lattice_depth)])
+    if not w[0] >= tiny:
+        raise DomainError(f"weight w_0 = {w[0]!r} outside double range at q={q}")
+    out = Weights(w=w, sqrt_w=np.sqrt(w), c=window_values(ctx)[0::2] * w / pref,
+                  prefactor=pref)
+    for a in out[:3]:
+        a.flags.writeable = False
+    return out
+
+
+def _level(s, ctx: DeformationContext) -> int:
+    if not isinstance(s, (int, np.integer)) or not 0 <= s < ctx.lattice_depth:
+        raise IndexOutOfRange(f"level {s!r} is not an int in [0, {ctx.lattice_depth})")
+    return int(s)
+
+
 def lattice_weight(pt: LatticePoint, ctx: DeformationContext) -> float:
     """Bare weight w_s = (q^{2s+2}; q^2)_inf; sign-independent, in (0, 1]."""
-    q2 = ctx.q * ctx.q
-    return float(qpoch_inf(q2 ** (pt.s + 1), ctx, base=q2).value)
-
-
-def _weight_prefactor(ctx: DeformationContext) -> float:
-    """2 (q; q)_inf (-q; q)_inf^2, the normalization under every c_s."""
-    q = ctx.q
-    pq = qpoch_inf(q, ctx).value
-    mq = qpoch_inf(-q, ctx).value
-    return 2.0 * float(pq) * float(mq) ** 2
+    return float(_weights(ctx).w[_level(pt.s, ctx)])
 
 
 def norm_c(s: int, ctx: DeformationContext) -> float:
     """Normalized weight c_s = q^s w_s / (2 (q;q)_inf (-q;q)_inf^2)."""
-    if not isinstance(s, (int, np.integer)) or s < 0:
-        raise IndexOutOfRange(f"level must be a non-negative int, got {s!r}")
-    q2 = ctx.q * ctx.q
-    ws = float(qpoch_inf(q2 ** (int(s) + 1), ctx, base=q2).value)
-    return ctx.q ** int(s) * ws / _weight_prefactor(ctx)
+    return float(_weights(ctx).c[_level(s, ctx)])
 
 
 def norm_c_window(ctx: DeformationContext) -> np.ndarray:
     """c_{s(x)} for every window site, interleaved like the window."""
-    q2 = ctx.q * ctx.q
-    pref = _weight_prefactor(ctx)
-    cs = np.empty(2 * ctx.lattice_depth)
-    for s in range(ctx.lattice_depth):
-        ws = float(qpoch_inf(q2 ** (s + 1), ctx, base=q2).value)
-        cs[2 * s] = cs[2 * s + 1] = ctx.q**s * ws / pref
-    return cs
+    return np.repeat(_weights(ctx).c, 2)
 
 
 def lattice_weight_window(ctx: DeformationContext) -> np.ndarray:
     """w_{s(x)} for every window site."""
-    q2 = ctx.q * ctx.q
-    w = np.empty(2 * ctx.lattice_depth)
-    for s in range(ctx.lattice_depth):
-        ws = float(qpoch_inf(q2 ** (s + 1), ctx, base=q2).value)
-        w[2 * s] = w[2 * s + 1] = ws
-    return w
+    return np.repeat(_weights(ctx).w, 2)
+
+
+@lru_cache(maxsize=4)
+def _half_table(ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
+    """(p_n(+q^s) for n < fock_dim, tail_start per level), read-only:
+    the one tabulation of the modes."""
+    out = _p_matrix(window_values(ctx)[0::2], ctx.fock_dim, ctx)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,25 +294,26 @@ class ModeTable:
             raise ValidationError(
                 f"kind must be 'position' or 'momentum', got {self.kind!r}")
 
-    @property
-    def points(self) -> List[LatticePoint]:
-        ctx = DeformationContext(q=self.q, fock_dim=self.fock_dim,
-                                 lattice_depth=self.lattice_depth)
-        return lattice_window(ctx)
+
+def _modes(kind: str, n, ctx: DeformationContext) -> np.ndarray:
+    """p_n (kind "position") or i^n p_n ("momentum") over the window, for a
+    degree n or one per row: the half table's parity mirror, by
+    p_n(-x) = (-1)^n p_n(x). The + 0.0 writes cut tails as +0.0 at both
+    signs, as the recurrence does."""
+    n = np.arange(ctx.fock_dim)[n]
+    h = _half_table(ctx)[0][n]
+    out = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
+    out[..., 0::2] = h
+    out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h) + 0.0
+    return (1j ** n)[..., None] * out if kind == "momentum" else out
 
 
 def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:
     """Tabulate all modes n < fock_dim over the window."""
-    x = window_values(ctx)
-    P, tail_start = _p_matrix(x, ctx.fock_dim, ctx)
-    if kind == "momentum":
-        phases = 1j ** np.arange(ctx.fock_dim)
-        values = phases[:, None] * P
-    else:
-        values = P
     return ModeTable(kind=kind, q=ctx.q, fock_dim=ctx.fock_dim,
-                     lattice_depth=ctx.lattice_depth, values=values,
-                     tail_start=tail_start)
+                     lattice_depth=ctx.lattice_depth,
+                     values=_modes(kind, np.arange(ctx.fock_dim), ctx),
+                     tail_start=np.repeat(_half_table(ctx)[1], 2))
 
 
 def orthogonality_residual(k: int, m: int, ctx: DeformationContext) -> float:
@@ -302,19 +328,16 @@ def orthogonality_residual(k: int, m: int, ctx: DeformationContext) -> float:
     """
     if k < 0 or m < 0:
         raise IndexOutOfRange("degrees must be non-negative")
-    q = ctx.q
-    pref = _weight_prefactor(ctx)
+    q, weights = ctx.q, _weights(ctx)
 
     def diag(j: int) -> float:
-        return pref * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
+        return weights.prefactor * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
 
     lhs = 0.0
-    for s in range(ctx.lattice_depth):
-        xs = q**s
-        ws = lattice_weight(LatticePoint(1, s, xs), ctx)
+    for xs, ws in zip(window_values(ctx)[0::2].tolist(), weights.w.tolist()):
         plus = float(hermite_eval(k, xs, ctx)) * float(hermite_eval(m, xs, ctx))
         minus = float(hermite_eval(k, -xs, ctx)) * float(hermite_eval(m, -xs, ctx))
-        lhs += q**s * ws * (plus + minus)
+        lhs += xs * ws * (plus + minus)
     rhs = diag(m) if k == m else 0.0
     return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
 

@@ -46,7 +46,7 @@ from .errors import ValidationError
 from .evolution import EvolutionKernel
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
-from .qhermite import ModeTable, window_index
+from .qhermite import ModeTable, lattice_window, window_index
 
 SCHEMA_VERSION = 1
 
@@ -247,8 +247,9 @@ def _csv_q(rows, site: np.ndarray) -> Optional[float]:
 
 
 def _sites(q: float, depth: int) -> list:
-    """(sign, s, x) per window site; x is Python's q**s, not numpy's."""
-    return [(sign, s, sign * q**s) for s in range(depth) for sign in (1, -1)]
+    """(sign, s, x) per window site, as qhermite.lattice_window gives them."""
+    ctx = DeformationContext(q=q, lattice_depth=depth)
+    return [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
 
 
 # -- mode tables -------------------------------------------------------

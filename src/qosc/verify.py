@@ -35,9 +35,10 @@ from .hilbert import (WavefunctionQuery, apply_P, apply_Q, fock_to_lattice,
                       phi_product_residuals, psi_eval, q_difference_P_oracle)
 from .qcore import (apply_lowering, apply_raising, coupling, fock_inner,
                     fock_monomial, qpoch, qpoch_inf, scale_op)
-from .qhermite import (build_mode_table, dual_orthogonality_residual,
-                       hermite_eval, lattice_point, mode_poly, norm_c,
-                       norm_c_window, orthogonality_residual, window_values)
+from .qhermite import (_p_matrix, build_mode_table,
+                       dual_orthogonality_residual, hermite_eval,
+                       lattice_point, mode_poly, norm_c, norm_c_window,
+                       orthogonality_residual, window_values)
 
 QS = (0.3, 0.5, 0.8, 0.95)
 
@@ -171,10 +172,12 @@ def _qpoch_stability(q: float):
 
 
 def _mode_parity(q: float):
+    # the recurrence runs at -x itself: the table's -x columns are a mirror
     ctx = _ctx(q)
     t = build_mode_table("position", ctx)
+    minus, _ = _p_matrix(window_values(ctx)[1::2], ctx.fock_dim, ctx)
     signs = (-1.0) ** np.arange(ctx.fock_dim)
-    diff = t.values[:, 1::2] - signs[:, None] * t.values[:, 0::2]
+    diff = minus - signs[:, None] * t.values[:, 0::2]
     return float(np.max(np.abs(diff))), 0.0, "p_n(-x) = (-1)^n p_n(x), bitwise"
 
 
@@ -288,11 +291,10 @@ def _eigenvector_mode_ratio(q: float):
 def _position_eigenrelation(q: float):
     ctx = _ctx(q, fock_dim=60)
     worst = 0.0
-    table = build_mode_table("position", ctx)
     for s in (0, 3, 7):
         pt = lattice_point(1, s, ctx)
-        b = normalized_eigenfunction("position", pt, ctx.fock_dim, ctx)
-        f = fock_to_lattice(b, "position", ctx, table=table)
+        b = normalized_eigenfunction("position", pt, ctx)
+        f = fock_to_lattice(b, "position", ctx)
         xf = apply_Q(f, ctx)
         worst = max(worst, float(np.max(np.abs(xf.values - q**s * f.values))))
     return worst, 1e-8, "multiplication by x fixes the eigenfunction, up to truncation"
@@ -325,14 +327,13 @@ def _q_difference_P(q: float):
 def _parseval(q: float, seed: int, draws: int = 20):
     depth = suggested_depth(q, 1e-15)
     ctx = _ctx(q, lattice_depth=depth)
-    table = build_mode_table("position", ctx)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(draws):
         b1 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         b2 = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f1 = fock_to_lattice(b1, "position", ctx, table=table)
-        f2 = fock_to_lattice(b2, "position", ctx, table=table)
+        f1 = fock_to_lattice(b1, "position", ctx)
+        f2 = fock_to_lattice(b2, "position", ctx)
         lhs = complex(np.sum(b1 * np.conj(b2)))
         rhs = lattice_inner(f1, f2, ctx)
         worst = max(worst, abs(lhs - rhs))

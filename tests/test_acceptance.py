@@ -18,7 +18,6 @@ from qosc import (
     build_F_of_H,
     build_H,
     build_ladders,
-    build_mode_table,
     build_P,
     build_Q,
     commutator,
@@ -169,12 +168,11 @@ def test_criterion_7_ladder_commutator_limit():
 
 def test_criterion_8_parseval():
     ctx = DeformationContext(q=0.5, lattice_depth=50)
-    table = build_mode_table("position", ctx)
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(100):
         b = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        f = fock_to_lattice(b, "position", ctx, table=table)
+        f = fock_to_lattice(b, "position", ctx)
         lhs = float(np.sum(np.abs(b) ** 2))
         rhs = lattice_inner(f, f, ctx)
         worst = max(worst, abs(lhs - rhs))

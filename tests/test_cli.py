@@ -206,6 +206,29 @@ def test_config_unknown_key(runner, tmp_path):
     assert r.exit_code == 1
 
 
+def test_verify_config_reads_only_the_seed(runner, tmp_path, monkeypatch):
+    # verify computes at its own q values; the config's q is not checked
+    seen = []
+    monkeypatch.setattr(qosc.cli, "run_verification", lambda seed, **kw: (
+        seen.append(seed) or qosc.VerifyReport(True, seed, (), 0.0, [])))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("q = 2\nseed = 7\n")
+    r = runner.invoke(main, ["verify", "--config", str(cfg)])
+    assert r.exit_code == 0, r.output
+    assert seen == [7]
+    r = runner.invoke(main, ["spectrum", "--config", str(cfg)])
+    assert r.exit_code == 1 and "q must be a float" in r.output
+
+
+@pytest.mark.parametrize("q", ["0.998", "0.999"])
+def test_kernel_with_weights_outside_double_range_fails(runner, tmp_path, q):
+    out = tmp_path / "k.csv"
+    r = runner.invoke(main, ["kernel", "--q", q, "--out", str(out)])
+    assert r.exit_code == 1
+    assert "outside double range" in r.output
+    assert not out.exists()
+
+
 def test_invalid_q_is_validation_error(runner):
     r = runner.invoke(main, ["spectrum", "--q", "1.7"])
     assert r.exit_code == 1

@@ -14,8 +14,8 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   rescale, rescaled_mode, standard_inner, unitarity_residual,
                   unrescale)
 from qosc.evolution import _plan
-from qosc.qhermite import (build_mode_table, lattice_weight_window,
-                           norm_c_window)
+from qosc.qhermite import (_half_table, _weights, build_mode_table,
+                           lattice_weight_window, norm_c_window)
 
 
 @pytest.fixture
@@ -170,7 +170,8 @@ def test_plan_cache_stays_bounded(ectx):
     for depth in range(4, 4 + maxsize + 3):
         fractional_ft(0.2, replace(ectx, lattice_depth=depth,
                                    fock_dim=2 * depth))
-        assert _plan.cache_info().currsize <= maxsize
+        for cache in (_plan, _half_table, _weights):
+            assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
 @pytest.mark.parametrize("q", [0.5, 0.95])
@@ -212,11 +213,32 @@ def test_deep_window_raises_instead_of_non_finite_values():
         fractional_ft(0.5, ctx)
 
 
+@pytest.mark.parametrize("q", [0.998, 0.999])
+def test_weights_outside_double_range_stop_the_kernels(q):
+    ctx = DeformationContext(q=q)
+    for make in (fractional_ft, kernel_K):
+        with pytest.raises(DomainError, match="outside double range"):
+            make(0.5, ctx)
+
+
+def test_underflowing_deep_weights_keep_the_kernel_finite():
+    # c_s underflows to exact 0 on the deepest 82 levels; those sites carry
+    # no weight, which is not an error
+    ctx = DeformationContext(q=0.3, fock_dim=64, lattice_depth=700)
+    assert int(np.sum(norm_c_window(ctx) == 0.0)) == 164
+    k = fractional_ft(1.0, ctx)
+    assert np.isfinite(k.matrix).all()
+    assert k.s_match == 31
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
 def test_plan_half_is_the_tables_plus_x_columns(q):
     ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
     table = build_mode_table("position", ctx).values
     assert np.array_equal(_plan(ctx).half, table[:, 0::2])
+    # the plan holds qhermite's cached arrays, not copies
+    assert _plan(ctx).half is _half_table(ctx)[0]
+    assert _plan(ctx).c is _weights(ctx).c
     sw = np.sqrt(lattice_weight_window(ctx))
     for n in (0, 1, 6, 37):
         assert np.array_equal(rescaled_mode(n, ctx).values, sw * table[n])

@@ -6,7 +6,7 @@ import pytest
 from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
                   DomainError, KindMismatch, LatticeFunction, TailTooLarge,
                   ValidationError, WavefunctionQuery, apply_H, apply_P,
-                  apply_Q, basis_coeff, build_mode_table, coupling, decompose,
+                  apply_Q, basis_coeff, coupling, decompose,
                   fock_inner, fock_to_lattice, lattice_inner, lattice_point,
                   mode_function, normalized_eigenfunction, phi_eval,
                   phi_product_residuals, psi_eval, q_difference_P_oracle,
@@ -69,13 +69,12 @@ def test_phi_candidate_residuals(ctx):
 
 
 def test_normalized_eigenfunction_unit_norm(ctx):
-    b = normalized_eigenfunction("position", lattice_point(1, 0, ctx),
-                                 ctx.fock_dim, ctx)
+    b = normalized_eigenfunction("position", lattice_point(1, 0, ctx), ctx)
     assert float(np.sum(np.abs(b) ** 2)) == pytest.approx(1.0, abs=1e-12)
     # six eigenvectors at N = 60 are orthonormal, and fock_inner agrees
     ctx = DeformationContext(q=0.5, fock_dim=60)
     pts = [lattice_point(sg, s, ctx) for sg in (1, -1) for s in (0, 1, 3)]
-    vecs = np.array([normalized_eigenfunction("position", p, ctx.fock_dim, ctx)
+    vecs = np.array([normalized_eigenfunction("position", p, ctx)
                      for p in pts])
     assert np.max(np.abs(np.conj(vecs) @ vecs.T - np.eye(len(pts)))) < 1e-8
     cn = np.array([basis_coeff(n, ctx) for n in range(ctx.fock_dim)])
@@ -97,18 +96,6 @@ def test_roundtrip_fock_window_fock(rng):
     exp = decompose(g, ctx)
     assert np.allclose(exp.coeffs, b, atol=1e-8)
     assert exp.tail < 1e-10
-
-
-def test_table_kind_must_match(ctx):
-    momentum = build_mode_table("momentum", ctx)
-    with pytest.raises(KindMismatch):
-        fock_to_lattice(np.ones(4), "position", ctx, table=momentum)
-    with pytest.raises(KindMismatch):
-        decompose(mode_function(3, ctx), ctx, table=momentum)
-    # the matching table gives the plain coefficient
-    exp = decompose(mode_function(3, ctx), ctx,
-                    table=build_mode_table("position", ctx))
-    assert exp.coeffs[3] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_parity_inner_products_exactly_zero(ctx):

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, IndexOutOfRange, ValidationError,
-                  build_mode_table, completeness_defect,
+from qosc import (DeformationContext, DomainError, IndexOutOfRange,
+                  ValidationError, build_mode_table, completeness_defect,
                   dual_orthogonality_residual, hermite_eval, lattice_point,
                   lattice_weight, lattice_weight_window, lattice_window,
                   mode_poly, norm_c, norm_c_window, orthogonality_residual,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
+from qosc.qhermite import _p_matrix
 
 
 def test_lattice_point_validation(ctx):
@@ -68,9 +69,31 @@ def test_mode_poly_accepts_arrays(ctx):
 
 
 def test_table_parity_bitwise(ctx):
+    # the -x columns are a mirror of +x, so run the recurrence at -x itself
     t = build_mode_table("position", ctx)
+    minus, _ = _p_matrix(window_values(ctx)[1::2], ctx.fock_dim, ctx)
     signs = (-1.0) ** np.arange(ctx.fock_dim)
-    assert np.array_equal(t.values[:, 1::2], signs[:, None] * t.values[:, 0::2])
+    assert np.array_equal(minus, signs[:, None] * t.values[:, 0::2])
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.97, 0.99])
+@pytest.mark.parametrize("S,N", [(8, 16), (32, 64), (256, 640)])
+def test_mirrored_table_equals_full_window_bitwise(q, S, N):
+    # uint64 views tell +0.0 from -0.0, so the cut tails are pinned too
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    values, tail_start = _p_matrix(window_values(ctx), N, ctx)
+    t = build_mode_table("position", ctx)
+    assert np.array_equal(t.values.view(np.uint64), values.view(np.uint64))
+    assert np.array_equal(t.tail_start, tail_start)
+
+
+def test_mirrored_table_raises_like_full_window():
+    ctx = DeformationContext(q=0.3, fock_dim=800, lattice_depth=300)
+    with pytest.raises(DomainError) as full:
+        _p_matrix(window_values(ctx), ctx.fock_dim, ctx)
+    with pytest.raises(DomainError) as mirrored:
+        build_mode_table("position", ctx)
+    assert str(mirrored.value) == str(full.value)
 
 
 def test_table_tail_flags(ctx):
@@ -154,3 +177,19 @@ def test_completeness_defect_shrinks_with_fock_dim():
 def test_suggested_depth():
     assert suggested_depth(0.5, 1e-15) == 50
     assert suggested_depth(0.8, 1e-15) > suggested_depth(0.5, 1e-15)
+
+
+@pytest.mark.parametrize("q", [0.998, 0.999])
+def test_weights_outside_double_range_raise(q):
+    ctx = DeformationContext(q=q)
+    for call in (lambda: norm_c_window(ctx), lambda: norm_c(0, ctx),
+                 lambda: lattice_weight_window(ctx),
+                 lambda: lattice_weight(lattice_point(1, 0, ctx), ctx)):
+        with pytest.raises(DomainError, match="outside double range"):
+            call()
+
+
+def test_weights_read_one_level_of_the_window(ctx):
+    assert norm_c(3, ctx) == norm_c_window(ctx)[7]
+    with pytest.raises(IndexOutOfRange):
+        norm_c(ctx.lattice_depth, ctx)
