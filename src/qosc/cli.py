@@ -41,6 +41,14 @@ _CONFIG_KEYS = set(_DEFAULTS) | {"seed"}
 # Largest table `hermite --grid` or `hermite --family hermite` may write.
 MAX_TABLE_ROWS = 1_000_000
 
+# Largest dense matrix `spectrum`, `kernel` or `evolve` may be asked for:
+# the complex 2S x 2S kernel (16 (2S)^2 bytes) and Q as a real N x N
+# matrix (8 N^2 bytes). Q is stored as two vectors, but its bisection
+# costs O(N^2), so it is capped as if dense. Every array these commands
+# form is O(N S), so the two caps bound them all. 4 GiB allows S = 8192
+# and N = 23170.
+MAX_DENSE_BYTES = 4 * 2**30
+
 
 def _parse_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
@@ -91,6 +99,20 @@ def _resolve(config, **flags) -> DeformationContext:
     merged = _settings(config, **flags)
     del merged["seed"]
     return DeformationContext(**merged)
+
+
+def _capped(ctx: DeformationContext) -> DeformationContext:
+    """ctx, or ValidationError before anything is allocated when its dense
+    kernel or dense Q would pass MAX_DENSE_BYTES."""
+    for what, nbytes in (("kernel", 16 * (2 * ctx.lattice_depth) ** 2),
+                         ("Q", 8 * ctx.fock_dim ** 2)):
+        if nbytes > MAX_DENSE_BYTES:
+            raise ValidationError(
+                f"a dense {what} at fock_dim={ctx.fock_dim}, lattice_depth="
+                f"{ctx.lattice_depth} would take {nbytes:.3g} bytes, over the "
+                f"{MAX_DENSE_BYTES:.3g}-byte cap; lower --fock-dim or "
+                f"--lattice-depth")
+    return ctx
 
 
 _OPTIONS = {
@@ -210,7 +232,7 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
 @guarded
 def spectrum(fmt, out, config, require_s, **flags):
     """Diagonalize the position operator and match levels to +-q^s."""
-    ctx = _resolve(config, **flags)
+    ctx = _capped(_resolve(config, **flags))
     rep = spectrum_report(build_Q(ctx), ctx)
     path = out or f"spectrum.{fmt}"
     write_spectrum_report(rep, path, fmt)
@@ -231,7 +253,7 @@ def spectrum(fmt, out, config, require_s, **flags):
 @guarded
 def kernel(fmt, out, config, tau, variant, **flags):
     """Write the finite-time evolution kernel on the lattice window."""
-    ctx = _resolve(config, **flags)
+    ctx = _capped(_resolve(config, **flags))
     k = fractional_ft(tau, ctx) if variant == "rescaled" else kernel_K(tau, ctx)
     path = out or f"kernel.{fmt}"
     write_kernel(k, path, fmt)
@@ -249,7 +271,7 @@ def kernel(fmt, out, config, tau, variant, **flags):
 @guarded
 def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
     """Evolve a rescaled position-realization function by angle tau."""
-    ctx = _resolve(config, **flags)
+    ctx = _capped(_resolve(config, **flags))
     f = load_lattice_function(input_path, ctx=ctx)
     if rescale_input and not f.rescaled:
         f = rescale(f, ctx)

@@ -15,13 +15,13 @@ e^{i n tau}.
 
 Only the phases e^{i n tau} depend on tau. qhermite owns the window:
 p_n on its +x half, c and sqrt(w) are its cached per-context arrays.
-_plan adds the completeness tail and s_match (from spectrum_report,
-eigenvalues only) and is cached for the few most recent contexts. Since
-p_n(-x) = (-1)^n p_n(x), the sum over n splits into an even part E and
-an odd part O on the half window: sites of equal sign get E + O, sites
-of opposite sign E - O. A kernel is then four real S x N/2 x S products,
-and evolve() applies the same split to a vector in O(N S) without
-forming any kernel.
+_plan adds the completeness tail and s_match (fock.count_s_match: Sturm
+counts on Q, no eigensolver) and is cached for the few most recent
+contexts. Since p_n(-x) = (-1)^n p_n(x), the sum over n splits into an
+even part E and an odd part O on the half window: sites of equal sign
+get E + O, sites of opposite sign E - O. A kernel is then four real
+S x N/2 x S products, and evolve() applies the same split to a vector in
+O(N S) without forming any kernel.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
@@ -42,7 +42,7 @@ import numpy as np
 
 from .context import DeformationContext
 from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
-from .fock import build_P, build_Q, spectrum_report
+from .fock import build_P, build_Q, count_s_match
 from .hilbert import LatticeFunction, _check_window
 from .qhermite import (_half_table, _modes, _weights, lattice_weight_window,
                        window_values)
@@ -56,9 +56,11 @@ class EvolutionKernel:
 
     tail_estimate is the bilinear completeness defect of the mode table
     the kernel was summed from (how far sum_n c p_n^2 falls short of 1 on
-    the worst site). Rows at levels s > s_match - 4 are considered
-    low-confidence: the truncated operator no longer resolves those
-    levels, and serialized output flags them.
+    the worst site). s_match is the depth through which the truncated Q
+    reproduces +-q^s (spectrum_report's s_match, from count_s_match).
+    Rows at levels s > s_match - 4 are considered low-confidence: the
+    truncated operator no longer resolves those levels, and serialized
+    output flags them.
     """
 
     tau: float
@@ -86,6 +88,8 @@ class _Plan:
     half[n, s] = p_n(+q^s); the site -q^s carries (-1)^n times it, since
     p_n has the parity of n. c and sqrt_w are per level, equal for both
     signs. All three are qhermite's cached read-only arrays, not copies.
+    s_match is spectrum_report's, from Sturm counts on Q alone
+    (count_s_match), so a plan runs no eigensolver.
     """
 
     half: np.ndarray
@@ -101,7 +105,7 @@ def _plan(ctx: DeformationContext) -> _Plan:
     # completeness_defect's per-site sums, which are equal for +-x
     tail = float(np.max(np.abs(1.0 - w.c * np.sum(half**2, axis=0))))
     return _Plan(half=half, c=w.c, sqrt_w=w.sqrt_w, tail_estimate=tail,
-                 s_match=spectrum_report(build_Q(ctx), ctx).s_match)
+                 s_match=count_s_match(build_Q(ctx), ctx))
 
 
 def _fold(tau: float, plan: _Plan, scale) -> np.ndarray:

@@ -11,6 +11,9 @@ n < fock_dim. With a_n = sqrt(q^n (1 - q^{n+1})):
 and [Q, P] = -i F(H) away from the truncation edge. The spectrum of the
 truncated Q fills the geometric lattice {+-q^s} from the outside in;
 spectrum_report performs the matching on eigenvalues alone.
+count_s_match finds the depth of that matching, s_match, from Sturm
+counts at the 4S shifts +-q^s +- match_tol, without computing any
+eigenvalue: it is what every evolution plan reads.
 """
 
 from __future__ import annotations
@@ -269,3 +272,48 @@ def spectrum_report(T: TridiagonalOperator,
                           match_tol=ctx.match_tol, matched=matched,
                           unmatched=unmatched, s_match=s_match,
                           max_error=max_error)
+
+
+def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Number of eigenvalues below each shift, by Sturm inertia count.
+
+    The pivots of the LDL^T factorization of T - sigma I,
+    d_0 = d[0] - sigma, d_i = d[i] - sigma - e[i-1]^2 / d_{i-1}, have as
+    many negative entries as T has eigenvalues below sigma (Barth, Martin
+    and Wilkinson, Numer. Math. 9, 1967). A pivot smaller than pivmin is
+    taken as -pivmin, as LAPACK's bisection does, so an eigenvalue equal
+    to the shift counts as below it.
+    """
+    e2 = np.concatenate([[0.0], e * e])  # e2[i] couples pivot i to i - 1
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
+    count = np.zeros(shifts.shape, dtype=int)
+    piv = np.ones_like(shifts)  # any nonzero start, as e2[0] = 0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for i in range(d.shape[0]):
+            piv = (d[i] - shifts) - e2[i] / piv
+            piv[np.abs(piv) < pivmin] = -pivmin
+            count += piv < 0
+    return count
+
+
+def count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
+    """spectrum_report(T, ctx).s_match from Sturm counts at 4 lattice_depth
+    shifts, +-q^k +- match_tol, without computing any eigenvalue.
+
+    Level k passes when the greedy matching of spectrum_report would meet
+    match_tol at both +q^k and -q^k. The k-th largest positive eigenvalue
+    lies in (q^k - tol, q^k + tol) exactly when at most k eigenvalues lie
+    at or above q^k + tol and at least k + 1 above max(q^k - tol, 0). The
+    nonpositive pool (spectrum_report's v <= 0) is counted the same way on
+    its own shifts, not by symmetry. A pool with too few eigenvalues fails
+    its level, and s_match is the level before the first failure.
+    """
+    d, e, _ = _real_form(T)
+    t, tol = window_values(ctx)[0::2], ctx.match_tol
+    shifts = np.concatenate([t + tol, np.maximum(t - tol, 0.0),
+                             -t - tol, np.minimum(tol - t, 0.0)])
+    pos_hi, pos_lo, neg_lo, neg_hi = np.split(_count_below(d, e, shifts), 4)
+    k, n = np.arange(t.shape[0]), d.shape[0]
+    passed = ((n - pos_hi <= k) & (n - pos_lo > k)
+              & (neg_lo <= k) & (neg_hi > k))
+    return int(np.logical_and.accumulate(passed).sum()) - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,9 +10,9 @@ import pytest
 from click.testing import CliRunner
 
 import qosc
-from qosc import (DeformationContext, build_mode_table, hermite_eval,
-                  rescaled_mode)
-from qosc.cli import main
+from qosc import (DeformationContext, ValidationError, build_mode_table,
+                  hermite_eval, rescaled_mode)
+from qosc.cli import MAX_DENSE_BYTES, _capped, main
 from qosc.serialize import (load_lattice_function, load_mode_table,
                             write_lattice_function)
 
@@ -67,17 +68,71 @@ def test_hermite_n_max_keeps_a_tail_start_per_site(runner, tmp_path):
     assert np.array_equal(back.tail_start, np.minimum(full.tail_start, 5))
 
 
+def _qosc_subprocess(code: str, *args: str, **kwargs):
+    env = dict(os.environ, PYTHONPATH=str(Path(qosc.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=120,
+                          **kwargs)
+
+
 def test_hermite_does_not_import_scipy(tmp_path):
     code = ("import sys\n"
             "from qosc.cli import main\n"
             "main(['hermite', '--fock-dim', '8', '--lattice-depth', '4',\n"
             "      '--out', sys.argv[1]], standalone_mode=False)\n"
             "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(qosc.__file__).parents[1]))
-    r = subprocess.run([sys.executable, "-c", code, str(tmp_path / "m.csv")],
-                       env=env, capture_output=True, text=True, timeout=120)
+    r = _qosc_subprocess(code, str(tmp_path / "m.csv"))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "m.csv").exists()
+
+
+def test_kernel_and_evolve_do_not_import_scipy(tmp_path):
+    # a plan's s_match comes from Sturm counts, so no eigensolver loads
+    ctx = DeformationContext(q=0.5, lattice_depth=10, fock_dim=44)
+    write_lattice_function(rescaled_mode(1, ctx), ctx, str(tmp_path / "in.csv"))
+    code = ("import sys\n"
+            "from qosc.cli import main\n"
+            "size = ['--lattice-depth', '10', '--fock-dim', '44']\n"
+            "main(['kernel', *size, '--out', 'k.csv'], standalone_mode=False)\n"
+            "main(['evolve', *size, '--input', 'in.csv', '--out', 'e.csv'],\n"
+            "     standalone_mode=False)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+    r = _qosc_subprocess(code, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "k.csv").exists() and (tmp_path / "e.csv").exists()
+
+
+def test_oversized_dense_matrices_fail_before_allocating(tmp_path):
+    # under 1 GiB of address space: the window alone of 10^12 levels
+    # would raise MemoryError; the size check must come first, before
+    # evolve even opens its (missing) input
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from qosc.cli import main\n"
+            "for args in sys.argv[1:]:\n"
+            "    try:\n"
+            "        main(args.split(), standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        print(args.split()[0], exc.code)\n")
+    deep = "--lattice-depth 1000000000000"
+    r = _qosc_subprocess(code, f"spectrum {deep}", f"kernel {deep}",
+                         f"evolve {deep} --input missing.csv",
+                         "spectrum --fock-dim 1000000000", cwd=tmp_path)
+    assert r.stdout.split("\n") == ["spectrum 1", "kernel 1", "evolve 1",
+                                     "spectrum 1", ""], r.stderr
+    assert r.stderr.count("over the 4.29e+09-byte cap") == 4, r.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_size_cap_boundary():
+    at = DeformationContext(q=0.5, fock_dim=23170, lattice_depth=8192)
+    assert 16 * (2 * 8192) ** 2 == MAX_DENSE_BYTES
+    assert _capped(at) is at
+    for over in (dataclasses.replace(at, lattice_depth=8193),
+                 dataclasses.replace(at, fock_dim=23171)):
+        with pytest.raises(ValidationError, match="cap"):
+            _capped(over)
 
 
 def test_hermite_grid(runner, tmp_path):

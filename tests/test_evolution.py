@@ -1,18 +1,20 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   DomainError, EvolutionKernel, KindMismatch, LatticeFunction,
-                  NotRescaled, ValidationError, evolve, fractional_ft,
-                  group_law_residual, heisenberg_rotation_check,
-                  identity_residual, intertwine_residual, inverse_residual,
-                  kernel_K, kernel_sign_flip_residual, mode_function,
-                  norm_drift_max, periodicity_residual, phase_map_residual,
-                  rescale, rescaled_mode, standard_inner, unitarity_residual,
-                  unrescale)
+                  NotRescaled, ValidationError, build_Q, evolve,
+                  fractional_ft, group_law_residual,
+                  heisenberg_rotation_check, identity_residual,
+                  intertwine_residual, inverse_residual, kernel_K,
+                  kernel_sign_flip_residual, mode_function, norm_drift_max,
+                  periodicity_residual, phase_map_residual, rescale,
+                  rescaled_mode, spectrum_report, standard_inner,
+                  unitarity_residual, unrescale)
 from qosc.evolution import _plan
 from qosc.qhermite import (_half_table, _weights, build_mode_table,
                            lattice_weight_window, norm_c_window)
@@ -260,3 +262,28 @@ def test_matrix_free_evolve_matches_the_dense_kernel(q):
         got = evolve(LatticeFunction("position", F, rescaled=True), tau, ctx)
         want = fractional_ft(tau, ctx).matrix @ F
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(F))
+
+
+_REFERENCES = sorted((Path(__file__).parents[1] / "perfbench" / "reference")
+                     .glob("*.npz"))
+
+
+@pytest.mark.parametrize("q, N, S", [(0.7, 5, 4), (0.7, 8, 4), (0.5, 44, 10),
+                                     (0.5, 80, 30)])
+def test_kernel_s_match_is_the_bisections(q, N, S):
+    # the contexts of tests/golden/, test_cli and ectx
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    want = spectrum_report(build_Q(ctx), ctx).s_match
+    assert fractional_ft(0.4, ctx).s_match == want
+    assert kernel_K(0.4, ctx).s_match == want
+
+
+@pytest.mark.parametrize("path", _REFERENCES, ids=lambda p: p.stem)
+def test_kernel_s_match_on_benchmark_references(path):
+    # the benchmark's reference files store the bisection's s_match
+    ref = np.load(path)
+    ctx = DeformationContext(q=float(ref["q"]), fock_dim=int(ref["N"]),
+                             lattice_depth=int(ref["S"]))
+    want = spectrum_report(build_Q(ctx), ctx).s_match
+    assert want == int(ref["s_match"])
+    assert fractional_ft(1.1, ctx).s_match == want

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, DimensionMismatch, NoConvergence,
-                  NotHermitian, TridiagonalOperator, build_F_of_H, build_H,
-                  build_ladders, build_P, build_Q, commutator, coupling,
-                  eigendecompose, eigenvalues, spectrum_report)
+from qosc import (DeformationContext, DimensionMismatch, DomainError,
+                  NoConvergence, NotHermitian, TridiagonalOperator,
+                  build_F_of_H, build_H, build_ladders, build_P, build_Q,
+                  commutator, count_s_match, coupling, eigendecompose,
+                  eigenvalues, spectrum_report)
+from qosc.evolution import _plan
+from qosc.fock import _count_below
 
 
 def test_tridiagonal_shape_guard():
@@ -159,3 +162,61 @@ def test_eigensolver_failures_are_typed(ctx):
     with pytest.raises(NotHermitian):
         eigenvalues(TridiagonalOperator(np.zeros(3), np.ones(2),
                                         hermitian=False), ctx)
+
+
+# (S, N): the ROADMAP ladder, its q -> 1 rung at q = 0.95, and windows
+# deeper than the Fock space resolves, with odd N among them
+_COUNT_SIZES = [(32, 64), (128, 320), (256, 640), (674, 1348), (16, 12),
+                (40, 41), (30, 60), (8, 24), (1, 1), (5, 1), (1, 3), (7, 13)]
+# p_n leaves double range there (p_588 at q = 0.3, p_1034 at q = 0.5), so
+# no kernel can carry them; the two s_match figures part at levels where
+# q^s < 1e-150
+_DEEP = {(0.3, 674, 1348), (0.5, 674, 1348)}
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
+@pytest.mark.parametrize("S, N", _COUNT_SIZES)
+def test_count_s_match_agrees_with_bisection(q, S, N):
+    # the count is numpy Sturm sequences, the oracle LAPACK bisection plus
+    # the greedy matching: the two share no code
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    if (q, S, N) in _DEEP:
+        with pytest.raises(DomainError, match="double range"):
+            _plan(ctx)
+        return
+    assert count_s_match(build_Q(ctx), ctx) == \
+        spectrum_report(build_Q(ctx), ctx).s_match
+
+
+@pytest.mark.parametrize("q, N", [(0.5, 64), (0.95, 200), (0.9, 37)])
+def test_count_s_match_reads_the_real_gauge(q, N):
+    # P has Q's spectrum through a phase similarity; a diagonal shift of
+    # Q by 2 match_tol moves every eigenvalue off its target
+    ctx = DeformationContext(q=q, fock_dim=N)
+    P = build_P(ctx)
+    assert count_s_match(P, ctx) == spectrum_report(P, ctx).s_match
+    Q = build_Q(ctx)
+    shifted = TridiagonalOperator(Q.diag + 2 * ctx.match_tol, Q.offdiag)
+    assert count_s_match(shifted, ctx) == spectrum_report(shifted, ctx).s_match
+    assert count_s_match(shifted, ctx) == -1
+
+
+@pytest.mark.parametrize("q, N", [(0.3, 1), (0.5, 2), (0.5, 65), (0.95, 300)])
+def test_sturm_count_is_the_inertia(q, N):
+    ctx = DeformationContext(q=q, fock_dim=N)
+    vals = eigenvalues(build_Q(ctx), ctx)
+    rng = np.random.default_rng(N)
+    shifts = np.concatenate([rng.uniform(-1.2, 1.2, 50),
+                             vals + 1e-9, vals - 1e-9])
+    d, e = build_Q(ctx).diag, build_Q(ctx).offdiag
+    want = np.sum(vals[None, :] < shifts[:, None], axis=1)
+    assert np.array_equal(_count_below(d, e, shifts), want)
+
+
+def test_sturm_count_takes_a_zero_pivot_as_negative():
+    # blocks {0}, {+-1}, {+-1}: a zero pivot meeting a zero coupling must
+    # not turn the rest of the count into 0/0, and an eigenvalue at the
+    # shift counts as below it, like spectrum_report's v <= 0 pool
+    d, e = np.zeros(5), np.array([0.0, 1.0, 0.0, 1.0])
+    shifts = np.array([0.0, -2.0, 2.0, -0.5, 0.5])
+    assert _count_below(d, e, shifts).tolist() == [3, 0, 5, 2, 3]
