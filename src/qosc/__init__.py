@@ -17,7 +17,7 @@ from .evolution import (EvolutionKernel, evolve, fractional_ft,
                         standard_inner, unitarity_residual, unrescale)
 from .fock import (MatchedLevel, SpectrumReport, TridiagonalOperator,
                    build_F_of_H, build_H, build_ladders, build_P, build_Q,
-                   commutator, count_s_match, eigendecompose, eigenvalues,
+                   commutator, eigendecompose, eigenvalues,
                    spectrum_report)
 from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
                       apply_H, apply_P, apply_Q, decompose, fock_to_lattice,

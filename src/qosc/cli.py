@@ -41,13 +41,15 @@ _CONFIG_KEYS = set(_DEFAULTS) | {"seed"}
 # Largest table `hermite --grid` or `hermite --family hermite` may write.
 MAX_TABLE_ROWS = 1_000_000
 
-# Largest dense matrix `spectrum`, `kernel` or `evolve` may be asked for:
-# the complex 2S x 2S kernel (16 (2S)^2 bytes) and Q as a real N x N
-# matrix (8 N^2 bytes). Q is stored as two vectors, but its bisection
-# costs O(N^2), so it is capped as if dense. Every array these commands
-# form is O(N S), so the two caps bound them all. 4 GiB allows S = 8192
-# and N = 23170.
-MAX_DENSE_BYTES = 4 * 2**30
+# Largest working set `spectrum`, `kernel` or `evolve` may ask for, in
+# bytes. Each command's is estimated from its arrays before any is formed
+# (_check_size): the complex 2S x 2S kernel (16 (2S)^2; kernel only), the
+# real N x S half table of the modes (8 N S; kernel and evolve), and
+# ENTRY_BYTES per level and per eigenvalue for the vectors, Python floats
+# and file rows of the window, the spectrum report and the artifact
+# readers (evolve holds about 0.9 KB per level at S = 200000).
+MAX_WORK_BYTES = 4 * 2**30
+ENTRY_BYTES = 1024
 
 
 def _parse_config_file(path: str) -> dict:
@@ -101,18 +103,17 @@ def _resolve(config, **flags) -> DeformationContext:
     return DeformationContext(**merged)
 
 
-def _capped(ctx: DeformationContext) -> DeformationContext:
-    """ctx, or ValidationError before anything is allocated when its dense
-    kernel or dense Q would pass MAX_DENSE_BYTES."""
-    for what, nbytes in (("kernel", 16 * (2 * ctx.lattice_depth) ** 2),
-                         ("Q", 8 * ctx.fock_dim ** 2)):
-        if nbytes > MAX_DENSE_BYTES:
-            raise ValidationError(
-                f"a dense {what} at fock_dim={ctx.fock_dim}, lattice_depth="
-                f"{ctx.lattice_depth} would take {nbytes:.3g} bytes, over the "
-                f"{MAX_DENSE_BYTES:.3g}-byte cap; lower --fock-dim or "
-                f"--lattice-depth")
-    return ctx
+def _check_size(ctx: DeformationContext, matrix_bytes: int) -> None:
+    """ValidationError, before anything is allocated, when matrix_bytes
+    plus ENTRY_BYTES per level and per eigenvalue would pass
+    MAX_WORK_BYTES."""
+    nbytes = matrix_bytes + ENTRY_BYTES * (ctx.fock_dim + ctx.lattice_depth)
+    if nbytes > MAX_WORK_BYTES:
+        raise ValidationError(
+            f"fock_dim={ctx.fock_dim}, lattice_depth={ctx.lattice_depth} "
+            f"would need about {nbytes:.3g} bytes, over the "
+            f"{MAX_WORK_BYTES:.3g}-byte cap; lower --fock-dim or "
+            f"--lattice-depth")
 
 
 _OPTIONS = {
@@ -232,7 +233,8 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
 @guarded
 def spectrum(fmt, out, config, require_s, **flags):
     """Diagonalize the position operator and match levels to +-q^s."""
-    ctx = _capped(_resolve(config, **flags))
+    ctx = _resolve(config, **flags)
+    _check_size(ctx, 0)  # eigenvalues only: Q is two vectors
     rep = spectrum_report(build_Q(ctx), ctx)
     path = out or f"spectrum.{fmt}"
     write_spectrum_report(rep, path, fmt)
@@ -253,7 +255,9 @@ def spectrum(fmt, out, config, require_s, **flags):
 @guarded
 def kernel(fmt, out, config, tau, variant, **flags):
     """Write the finite-time evolution kernel on the lattice window."""
-    ctx = _capped(_resolve(config, **flags))
+    ctx = _resolve(config, **flags)
+    S = ctx.lattice_depth
+    _check_size(ctx, 16 * (2 * S) ** 2 + 8 * ctx.fock_dim * S)
     k = fractional_ft(tau, ctx) if variant == "rescaled" else kernel_K(tau, ctx)
     path = out or f"kernel.{fmt}"
     write_kernel(k, path, fmt)
@@ -271,7 +275,8 @@ def kernel(fmt, out, config, tau, variant, **flags):
 @guarded
 def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
     """Evolve a rescaled position-realization function by angle tau."""
-    ctx = _capped(_resolve(config, **flags))
+    ctx = _resolve(config, **flags)
+    _check_size(ctx, 8 * ctx.fock_dim * ctx.lattice_depth)  # matrix-free
     f = load_lattice_function(input_path, ctx=ctx)
     if rescale_input and not f.rescaled:
         f = rescale(f, ctx)

@@ -15,7 +15,7 @@ e^{i n tau}.
 
 Only the phases e^{i n tau} depend on tau. qhermite owns the window:
 p_n on its +x half, c and sqrt(w) are its cached per-context arrays.
-_plan adds the completeness tail and s_match (fock.count_s_match: Sturm
+_plan adds the completeness tail and s_match (fock._count_s_match: Sturm
 counts on Q, no eigensolver) and is cached for the few most recent
 contexts. Since p_n(-x) = (-1)^n p_n(x), the sum over n splits into an
 even part E and an odd part O on the half window: sites of equal sign
@@ -42,7 +42,7 @@ import numpy as np
 
 from .context import DeformationContext
 from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
-from .fock import build_P, build_Q, count_s_match
+from .fock import build_P, build_Q, _count_s_match
 from .hilbert import LatticeFunction, _check_window
 from .qhermite import (_half_table, _modes, _weights, lattice_weight_window,
                        window_values)
@@ -57,7 +57,7 @@ class EvolutionKernel:
     tail_estimate is the bilinear completeness defect of the mode table
     the kernel was summed from (how far sum_n c p_n^2 falls short of 1 on
     the worst site). s_match is the depth through which the truncated Q
-    reproduces +-q^s (spectrum_report's s_match, from count_s_match).
+    reproduces +-q^s (spectrum_report's s_match, from _count_s_match).
     Rows at levels s > s_match - 4 are considered low-confidence: the
     truncated operator no longer resolves those levels, and serialized
     output flags them.
@@ -89,7 +89,7 @@ class _Plan:
     p_n has the parity of n. c and sqrt_w are per level, equal for both
     signs. All three are qhermite's cached read-only arrays, not copies.
     s_match is spectrum_report's, from Sturm counts on Q alone
-    (count_s_match), so a plan runs no eigensolver.
+    (_count_s_match), so a plan runs no eigensolver.
     """
 
     half: np.ndarray
@@ -105,7 +105,7 @@ def _plan(ctx: DeformationContext) -> _Plan:
     # completeness_defect's per-site sums, which are equal for +-x
     tail = float(np.max(np.abs(1.0 - w.c * np.sum(half**2, axis=0))))
     return _Plan(half=half, c=w.c, sqrt_w=w.sqrt_w, tail_estimate=tail,
-                 s_match=count_s_match(build_Q(ctx), ctx))
+                 s_match=_count_s_match(build_Q(ctx), ctx))
 
 
 def _fold(tau: float, plan: _Plan, scale) -> np.ndarray:

@@ -11,7 +11,7 @@ n < fock_dim. With a_n = sqrt(q^n (1 - q^{n+1})):
 and [Q, P] = -i F(H) away from the truncation edge. The spectrum of the
 truncated Q fills the geometric lattice {+-q^s} from the outside in;
 spectrum_report performs the matching on eigenvalues alone.
-count_s_match finds the depth of that matching, s_match, from Sturm
+_count_s_match finds the depth of that matching, s_match, from Sturm
 counts at the 4S shifts +-q^s +- match_tol, without computing any
 eigenvalue: it is what every evolution plan reads.
 """
@@ -296,7 +296,7 @@ def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray
     return count
 
 
-def count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
+def _count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
     """spectrum_report(T, ctx).s_match from Sturm counts at 4 lattice_depth
     shifts, +-q^k +- match_tol, without computing any eigenvalue.
 

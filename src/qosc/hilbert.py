@@ -36,8 +36,8 @@ from .context import DeformationContext
 from .errors import (DimensionMismatch, DomainError, KindMismatch,
                      NonConvergent, TailTooLarge, ValidationError)
 from .qcore import coupling, qpoch_inf
-from .qhermite import (LatticePoint, _mode_column, _modes, _weights,
-                       build_mode_table, mode_poly, norm_c, norm_c_window,
+from .qhermite import (LatticePoint, _modes, _weights, build_mode_table,
+                       mode_poly, norm_c, norm_c_window, window_index,
                        window_values)
 
 _KINDS = ("position", "momentum")
@@ -170,7 +170,8 @@ def normalized_eigenfunction(kind: str, pt: LatticePoint,
     if kind not in _KINDS:
         raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
     scale = math.sqrt(norm_c(pt.s, ctx))
-    return scale * _mode_column(kind, pt.sign, pt.s, ctx).astype(complex)
+    return scale * build_mode_table(kind, ctx).values[
+        :, window_index(pt.sign, pt.s)].astype(complex)
 
 
 def fock_to_lattice(b: np.ndarray, kind: str,

@@ -20,21 +20,20 @@ so that sum over the window of c_{s(x)} p_k(x) p_m(x) = delta_km up to
 the lattice tail.
 
 This module owns the window: window_values defines its abscissas, and
-two read-only caches hold the rest, each keyed on the context fields it
-reads. _weights (q, lattice_depth, tail_tol) holds every weight the
-package reads. _half_table (q, fock_dim, lattice_depth) holds p_n(+q^s);
-every window table or column is its parity mirror (_modes, _mode_column).
-The forward recurrence is unstable past the turning point n > 2s, so the
-decaying tail of each column is re-filled by backward (Miller) recurrence. Pointwise mode_poly and
+two read-only per-context caches hold the rest. _weights holds every
+weight the package reads. _half_table holds p_n(+q^s); every window
+table is its parity mirror (_modes). The forward recurrence is unstable
+past the turning point n > 2s, so the decaying tail of each column is
+re-filled by backward (Miller) recurrence. Pointwise mode_poly and
 hermite_eval use the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, NamedTuple
 
 import numpy as np
@@ -202,28 +201,6 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     return P, tail_start
 
 
-def _cached_on(*fields):
-    """A bounded per-context cache keyed on the named context fields alone.
-
-    The wrapped function is called with a context that carries only those
-    fields (the others at their defaults), so its result cannot depend on
-    a field the key omits: contexts that differ only there share an entry.
-    """
-    def decorate(fn):
-        @functools.lru_cache(maxsize=4)
-        def cached(key):
-            return fn(DeformationContext(**dict(zip(fields, key))))
-
-        @functools.wraps(fn)
-        def wrapper(ctx: DeformationContext):
-            return cached(tuple(getattr(ctx, name) for name in fields))
-
-        wrapper.cache_info = cached.cache_info
-        wrapper.cache_clear = cached.cache_clear
-        return wrapper
-    return decorate
-
-
 class Weights(NamedTuple):
     """Per level s < lattice_depth: w_s, sqrt(w_s) and c_s = q^s w_s /
     prefactor, with prefactor = 2 (q; q)_inf (-q; q)_inf^2."""
@@ -234,7 +211,7 @@ class Weights(NamedTuple):
     prefactor: float
 
 
-@_cached_on("q", "lattice_depth", "tail_tol")
+@lru_cache(maxsize=4)
 def _weights(ctx: DeformationContext) -> Weights:
     """Every level's weights, computed once per context.
 
@@ -285,7 +262,7 @@ def lattice_weight_window(ctx: DeformationContext) -> np.ndarray:
     return np.repeat(_weights(ctx).w, 2)
 
 
-@_cached_on("q", "fock_dim", "lattice_depth")
+@lru_cache(maxsize=4)
 def _half_table(ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
     """(p_n(+q^s) for n < fock_dim, tail_start per level), read-only:
     the one tabulation of the modes."""
@@ -329,17 +306,6 @@ def _modes(kind: str, n, ctx: DeformationContext) -> np.ndarray:
     out[..., 0::2] = h
     out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h) + 0.0
     return (1j ** n)[..., None] * out if kind == "momentum" else out
-
-
-def _mode_column(kind: str, sign: int, s: int,
-                 ctx: DeformationContext) -> np.ndarray:
-    """Window column (sign, s) of _modes(kind, np.arange(fock_dim), ctx),
-    bit for bit, read from one half-table column in O(fock_dim)."""
-    n = np.arange(ctx.fock_dim)
-    col = _half_table(ctx)[0][:, s]
-    if sign < 0:
-        col = np.where(n % 2 == 1, -col, col) + 0.0
-    return (1j ** n) * col if kind == "momentum" else col
 
 
 def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +11,7 @@ from click.testing import CliRunner
 import qosc
 from qosc import (DeformationContext, ValidationError, build_mode_table,
                   hermite_eval, rescaled_mode)
-from qosc.cli import MAX_DENSE_BYTES, _capped, main
+from qosc.cli import ENTRY_BYTES, MAX_WORK_BYTES, _check_size, main
 from qosc.serialize import (load_lattice_function, load_mode_table,
                             write_lattice_function)
 
@@ -103,7 +102,7 @@ def test_kernel_and_evolve_do_not_import_scipy(tmp_path):
     assert (tmp_path / "k.csv").exists() and (tmp_path / "e.csv").exists()
 
 
-def test_oversized_dense_matrices_fail_before_allocating(tmp_path):
+def test_oversized_inputs_fail_before_allocating(tmp_path):
     # under 1 GiB of address space: the window alone of 10^12 levels
     # would raise MemoryError; the size check must come first, before
     # evolve even opens its (missing) input
@@ -118,21 +117,37 @@ def test_oversized_dense_matrices_fail_before_allocating(tmp_path):
     deep = "--lattice-depth 1000000000000"
     r = _qosc_subprocess(code, f"spectrum {deep}", f"kernel {deep}",
                          f"evolve {deep} --input missing.csv",
-                         "spectrum --fock-dim 1000000000", cwd=tmp_path)
+                         "spectrum --fock-dim 1000000000",
+                         "kernel --lattice-depth 8192", cwd=tmp_path)
     assert r.stdout.split("\n") == ["spectrum 1", "kernel 1", "evolve 1",
-                                     "spectrum 1", ""], r.stderr
-    assert r.stderr.count("over the 4.29e+09-byte cap") == 4, r.stderr
+                                     "spectrum 1", "kernel 1", ""], r.stderr
+    assert r.stderr.count("over the 4.29e+09-byte cap") == 5, r.stderr
     assert not list(tmp_path.iterdir())
 
 
 def test_size_cap_boundary():
-    at = DeformationContext(q=0.5, fock_dim=23170, lattice_depth=8192)
-    assert 16 * (2 * 8192) ** 2 == MAX_DENSE_BYTES
-    assert _capped(at) is at
-    for over in (dataclasses.replace(at, lattice_depth=8193),
-                 dataclasses.replace(at, fock_dim=23171)):
-        with pytest.raises(ValidationError, match="cap"):
-            _capped(over)
+    ctx = DeformationContext(q=0.5, fock_dim=64, lattice_depth=32)
+    at = MAX_WORK_BYTES - ENTRY_BYTES * (64 + 32)
+    _check_size(ctx, at)
+    with pytest.raises(ValidationError, match="cap"):
+        _check_size(ctx, at + 1)
+
+
+def test_vector_commands_run_past_the_kernel_cap(runner, tmp_path):
+    # spectrum and evolve never form a 2S x 2S kernel, so S above the
+    # kernel's limit (S = 8182 at N = 16) runs at a small N
+    size = ["--lattice-depth", "8200", "--fock-dim", "16"]
+    ctx = DeformationContext(q=0.5, fock_dim=16, lattice_depth=8200)
+    src = str(tmp_path / "in.csv")
+    write_lattice_function(rescaled_mode(1, ctx), ctx, src)
+    for args in (["spectrum", *size, "--out", str(tmp_path / "s.csv")],
+                 ["evolve", *size, "--input", src,
+                  "--out", str(tmp_path / "e.csv")]):
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0, r.output
+    r = runner.invoke(main, ["kernel", *size, "--out", str(tmp_path / "k.csv")])
+    assert r.exit_code == 1 and "cap" in r.output
+    assert not (tmp_path / "k.csv").exists()
 
 
 def test_hermite_grid(runner, tmp_path):

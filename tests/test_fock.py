@@ -4,10 +4,10 @@ import pytest
 from qosc import (DeformationContext, DimensionMismatch, DomainError,
                   NoConvergence, NotHermitian, TridiagonalOperator,
                   build_F_of_H, build_H, build_ladders, build_P, build_Q,
-                  commutator, count_s_match, coupling, eigendecompose,
-                  eigenvalues, spectrum_report)
+                  commutator, coupling, eigendecompose, eigenvalues,
+                  spectrum_report)
 from qosc.evolution import _plan
-from qosc.fock import _count_below
+from qosc.fock import _count_below, _count_s_match
 
 
 def test_tridiagonal_shape_guard():
@@ -184,7 +184,7 @@ def test_count_s_match_agrees_with_bisection(q, S, N):
         with pytest.raises(DomainError, match="double range"):
             _plan(ctx)
         return
-    assert count_s_match(build_Q(ctx), ctx) == \
+    assert _count_s_match(build_Q(ctx), ctx) == \
         spectrum_report(build_Q(ctx), ctx).s_match
 
 
@@ -194,11 +194,11 @@ def test_count_s_match_reads_the_real_gauge(q, N):
     # Q by 2 match_tol moves every eigenvalue off its target
     ctx = DeformationContext(q=q, fock_dim=N)
     P = build_P(ctx)
-    assert count_s_match(P, ctx) == spectrum_report(P, ctx).s_match
+    assert _count_s_match(P, ctx) == spectrum_report(P, ctx).s_match
     Q = build_Q(ctx)
     shifted = TridiagonalOperator(Q.diag + 2 * ctx.match_tol, Q.offdiag)
-    assert count_s_match(shifted, ctx) == spectrum_report(shifted, ctx).s_match
-    assert count_s_match(shifted, ctx) == -1
+    assert _count_s_match(shifted, ctx) == spectrum_report(shifted, ctx).s_match
+    assert _count_s_match(shifted, ctx) == -1
 
 
 @pytest.mark.parametrize("q, N", [(0.3, 1), (0.5, 2), (0.5, 65), (0.95, 300)])

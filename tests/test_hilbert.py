@@ -6,11 +6,11 @@ import pytest
 from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
                   DomainError, KindMismatch, LatticeFunction, TailTooLarge,
                   ValidationError, WavefunctionQuery, apply_H, apply_P,
-                  apply_Q, basis_coeff, build_mode_table, coupling, decompose,
+                  apply_Q, basis_coeff, coupling, decompose,
                   fock_inner, fock_to_lattice, lattice_inner, lattice_point,
-                  mode_function, norm_c, normalized_eigenfunction, phi_eval,
+                  mode_function, normalized_eigenfunction, phi_eval,
                   phi_product_residuals, psi_eval, q_difference_P_oracle,
-                  q_difference_bracket, window_index, window_values)
+                  q_difference_bracket, window_values)
 
 
 def test_lattice_function_kind_guard():
@@ -82,24 +82,6 @@ def test_normalized_eigenfunction_unit_norm(ctx):
     f1 = CoefficientVector(vecs[2] * cn)
     assert abs(fock_inner(f0, f0, ctx) - 1.0) < 1e-8
     assert abs(fock_inner(f0, f1, ctx)) < 1e-8
-
-
-@pytest.mark.parametrize("kind", ["position", "momentum"])
-@pytest.mark.parametrize("q", [0.5, 0.95])
-def test_normalized_eigenfunction_is_a_scaled_table_column(kind, q):
-    # one half-table column, mirrored, must equal the mirrored table's
-    # column bit for bit, cut tails (+0.0) included
-    ctx = DeformationContext(q=q, fock_dim=90, lattice_depth=40)
-    table = build_mode_table(kind, ctx).values
-    for sign in (1, -1):
-        for s in (0, 1, 7, 39):
-            pt = lattice_point(sign, s, ctx)
-            want = math.sqrt(norm_c(s, ctx)) * \
-                table[:, window_index(sign, s)].astype(complex)
-            got = normalized_eigenfunction(kind, pt, ctx)
-            assert np.array_equal(got.view(float), want.view(float))
-            assert np.array_equal(np.signbit(got.view(float)),
-                                  np.signbit(want.view(float)))
 
 
 def test_roundtrip_fock_window_fock(rng):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from qosc import (DeformationContext, DomainError, IndexOutOfRange,
                   mode_poly, norm_c, norm_c_window, orthogonality_residual,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
-from qosc.qhermite import _half_table, _p_matrix, _weights
+from qosc.qhermite import _p_matrix
 
 
 def test_lattice_point_validation(ctx):
@@ -194,27 +193,3 @@ def test_weights_read_one_level_of_the_window(ctx):
     assert norm_c(3, ctx) == norm_c_window(ctx)[7]
     with pytest.raises(IndexOutOfRange):
         norm_c(ctx.lattice_depth, ctx)
-
-
-def test_window_caches_are_keyed_on_the_fields_they_read():
-    # _half_table reads (q, fock_dim, lattice_depth), _weights (q,
-    # lattice_depth, tail_tol): a match_tol-only variant hits both
-    ctx = DeformationContext(q=0.6123, fock_dim=30, lattice_depth=11)
-    half, weights = _half_table(ctx), _weights(ctx)
-
-    def hits_and_misses():
-        return [(c.cache_info().hits, c.cache_info().misses)
-                for c in (_half_table, _weights)]
-
-    for variant, half_hit, weights_hit in (
-            (replace(ctx, match_tol=1e-9), True, True),
-            (replace(ctx, tail_tol=1e-14), True, False),
-            (replace(ctx, fock_dim=31), False, True)):
-        (h0, hm0), (w0, wm0) = hits_and_misses()
-        assert (_half_table(variant) is half) == half_hit
-        assert (_weights(variant) is weights) == weights_hit
-        (h1, hm1), (w1, wm1) = hits_and_misses()
-        assert (h1 - h0, hm1 - hm0) == ((1, 0) if half_hit else (0, 1))
-        assert (w1 - w0, wm1 - wm0) == ((1, 0) if weights_hit else (0, 1))
-    table = build_mode_table("position", replace(ctx, match_tol=1e-9))
-    assert np.array_equal(table.values[:, 0::2], half[0])
