@@ -1,13 +1,17 @@
 #!/usr/bin/env python3
 """SHA-256 of every artifact of a fixed set of qosc CLI commands.
 
-The set runs at q = 0.5, S = 128, N = 320:
+Most of the set runs at q = 0.5, S = 128, N = 320:
 
     hermite                    CSV, JSON, and --n-max 4 JSON
     spectrum --format json
     kernel                     CSV, and --variant raw JSON
     evolve                     on a seeded rescaled state
     verify --seed 3            its stdout, with the timings stripped
+
+hermite and kernel (CSV) also run at q = 0.95, S = 256, N = 640, where
+Miller's backward band is w = 63 degrees wide (18 at q = 0.5) and two
+columns start it before their turning point n = 2s.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned
@@ -31,6 +35,7 @@ import tempfile
 from pathlib import Path
 
 SIZE = ["--q", "0.5", "--lattice-depth", "128", "--fock-dim", "320"]
+WIDE = ["--q", "0.95", "--lattice-depth", "256", "--fock-dim", "640"]
 
 # (artifact name, qosc arguments); each writes its artifact to --out
 COMMANDS = [
@@ -42,6 +47,8 @@ COMMANDS = [
     ("kernel_raw.json", ["kernel", *SIZE, "--variant", "raw", "--format",
                          "json"]),
     ("evolved.csv", ["evolve", *SIZE, "--input", "state.csv"]),
+    ("hermite_q095.csv", ["hermite", *WIDE]),
+    ("kernel_q095.csv", ["kernel", *WIDE]),
 ]
 
 _TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")

@@ -24,8 +24,11 @@ two read-only per-context caches hold the rest. _weights holds every
 weight the package reads. _half_table holds p_n(+q^s); every window
 table is its parity mirror (_modes). The forward recurrence is unstable
 past the turning point n > 2s, so the decaying tail of each column is
-re-filled by backward (Miller) recurrence. Pointwise mode_poly and
-hermite_eval use the plain forward recurrence, for shallow degrees.
+re-filled by backward (Miller) recurrence: one sweep over all flagged
+columns at once, indexed by the degree relative to each column's start,
+so every entry sees the same operations as a column run alone and the
+table is bit-identical to that. Pointwise mode_poly and hermite_eval
+use the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations
@@ -46,7 +49,8 @@ TAIL_MARGIN = 4
 
 # Miller backfill keeps the decaying band down to ~1e-22 of the column
 # scale; 50.7 = -ln(1e-22), and the Gaussian decay exponent is
-# (n - 2s)^2 ln(1/q) / 4.
+# (n - 2s)^2 ln(1/q) / 4. The backward sweep keeps w = tail_width(q)
+# degrees past each column's meet and starts 2w + 8 past it.
 _BAND_LOG = 50.7
 
 
@@ -131,31 +135,6 @@ def tail_width(q: float) -> int:
     return int(np.ceil(np.sqrt(4.0 * _BAND_LOG / np.log(1.0 / q))))
 
 
-def _backfill_column(P: np.ndarray, col: int, x: float, meet: int,
-                     a_all: np.ndarray, w: int) -> int:
-    """Replace the decaying tail of one column by Miller's backward pass.
-
-    Returns the first degree whose entry was set to exact zero (the tail
-    flag for this column); P.shape[0] if the whole column is kept.
-    """
-    nmax = P.shape[0]
-    keep_hi = min(meet + w, nmax - 1)
-    n_start = meet + 2 * w + 8
-    v = np.zeros(n_start - meet + 2)
-    v[-2] = 1.0
-    for n in range(n_start, meet, -1):
-        i = n - meet
-        v[i - 1] = (x * v[i] - a_all[n] * v[i + 1]) / a_all[n - 1]
-        if abs(v[i - 1]) > 1e250:
-            v[i - 1:] /= abs(v[i - 1])
-    if v[0] == 0.0:
-        return nmax
-    scale = P[meet, col] / v[0]
-    P[meet + 1:keep_hi + 1, col] = v[1:keep_hi - meet + 1] * scale
-    P[keep_hi + 1:, col] = 0.0
-    return keep_hi + 1
-
-
 def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
     """p_n at the given points for n < nmax, hybrid forward/backward.
 
@@ -183,12 +162,27 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             meet[hit] = n
             live = meet < 0
             colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
+    # Miller's backward pass over all flagged columns c at once: row i of
+    # v is p_{meet+i} up to a per-column scale, started from v[2w+8] = 1.
+    c = np.flatnonzero(meet >= 0)
+    mc, xc = meet[c], x[c]
     a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
+    v = np.zeros((2 * w + 10, c.size))
+    v[-2] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(m):
-            if 0 <= meet[c] < nmax - 1:
-                tail_start[c] = _backfill_column(P, c, float(x[c]), int(meet[c]),
-                                                 a_all, w)
+        for i in range(2 * w + 8, 0, -1):
+            v[i - 1] = (xc * v[i] - a_all[mc + i] * v[i + 1]) / a_all[mc + i - 1]
+            big = np.abs(v[i - 1]) > 1e250
+            if big.any():
+                v[i - 1:, big] /= np.abs(v[i - 1, big])
+        ok = v[0] != 0.0
+        c, mc, v = c[ok], mc[ok], v[:, ok]
+        j = np.arange(1, w + 1)[:, None]
+        put = j <= np.minimum(w, nmax - 1 - mc)
+        P[(mc + j)[put], np.broadcast_to(c, put.shape)[put]] = (
+            v[1:w + 1] * (P[mc, c] / v[0]))[put]
+    tail_start[c] = np.minimum(mc + w, nmax - 1) + 1
+    P[np.arange(nmax)[:, None] >= tail_start] = 0.0
     bad = np.argwhere(~np.isfinite(P))
     if bad.size:
         n, c = bad[0]
@@ -333,11 +327,12 @@ def orthogonality_residual(k: int, m: int, ctx: DeformationContext) -> float:
     def diag(j: int) -> float:
         return weights.prefactor * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
 
+    xs = window_values(ctx)[0::2]
+    plus = hermite_eval(k, xs, ctx) * hermite_eval(m, xs, ctx)
+    minus = hermite_eval(k, -xs, ctx) * hermite_eval(m, -xs, ctx)
     lhs = 0.0
-    for xs, ws in zip(window_values(ctx)[0::2].tolist(), weights.w.tolist()):
-        plus = float(hermite_eval(k, xs, ctx)) * float(hermite_eval(m, xs, ctx))
-        minus = float(hermite_eval(k, -xs, ctx)) * float(hermite_eval(m, -xs, ctx))
-        lhs += xs * ws * (plus + minus)
+    for term in (xs * weights.w * (plus + minus)).tolist():
+        lhs += term  # in site order; np.sum's pairwise order moves the last bits
     rhs = diag(m) if k == m else 0.0
     return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
 

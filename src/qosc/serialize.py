@@ -246,6 +246,28 @@ def _csv_q(rows, site: np.ndarray) -> Optional[float]:
     return float(rows[at[0]][2]) if at.size else None
 
 
+def _check_window(path: str, ctx: Optional[DeformationContext],
+                  q: Optional[float], sites: int,
+                  fock_dim: Optional[int] = None) -> None:
+    """With ctx, a loaded artifact must lie on ctx's window, or
+    ValidationError: 2 * ctx.lattice_depth sites, written at ctx.q, and
+    ctx.fock_dim degrees where the file records a degree count."""
+    if ctx is None:
+        return
+    if sites != 2 * ctx.lattice_depth:
+        raise ValidationError(
+            f"{path!r} holds {sites} sites, a window of depth "
+            f"{ctx.lattice_depth} needs {2 * ctx.lattice_depth}")
+    # q is None only for a one-level window, which is {+-1} for every q.
+    if q is not None and q != ctx.q:
+        raise ValidationError(
+            f"{path!r} was written at q={q!r}, the context has q={ctx.q!r}")
+    if fock_dim is not None and fock_dim != ctx.fock_dim:
+        raise ValidationError(
+            f"{path!r} holds {fock_dim} degrees, the context has "
+            f"fock_dim={ctx.fock_dim}")
+
+
 def _sites(q: float, depth: int) -> list:
     """(sign, s, x) per window site, as qhermite.lattice_window gives them."""
     ctx = DeformationContext(q=q, lattice_depth=depth)
@@ -273,7 +295,13 @@ def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> 
 
 
 def load_mode_table(path: str, fmt: Optional[str] = None,
-                    kind: str = "position") -> ModeTable:
+                    kind: str = "position",
+                    ctx: Optional[DeformationContext] = None) -> ModeTable:
+    """Read a mode table. A JSON file records its kind; a CSV file is read
+    as kind, and a "position" CSV with an imaginary part raises
+    ValidationError. With ctx, the table must lie on ctx's window, as in
+    load_lattice_function, and hold ctx.fock_dim degrees.
+    """
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "mode_table") as doc:
             kind, q = doc["kind"], float(doc["q"])
@@ -296,7 +324,12 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
+        if values.imag.any():
+            raise ValidationError(
+                f"{path!r} holds complex values; a momentum table must be "
+                f"read with kind='momentum'")
         values = values.real
+    _check_window(path, ctx, q, 2 * depth, nmax)
     return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,
                      values=values, tail_start=tail_start)
 
@@ -350,16 +383,7 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
         if len(flags) != 1:
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags.pop()))
-    if ctx is None:
-        return f
-    if len(f.values) != 2 * ctx.lattice_depth:
-        raise ValidationError(
-            f"{path!r} holds {len(f.values)} samples, a window of depth "
-            f"{ctx.lattice_depth} needs {2 * ctx.lattice_depth}")
-    # q is None only for a one-level window, which is {+-1} for every q.
-    if q is not None and q != ctx.q:
-        raise ValidationError(
-            f"{path!r} was written at q={q!r}, the context has q={ctx.q!r}")
+    _check_window(path, ctx, q, len(f.values))
     return f
 
 
@@ -404,12 +428,18 @@ def _kernel(meta: dict, rows, keys) -> EvolutionKernel:
                            s_match=int(meta["s_match"]))
 
 
-def load_kernel(path: str, fmt: Optional[str] = None) -> EvolutionKernel:
+def load_kernel(path: str, fmt: Optional[str] = None,
+                ctx: Optional[DeformationContext] = None) -> EvolutionKernel:
+    """Read a kernel; with ctx, its q, lattice_depth and n_max must be
+    ctx's (n_max is the fock_dim it was built at), or ValidationError."""
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel") as doc:
-            return _kernel(doc, doc["entries"], _KERNEL_COLUMNS[:6])
-    with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
-        return _kernel(meta, rows, range(6))
+            k = _kernel(doc, doc["entries"], _KERNEL_COLUMNS[:6])
+    else:
+        with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
+            k = _kernel(meta, rows, range(6))
+    _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
+    return k
 
 
 # -- reports -----------------------------------------------------------

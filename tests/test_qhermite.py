@@ -10,7 +10,8 @@ from qosc import (DeformationContext, DomainError, IndexOutOfRange,
                   mode_poly, norm_c, norm_c_window, orthogonality_residual,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
-from qosc.qhermite import _p_matrix
+from qosc.qcore import coupling
+from qosc.qhermite import _p_matrix, _weights, tail_width
 
 
 def test_lattice_point_validation(ctx):
@@ -94,6 +95,141 @@ def test_mirrored_table_raises_like_full_window():
     with pytest.raises(DomainError) as mirrored:
         build_mode_table("position", ctx)
     assert str(mirrored.value) == str(full.value)
+
+
+# The hybrid table with Miller's pass run one column at a time, as it was
+# before the pass became one sweep over all columns. It also reports each
+# column's meet and, per column, the relative degrees i = n - meet at which
+# the backward values passed 1e250 and were rescaled.
+
+def _backfill_column(P, col, x, meet, a_all, w, rescaled):
+    nmax = P.shape[0]
+    keep_hi = min(meet + w, nmax - 1)
+    n_start = meet + 2 * w + 8
+    v = np.zeros(n_start - meet + 2)
+    v[-2] = 1.0
+    for n in range(n_start, meet, -1):
+        i = n - meet
+        v[i - 1] = (x * v[i] - a_all[n] * v[i + 1]) / a_all[n - 1]
+        if abs(v[i - 1]) > 1e250:
+            rescaled[col].append(i)
+            v[i - 1:] /= abs(v[i - 1])
+    if v[0] == 0.0:
+        return nmax
+    scale = P[meet, col] / v[0]
+    P[meet + 1:keep_hi + 1, col] = v[1:keep_hi - meet + 1] * scale
+    P[keep_hi + 1:, col] = 0.0
+    return keep_hi + 1
+
+
+def _p_matrix_per_column(x, nmax, ctx):
+    m = x.shape[0]
+    a = coupling(np.arange(max(nmax, 2), dtype=float), ctx)
+    P = np.zeros((nmax, m))
+    P[0] = 1.0
+    tail_start = np.full(m, nmax, dtype=int)
+    meet = np.full(m, -1, dtype=int)
+    rescaled = {}
+    if nmax == 1:
+        return P, tail_start, meet, rescaled
+    ax = np.abs(x)
+    w = tail_width(ctx.q)
+    P[1] = x / a[0]
+    colmax = np.maximum(1.0, np.abs(P[1]))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for n in range(1, nmax - 1):
+            P[n + 1] = (x * P[n] - a[n - 1] * P[n - 1]) / a[n]
+            hit = (meet < 0) & (a[n] < ax) & (np.abs(P[n]) < 1e-2 * colmax)
+            meet[hit] = n
+            live = meet < 0
+            colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
+    a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for c in range(m):
+            if 0 <= meet[c] < nmax - 1:
+                rescaled[c] = []
+                tail_start[c] = _backfill_column(P, c, float(x[c]), int(meet[c]),
+                                                 a_all, w, rescaled)
+    return P, tail_start, meet, rescaled
+
+
+def _assert_sweep_matches_columns(x, ctx):
+    """_p_matrix against the per-column oracle, bitwise (uint64 views tell
+    +0.0 from -0.0); returns the oracle's (meet, rescaled)."""
+    want, want_tail, meet, rescaled = _p_matrix_per_column(x, ctx.fock_dim, ctx)
+    assert np.isfinite(want).all()
+    got, got_tail = _p_matrix(x, ctx.fock_dim, ctx)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got_tail, want_tail)
+    return meet, rescaled
+
+
+_SWEEP_SIZES = [(1, 1), (4, 1), (1, 2), (4, 2), (2, 3), (6, 3), (16, 3),
+                (8, 16), (32, 64), (64, 160), (128, 320)]
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.95, 0.99])
+def test_miller_sweep_equals_per_column_pass_bitwise(q):
+    at_last = 0
+    for S, N in _SWEEP_SIZES:
+        ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+        for x in (window_values(ctx)[0::2], window_values(ctx)[1::2]):
+            meet, _ = _assert_sweep_matches_columns(x, ctx)
+            at_last += int(np.sum(meet == N - 2))
+    # some column meets at the last degree the forward pass can flag
+    assert at_last > 0
+
+
+def test_miller_sweep_rescales_like_per_column_pass():
+    # At small q the backward values pass 1e250. On the lattice every
+    # column does so at the same relative degree (a_{meet+i} / q^s hardly
+    # depends on s), so the second case adds points 1% inside the lattice,
+    # whose columns rescale at other degrees: only a per-column mask keeps
+    # the rest of the columns' bits.
+    ctx = DeformationContext(q=0.05, fock_dim=60, lattice_depth=30)
+    _, rescaled = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
+    assert rescaled and all(rescaled.values())
+    ctx = DeformationContext(q=0.02, fock_dim=20, lattice_depth=12)
+    xs = window_values(ctx)[0::2]
+    _, rescaled = _assert_sweep_matches_columns(np.concatenate([xs, 0.99 * xs]), ctx)
+    assert len({tuple(steps) for steps in rescaled.values()}) > 1
+
+
+@pytest.mark.parametrize("q,S,N", [(0.5, 640, 1280), (0.3, 300, 800)])
+def test_miller_sweep_raises_like_per_column_pass(q, S, N):
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    xs = window_values(ctx)[0::2]
+    want = _p_matrix_per_column(xs, N, ctx)[0]
+    n, c = np.argwhere(~np.isfinite(want))[0]
+    with pytest.raises(DomainError, match=rf"^p_{n} is not finite at "
+                       rf"x = {float(xs[c])!r} "):
+        _p_matrix(xs, N, ctx)
+
+
+def _orthogonality_residual_per_site(k, m, ctx):
+    """orthogonality_residual as a scalar loop over the sites."""
+    q, weights = ctx.q, _weights(ctx)
+
+    def diag(j):
+        return weights.prefactor * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
+
+    lhs = 0.0
+    for xs, ws in zip(window_values(ctx)[0::2].tolist(), weights.w.tolist()):
+        plus = float(hermite_eval(k, xs, ctx)) * float(hermite_eval(m, xs, ctx))
+        minus = float(hermite_eval(k, -xs, ctx)) * float(hermite_eval(m, -xs, ctx))
+        lhs += xs * ws * (plus + minus)
+    rhs = diag(m) if k == m else 0.0
+    return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
+
+
+@pytest.mark.parametrize("q,depth", [(0.3, 40), (0.5, 40), (0.8, 80)])
+def test_orthogonality_residual_equals_per_site_loop(q, depth):
+    # verify's sum-orthogonality contexts; qosc verify prints these bits
+    ctx = DeformationContext(q=q, lattice_depth=depth)
+    for k in range(11):
+        for m in range(k, 11):
+            want = _orthogonality_residual_per_site(k, m, ctx)
+            assert orthogonality_residual(k, m, ctx).hex() == want.hex()
 
 
 def test_table_tail_flags(ctx):

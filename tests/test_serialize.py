@@ -3,6 +3,7 @@ import io
 import json
 import os
 import stat
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,12 +208,15 @@ _WRITERS = {
     "kernel": lambda c, p: write_kernel(fractional_ft(0.37, c), p),
     "mode_table": lambda c, p: write_mode_table(
         build_mode_table("position", c), p),
+    "momentum_table": lambda c, p: write_mode_table(
+        build_mode_table("momentum", c), p),
     "lattice_function": lambda c, p: write_lattice_function(
         mode_function(3, c), c, p),
     "spectrum_report": lambda c, p: write_spectrum_report(
         spectrum_report(build_Q(c), c), p),
 }
 _LOADERS = {"kernel": load_kernel, "mode_table": load_mode_table,
+            "momentum_table": load_mode_table,
             "lattice_function": load_lattice_function,
             "spectrum_report": load_spectrum_report}
 
@@ -284,6 +288,9 @@ def _duplicated(rows):
                  id="mode-table-json-unknown-kind"),
     pytest.param("mode_table", "json", _doc(lambda d: d["tail_start"].pop()),
                  id="mode-table-json-short-tail-start"),
+    # undamaged, but read with the default kind="position"
+    pytest.param("momentum_table", "csv", lambda text: text,
+                 id="mode-table-csv-momentum-read-as-position"),
     pytest.param("lattice_function", "csv", _rows(_duplicated),
                  id="lattice-function-csv-duplicate"),
     pytest.param("lattice_function", "json", _doc(lambda d: d.pop("rescaled")),
@@ -297,6 +304,48 @@ def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p.write_text(damage(p.read_text()))
     with pytest.raises(ValidationError):
         _LOADERS[artifact](str(p))
+
+
+def test_momentum_mode_table_csv_roundtrip(tmp_path):
+    ctx = DeformationContext(q=0.5, fock_dim=6, lattice_depth=4)
+    t = build_mode_table("momentum", ctx)
+    p = str(tmp_path / "m.csv")
+    write_mode_table(t, p)
+    back = load_mode_table(p, kind="momentum")
+    assert back.kind == "momentum"
+    assert back.values.tobytes() == t.values.tobytes()
+    with pytest.raises(ValidationError, match="momentum"):
+        load_mode_table(p)
+
+
+_MISMATCH = {"q": {"q": 0.6}, "lattice_depth": {"lattice_depth": 9},
+             "fock_dim": {"fock_dim": 21}}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("artifact,field,match", [
+    ("mode_table", "q", "q=0.5"),
+    ("mode_table", "lattice_depth", "16 sites"),
+    ("mode_table", "fock_dim", "20 degrees"),
+    ("kernel", "q", "q=0.5"),
+    ("kernel", "lattice_depth", "16 sites"),
+    ("kernel", "fock_dim", "20 degrees"),
+    ("lattice_function", "q", "q=0.5"),
+    ("lattice_function", "lattice_depth", "16 sites"),
+])
+def test_loader_checks_its_context(tmp_path, sctx, artifact, fmt, field, match):
+    p = str(tmp_path / f"a.{fmt}")
+    _WRITERS[artifact](sctx, p)
+    _LOADERS[artifact](p)
+    _LOADERS[artifact](p, ctx=sctx)
+    with pytest.raises(ValidationError, match=match):
+        _LOADERS[artifact](p, ctx=replace(sctx, **_MISMATCH[field]))
+
+
+def test_lattice_function_context_ignores_fock_dim(tmp_path, sctx):
+    p = str(tmp_path / "f.csv")
+    _WRITERS["lattice_function"](sctx, p)
+    load_lattice_function(p, ctx=replace(sctx, fock_dim=21))
 
 
 def test_huge_site_key_is_rejected_before_allocating(tmp_path, sctx):
