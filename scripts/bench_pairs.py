@@ -26,6 +26,7 @@ The file is rewritten after each workload.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -59,11 +60,9 @@ def _git(*args: str) -> bytes:
 def export(rev: str, into: Path) -> str:
     """Extract rev's committed tree into the directory; return its hash."""
     sha = _git("rev-parse", "--verify", f"{rev}^{{commit}}").decode().strip()
-    with tempfile.TemporaryFile() as tar:
-        tar.write(_git("archive", "--format=tar", sha))
-        tar.seek(0)
-        with tarfile.open(fileobj=tar) as tf:
-            tf.extractall(into, filter="data")
+    tar = io.BytesIO(_git("archive", "--format=tar", sha))
+    with tarfile.open(fileobj=tar) as tf:
+        tf.extractall(into, filter="data")
     return sha
 
 

@@ -177,9 +177,9 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
                 v[i - 1:, big] /= np.abs(v[i - 1, big])
         ok = v[0] != 0.0
         c, mc, v = c[ok], mc[ok], v[:, ok]
-        j = np.arange(1, w + 1)[:, None]
-        put = j <= np.minimum(w, nmax - 1 - mc)
-        P[(mc + j)[put], np.broadcast_to(c, put.shape)[put]] = (
+        rows = mc + np.arange(1, w + 1)[:, None]
+        put = rows < nmax
+        P[rows[put], np.broadcast_to(c, put.shape)[put]] = (
             v[1:w + 1] * (P[mc, c] / v[0]))[put]
     tail_start[c] = np.minimum(mc + w, nmax - 1) + 1
     P[np.arange(nmax)[:, None] >= tail_start] = 0.0
