@@ -5,8 +5,10 @@
         --seeds 901-910 --out BENCH_9.json
 
 Both commits are exported with git archive into temporary directories
-(under $TMPDIR), so only committed files are measured. For each workload
-and seed, the script runs
+(under $TMPDIR), so only committed files are measured. The benchmark
+command, its run_seconds, its workloads and its end-to-end metrics come
+from the parent tree's BENCHMARK.json. For each workload and seed, the
+script runs
 
     python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
@@ -33,18 +35,14 @@ import platform
 import re
 import statistics
 import subprocess
-import sys
 import tarfile
 import tempfile
 import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-METRICS = ("wall_s", "setup_s", "peak_rss_mb")
-WORKLOADS = ("tau_sweep", "cli_io", "verify")
 SIDES = ("parent", "change")
 _PROBE = re.compile(r"probe median=([0-9.]+) s")
-PROBE_REF_S = 0.020  # perfbench/run.py's reference probe time
 
 
 def _seeds(text: str) -> list:
@@ -66,6 +64,19 @@ def export(rev: str, into: Path) -> str:
     return sha
 
 
+def benchmark(tree: Path) -> dict:
+    """The command, run length, workloads and metrics of the tree's benchmark."""
+    spec = json.loads((tree / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {"command": spec["command"], "seconds": spec["run_seconds"],
+            "workloads": [w["name"] for w in spec["workloads"]],
+            "metrics": [m["name"] for m in spec["end_to_end"]]}
+
+
+def _argv(bench: dict, workload: str, seed) -> list:
+    return [*bench["command"], "--workload", workload, "--seed", str(seed),
+            "--seconds", str(bench["seconds"]), "--trace", "0"]
+
+
 def _result_line(stdout: str):
     """run.py's last line, a JSON object, or None if it printed none."""
     lines = stdout.strip().splitlines()
@@ -76,18 +87,14 @@ def _result_line(stdout: str):
     return result if isinstance(result, dict) else None
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True)
+def run_once(tree: Path, bench: dict, workload: str, seed: int) -> dict:
+    proc = subprocess.run(_argv(bench, workload, seed), cwd=tree,
+                          capture_output=True, text=True)
     result = _result_line(proc.stdout)
     metrics = (result or {}).get("metrics", {})
     probe = _PROBE.search(proc.stdout)
-    probe_s = float(probe.group(1)) if probe else None
-    out = {m: metrics.get(m, {}).get("value") for m in METRICS}
-    out.update(probe_s=probe_s,
-               scale=round(PROBE_REF_S / probe_s, 3) if probe_s else None,
+    out = {m: metrics.get(m, {}).get("value") for m in bench["metrics"]}
+    out.update(probe_s=float(probe.group(1)) if probe else None,
                failed=(result or {}).get("failed"),
                attempted=(result or {}).get("attempted"),
                exit=proc.returncode,
@@ -106,28 +113,28 @@ def _stats(values: list):
     return {"median": med, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list) -> dict:
+def summarize(runs: list, metrics: list) -> dict:
     def reported(side, m):
         return [r[f"{side}_{m}"] for r in runs if r[f"{side}_{m}"] is not None]
 
     out = {"seeds": [r["seed"] for r in runs], "pairs": len(runs)}
     for side, label in zip(SIDES, ("before", "after")):
-        out[label] = {m: _stats(reported(side, m)) for m in METRICS}
+        out[label] = {m: _stats(reported(side, m)) for m in metrics}
         out[f"{label}_failed"] = sum(r[f"{side}_failed"] or 0 for r in runs)
         out[f"{label}_attempted"] = sum(r[f"{side}_attempted"] or 0 for r in runs)
         out[f"{label}_failed_runs"] = sum(r[f"{side}_failed_run"] for r in runs)
     both = {m: [(r[f"parent_{m}"], r[f"change_{m}"]) for r in runs
                 if None not in (r[f"parent_{m}"], r[f"change_{m}"])]
-            for m in METRICS}
-    out["pairs_compared"] = {m: len(both[m]) for m in METRICS}
+            for m in metrics}
+    out["pairs_compared"] = {m: len(both[m]) for m in metrics}
     out["pairs_won_by_change"] = {m: sum(c < p for p, c in both[m])
-                                  for m in METRICS}
+                                  for m in metrics}
     before, after = out["before"], out["after"]
     out["median_change"] = {
         m: after[m]["median"] / before[m]["median"] - 1.0
-        if before[m] and after[m] else None for m in METRICS}
+        if before[m] and after[m] else None for m in metrics}
     out["parent_iqr"] = {m: before[m]["q3"] - before[m]["q1"]
-                         if before[m] else None for m in METRICS}
+                         if before[m] else None for m in metrics}
     out["runs"] = runs
     return out
 
@@ -139,43 +146,41 @@ def main(argv=None) -> None:
                     "(default: the change's first parent)")
     ap.add_argument("--change", default="HEAD", help="commit to measure")
     ap.add_argument("--seeds", required=True, help="first-last, e.g. 901-910")
-    ap.add_argument("--seconds", type=int, default=30)
-    ap.add_argument("--workloads", default=",".join(WORKLOADS))
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     revs = {"parent": args.parent or f"{args.change}^", "change": args.change}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: Path(tmp, side) for side in SIDES}
         doc = {"parent": export(revs["parent"], trees["parent"]),
-               "change": export(revs["change"], trees["change"]),
-               "command": "python3 perfbench/run.py --workload W --seed S "
-                          f"--seconds {args.seconds} --trace 0",
-               "host": f"{os.cpu_count()} CPUs, {platform.machine()}, "
-                       f"{platform.system()} {platform.release()}, Python "
-                       f"{platform.python_version()}",
-               "method": "pairs of runs with the same seed, one in each "
-                         "exported tree, alternating which side runs "
-                         "first; times are run.py's probe-scaled medians "
-                         "of the passes",
-               "workloads": {}}
-        for workload in args.workloads.split(","):
+               "change": export(revs["change"], trees["change"])}
+        bench = benchmark(trees["parent"])
+        doc.update(
+            command=" ".join(_argv(bench, "W", "S")),
+            host=f"{os.cpu_count()} CPUs, {platform.machine()}, "
+                 f"{platform.system()} {platform.release()}, Python "
+                 f"{platform.python_version()}",
+            method="pairs of runs with the same seed, one in each exported "
+                   "tree, alternating which side runs first; times are "
+                   "run.py's probe-scaled medians of the passes",
+            workloads={})
+        for workload in bench["workloads"]:
             runs = []
             for i, seed in enumerate(_seeds(args.seeds)):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
                     t0 = time.perf_counter()
-                    res = run_once(trees[side], workload, seed, args.seconds)
+                    res = run_once(trees[side], bench, workload, seed)
                     run.update({f"{side}_{k}": v for k, v in res.items()})
                     status = "FAILED RUN " if res["failed_run"] else ""
-                    print(f"{workload} seed={seed} {side}: {status}"
-                          f"wall_s={res['wall_s']} exit={res['exit']} "
+                    values = " ".join(f"{m}={res[m]}" for m in bench["metrics"])
+                    print(f"{workload} seed={seed} {side}: {status}{values} "
+                          f"exit={res['exit']} "
                           f"({time.perf_counter() - t0:.0f} s)", flush=True)
                 runs.append(run)
-            doc["workloads"][workload] = summarize(runs)
+            doc["workloads"][workload] = summarize(runs, bench["metrics"])
             args.out.write_text(json.dumps(doc, indent=1) + "\n",
                                 encoding="utf-8")
-
 
 if __name__ == "__main__":
     main()

@@ -298,11 +298,12 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
                     kind: str = "position",
                     ctx: Optional[DeformationContext] = None) -> ModeTable:
     """Read a mode table. A JSON file records its kind; a CSV file is read
-    as kind, and a "position" CSV with an imaginary part raises
+    as kind. A position table with an imaginary part raises
     ValidationError. With ctx, the table must lie on ctx's window, as in
     load_lattice_function, and hold ctx.fock_dim degrees.
     """
-    if _infer_format(path, fmt) == "json":
+    is_json = _infer_format(path, fmt) == "json"
+    if is_json:
         with _read_json(path, "mode_table") as doc:
             kind, q = doc["kind"], float(doc["q"])
             nmax, depth = int(doc["fock_dim"]), int(doc["lattice_depth"])
@@ -326,8 +327,9 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
     if kind == "position":
         if values.imag.any():
             raise ValidationError(
-                f"{path!r} holds complex values; a momentum table must be "
-                f"read with kind='momentum'")
+                f"{path!r} holds complex values; " + (
+                    "a position table must hold real values" if is_json else
+                    "a momentum table must be read with kind='momentum'"))
         values = values.real
     _check_window(path, ctx, q, 2 * depth, nmax)
     return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,

@@ -8,6 +8,8 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
+_METRICS = ["wall_s", "setup_s", "peak_rss_mb"]
+
 
 def _side(wall, failed_run=False):
     return {"wall_s": wall, "setup_s": None if wall is None else 0.3,
@@ -24,7 +26,9 @@ def _pair(seed, parent, change):
 
 def test_run_without_a_result_line_is_a_failed_run(tmp_path):
     # no perfbench/run.py in the tree: python exits 2 and prints nothing
-    res = bench_pairs.run_once(tmp_path, "verify", 1, 1)
+    bench = {"command": ["python3", "perfbench/run.py"], "seconds": 1,
+             "metrics": _METRICS}
+    res = bench_pairs.run_once(tmp_path, bench, "verify", 1)
     assert res["failed_run"] and res["exit"] == 2
     assert res["wall_s"] is None and res["probe_s"] is None
 
@@ -36,11 +40,21 @@ def test_result_line(stdout, want):
     assert bench_pairs._result_line(stdout) == want
 
 
+def test_benchmark_reads_the_trees_settings():
+    bench = bench_pairs.benchmark(_PATH.parent.parent)
+    assert bench["command"][-1] == "perfbench/run.py"
+    assert bench["seconds"] > 0 and bench["workloads"]
+    assert "wall_s" in bench["metrics"]
+    assert bench_pairs._argv(bench, "verify", 3)[-8:] == [
+        "--workload", "verify", "--seed", "3",
+        "--seconds", str(bench["seconds"]), "--trace", "0"]
+
+
 def test_summary_counts_failed_runs_and_skips_their_pairs():
     runs = [_pair(1, _side(1.0), _side(0.5)),
             _pair(2, _side(None, failed_run=True), _side(0.6)),
             _pair(3, _side(1.2), _side(0.7))]
-    out = bench_pairs.summarize(runs)
+    out = bench_pairs.summarize(runs, _METRICS)
     assert out["before_failed_runs"] == 1 and out["after_failed_runs"] == 0
     assert out["before"]["wall_s"]["median"] == pytest.approx(1.1)
     assert out["after"]["wall_s"] == pytest.approx(
@@ -52,7 +66,7 @@ def test_summary_counts_failed_runs_and_skips_their_pairs():
 
 def test_summary_of_a_side_with_no_results():
     out = bench_pairs.summarize([_pair(1, _side(None, failed_run=True),
-                                       _side(0.5))])
+                                       _side(0.5))], _METRICS)
     assert out["before"]["wall_s"] is None
     assert out["median_change"]["wall_s"] is None
     assert out["parent_iqr"]["wall_s"] is None
