@@ -9,9 +9,10 @@ Most of the set runs at q = 0.5, S = 128, N = 320:
     evolve                     on a seeded rescaled state
     verify --seed 3            its stdout, with the timings stripped
 
-hermite and kernel (CSV) also run at q = 0.95, S = 256, N = 640, where
-Miller's backward band is w = 63 degrees wide (18 at q = 0.5) and two
-columns start it before their turning point n = 2s.
+hermite, kernel (CSV and --variant raw JSON) and evolve also run at
+q = 0.95, S = 256, N = 640, where Miller's backward band is w = 63
+degrees wide (18 at q = 0.5) and two columns start it before their
+turning point n = 2s.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned
@@ -49,6 +50,9 @@ COMMANDS = [
     ("evolved.csv", ["evolve", *SIZE, "--input", "state.csv"]),
     ("hermite_q095.csv", ["hermite", *WIDE]),
     ("kernel_q095.csv", ["kernel", *WIDE]),
+    ("kernel_raw_q095.json", ["kernel", *WIDE, "--variant", "raw", "--format",
+                              "json"]),
+    ("evolved_q095.csv", ["evolve", *WIDE, "--input", "state.csv"]),
 ]
 
 _TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")
@@ -65,13 +69,15 @@ def _run(src: Path, cwd: str, args: list) -> str:
     return r.stdout
 
 
-def _seeded_state(src: Path, path: str) -> None:
-    """A rescaled position function of seeded values at the set's size."""
+def _seeded_state(src: Path, path: str, size: list) -> None:
+    """A rescaled position function of seeded values at size, a list of
+    --q, --lattice-depth and --fock-dim flags with their values."""
+    q, depth, dim = size[1::2]
     code = (
         "import sys, numpy as np, qosc\n"
-        "ctx = qosc.DeformationContext(q=0.5, lattice_depth=128, "
-        "fock_dim=320)\n"
-        "v = np.random.default_rng(3).standard_normal((2, 256))\n"
+        f"ctx = qosc.DeformationContext(q={q}, lattice_depth={depth}, "
+        f"fock_dim={dim})\n"
+        "v = np.random.default_rng(3).standard_normal((2, 2 * ctx.lattice_depth))\n"
         "f = qosc.LatticeFunction('position', v[0] + 1j * v[1], "
         "rescaled=True)\n"
         "qosc.write_lattice_function(f, ctx, sys.argv[1])\n")
@@ -83,8 +89,8 @@ def digests(src: Path) -> list:
     out = []
     for name, args in COMMANDS:
         with tempfile.TemporaryDirectory() as tmp:
-            if "evolve" in args:
-                _seeded_state(src, os.path.join(tmp, "state.csv"))
+            if "evolve" in args:  # its size flags follow the command name
+                _seeded_state(src, os.path.join(tmp, "state.csv"), args[1:7])
             _run(src, tmp, [*args, "--out", name])
             out.append((hashlib.sha256(Path(tmp, name).read_bytes())
                         .hexdigest(), name))

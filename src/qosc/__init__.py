@@ -24,10 +24,9 @@ from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
                       lattice_inner, mode_function, normalized_eigenfunction,
                       phi_eval, phi_product_residuals, psi_eval,
                       q_difference_P_oracle, q_difference_bracket)
-from .qcore import (CoefficientVector, InfiniteProduct, apply_lowering,
-                    apply_raising, basis_coeff, coupling, fock_inner,
-                    fock_monomial, q_diff, q_number, qpoch, qpoch_inf,
-                    scale_op)
+from .qcore import (CoefficientVector, apply_lowering, apply_raising,
+                    basis_coeff, coupling, fock_inner, fock_monomial, q_diff,
+                    q_number, qpoch, qpoch_inf, scale_op)
 from .qhermite import (LatticePoint, ModeTable, build_mode_table,
                        completeness_defect, dual_orthogonality_residual,
                        hermite_eval, lattice_point, lattice_weight,

@@ -28,13 +28,10 @@ from .serialize import (load_lattice_function, write_kernel,
                         write_verify_report)
 from .verify import run_verification
 
-_DEFAULTS = {
-    "q": 0.5,
-    "fock_dim": 64,
-    "lattice_depth": 32,
-    "tail_tol": 1e-15,
-    "match_tol": 1e-10,
-}
+# The CLI's own default is q; the rest are DeformationContext's.
+_DEFAULTS = {"q": 0.5, **{f.name: f.default
+                          for f in dataclasses.fields(DeformationContext)
+                          if f.default is not dataclasses.MISSING}}
 
 _CONFIG_KEYS = set(_DEFAULTS) | {"seed"}
 
@@ -116,17 +113,19 @@ def _check_size(ctx: DeformationContext, matrix_bytes: int) -> None:
             f"--lattice-depth")
 
 
+# The context options default to None, so that _settings can tell an
+# explicit flag from a config value; their real default is _DEFAULTS.
 _OPTIONS = {
-    "q": click.option("--q", type=float, default=None,
-                      help="Deformation parameter in (0, 1). [default: 0.5]"),
-    "fock_dim": click.option("--fock-dim", type=int, default=None,
-                             help="Truncation dimension N. [default: 64]"),
-    "lattice_depth": click.option("--lattice-depth", type=int, default=None,
-                                  help="Lattice levels per sign S. [default: 32]"),
-    "tail_tol": click.option("--tol", "tail_tol", type=float, default=None,
-                             help="Infinite-product tail tolerance. [default: 1e-15]"),
-    "match_tol": click.option("--match-tol", type=float, default=None,
-                              help="Spectrum matching tolerance. [default: 1e-10]"),
+    name: click.option(flag, name, type=type(_DEFAULTS[name]), default=None,
+                       help=f"{text} [default: {_DEFAULTS[name]}]")
+    for name, flag, text in (
+        ("q", "--q", "Deformation parameter in (0, 1)."),
+        ("fock_dim", "--fock-dim", "Truncation dimension N."),
+        ("lattice_depth", "--lattice-depth", "Lattice levels per sign S."),
+        ("tail_tol", "--tol", "Infinite-product tail tolerance."),
+        ("match_tol", "--match-tol", "Spectrum matching tolerance."))
+}
+_OPTIONS.update({
     "fmt": click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
                         default="csv", show_default=True),
     "out": click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -135,7 +134,7 @@ _OPTIONS = {
                          help="Seed for randomized checks. [default: 0]"),
     "config": click.option("--config", type=click.Path(dir_okay=False), default=None,
                            help="JSON or key=value file; explicit flags win."),
-}
+})
 
 
 def options(*names):

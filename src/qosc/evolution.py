@@ -14,19 +14,19 @@ Phi^tau diagonalizes the rescaled modes F_n = sqrt(w) p_n with eigenvalue
 e^{i n tau}.
 
 Only the phases e^{i n tau} depend on tau. qhermite owns the window:
-p_n on its +x half, c and sqrt(w) are its cached per-context arrays.
-_plan adds the completeness tail and s_match (fock._count_s_match: Sturm
-counts on Q, no eigensolver) and is cached for the few most recent
-contexts. Since p_n(-x) = (-1)^n p_n(x), the sum over n splits into an
-even part E and an odd part O on the half window: sites of equal sign
-get E + O, sites of opposite sign E - O. A kernel is then four real
-S x N/2 x S products, and evolve() applies the same split to a vector in
-O(N S) without forming any kernel.
+p_n on its +x half, c and sqrt(w) are its cached per-context arrays, and
+they are all evolve() reads. Since p_n(-x) = (-1)^n p_n(x), the sum over
+n splits into an even part E and an odd part O on the half window: sites
+of equal sign get E + O, sites of opposite sign E - O. A kernel is then
+four real S x N/2 x S products, and evolve() applies the same split to a
+vector in O(N S) without forming any kernel. Only the kernels report the
+completeness tail and s_match (fock._count_s_match: Sturm counts on Q,
+no eigensolver), cached per context by _certificate.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
 truncates its input side. The *_residual helpers therefore evaluate on a
-deepened window (buffer_levels extra, fock_dim grown to cover it) and
+deepened window (30 or 40 levels extra, fock_dim grown to cover it) and
 compare only the requested core rows. Identity, unitarity and 2*pi
 periodicity need no buffer and are checked directly.
 """
@@ -44,8 +44,8 @@ from .context import DeformationContext
 from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
 from .fock import build_P, build_Q, _count_s_match
 from .hilbert import LatticeFunction, _check_window
-from .qhermite import (_half_table, _modes, _weights, lattice_weight_window,
-                       window_values)
+from .qhermite import (_I_POWERS, _half_table, _index, _modes, _weights,
+                       lattice_weight_window, window_values)
 
 _VARIANTS = ("raw_K", "rescaled_Phi")
 
@@ -58,9 +58,9 @@ class EvolutionKernel:
     the kernel was summed from (how far sum_n c p_n^2 falls short of 1 on
     the worst site). s_match is the depth through which the truncated Q
     reproduces +-q^s (spectrum_report's s_match, from _count_s_match).
-    Rows at levels s > s_match - 4 are considered low-confidence: the
-    truncated operator no longer resolves those levels, and serialized
-    output flags them.
+    Both depend on the context alone (_certificate). Rows at levels
+    s > s_match - 4 are considered low-confidence: the truncated operator
+    no longer resolves those levels, and serialized output flags them.
     """
 
     tau: float
@@ -81,41 +81,23 @@ class EvolutionKernel:
         return s > self.s_match - 4
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """The tau-independent part of both kernels, on the +x half of the window.
-
-    half[n, s] = p_n(+q^s); the site -q^s carries (-1)^n times it, since
-    p_n has the parity of n. c and sqrt_w are per level, equal for both
-    signs. All three are qhermite's cached read-only arrays, not copies.
-    s_match is spectrum_report's, from Sturm counts on Q alone
-    (_count_s_match), so a plan runs no eigensolver.
-    """
-
-    half: np.ndarray
-    c: np.ndarray
-    sqrt_w: np.ndarray
-    tail_estimate: float
-    s_match: int
-
-
 @lru_cache(maxsize=4)
-def _plan(ctx: DeformationContext) -> _Plan:
-    half, w = _half_table(ctx)[0], _weights(ctx)
-    # completeness_defect's per-site sums, which are equal for +-x
-    tail = float(np.max(np.abs(1.0 - w.c * np.sum(half**2, axis=0))))
-    return _Plan(half=half, c=w.c, sqrt_w=w.sqrt_w, tail_estimate=tail,
-                 s_match=_count_s_match(build_Q(ctx), ctx))
+def _certificate(ctx: DeformationContext) -> tuple[float, int]:
+    """(tail_estimate, s_match) of every kernel at ctx: completeness_defect's
+    per-site sums, equal for +-x, and the Sturm-count s_match."""
+    half, c = _half_table(ctx)[0], _weights(ctx).c
+    tail = float(np.max(np.abs(1.0 - c * np.sum(half**2, axis=0))))
+    return tail, _count_s_match(build_Q(ctx), ctx)
 
 
-def _fold(tau: float, plan: _Plan, scale) -> np.ndarray:
+def _fold(tau: float, ctx: DeformationContext, scale) -> np.ndarray:
     """scale * A^T diag(e^{i n tau}) A on the interleaved window, by parity.
 
     E and O are the sums over even and odd n on the half table (two real
     products each); sites of equal sign get E + O, opposite signs E - O.
     scale is indexed by level pairs, so it is shared by all four blocks.
     """
-    half = plan.half
+    half = _half_table(ctx)[0]
     phases = np.exp(1j * tau * np.arange(half.shape[0]))
     S = half.shape[1]
     E, O = (np.empty((S, S), dtype=complex) for _ in range(2))
@@ -135,12 +117,13 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v.view(float).reshape(-1, 2)).view(complex).ravel()
 
 
-def _apply(tau: float, F: np.ndarray, plan: _Plan) -> np.ndarray:
+def _apply(tau: float, F: np.ndarray, ctx: DeformationContext) -> np.ndarray:
     """Phi^tau F in O(N S): the parity split of _fold on a vector."""
-    half, sw = plan.half, plan.sqrt_w
+    half, w = _half_table(ctx)[0], _weights(ctx)
+    sw = w.sqrt_w
     phases = np.exp(1j * tau * np.arange(half.shape[0]))
-    plus = plan.c * F[0::2] / sw
-    minus = plan.c * F[1::2] / sw
+    plus = w.c * F[0::2] / sw
+    minus = w.c * F[1::2] / sw
     A_e, A_o = half[0::2], half[1::2]
     even = _matvec(A_e.T, phases[0::2] * _matvec(A_e, plus + minus))
     odd = _matvec(A_o.T, phases[1::2] * _matvec(A_o, plus - minus))
@@ -150,27 +133,26 @@ def _apply(tau: float, F: np.ndarray, plan: _Plan) -> np.ndarray:
     return out
 
 
-def _kernel(tau: float, variant: str, matrix: np.ndarray,
-            ctx: DeformationContext, plan: _Plan) -> EvolutionKernel:
+def _kernel(tau: float, variant: str, ctx: DeformationContext,
+            scale) -> EvolutionKernel:
+    tail, s_match = _certificate(ctx)
     return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
                            n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=matrix, tail_estimate=plan.tail_estimate,
-                           s_match=plan.s_match)
+                           matrix=_fold(tau, ctx, scale), tail_estimate=tail,
+                           s_match=s_match)
 
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
-    plan = _plan(ctx)
-    matrix = _fold(tau, plan, cmath.exp(1j * tau / 2.0) * plan.c[None, :])
-    return _kernel(tau, "raw_K", matrix, ctx, plan)
+    c = _weights(ctx).c
+    return _kernel(tau, "raw_K", ctx, cmath.exp(1j * tau / 2.0) * c[None, :])
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
-    plan = _plan(ctx)
-    sw = plan.sqrt_w
-    scale = (sw[:, None] / sw[None, :]) * plan.c[None, :]
-    return _kernel(tau, "rescaled_Phi", _fold(tau, plan, scale), ctx, plan)
+    w = _weights(ctx)
+    scale = (w.sqrt_w[:, None] / w.sqrt_w[None, :]) * w.c[None, :]
+    return _kernel(tau, "rescaled_Phi", ctx, scale)
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
@@ -197,7 +179,9 @@ def _rescaled_modes(n, ctx: DeformationContext) -> np.ndarray:
 
 
 def rescaled_mode(n: int, ctx: DeformationContext) -> LatticeFunction:
-    """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau}."""
+    """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau},
+    for 0 <= n < fock_dim (IndexOutOfRange otherwise)."""
+    n = _index(n, ctx.fock_dim, "degree")
     return LatticeFunction("position", _rescaled_modes(n, ctx), rescaled=True)
 
 
@@ -205,12 +189,12 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
            kernel: EvolutionKernel | None = None) -> LatticeFunction:
     """Apply Phi^tau to a rescaled position function, matrix-free.
 
-    Each call costs O(fock_dim * lattice_depth) on the cached plan; no
-    kernel is formed. kernel= is accepted from callers that already hold
-    fractional_ft(tau, ctx): it must be the rescaled_Phi variant
-    (KindMismatch otherwise) built at this tau, q, fock_dim and
-    lattice_depth (ValidationError otherwise). Its matrix is not applied,
-    so the result is the same with or without it.
+    Each call costs O(fock_dim * lattice_depth) on qhermite's cached
+    window arrays; no kernel is formed. kernel= is accepted from callers
+    that already hold fractional_ft(tau, ctx): it must be the
+    rescaled_Phi variant (KindMismatch otherwise) built at this tau, q,
+    fock_dim and lattice_depth (ValidationError otherwise). Its matrix is
+    not applied, so the result is the same with or without it.
     """
     if F.kind != "position":
         raise KindMismatch(f"evolve wants a position function, got {F.kind}")
@@ -226,7 +210,7 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
             raise ValidationError(
                 f"kernel (tau, q, n_max, lattice_depth) = {got} does not "
                 f"match the call's {want}")
-    return LatticeFunction("position", _apply(tau, F.values, _plan(ctx)),
+    return LatticeFunction("position", _apply(tau, F.values, ctx),
                            rescaled=True)
 
 
@@ -309,15 +293,14 @@ def kernel_sign_flip_residual(ctx: DeformationContext) -> float:
     return float(np.max(np.abs(b.matrix + a.matrix)))
 
 
-def group_law_residual(t1: float, t2: float, ctx: DeformationContext,
-                       buffer_levels: int = 30) -> float:
+def group_law_residual(t1: float, t2: float, ctx: DeformationContext) -> float:
     """max core defect of Phi^{t1} Phi^{t2} = Phi^{t1 + t2}.
 
     Composition feeds intermediate values from the whole lattice back
-    into the core, so both factors are built on a window deepened by
-    buffer_levels and only the leading 2S rows and columns are compared.
+    into the core, so both factors are built on a window deepened by 30
+    levels and only the leading 2S rows and columns are compared.
     """
-    deep = _deepened(ctx, buffer_levels)
+    deep = _deepened(ctx, 30)
     k1 = fractional_ft(t1, deep).matrix
     k2 = fractional_ft(t2, deep).matrix
     k12 = fractional_ft(t1 + t2, deep).matrix
@@ -325,10 +308,10 @@ def group_law_residual(t1: float, t2: float, ctx: DeformationContext,
     return float(np.max(np.abs((k1 @ k2 - k12)[:core, :core])))
 
 
-def inverse_residual(tau: float, ctx: DeformationContext,
-                     buffer_levels: int = 30) -> float:
-    """max core defect of Phi^tau Phi^{-tau} = I."""
-    deep = _deepened(ctx, buffer_levels)
+def inverse_residual(tau: float, ctx: DeformationContext) -> float:
+    """max core defect of Phi^tau Phi^{-tau} = I, on a window deepened by
+    30 levels."""
+    deep = _deepened(ctx, 30)
     k1 = fractional_ft(tau, deep).matrix
     k2 = fractional_ft(-tau, deep).matrix
     core = 2 * ctx.lattice_depth
@@ -336,34 +319,33 @@ def inverse_residual(tau: float, ctx: DeformationContext,
     return float(np.max(np.abs(prod - np.eye(core))))
 
 
-def phase_map_residual(ctx: DeformationContext, n_modes: int = 20,
-                       buffer_levels: int = 40) -> float:
-    """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes."""
-    deep = _deepened(ctx, buffer_levels)
-    plan = _plan(deep)
+def phase_map_residual(ctx: DeformationContext, n_modes: int = 20) -> float:
+    """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes, on a
+    window deepened by 40 levels."""
+    deep = _deepened(ctx, 40)
     core = 2 * ctx.lattice_depth
     worst = 0.0
     for n in range(n_modes + 1):
         F = _rescaled_modes(n, deep)
-        d = (_apply(math.pi / 2.0, F, plan) - 1j**n * F)[:core]
+        d = (_apply(math.pi / 2.0, F, deep) - _I_POWERS[n % 4] * F)[:core]
         worst = max(worst, float(np.max(np.abs(d))))
     return worst
 
 
-def intertwine_residual(ctx: DeformationContext, n_support: int = 12,
-                        buffer_levels: int = 40, seed: int = 0) -> float:
+def intertwine_residual(ctx: DeformationContext, seed: int = 0) -> float:
     """Core defect of: evolving a state's rescaled position function by
     pi/2 equals its rescaled momentum function (i^n p_n on the same grid).
 
-    Draws a random state supported on modes n < n_support.
+    Draws a random state supported on modes n < 12, on a window deepened
+    by 40 levels.
     """
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
-    deep = _deepened(ctx, buffer_levels)
-    plan = _plan(deep)
-    modes = _rescaled_modes(np.arange(n_support), deep)
-    evolved = _apply(math.pi / 2.0, b @ modes, plan)
-    F_mom = (b * 1j ** np.arange(n_support)) @ modes
+    n = np.arange(12)
+    b = rng.standard_normal(n.size) + 1j * rng.standard_normal(n.size)
+    deep = _deepened(ctx, 40)
+    modes = _rescaled_modes(n, deep)
+    evolved = _apply(math.pi / 2.0, b @ modes, deep)
+    F_mom = (b * _I_POWERS[n % 4]) @ modes
     core = 2 * ctx.lattice_depth
     return float(np.max(np.abs((evolved - F_mom)[:core])))
 
@@ -378,14 +360,13 @@ def norm_drift_max(ctx: DeformationContext, n_support: int = 10,
     on a 30-level window, whatever the implementation does).
     """
     rng = np.random.default_rng(seed)
-    plan = _plan(ctx)
     modes = _rescaled_modes(np.arange(n_support), ctx)
     absx = np.abs(window_values(ctx))
     worst = 0.0
     for _ in range(n_draws):
         b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
         F = b @ modes
-        G = _apply(1.0, F, plan)
+        G = _apply(1.0, F, ctx)
         n0 = float(np.sum(absx * np.abs(F) ** 2))
         n1 = float(np.sum(absx * np.abs(G) ** 2))
         worst = max(worst, abs(n1 - n0) / n0)

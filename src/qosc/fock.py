@@ -1,19 +1,21 @@
 """Truncated number-basis operators and their spectra.
 
-All operators here are tridiagonal in the orthonormal basis e_n,
-n < fock_dim. With a_n = sqrt(q^n (1 - q^{n+1})):
+Q, P, H and F(H) are Hermitian tridiagonal operators in the orthonormal
+basis e_n, n < fock_dim. With a_n = sqrt(q^n (1 - q^{n+1})):
 
     Q e_n = a_n e_{n+1} + a_{n-1} e_{n-1}
     P e_n = i a_n e_{n+1} - i a_{n-1} e_{n-1}
     H e_n = (n + 1/2) e_n
     F(H) e_n = 2 (1 - 1/q) (q^n - (1+q) q^{2n}) e_n
 
-and [Q, P] = -i F(H) away from the truncation edge. The spectrum of the
-truncated Q fills the geometric lattice {+-q^s} from the outside in;
-spectrum_report performs the matching on eigenvalues alone.
+and [Q, P] = -i F(H) away from the truncation edge. The ladder
+operators are not Hermitian; build_ladders returns them as dense
+matrices. The spectrum of the truncated Q fills the geometric lattice
+{+-q^s} from the outside in; spectrum_report performs the matching on
+eigenvalues alone.
 _count_s_match finds the depth of that matching, s_match, from Sturm
 counts at the 4S shifts +-q^s +- match_tol, without computing any
-eigenvalue: it is what every evolution plan reads.
+eigenvalue: it is what the evolution kernels report.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .context import DeformationContext
-from .errors import (DimensionMismatch, NoConvergence, NotHermitian,
-                     ValidationError)
+from .errors import DimensionMismatch, NoConvergence, NotHermitian
 from .qcore import coupling
 from .qhermite import window_index, window_values
 
@@ -34,23 +35,15 @@ _RESIDUAL_FACTOR = 1e-12
 
 @dataclass(frozen=True)
 class TridiagonalOperator:
-    """Operator with one nonzero band above and/or below the diagonal.
-
-    hermitian=True: dense[n, n+1] = offdiag[n], dense[n+1, n] = conj.
-    hermitian=False: the single band sits on the given side only
-    ("upper": entries (n, n+1); "lower": entries (n+1, n)).
-    """
+    """Hermitian tridiagonal operator: dense[n, n] = diag[n],
+    dense[n, n+1] = offdiag[n] and dense[n+1, n] = conj(offdiag[n])."""
 
     diag: np.ndarray
     offdiag: np.ndarray
-    hermitian: bool = True
-    side: str = "upper"
 
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag))
         object.__setattr__(self, "offdiag", np.asarray(self.offdiag))
-        if self.side not in ("upper", "lower"):
-            raise ValidationError(f"side must be 'upper' or 'lower', got {self.side!r}")
         if self.offdiag.shape[0] != max(self.diag.shape[0] - 1, 0):
             raise DimensionMismatch(
                 f"offdiag length {self.offdiag.shape[0]} does not fit "
@@ -65,13 +58,8 @@ class TridiagonalOperator:
         out = np.zeros((self.dim, self.dim), dtype=dtype)
         np.fill_diagonal(out, self.diag)
         idx = np.arange(self.dim - 1)
-        if self.hermitian:
-            out[idx, idx + 1] = self.offdiag
-            out[idx + 1, idx] = np.conj(self.offdiag)
-        elif self.side == "upper":
-            out[idx, idx + 1] = self.offdiag
-        else:
-            out[idx + 1, idx] = self.offdiag
+        out[idx, idx + 1] = self.offdiag
+        out[idx + 1, idx] = np.conj(self.offdiag)
         return out
 
 
@@ -101,22 +89,17 @@ def build_F_of_H(ctx: DeformationContext) -> TridiagonalOperator:
     return TridiagonalOperator(diag, np.zeros(max(ctx.fock_dim - 1, 0)))
 
 
-def build_ladders(ctx: DeformationContext) -> Tuple[TridiagonalOperator,
-                                                    TridiagonalOperator]:
-    """(lowering, raising) with lowering e_n = sqrt(q^n [n]_q) e_{n-1}.
+def build_ladders(ctx: DeformationContext) -> Tuple[np.ndarray, np.ndarray]:
+    """Dense (lowering, raising) with lowering e_n = sqrt(q^n [n]_q) e_{n-1}.
 
-    The raising operator is the conjugate transpose. On e_0 the
-    commutator [lowering, raising] acts as multiplication by q, and its
-    diagonal tends to 1 as q -> 1-.
+    The raising operator is the transpose. On e_0 the commutator
+    [lowering, raising] acts as multiplication by q, and its diagonal
+    tends to 1 as q -> 1-.
     """
     q = ctx.q
     k = np.arange(1, ctx.fock_dim, dtype=float)
     vals = np.sqrt(q**k * (1.0 - q**k) / (1.0 - q))
-    lowering = TridiagonalOperator(np.zeros(ctx.fock_dim), vals,
-                                   hermitian=False, side="upper")
-    raising = TridiagonalOperator(np.zeros(ctx.fock_dim), vals,
-                                  hermitian=False, side="lower")
-    return lowering, raising
+    return np.diag(vals, 1), np.diag(vals, -1)
 
 
 def commutator(A, B) -> np.ndarray:
@@ -144,8 +127,6 @@ def _real_form(T: TridiagonalOperator) -> Tuple[np.ndarray, np.ndarray, bool]:
     Complex off-diagonals are rotated to the real nonnegative gauge by a
     diagonal phase similarity (_gauge_phases), which keeps the spectrum.
     """
-    if not T.hermitian:
-        raise NotHermitian("eigensolvers require a Hermitian operator")
     if np.any(np.abs(np.imag(T.diag)) > 0):
         raise NotHermitian("Hermitian operator must have a real diagonal")
     d = np.real(T.diag).astype(float)

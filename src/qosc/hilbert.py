@@ -36,9 +36,9 @@ from .context import DeformationContext
 from .errors import (DimensionMismatch, DomainError, KindMismatch,
                      NonConvergent, TailTooLarge, ValidationError)
 from .qcore import coupling, qpoch_inf
-from .qhermite import (LatticePoint, _modes, _weights, build_mode_table,
-                       mode_poly, norm_c, norm_c_window, window_index,
-                       window_values)
+from .qhermite import (LatticePoint, _index, _modes, _weights,
+                       build_mode_table, mode_poly, norm_c, norm_c_window,
+                       window_index, window_values)
 
 _KINDS = ("position", "momentum")
 _SERIES_CAP = 100000
@@ -124,8 +124,8 @@ def _generating(x: float, z: complex, mode: str,
     if mode == "series":
         return _series_sum(x, z, ctx)
     if mode == "product":
-        num = qpoch_inf(z * z, ctx, base=ctx.q * ctx.q).value
-        return complex(num) / complex(qpoch_inf(x * z, ctx).value)
+        num = qpoch_inf(z * z, ctx, base=ctx.q * ctx.q)
+        return complex(num) / complex(qpoch_inf(x * z, ctx))
     raise ValidationError(f"mode must be 'series' or 'product', got {mode!r}")
 
 
@@ -152,12 +152,12 @@ def phi_product_residuals(qry: WavefunctionQuery,
     series = _generating(p, 1j * complex(qry.y), "series", ctx)
     y2 = complex(qry.y) ** 2
     q2 = ctx.q * ctx.q
-    den = complex(qpoch_inf(1j * p * complex(qry.y), ctx).value)
+    den = complex(qpoch_inf(1j * p * complex(qry.y), ctx))
     out: Dict[str, float] = {}
     for label, num in (
-        ("(y^2;q^2)", qpoch_inf(y2, ctx, base=q2).value),
-        ("(y^2;q)", qpoch_inf(y2, ctx).value),
-        ("(-y^2;q^2)", qpoch_inf(-y2, ctx, base=q2).value),
+        ("(y^2;q^2)", qpoch_inf(y2, ctx, base=q2)),
+        ("(y^2;q)", qpoch_inf(y2, ctx)),
+        ("(-y^2;q^2)", qpoch_inf(-y2, ctx, base=q2)),
     ):
         out[label] = abs(complex(num) / den - series)
     return out
@@ -279,7 +279,9 @@ def apply_H(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
 
 def mode_function(n: int, ctx: DeformationContext,
                   kind: str = "position") -> LatticeFunction:
-    """The n-th mode as a window function (a table row)."""
+    """The n-th mode as a window function (a table row), for
+    0 <= n < fock_dim (IndexOutOfRange otherwise)."""
+    n = _index(n, ctx.fock_dim, "degree")
     return LatticeFunction(kind, _modes(kind, n, ctx))
 
 

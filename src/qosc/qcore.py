@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -56,33 +56,25 @@ def qpoch(a: Scalar, n: int, ctx: DeformationContext) -> Scalar:
     return value
 
 
-class InfiniteProduct(NamedTuple):
-    value: Scalar
-    terms_used: int
+def qpoch_inf(a: Scalar, ctx: DeformationContext,
+              base: float | None = None) -> Scalar:
+    """Infinite q-shifted factorial (a; base)_inf.
 
+    Factors (1 - a base^k) are multiplied until |a base^k| < tail_tol.
+    base defaults to ctx.q (pass base=q*q for the even-spaced products
+    that appear in lattice weights).
 
-def qpoch_inf(a: Scalar, ctx: DeformationContext, base: float | None = None,
-              allow_ge_one: bool = False) -> InfiniteProduct:
-    """Infinite q-shifted factorial (a; base)_inf with truncation report.
-
-    Factors (1 - a base^k) are multiplied until |a base^k| < tail_tol;
-    terms_used is the number of factors taken. base defaults to ctx.q
-    (pass base=q*q for the even-spaced products that appear in lattice
-    weights).
-
-    Real a >= 1 makes a leading factor vanish or change sign, which is
-    almost always a caller bug; it is rejected unless allow_ge_one is
-    set. Complex a of any magnitude is fine.
+    Real a >= 1 makes a leading factor vanish or change sign, so it
+    raises DomainError. Complex a of any magnitude is fine.
     """
     q = ctx.q if base is None else base
     if not 0.0 < q < 1.0:
         raise DomainError(f"product base must lie in (0, 1), got {q!r}")
     is_real = isinstance(a, (int, float, np.floating)) or (
         isinstance(a, complex) and a.imag == 0.0)
-    if is_real and complex(a).real >= 1.0 and not allow_ge_one:
+    if is_real and complex(a).real >= 1.0:
         raise DomainError(
-            f"(a; q)_inf with real a = {a!r} >= 1 vanishes or alternates; "
-            "pass allow_ge_one=True if that is intended")
+            f"(a; q)_inf with real a = {a!r} >= 1 vanishes or alternates")
     value: Scalar = 1.0
     mag = abs(a)
     qk = 1.0
@@ -95,7 +87,7 @@ def qpoch_inf(a: Scalar, ctx: DeformationContext, base: float | None = None,
             raise NonConvergent(
                 f"(a; q)_inf did not reach tail_tol={ctx.tail_tol} "
                 f"within {_MAX_PRODUCT_TERMS} factors (a={a!r}, base={q!r})")
-    return InfiniteProduct(value, k)
+    return value
 
 
 def coupling(n, ctx: DeformationContext):

@@ -47,6 +47,10 @@ from .qcore import coupling, qpoch, qpoch_inf
 
 TAIL_MARGIN = 4
 
+# i^n, indexed by n % 4: exact at every degree, where numpy's complex
+# power 1j ** n misses by roundoff from n = 100 on
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
 # Miller backfill keeps the decaying band down to ~1e-22 of the column
 # scale; 50.7 = -ln(1e-22), and the Gaussian decay exponent is
 # (n - 2s)^2 ln(1/q) / 4. The backward sweep keeps w = tail_width(q)
@@ -70,7 +74,7 @@ class LatticePoint:
 
 
 def lattice_point(sign: int, s: int, ctx: DeformationContext) -> LatticePoint:
-    s = _level(s, ctx)
+    s = _index(s, ctx.lattice_depth, "level")
     return LatticePoint(sign, s, float(window_values(ctx)[window_index(sign, s)]))
 
 
@@ -214,12 +218,12 @@ def _weights(ctx: DeformationContext) -> Weights:
     raised. c_s may underflow to 0 on deep levels, which weighs nothing.
     """
     q, q2, tiny = ctx.q, ctx.q * ctx.q, sys.float_info.min
-    pq = float(qpoch_inf(q, ctx).value)
-    mq = float(qpoch_inf(-q, ctx).value)
+    pq = float(qpoch_inf(q, ctx))
+    mq = float(qpoch_inf(-q, ctx))
     pref = 2.0 * pq * (mq * mq)
     if not (math.isfinite(pref) and pref >= tiny):
         raise DomainError(f"weight prefactor {pref!r} outside double range at q={q}")
-    w = np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2).value)
+    w = np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2))
                   for s in range(ctx.lattice_depth)])
     if not w[0] >= tiny:
         raise DomainError(f"weight w_0 = {w[0]!r} outside double range at q={q}")
@@ -230,20 +234,21 @@ def _weights(ctx: DeformationContext) -> Weights:
     return out
 
 
-def _level(s, ctx: DeformationContext) -> int:
-    if not isinstance(s, (int, np.integer)) or not 0 <= s < ctx.lattice_depth:
-        raise IndexOutOfRange(f"level {s!r} is not an int in [0, {ctx.lattice_depth})")
-    return int(s)
+def _index(i, bound: int, what: str) -> int:
+    """A level (bound lattice_depth) or degree (bound fock_dim) as an int."""
+    if not isinstance(i, (int, np.integer)) or not 0 <= i < bound:
+        raise IndexOutOfRange(f"{what} {i!r} is not an int in [0, {bound})")
+    return int(i)
 
 
 def lattice_weight(pt: LatticePoint, ctx: DeformationContext) -> float:
     """Bare weight w_s = (q^{2s+2}; q^2)_inf; sign-independent, in (0, 1]."""
-    return float(_weights(ctx).w[_level(pt.s, ctx)])
+    return float(_weights(ctx).w[_index(pt.s, ctx.lattice_depth, "level")])
 
 
 def norm_c(s: int, ctx: DeformationContext) -> float:
     """Normalized weight c_s = q^s w_s / (2 (q;q)_inf (-q;q)_inf^2)."""
-    return float(_weights(ctx).c[_level(s, ctx)])
+    return float(_weights(ctx).c[_index(s, ctx.lattice_depth, "level")])
 
 
 def norm_c_window(ctx: DeformationContext) -> np.ndarray:
@@ -299,7 +304,7 @@ def _modes(kind: str, n, ctx: DeformationContext) -> np.ndarray:
     out = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
     out[..., 0::2] = h
     out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h) + 0.0
-    return (1j ** n)[..., None] * out if kind == "momentum" else out
+    return _I_POWERS[n % 4][..., None] * out if kind == "momentum" else out
 
 
 def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:
@@ -337,18 +342,17 @@ def orthogonality_residual(k: int, m: int, ctx: DeformationContext) -> float:
     return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
 
 
-def dual_orthogonality_residual(ctx: DeformationContext,
-                                margin: int = TAIL_MARGIN) -> float:
+def dual_orthogonality_residual(ctx: DeformationContext) -> float:
     """Max defect of sum_n c_{s'} p_n(x) p_n(x') = delta over the core.
 
     The weight sits on the second (summed-against) site, matching the
     evolution kernel convention. Core means both sites at levels
-    s <= lattice_depth - margin; the outermost levels never resolve.
+    s < lattice_depth - TAIL_MARGIN; the outermost levels never resolve.
     """
     table = build_mode_table("position", ctx)
     cs = norm_c_window(ctx)
     G = table.values.T @ table.values * cs[None, :]
-    core = 2 * max(ctx.lattice_depth - margin, 0)
+    core = 2 * max(ctx.lattice_depth - TAIL_MARGIN, 0)
     G = G[:core, :core]
     return float(np.max(np.abs(G - np.eye(core))))
 

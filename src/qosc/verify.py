@@ -113,7 +113,7 @@ def _ladder_conjugation(q: float):
     Q = build_Q(ctx).to_dense().astype(complex)
     P = build_P(ctx).to_dense()
     target = 0.5 * math.sqrt(q / (1.0 - q)) * (Q - 1j * P)
-    r1 = np.max(np.abs(rai.to_dense() - target))
+    r1 = np.max(np.abs(rai - target))
     C = commutator(low, rai)
     r2 = abs(C[0, 0] - q)
     return float(max(r1, r2)), 1e-13, "raising = (1/2)sqrt(q/(1-q))(Q-iP); [low,rai] e_0 = q e_0"
@@ -160,14 +160,14 @@ def _qpoch_recurrence(q: float):
 
 
 def _qpoch_pinned():
-    r1 = abs(qpoch_inf(0.25, _ctx(0.25)).value - 0.6885375371203405)
-    r2 = abs(qpoch_inf(0.5, _ctx(0.5)).value - 0.2887880950866029)
+    r1 = abs(qpoch_inf(0.25, _ctx(0.25)) - 0.6885375371203405)
+    r2 = abs(qpoch_inf(0.5, _ctx(0.5)) - 0.2887880950866029)
     return float(max(r1, r2)), 1e-12, "(0.25;0.25)_inf and (0.5;0.5)_inf frozen values"
 
 
 def _qpoch_stability(q: float):
-    loose = qpoch_inf(0.7, _ctx(q, tail_tol=1e-12)).value
-    tight = qpoch_inf(0.7, _ctx(q, tail_tol=1e-14)).value
+    loose = qpoch_inf(0.7, _ctx(q, tail_tol=1e-12))
+    tight = qpoch_inf(0.7, _ctx(q, tail_tol=1e-14))
     return abs(loose - tight) / abs(tight), 1e-10, "tail_tol 1e-12 vs 1e-14"
 
 
@@ -212,11 +212,11 @@ def _sum_orth(q: float, depth: int, tol: float):
 def _euler_weights(q: float):
     ctx = _ctx(q)
     q2 = q * q
-    lhs = qpoch_inf(q, ctx).value * qpoch_inf(-q, ctx).value
-    rhs = qpoch_inf(q2, ctx, base=q2).value
+    lhs = qpoch_inf(q, ctx) * qpoch_inf(-q, ctx)
+    rhs = qpoch_inf(q2, ctx, base=q2)
     r1 = abs(lhs - rhs) / abs(rhs)
-    m1 = qpoch_inf(-1.0, ctx).value
-    r2 = abs(m1 - 2.0 * qpoch_inf(-q, ctx).value) / abs(m1)
+    m1 = qpoch_inf(-1.0, ctx)
+    r2 = abs(m1 - 2.0 * qpoch_inf(-q, ctx)) / abs(m1)
     return float(max(r1, r2)), 1e-13, "(q;q)(-q;q) = (q^2;q^2); (-1;q) = 2(-q;q)"
 
 

@@ -87,7 +87,7 @@ def test_hermite_does_not_import_scipy(tmp_path):
 
 
 def test_kernel_and_evolve_do_not_import_scipy(tmp_path):
-    # a plan's s_match comes from Sturm counts, so no eigensolver loads
+    # a kernel's s_match comes from Sturm counts, so no eigensolver loads
     ctx = DeformationContext(q=0.5, lattice_depth=10, fock_dim=44)
     write_lattice_function(rescaled_mode(1, ctx), ctx, str(tmp_path / "in.csv"))
     code = ("import sys\n"

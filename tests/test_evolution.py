@@ -15,7 +15,7 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   periodicity_residual, phase_map_residual, rescale,
                   rescaled_mode, spectrum_report, standard_inner,
                   unitarity_residual, unrescale)
-from qosc.evolution import _plan
+from qosc.evolution import _certificate
 from qosc.qhermite import (_half_table, _weights, build_mode_table,
                            lattice_weight_window, norm_c_window)
 
@@ -157,8 +157,8 @@ def test_standard_inner_requires_rescaled(ectx):
 
 
 def test_plan_arrays_are_read_only(ectx):
-    plan = _plan(ectx)
-    for a in (plan.half, plan.c, plan.sqrt_w):
+    w = _weights(ectx)
+    for a in (_half_table(ectx)[0], w.c, w.sqrt_w):
         with pytest.raises(ValueError):
             a[0] = 1.0
     k = fractional_ft(0.6, ectx)
@@ -168,11 +168,11 @@ def test_plan_arrays_are_read_only(ectx):
 
 
 def test_plan_cache_stays_bounded(ectx):
-    maxsize = _plan.cache_info().maxsize
+    maxsize = _certificate.cache_info().maxsize
     for depth in range(4, 4 + maxsize + 3):
         fractional_ft(0.2, replace(ectx, lattice_depth=depth,
                                    fock_dim=2 * depth))
-        for cache in (_plan, _half_table, _weights):
+        for cache in (_certificate, _half_table, _weights):
             assert cache.cache_info().currsize <= cache.cache_info().maxsize
 
 
@@ -207,6 +207,23 @@ def test_evolve_rejects_a_kernel_built_for_another_call(change, ectx):
         evolve(rescaled_mode(2, ectx), 0.7, ectx, kernel=k)
 
 
+def test_evolve_computes_no_kernel_certificate(monkeypatch, ectx):
+    # only the kernels report s_match; evolve reads the window arrays alone.
+    # The context is used by no other test, so no certificate is cached.
+    def boom(T, ctx):
+        raise AssertionError("Sturm count ran")
+
+    ctx = replace(ectx, fock_dim=81)
+    F = rescaled_mode(3, ctx)
+    monkeypatch.setattr("qosc.evolution._count_s_match", boom)
+    got = evolve(F, 0.4, ctx).values
+    with pytest.raises(AssertionError, match="Sturm count"):
+        fractional_ft(0.4, ctx)
+    monkeypatch.undo()
+    want = fractional_ft(0.4, ctx).matrix @ F.values
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
 def test_deep_window_raises_instead_of_non_finite_values():
     ctx = DeformationContext(q=0.3, fock_dim=800, lattice_depth=300)
     with pytest.raises(DomainError, match=r"p_588 .*\(level 291\)"):
@@ -237,10 +254,7 @@ def test_underflowing_deep_weights_keep_the_kernel_finite():
 def test_plan_half_is_the_tables_plus_x_columns(q):
     ctx = DeformationContext(q=q, lattice_depth=40, fock_dim=100)
     table = build_mode_table("position", ctx).values
-    assert np.array_equal(_plan(ctx).half, table[:, 0::2])
-    # the plan holds qhermite's cached arrays, not copies
-    assert _plan(ctx).half is _half_table(ctx)[0]
-    assert _plan(ctx).c is _weights(ctx).c
+    assert np.array_equal(_half_table(ctx)[0], table[:, 0::2])
     sw = np.sqrt(lattice_weight_window(ctx))
     for n in (0, 1, 6, 37):
         assert np.array_equal(rescaled_mode(n, ctx).values, sw * table[n])

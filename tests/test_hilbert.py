@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
-                  DomainError, KindMismatch, LatticeFunction, TailTooLarge,
-                  ValidationError, WavefunctionQuery, apply_H, apply_P,
-                  apply_Q, basis_coeff, coupling, decompose,
+                  DomainError, IndexOutOfRange, KindMismatch, LatticeFunction,
+                  TailTooLarge, ValidationError, WavefunctionQuery, apply_H,
+                  apply_P, apply_Q, basis_coeff, coupling, decompose,
                   fock_inner, fock_to_lattice, lattice_inner, lattice_point,
                   mode_function, normalized_eigenfunction, phi_eval,
                   phi_product_residuals, psi_eval, q_difference_P_oracle,
-                  q_difference_bracket, window_values)
+                  q_difference_bracket, rescaled_mode, window_values)
 
 
 def test_lattice_function_kind_guard():
@@ -123,6 +123,16 @@ def test_momentum_inner_orthonormal_modes(ctx):
         g = mode_function(m, ctx, kind="momentum")
         want = 1.0 if n == m else 0.0
         assert lattice_inner(f, g, ctx) == pytest.approx(want, abs=1e-9)
+
+
+def test_mode_degree_outside_the_fock_space_raises(ctx):
+    # -1 used to index the table from its end and return mode fock_dim - 1
+    for n in (-1, ctx.fock_dim, 2.0):
+        for kind in ("position", "momentum"):
+            with pytest.raises(IndexOutOfRange):
+                mode_function(n, ctx, kind=kind)
+        with pytest.raises(IndexOutOfRange):
+            rescaled_mode(n, ctx)
 
 
 def test_fock_to_position_length_guard(ctx):

@@ -35,32 +35,29 @@ def test_qpoch_recurrence_exact(a, n):
 
 def test_qpoch_inf_frozen_values():
     ctx = DeformationContext(q=0.25)
-    assert qpoch_inf(0.25, ctx).value == pytest.approx(
+    assert qpoch_inf(0.25, ctx) == pytest.approx(
         0.6885375371203405, rel=1e-14)
     ctx = DeformationContext(q=0.5)
-    assert qpoch_inf(0.5, ctx).value == pytest.approx(
+    assert qpoch_inf(0.5, ctx) == pytest.approx(
         0.2887880950866029, rel=1e-14)
 
 
 def test_qpoch_inf_reports_terms(ctx):
     out = qpoch_inf(0.5, ctx)
-    assert out.terms_used > 10
     # tighter tail tolerance must not move the value materially
     tight = qpoch_inf(0.5, DeformationContext(q=0.5, tail_tol=1e-18))
-    assert tight.value == pytest.approx(out.value, rel=1e-13)
+    assert tight == pytest.approx(out, rel=1e-13)
 
 
 def test_qpoch_inf_domain_guard(ctx):
     with pytest.raises(DomainError):
         qpoch_inf(1.2, ctx)
-    val = qpoch_inf(1.2, ctx, allow_ge_one=True).value
-    assert np.isfinite(val)
 
 
 def test_qpoch_inf_base_override(ctx):
     q2 = ctx.q**2
-    direct = qpoch_inf(q2, ctx, base=q2).value
-    via_split = qpoch_inf(ctx.q, ctx).value * qpoch_inf(-ctx.q, ctx).value
+    direct = qpoch_inf(q2, ctx, base=q2)
+    via_split = qpoch_inf(ctx.q, ctx) * qpoch_inf(-ctx.q, ctx)
     assert direct == pytest.approx(via_split, rel=1e-13)
 
 

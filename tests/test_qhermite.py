@@ -247,10 +247,13 @@ def test_table_kind_validation(ctx):
 
 
 def test_momentum_table_is_phase_twist(ctx):
-    pos = build_mode_table("position", ctx)
-    mom = build_mode_table("momentum", ctx)
-    phases = 1j ** np.arange(ctx.fock_dim)
-    assert np.array_equal(mom.values, phases[:, None] * pos.values)
+    # numpy's 1j ** n is exact only below n = 100, hence the deeper context
+    for c in (ctx, DeformationContext(q=0.5, lattice_depth=128, fock_dim=320)):
+        pos = build_mode_table("position", c).values
+        mom = build_mode_table("momentum", c).values
+        phases = np.array([1, 1j, -1, -1j])[np.arange(c.fock_dim) % 4]
+        assert np.array_equal(mom, phases[:, None] * pos)
+        assert np.all(mom[0::2].imag == 0) and np.all(mom[1::2].real == 0)
 
 
 def test_table_rebuild_is_bitwise_stable(ctx):
