@@ -120,39 +120,39 @@ def _matvec(A: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _apply(tau: float, F: np.ndarray, ctx: DeformationContext) -> np.ndarray:
     """Phi^tau F in O(N S): the parity split of _fold on a vector."""
     half, w = _half_table(ctx)[0], _weights(ctx)
-    sw = w.sqrt_w
     phases = np.exp(1j * tau * np.arange(half.shape[0]))
-    plus = w.c * F[0::2] / sw
-    minus = w.c * F[1::2] / sw
+    plus = w.c * F[0::2] / w.sqrt_w
+    minus = w.c * F[1::2] / w.sqrt_w
     A_e, A_o = half[0::2], half[1::2]
     even = _matvec(A_e.T, phases[0::2] * _matvec(A_e, plus + minus))
     odd = _matvec(A_o.T, phases[1::2] * _matvec(A_o, plus - minus))
     out = np.empty(F.shape[0], dtype=complex)
-    out[0::2] = sw * (even + odd)
-    out[1::2] = sw * (even - odd)
+    out[0::2] = w.sqrt_w * (even + odd)
+    out[1::2] = w.sqrt_w * (even - odd)
     return out
 
 
 def _kernel(tau: float, variant: str, ctx: DeformationContext,
             scale) -> EvolutionKernel:
+    # the certificate builds the half table on a new context; the S x S
+    # level-pair factors scale(weights) are formed after it, off that peak
     tail, s_match = _certificate(ctx)
     return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
                            n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=_fold(tau, ctx, scale), tail_estimate=tail,
-                           s_match=s_match)
+                           matrix=_fold(tau, ctx, scale(_weights(ctx))),
+                           tail_estimate=tail, s_match=s_match)
 
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
-    c = _weights(ctx).c
-    return _kernel(tau, "raw_K", ctx, cmath.exp(1j * tau / 2.0) * c[None, :])
+    phase = cmath.exp(1j * tau / 2.0)
+    return _kernel(tau, "raw_K", ctx, lambda w: phase * w.c[None, :])
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
-    w = _weights(ctx)
-    scale = (w.sqrt_w[:, None] / w.sqrt_w[None, :]) * w.c[None, :]
-    return _kernel(tau, "rescaled_Phi", ctx, scale)
+    return _kernel(tau, "rescaled_Phi", ctx, lambda w: (
+        w.sqrt_w[:, None] / w.sqrt_w[None, :]) * w.c[None, :])
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
