@@ -41,7 +41,8 @@ MAX_TABLE_ROWS = 1_000_000
 # Largest working set `spectrum`, `kernel` or `evolve` may ask for, in
 # bytes. Each command's is estimated from its arrays before any is formed
 # (_check_size): the complex 2S x 2S kernel (16 (2S)^2; kernel only), the
-# real N x S half table of the modes (8 N S; kernel and evolve), and
+# real N x S half table of the modes (8 N S; kernel and evolve), the
+# bidiagonal half of Q's largest block and its copy (spectrum only), and
 # ENTRY_BYTES per level and per eigenvalue for the vectors, Python floats
 # and file rows of the window, the spectrum report and the artifact
 # readers (evolve holds about 0.9 KB per level at S = 200000).
@@ -111,6 +112,14 @@ def _check_size(ctx: DeformationContext, matrix_bytes: int) -> None:
             f"would need about {nbytes:.3g} bytes, over the "
             f"{MAX_WORK_BYTES:.3g}-byte cap; lower --fock-dim or "
             f"--lattice-depth")
+
+
+def _spectrum_bytes(ctx: DeformationContext) -> int:
+    """16 ceil(m/2) floor(m/2): the largest block's bidiagonal half and
+    numpy's copy of it. Q splits where a_n underflows to 0, from
+    q^n < 2^-1075 on, so no block has more than m = min(N, that n + 1)."""
+    m = min(ctx.fock_dim, math.ceil(1075 * math.log(2) / -math.log(ctx.q)) + 1)
+    return 16 * ((m + 1) // 2) * (m // 2)
 
 
 # The context options default to None, so that _settings can tell an
@@ -233,7 +242,7 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
 def spectrum(fmt, out, config, require_s, **flags):
     """Diagonalize the position operator and match levels to +-q^s."""
     ctx = _resolve(config, **flags)
-    _check_size(ctx, 0)  # eigenvalues only: Q is two vectors
+    _check_size(ctx, _spectrum_bytes(ctx))
     rep = spectrum_report(build_Q(ctx), ctx)
     path = out or f"spectrum.{fmt}"
     write_spectrum_report(rep, path, fmt)

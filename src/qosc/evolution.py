@@ -132,8 +132,14 @@ def _apply(tau: float, F: np.ndarray, ctx: DeformationContext) -> np.ndarray:
     return out
 
 
+def _check_tau(tau: float) -> None:
+    if not math.isfinite(tau):
+        raise ValidationError(f"tau must be finite, got {tau!r}")
+
+
 def _kernel(tau: float, variant: str, ctx: DeformationContext,
             scale) -> EvolutionKernel:
+    _check_tau(tau)
     # the certificate builds the half table on a new context; the S x S
     # level-pair factors scale(weights) are formed after it, off that peak
     tail, s_match = _certificate(ctx)
@@ -145,8 +151,8 @@ def _kernel(tau: float, variant: str, ctx: DeformationContext,
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
-    phase = cmath.exp(1j * tau / 2.0)
-    return _kernel(tau, "raw_K", ctx, lambda w: phase * w.c[None, :])
+    return _kernel(tau, "raw_K", ctx,
+                   lambda w: cmath.exp(1j * tau / 2.0) * w.c[None, :])
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
@@ -194,12 +200,14 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
     that already hold fractional_ft(tau, ctx): it must be the
     rescaled_Phi variant (KindMismatch otherwise) built at this tau, q,
     fock_dim and lattice_depth (ValidationError otherwise). Its matrix is
-    not applied, so the result is the same with or without it.
+    not applied, so the result is the same with or without it. A tau
+    that is not finite raises ValidationError, here and in the kernels.
     """
     if F.kind != "position":
         raise KindMismatch(f"evolve wants a position function, got {F.kind}")
     if not F.rescaled:
         raise NotRescaled("evolve acts on rescaled values; call rescale first")
+    _check_tau(tau)
     _check_window(F, ctx)
     if kernel is not None:
         if kernel.variant != "rescaled_Phi":

@@ -12,7 +12,8 @@ and [Q, P] = -i F(H) away from the truncation edge. The ladder
 operators are not Hermitian; build_ladders returns them as dense
 matrices. The spectrum of the truncated Q fills the geometric lattice
 {+-q^s} from the outside in; spectrum_report performs the matching on
-eigenvalues alone.
+eigenvalues alone, which come from Q's bidiagonal half to high relative
+accuracy (eigenvalues); eigendecompose also forms the eigenvectors.
 _count_s_match finds the depth of that matching, s_match, from Sturm
 counts at the 4S shifts +-q^s +- match_tol, without computing any
 eigenvalue: it is what the evolution kernels report.
@@ -26,7 +27,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .context import DeformationContext
-from .errors import DimensionMismatch, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, DomainError, NoConvergence, NotHermitian
 from .qcore import coupling
 from .qhermite import window_index, window_values
 
@@ -111,79 +112,60 @@ def commutator(A, B) -> np.ndarray:
     return a @ b - b @ a
 
 
-def _gauge_phases(offdiag: np.ndarray) -> np.ndarray:
-    """Diagonal phases d with conj(d_n) t_n d_{n+1} = |t_n|."""
-    n = offdiag.shape[0] + 1
-    d = np.ones(n, dtype=complex)
-    for k in range(n - 1):
-        t = offdiag[k]
-        d[k + 1] = d[k] * (np.conj(t) / abs(t) if t != 0 else 1.0)
-    return d
-
-
-def _real_form(T: TridiagonalOperator) -> Tuple[np.ndarray, np.ndarray, bool]:
-    """(d, e, complex_gauge): the real symmetric tridiagonal similar to T.
-
-    Complex off-diagonals are rotated to the real nonnegative gauge by a
-    diagonal phase similarity (_gauge_phases), which keeps the spectrum.
-    """
+def _real_form(T: TridiagonalOperator) -> Tuple[np.ndarray, np.ndarray]:
+    """(d, |offdiag|): the real symmetric tridiagonal that a diagonal
+    phase similarity, which keeps the spectrum, turns T into."""
     if np.any(np.abs(np.imag(T.diag)) > 0):
         raise NotHermitian("Hermitian operator must have a real diagonal")
-    d = np.real(T.diag).astype(float)
-    complex_gauge = np.iscomplexobj(T.offdiag) and np.any(np.imag(T.offdiag) != 0)
-    e = np.abs(T.offdiag).astype(float) if complex_gauge else np.real(T.offdiag).astype(float)
-    return d, e, complex_gauge
-
-
-def _tridiagonal_solve(d: np.ndarray, e: np.ndarray, eigvals_only: bool):
-    """Bisection (plus inverse iteration for vectors), implicit QL as fallback."""
-    # Imported on first use: loading scipy.linalg more than doubles the
-    # start-up of `import qosc.cli` (0.24 s -> 0.55 s on a 2-core Xeon VM),
-    # which commands that solve no eigenproblem (qosc hermite) need not pay.
-    from scipy.linalg import eigh_tridiagonal
-
-    try:
-        return eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
-                                lapack_driver="stebz")
-    except (np.linalg.LinAlgError, ValueError):
-        try:
-            return eigh_tridiagonal(d, e, eigvals_only=eigvals_only,
-                                    lapack_driver="stev")
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise NoConvergence(f"tridiagonal eigensolver failed: {exc}") from exc
+    return np.real(T.diag).astype(float), np.abs(T.offdiag).astype(float)
 
 
 def eigenvalues(T: TridiagonalOperator, ctx: DeformationContext) -> np.ndarray:
-    """Eigenvalues (ascending) of a Hermitian operator, no eigenvectors.
+    """Eigenvalues (ascending) of a zero-diagonal Hermitian operator, such
+    as Q or P, each to high relative accuracy however small.
 
-    Bit-identical to eigendecompose(T, ctx)[0]: both run the same
-    bisection on the same real gauge (only the QL fallback, taken when
-    bisection fails, may differ in the last bits).
-    """
-    d, e, _ = _real_form(T)
-    if T.dim == 1:
-        return d.copy()
-    return _tridiagonal_solve(d, e, eigvals_only=True)
+    T splits into blocks at its zero couplings. In even/odd site order an
+    m-site block is [[0, B^T], [B, 0]], with B the upper bidiagonal of its
+    couplings e[0], e[2], ... (diagonal) and e[1], e[3], ... Its
+    eigenvalues are +- the singular values of B (Golub and Kahan, 1965),
+    each to a few ulps (Demmel and Kahan, 1990), and an exact 0 for odd m.
+    A nonzero diagonal raises DomainError."""
+    d, e = _real_form(T)
+    if np.any(d != 0):
+        raise DomainError("eigenvalues needs a zero diagonal; "
+                          "use eigendecompose for this operator")
+    ends = np.append(np.flatnonzero(e == 0) + 1, T.dim)
+    sizes = np.diff(ends, prepend=0)
+    sv = [np.empty(0)]
+    for end, m in zip(ends[sizes > 1], sizes[sizes > 1]):
+        B = np.zeros((m // 2, (m + 1) // 2))  # row k: e[2k], then e[2k+1]
+        B.flat[0::B.shape[1] + 1] = e[end - m:end - 1:2]
+        B.flat[1::B.shape[1] + 1] = e[end - m + 1:end - 1:2]
+        try:
+            sv.append(np.linalg.svd(B, compute_uv=False))
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"bidiagonal SVD failed: {exc}") from exc
+    sv = np.concatenate(sv)
+    if not np.all(np.isfinite(sv)):
+        raise NoConvergence("bidiagonal SVD returned non-finite values")
+    return np.sort(np.concatenate([-sv, np.zeros(np.sum(sizes % 2)), sv]))
 
 
 def eigendecompose(T: TridiagonalOperator,
                    ctx: DeformationContext) -> Tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator.
-
-    The solve runs on the real gauge of _real_form; eigenvectors are
-    rotated back by the gauge phases. Each eigenpair is residual-checked
-    against 1e-12 times the operator scale.
-    """
-    d, e, complex_gauge = _real_form(T)
-    if T.dim == 1:
-        return d.copy(), np.ones((1, 1))
-    vals, vecs = _tridiagonal_solve(d, e, eigvals_only=False)
-    if complex_gauge:
-        vecs = _gauge_phases(T.offdiag)[:, None] * vecs
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian operator,
+    from numpy's dense solver. A failed solve, or an eigenpair residual
+    not within 1e-12 times the operator scale (NaN included), raises
+    NoConvergence."""
+    d, e = _real_form(T)
     dense = T.to_dense()
-    scale = float(np.max(np.abs(d))) + 2.0 * float(np.max(np.abs(e))) if e.size else float(np.max(np.abs(d)))
+    try:
+        vals, vecs = np.linalg.eigh(dense)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+    scale = np.max(np.abs(d)) + 2.0 * np.max(e, initial=0.0)
     resid = np.linalg.norm(dense @ vecs - vecs * vals[None, :], axis=0)
-    if np.any(resid > _RESIDUAL_FACTOR * max(scale, 1e-300)):
+    if not np.all(resid <= _RESIDUAL_FACTOR * max(scale, 1e-300)):
         raise NoConvergence(
             f"eigenpair residual {float(np.max(resid)):.3e} exceeds "
             f"{_RESIDUAL_FACTOR:.0e} * scale")
@@ -289,7 +271,7 @@ def _count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
     its own shifts, not by symmetry. A pool with too few eigenvalues fails
     its level, and s_match is the level before the first failure.
     """
-    d, e, _ = _real_form(T)
+    d, e = _real_form(T)
     t, tol = window_values(ctx)[0::2], ctx.match_tol
     shifts = np.concatenate([t + tol, np.maximum(t - tol, 0.0),
                              -t - tol, np.minimum(tol - t, 0.0)])

@@ -11,7 +11,8 @@ from click.testing import CliRunner
 import qosc
 from qosc import (DeformationContext, ValidationError, build_mode_table,
                   hermite_eval, rescaled_mode)
-from qosc.cli import ENTRY_BYTES, MAX_WORK_BYTES, _check_size, main
+from qosc.cli import (ENTRY_BYTES, MAX_WORK_BYTES, _check_size,
+                       _spectrum_bytes, main)
 from qosc.serialize import (load_lattice_function, load_mode_table,
                             write_lattice_function)
 
@@ -75,12 +76,16 @@ def _qosc_subprocess(code: str, *args: str, **kwargs):
                           **kwargs)
 
 
+# Blocks scipy in the subprocess: importing it, or any of its submodules,
+# raises ImportError, so a command that needs it fails instead of loading it.
+_NO_SCIPY = "import sys\nsys.modules['scipy'] = None\n"
+
+
 def test_hermite_does_not_import_scipy(tmp_path):
-    code = ("import sys\n"
+    code = (_NO_SCIPY +
             "from qosc.cli import main\n"
             "main(['hermite', '--fock-dim', '8', '--lattice-depth', '4',\n"
-            "      '--out', sys.argv[1]], standalone_mode=False)\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "      '--out', sys.argv[1]], standalone_mode=False)\n")
     r = _qosc_subprocess(code, str(tmp_path / "m.csv"))
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "m.csv").exists()
@@ -90,16 +95,32 @@ def test_kernel_and_evolve_do_not_import_scipy(tmp_path):
     # a kernel's s_match comes from Sturm counts, so no eigensolver loads
     ctx = DeformationContext(q=0.5, lattice_depth=10, fock_dim=44)
     write_lattice_function(rescaled_mode(1, ctx), ctx, str(tmp_path / "in.csv"))
-    code = ("import sys\n"
+    code = (_NO_SCIPY +
             "from qosc.cli import main\n"
             "size = ['--lattice-depth', '10', '--fock-dim', '44']\n"
             "main(['kernel', *size, '--out', 'k.csv'], standalone_mode=False)\n"
             "main(['evolve', *size, '--input', 'in.csv', '--out', 'e.csv'],\n"
-            "     standalone_mode=False)\n"
-            "assert 'scipy' not in sys.modules, 'scipy was imported'\n")
+            "     standalone_mode=False)\n")
     r = _qosc_subprocess(code, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     assert (tmp_path / "k.csv").exists() and (tmp_path / "e.csv").exists()
+
+
+def test_spectrum_and_verify_do_not_import_scipy(tmp_path):
+    # the spectrum is numpy's SVD and the eigenpairs numpy's eigh: qosc
+    # needs no scipy, and the whole battery runs without it
+    code = (_NO_SCIPY +
+            "from qosc.cli import main\n"
+            "main(['spectrum', '--fock-dim', '60', '--out', 's.json',\n"
+            "      '--format', 'json'], standalone_mode=False)\n"
+            "try:\n"
+            "    main(['verify', '--seed', '3'], standalone_mode=False)\n"
+            "except SystemExit as exc:\n"
+            "    sys.exit(exc.code)\n")
+    r = _qosc_subprocess(code, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "s.json").exists()
+    assert "PASS overall 56/56 checks" in r.stdout, r.stdout
 
 
 def test_oversized_inputs_fail_before_allocating(tmp_path):
@@ -123,6 +144,45 @@ def test_oversized_inputs_fail_before_allocating(tmp_path):
                                      "spectrum 1", "kernel 1", ""], r.stderr
     assert r.stderr.count("over the 4.29e+09-byte cap") == 5, r.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_is_charged_for_its_largest_block(tmp_path):
+    # under 1 GiB of address space. At q = 0.99 every coupling of
+    # N = 40000 is nonzero, so the bidiagonal half would be 20000 x 20000
+    # (6.4 GB with LAPACK's copy): refused before anything is formed. At
+    # q = 0.5 the couplings underflow to 0 from n = 1075 on, so the same N
+    # solves blocks of at most 1076 sites
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from qosc.cli import main\n"
+            "for q in ('0.99', '0.5'):\n"
+            "    try:\n"
+            "        main(['spectrum', '--q', q, '--fock-dim', '40000',\n"
+            "              '--out', f'{q}.csv'], standalone_mode=False)\n"
+            "    except SystemExit as exc:\n"
+            "        print(q, exc.code)\n")
+    r = _qosc_subprocess(code, cwd=tmp_path)
+    assert r.stdout.splitlines()[0] == "0.99 1", r.stdout + r.stderr
+    assert "over the 4.29e+09-byte cap" in r.stderr
+    assert not (tmp_path / "0.99.csv").exists()
+    assert (tmp_path / "0.5.csv").exists(), r.stdout + r.stderr
+    assert _spectrum_bytes(DeformationContext(q=0.5, fock_dim=40000)) \
+        == 16 * 538 * 538
+
+
+@pytest.mark.parametrize("command, tau", [("kernel", "nan"), ("evolve", "inf")])
+def test_non_finite_tau_exits_1(runner, tmp_path, command, tau):
+    ctx = DeformationContext(q=0.5, lattice_depth=4, fock_dim=8)
+    src = str(tmp_path / "in.csv")
+    write_lattice_function(rescaled_mode(1, ctx), ctx, src)
+    out = tmp_path / "out.csv"
+    args = [command, "--lattice-depth", "4", "--fock-dim", "8", "--tau", tau,
+            "--out", str(out)]
+    if command == "evolve":
+        args += ["--input", src]
+    r = runner.invoke(main, args)
+    assert r.exit_code == 1 and "tau must be finite" in r.output, r.output
+    assert not out.exists()
 
 
 def test_size_cap_boundary():

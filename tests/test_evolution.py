@@ -128,6 +128,17 @@ def test_evolve_guards(ectx):
         evolve(f, 0.5, ectx, kernel=raw)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["kernel_K", "fractional_ft", "evolve"])
+def test_non_finite_tau_is_a_validation_error(entry, tau, ectx):
+    # a NaN or infinite angle would give all-NaN phases e^{i n tau}
+    call = {"kernel_K": lambda: kernel_K(tau, ectx),
+            "fractional_ft": lambda: fractional_ft(tau, ectx),
+            "evolve": lambda: evolve(rescaled_mode(1, ectx), tau, ectx)}[entry]
+    with pytest.raises(ValidationError, match="tau must be finite"):
+        call()
+
+
 def test_evolve_with_precomputed_kernel(ectx):
     f = rescaled_mode(2, ectx)
     k = fractional_ft(0.4, ectx)

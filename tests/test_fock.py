@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,8 +65,9 @@ def test_interior_commutators(ctx):
 
 
 def test_eigendecompose_residuals():
-    # q = 0.3 at N = 64 is the configuration where the default LAPACK
-    # driver used to give up; the fallback must keep residuals tight
+    # at q = 0.3, N = 64 the eigenvalues run from 1 down to 1e-17; every
+    # pair of the dense solver must still meet the residual and
+    # orthogonality bounds
     ctx = DeformationContext(q=0.3, fock_dim=64)
     T = build_Q(ctx)
     vals, vecs = eigendecompose(T, ctx)
@@ -133,28 +135,86 @@ def test_spectrum_negation_symmetry():
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.95, 0.9999])
-@pytest.mark.parametrize("n", [1, 2, 64, 200])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 200])
 @pytest.mark.parametrize("build", [build_Q, build_P])
 def test_spectrum_report_eigenvalues_bit_identical(q, n, build):
-    # spectrum_report forms no eigenvectors; its values must still be
-    # exactly those of the checked eigenpairs, for Q and for the
-    # complex-gauge P alike
+    # spectrum_report forms no eigenvectors: its values are bitwise those
+    # of eigenvalues, which are the same for Q and the complex P, exactly
+    # antisymmetric (with one exact 0 for odd N) and within 1e-13 of the
+    # residual-checked eigenpairs of the dense solver
     ctx = DeformationContext(q=q, fock_dim=n)
     T = build(ctx)
-    reference, _ = eigendecompose(T, ctx)
-    assert np.array_equal(eigenvalues(T, ctx), reference)
+    vals = eigenvalues(T, ctx)
     rep = spectrum_report(T, ctx)
     reported = [m.value for m in rep.matched] + list(rep.unmatched)
-    assert np.array_equal(np.sort(reported), reference)
+    assert np.array_equal(np.sort(reported), vals)
+    assert np.array_equal(vals, eigenvalues(build_Q(ctx), ctx))
+    assert np.array_equal(vals, -vals[::-1])
+    assert np.count_nonzero(vals == 0.0) == n % 2
+    assert np.max(np.abs(vals - eigendecompose(T, ctx)[0])) < 1e-13
+
+
+def test_zero_coupling_splits_the_spectrum():
+    # a zero coupling leaves two blocks (17 and 24 sites here): the
+    # spectrum is their union, as the dense solver also finds
+    ctx = DeformationContext(q=0.5, fock_dim=41)
+    e = build_Q(ctx).offdiag.copy()
+    e[16] = 0.0
+    T = TridiagonalOperator(np.zeros(41), e)
+    blocks = [eigenvalues(TridiagonalOperator(np.zeros(17), e[:16]), ctx),
+              eigenvalues(TridiagonalOperator(np.zeros(24), e[17:]), ctx)]
+    vals = eigenvalues(T, ctx)
+    assert np.array_equal(vals, np.sort(np.concatenate(blocks)))
+    assert np.max(np.abs(vals - eigendecompose(T, ctx)[0])) < 1e-13
+
+
+def _mp_count_below(e2, sigma) -> int:
+    """Eigenvalues below sigma of the zero-diagonal tridiagonal with
+    squared couplings e2, by a Sturm count in mpmath's precision."""
+    piv = -sigma
+    count = int(piv < 0)
+    for ek2 in e2:
+        piv = -sigma - ek2 / piv
+        count += int(piv < 0)
+    return count
+
+
+@pytest.mark.parametrize("N", [120, 320])
+def test_eigenvalues_have_relative_accuracy(N):
+    # Q's positive eigenvalues accumulate at 0: the smallest is 1.1e-18
+    # at N = 120 and 9.0e-49 at N = 320. Sturm counts in 80-digit
+    # arithmetic on the squared couplings q^n (1 - q^{n+1}), formed in
+    # mpmath, put the k-th of them within 1e-13 of the k-th value
+    # returned, relative to that value. The negative half is its exact
+    # mirror (test_spectrum_report_eigenvalues_bit_identical)
+    ctx = DeformationContext(q=0.5, fock_dim=N)
+    vals = eigenvalues(build_Q(ctx), ctx)
+    with mpmath.workdps(80):
+        q = mpmath.mpf(ctx.q)
+        e2 = [q**n * (1 - q ** (n + 1)) for n in range(N - 1)]
+        for k in range(N // 2, N):
+            v = mpmath.mpf(vals[k])
+            tol = mpmath.mpf(1e-13) * v
+            assert _mp_count_below(e2, v - tol) == k, (k, vals[k])
+            assert _mp_count_below(e2, v + tol) == k + 1, (k, vals[k])
 
 
 def test_eigensolver_failures_are_typed(ctx):
-    # a NaN defeats both LAPACK drivers; callers see NoConvergence
-    bad = TridiagonalOperator(np.array([0.0, np.nan, 0.0]), np.ones(2))
+    # a non-finite coupling defeats both solvers; callers see
+    # NoConvergence. eigenvalues takes only a zero diagonal, so a NaN or
+    # nonzero one is outside its domain
+    for bad in (np.nan, np.inf):
+        T = TridiagonalOperator(np.zeros(3), np.array([1.0, bad]))
+        for solve in (eigendecompose, eigenvalues):
+            with pytest.raises(NoConvergence):
+                solve(T, ctx)
+    for diag in ([0.0, np.nan, 0.0], [0.0, 1.0, 0.0]):
+        T = TridiagonalOperator(np.array(diag), np.ones(2))
+        with pytest.raises(DomainError, match="zero diagonal"):
+            eigenvalues(T, ctx)
     with pytest.raises(NoConvergence):
-        eigendecompose(bad, ctx)
-    with pytest.raises(NoConvergence):
-        eigenvalues(bad, ctx)
+        eigendecompose(TridiagonalOperator(np.array([0.0, np.nan, 0.0]),
+                                           np.ones(2)), ctx)
 
 
 # (S, N): the ROADMAP ladder, its q -> 1 rung at q = 0.95, and windows
@@ -170,8 +230,8 @@ _DEEP = {(0.3, 674, 1348), (0.5, 674, 1348)}
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
 @pytest.mark.parametrize("S, N", _COUNT_SIZES)
 def test_count_s_match_agrees_with_bisection(q, S, N):
-    # the count is numpy Sturm sequences, the oracle LAPACK bisection plus
-    # the greedy matching: the two share no code
+    # the count is numpy Sturm sequences, the oracle LAPACK's bidiagonal
+    # SVD plus the greedy matching: the two share no code
     ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
     if (q, S, N) in _DEEP:
         with pytest.raises(DomainError, match="double range"):
@@ -184,14 +244,16 @@ def test_count_s_match_agrees_with_bisection(q, S, N):
 @pytest.mark.parametrize("q, N", [(0.5, 64), (0.95, 200), (0.9, 37)])
 def test_count_s_match_reads_the_real_gauge(q, N):
     # P has Q's spectrum through a phase similarity; a diagonal shift of
-    # Q by 2 match_tol moves every eigenvalue off its target
+    # Q by 2 match_tol moves every eigenvalue off its target, and takes Q
+    # out of the zero-diagonal domain of spectrum_report
     ctx = DeformationContext(q=q, fock_dim=N)
     P = build_P(ctx)
     assert _count_s_match(P, ctx) == spectrum_report(P, ctx).s_match
     Q = build_Q(ctx)
     shifted = TridiagonalOperator(Q.diag + 2 * ctx.match_tol, Q.offdiag)
-    assert _count_s_match(shifted, ctx) == spectrum_report(shifted, ctx).s_match
     assert _count_s_match(shifted, ctx) == -1
+    with pytest.raises(DomainError):
+        spectrum_report(shifted, ctx)
 
 
 @pytest.mark.parametrize("q, N", [(0.3, 1), (0.5, 2), (0.5, 65), (0.95, 300)])
