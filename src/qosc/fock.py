@@ -247,16 +247,17 @@ def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray
     taken as -pivmin, as LAPACK's bisection does, so an eigenvalue equal
     to the shift counts as below it.
     """
+    shifts, inverse = np.unique(shifts, return_inverse=True)
     e2 = np.concatenate([[0.0], e * e])  # e2[i] couples pivot i to i - 1
     pivmin = np.finfo(float).tiny * max(1.0, float(np.max(e2)))
     count = np.zeros(shifts.shape, dtype=int)
     piv = np.ones_like(shifts)  # any nonzero start, as e2[0] = 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for i in range(d.shape[0]):
-            piv = (d[i] - shifts) - e2[i] / piv
+            piv = np.subtract(d[i] - shifts, np.divide(e2[i], piv, out=piv), out=piv)
             piv[np.abs(piv) < pivmin] = -pivmin
             count += piv < 0
-    return count
+    return count[inverse]
 
 
 def _count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:

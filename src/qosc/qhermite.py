@@ -23,12 +23,12 @@ This module owns the window: window_values defines its abscissas, and
 two read-only per-context caches hold the rest. _weights holds every
 weight the package reads. _half_table holds p_n(+q^s); every window
 table is its parity mirror (_modes). The forward recurrence is unstable
-past the turning point n > 2s, so the decaying tail of each column is
-re-filled by backward (Miller) recurrence: one sweep over all flagged
-columns at once, indexed by the degree relative to each column's start,
-so every entry sees the same operations as a column run alone and the
-table is bit-identical to that. Pointwise mode_poly and hermite_eval
-use the plain forward recurrence, for shallow degrees.
+past the turning point n > 2s, so each column's decaying tail is
+re-filled by backward (Miller) recurrence from its meet (_p_matrix).
+Both sweeps run in place over all columns at once, the backward one
+indexed by the degree relative to each meet, so every entry sees the
+same operations as a column run alone. Pointwise mode_poly and
+hermite_eval use the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # (n - 2s)^2 ln(1/q) / 4. The backward sweep keeps w = tail_width(q)
 # degrees past each column's meet and starts 2w + 8 past it.
 _BAND_LOG = 50.7
+_SCAN_BLOCK = _WEIGHT_CHUNK = 1 << 17  # entries: ~1 MB temporaries at any size
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class LatticePoint:
 
 def lattice_point(sign: int, s: int, ctx: DeformationContext) -> LatticePoint:
     s = _index(s, ctx.lattice_depth, "level")
-    return LatticePoint(sign, s, float(window_values(ctx)[window_index(sign, s)]))
+    return LatticePoint(sign, s, float(sign * ctx.q ** s))  # as in window_values
 
 
 def lattice_window(ctx: DeformationContext) -> List[LatticePoint]:
@@ -144,7 +145,9 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
 
     Returns (values, tail_start) where values[n, c] = p_n(x[c]) and
     tail_start[c] is the first degree stored as exact zero (nmax if the
-    column has no flagged tail). Raises DomainError if any value is not
+    column has no flagged tail). Miller's pass starts at each column's
+    meet: its first n in [1, nmax - 2] with a_n < |x| and |p_n| below
+    1e-2 max(1, |p_1|, ..., |p_n|). Raises DomainError if any value is not
     finite, which happens on deep windows where the couplings underflow.
     """
     m = x.shape[0]
@@ -152,44 +155,51 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     P = np.zeros((nmax, m))
     P[0] = 1.0
     tail_start = np.full(m, nmax, dtype=int)
-    if nmax == 1:
-        return P, tail_start
-    ax = np.abs(x)
-    w = tail_width(ctx.q)
-    P[1] = x / a[0]
-    colmax = np.maximum(1.0, np.abs(P[1]))
-    meet = np.full(m, -1, dtype=int)
+    ax, w, buf = np.abs(x), tail_width(ctx.q), np.empty(m)
+    P[1:2] = x / a[0]  # empty when nmax == 1, and so is every loop below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n in range(1, nmax - 1):
-            P[n + 1] = (x * P[n] - a[n - 1] * P[n - 1]) / a[n]
-            hit = (meet < 0) & (a[n] < ax) & (np.abs(P[n]) < 1e-2 * colmax)
-            meet[hit] = n
-            live = meet < 0
-            colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
-    # Miller's backward pass over all flagged columns c at once: row i of
-    # v is p_{meet+i} up to a per-column scale, started from v[2w+8] = 1.
-    c = np.flatnonzero(meet >= 0)
-    mc, xc = meet[c], x[c]
-    a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
-    v = np.zeros((2 * w + 10, c.size))
-    v[-2] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(2 * w + 8, 0, -1):
-            v[i - 1] = (xc * v[i] - a_all[mc + i] * v[i + 1]) / a_all[mc + i - 1]
-            big = np.abs(v[i - 1]) > 1e250
-            if big.any():
-                v[i - 1:, big] /= np.abs(v[i - 1, big])
-        ok = v[0] != 0.0
-        c, mc, v = c[ok], mc[ok], v[:, ok]
-        rows = mc + np.arange(1, w + 1)[:, None]
-        put = rows < nmax
-        P[rows[put], np.broadcast_to(c, put.shape)[put]] = (
-            v[1:w + 1] * (P[mc, c] / v[0]))[put]
-    tail_start[c] = np.minimum(mc + w, nmax - 1) + 1
-    P[np.arange(nmax)[:, None] >= tail_start] = 0.0
-    bad = np.argwhere(~np.isfinite(P))
-    if bad.size:
-        n, c = bad[0]
+        for n in range(1, nmax - 1):  # in place, as is the backward pass
+            row = np.multiply(x, P[n], out=P[n + 1])
+            row -= np.multiply(a[n - 1], P[n - 1], out=buf)
+            row /= a[n]
+        # the meets, by blocks of rows that carry the running max (and NaN)
+        meet, colmax = np.full(m, -1), np.ones(m)
+        step = max(1, _SCAN_BLOCK // m)
+        for n0 in range(1, nmax - 1, step):
+            if not (live := np.flatnonzero(meet < 0)).size:
+                break
+            n1, cols = min(n0 + step, nmax - 1), slice(live[0], live[-1] + 1)
+            mag = np.abs(P[n0:n1, cols])  # the columns outside cols have met
+            run = np.maximum(np.maximum.accumulate(mag, axis=0), colmax[cols])
+            colmax[cols] = run[-1]
+            hit = (mag < np.multiply(run, 1e-2, out=run)) & (a[n0:n1, None] < ax[cols])
+            new = hit.any(axis=0) & (meet[cols] < 0)
+            meet[cols][new] = n0 + hit.argmax(axis=0)[new]
+        # Miller's backward pass over all flagged columns c at once: row i of
+        # v is p_{meet+i} up to a per-column scale, started from v[2w+8] = 1.
+        c = np.flatnonzero(meet >= 0)
+        if c.size:
+            mc, xc = meet[c], x[c]
+            a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
+            ac = a_all[mc + np.arange(2 * w + 9)[:, None]]  # ac[i] = a_{meet+i}
+            v, big = np.zeros((2 * w + 10, c.size)), np.empty(c.size, bool)
+            v[-2], buf = 1.0, buf[:c.size]
+            for i in range(2 * w + 8, 0, -1):
+                row = np.multiply(xc, v[i], out=v[i - 1])
+                row -= np.multiply(ac[i], v[i + 1], out=buf)
+                row /= ac[i - 1]
+                if np.greater(np.abs(row, out=buf), 1e250, out=big).any():
+                    v[i - 1:, big] /= buf[big]
+            del ac  # before the write-back's temporaries
+            ok = v[0] != 0.0
+            rows = mc + np.arange(1, w + 1)[:, None]
+            put = (rows < nmax) & ok
+            P[rows[put], np.broadcast_to(c, put.shape)[put]] = (
+                v[1:w + 1] * (P[mc, c] / v[0]))[put]
+            tail_start[c[ok]] = np.minimum(mc[ok] + w, nmax - 1) + 1
+            P[np.arange(nmax)[:, None] >= tail_start] = 0.0
+    if not np.isfinite(P).all():
+        n, c = np.argwhere(~np.isfinite(P))[0]
         xc = float(x[c])
         level = round(math.log(abs(xc), ctx.q)) if xc else None
         raise DomainError(
@@ -211,20 +221,27 @@ class Weights(NamedTuple):
 
 @lru_cache(maxsize=4)
 def _weights(ctx: DeformationContext) -> Weights:
-    """Every level's weights, computed once per context.
-
-    The prefactor and w_0, the smallest w_s, must be finite positive
-    normal floats (from q ~ 0.998 on they are not), or DomainError is
-    raised. c_s may underflow to 0 on deep levels, which weighs nothing.
+    """Every level's weights, computed once per context: w_s multiplies
+    qpoch_inf's factors 1 - q^{2s+2} q^{2k}, formed and ordered as there
+    (q^{2k} by repeated products, 1.0 past tail_tol), a chunk of levels
+    at a time. The prefactor and w_0, the smallest w_s, must be finite
+    positive normal floats (from q ~ 0.998 on they are not), or
+    DomainError is raised. c_s may underflow to 0 on deep levels.
     """
-    q, q2, tiny = ctx.q, ctx.q * ctx.q, sys.float_info.min
+    q, q2, tiny, tol = ctx.q, ctx.q * ctx.q, sys.float_info.min, ctx.tail_tol
     pq = float(qpoch_inf(q, ctx))
     mq = float(qpoch_inf(-q, ctx))
     pref = 2.0 * pq * (mq * mq)
     if not (math.isfinite(pref) and pref >= tiny):
         raise DomainError(f"weight prefactor {pref!r} outside double range at q={q}")
-    w = np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2))
-                  for s in range(ctx.lattice_depth)])
+    if not q2 > 0.0:
+        raise DomainError(f"product base must lie in (0, 1), got {q2!r}")
+    lead = np.array([q2 ** (s + 1) for s in range(ctx.lattice_depth)])
+    qk = np.cumprod([1.0] + [q2] * int(math.log(tol, q2) + 2))[:, None]
+    w, step = np.ones(ctx.lattice_depth), max(1, _WEIGHT_CHUNK // len(qk))
+    for s0 in range(0, ctx.lattice_depth, step):
+        t = lead[s0:s0 + step] * qk[:np.count_nonzero(lead[s0] * qk >= tol)]
+        w[s0:s0 + step] = np.where(t >= tol, 1.0 - t, 1.0).prod(axis=0)
     if not w[0] >= tiny:
         raise DomainError(f"weight w_0 = {w[0]!r} outside double range at q={q}")
     out = Weights(w=w, sqrt_w=np.sqrt(w), c=window_values(ctx)[0::2] * w / pref,

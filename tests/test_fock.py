@@ -6,7 +6,7 @@ from qosc import (DeformationContext, DimensionMismatch, DomainError,
                   NoConvergence, NotHermitian, TridiagonalOperator,
                   build_F_of_H, build_H, build_ladders, build_P, build_Q,
                   commutator, coupling, eigendecompose, eigenvalues,
-                  fractional_ft, spectrum_report)
+                  fractional_ft, spectrum_report, window_values)
 from qosc.fock import _count_below, _count_s_match
 
 
@@ -275,3 +275,33 @@ def test_sturm_count_takes_a_zero_pivot_as_negative():
     d, e = np.zeros(5), np.array([0.0, 1.0, 0.0, 1.0])
     shifts = np.array([0.0, -2.0, 2.0, -0.5, 0.5])
     assert _count_below(d, e, shifts).tolist() == [3, 0, 5, 2, 3]
+
+
+def _count_below_one_shift(d, e, sigma):
+    """_count_below's Sturm loop for a single shift, in Python floats."""
+    e2 = [0.0] + (e * e).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(e2))
+    piv, count = 1.0, 0
+    for di, ek2 in zip(d.tolist(), e2):
+        piv = (di - sigma) - ek2 / piv
+        if abs(piv) < pivmin:
+            piv = -pivmin
+        count += piv < 0
+    return count
+
+
+@pytest.mark.parametrize("q, S, N", [(0.5, 128, 320), (0.95, 64, 160)])
+def test_sturm_count_of_repeated_shifts_is_one_count_per_shift(q, S, N):
+    # _count_s_match's shifts repeat wherever q^s < match_tol (they take
+    # 245 distinct values of 512 here at q = 0.5); shuffled, with repeats
+    # and signed zeros, on Q and on Q plus a seeded diagonal
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    t, tol = window_values(ctx)[0::2], ctx.match_tol
+    shifts = np.concatenate([t + tol, np.maximum(t - tol, 0.0),
+                             -t - tol, np.minimum(tol - t, 0.0), [0.0, -0.0]])
+    rng = np.random.default_rng(S)
+    shifts = rng.permutation(np.concatenate([shifts, shifts[::7]]))
+    e = build_Q(ctx).offdiag
+    for d in (np.zeros(N), rng.uniform(-0.01, 0.01, N)):
+        want = [_count_below_one_shift(d, e, float(s)) for s in shifts]
+        assert _count_below(d, e, shifts).tolist() == want

@@ -10,7 +10,8 @@ from qosc import (DeformationContext, DomainError, IndexOutOfRange,
                   mode_poly, norm_c, norm_c_window, orthogonality_residual,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
-from qosc.qcore import coupling
+from qosc import qhermite
+from qosc.qcore import coupling, qpoch_inf
 from qosc.qhermite import _p_matrix, _weights, tail_width
 
 
@@ -22,6 +23,15 @@ def test_lattice_point_validation(ctx):
         lattice_point(2, 0, ctx)
     with pytest.raises(IndexOutOfRange):
         lattice_point(1, ctx.lattice_depth, ctx)
+
+
+@pytest.mark.parametrize("q,S", [(0.5, 40), (0.95, 200), (0.99, 64), (0.3, 700)])
+def test_lattice_point_is_the_window_abscissa_bitwise(q, S):
+    # at q = 0.3 the deep levels underflow, so -0.0 is pinned as well
+    ctx = DeformationContext(q=q, lattice_depth=S)
+    got = np.array([lattice_point(sign, s, ctx).value
+                    for s in range(S) for sign in (1, -1)])
+    assert np.array_equal(got.view(np.uint64), window_values(ctx).view(np.uint64))
 
 
 def test_window_interleaving(ctx):
@@ -193,6 +203,51 @@ def test_miller_sweep_rescales_like_per_column_pass():
     xs = window_values(ctx)[0::2]
     _, rescaled = _assert_sweep_matches_columns(np.concatenate([xs, 0.99 * xs]), ctx)
     assert len({tuple(steps) for steps in rescaled.values()}) > 1
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
+def test_miller_start_scan_carries_across_blocks(rows, monkeypatch):
+    # blocks of a few rows, so that meets fall on the first and the last
+    # row of a block (rows n0 .. n0 + rows - 1, from n0 = 1), and the
+    # running maximum is carried over many block edges
+    ctx = DeformationContext(q=0.5, fock_dim=64, lattice_depth=32)
+    monkeypatch.setattr(qhermite, "_SCAN_BLOCK", rows * 32)
+    edges = set()
+    for x in (window_values(ctx)[0::2], window_values(ctx)[1::2]):
+        meet, _ = _assert_sweep_matches_columns(x, ctx)
+        edges |= {(n - 1) % rows for n in meet[meet > 0]} & {0, rows - 1}
+    assert edges == {0, rows - 1}
+
+
+def test_miller_start_scan_spans_blocks_at_full_size():
+    # 300 columns: the scan's blocks hold 436 rows, and meets lie in both
+    ctx = DeformationContext(q=0.97, fock_dim=700, lattice_depth=300)
+    meet, _ = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
+    step = qhermite._SCAN_BLOCK // 300
+    assert (meet[meet > 0] <= step).any() and (meet > step).any()
+
+
+def _weights_per_level(ctx):
+    """w_s by one qpoch_inf product per level, as they were formed
+    before the levels were batched."""
+    q2 = ctx.q * ctx.q
+    return np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2))
+                     for s in range(ctx.lattice_depth)])
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997])
+def test_weights_equal_per_level_products_bitwise(q, tol, monkeypatch):
+    # chunks of the default size, then of 1 level, a few levels and a
+    # size no level count divides, so levels lie on both sides of chunk
+    # boundaries
+    for chunk in (qhermite._WEIGHT_CHUNK, 1, 20_000, 77_777):
+        monkeypatch.setattr(qhermite, "_WEIGHT_CHUNK", chunk)
+        for S in (1, 2, 24, 256):
+            ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=tol)
+            got, want = _weights.__wrapped__(ctx), _weights_per_level(ctx)
+            assert np.array_equal(got.w.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got.c, window_values(ctx)[0::2] * want / got.prefactor)
 
 
 @pytest.mark.parametrize("q,S,N", [(0.5, 640, 1280), (0.3, 300, 800)])
