@@ -145,10 +145,11 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
 
     Returns (values, tail_start) where values[n, c] = p_n(x[c]) and
     tail_start[c] is the first degree stored as exact zero (nmax if the
-    column has no flagged tail). Miller's pass starts at each column's
-    meet: its first n in [1, nmax - 2] with a_n < |x| and |p_n| below
-    1e-2 max(1, |p_1|, ..., |p_n|). Raises DomainError if any value is not
-    finite, which happens on deep windows where the couplings underflow.
+    column has no flagged tail). Miller's pass starts at each column's meet:
+    its first n in [1, nmax - 2] past the peak of a_n with 2 a_n < |x| and
+    |p_n| < 1e-2 max(1, |p_1|, ..., |p_n|), where p_n is the minimal
+    solution (Gautschi, SIAM Rev. 9, 1967). Raises DomainError if any value
+    is not finite, as on deep windows where the couplings underflow.
     """
     m = x.shape[0]
     a = coupling(np.arange(max(nmax, 2), dtype=float), ctx)
@@ -164,6 +165,7 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             row /= a[n]
         # the meets, by blocks of rows that carry the running max (and NaN)
         meet, colmax = np.full(m, -1), np.ones(m)
+        lim = np.where(np.arange(a.size) > np.argmax(a[:nmax]), 2.0 * a, np.inf)
         step = max(1, _SCAN_BLOCK // m)
         for n0 in range(1, nmax - 1, step):
             if not (live := np.flatnonzero(meet < 0)).size:
@@ -172,7 +174,7 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             mag = np.abs(P[n0:n1, cols])  # the columns outside cols have met
             run = np.maximum(np.maximum.accumulate(mag, axis=0), colmax[cols])
             colmax[cols] = run[-1]
-            hit = (mag < np.multiply(run, 1e-2, out=run)) & (a[n0:n1, None] < ax[cols])
+            hit = (mag < 1e-2 * run) & (lim[n0:n1, None] < ax[cols])
             new = hit.any(axis=0) & (meet[cols] < 0)
             meet[cols][new] = n0 + hit.argmax(axis=0)[new]
         # Miller's backward pass over all flagged columns c at once: row i of

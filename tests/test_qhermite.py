@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -108,9 +109,12 @@ def test_mirrored_table_raises_like_full_window():
 
 
 # The hybrid table with Miller's pass run one column at a time, as it was
-# before the pass became one sweep over all columns. It also reports each
-# column's meet and, per column, the relative degrees i = n - meet at which
-# the backward values passed 1e250 and were rescaled.
+# before the pass became one sweep over all columns, and with the meet
+# found inside the forward loop, as it was before the block scan. The
+# meet is past the peak of a_n, where 2 a_n < |x| and |p_n| dips below
+# 1e-2 of the running maximum. It also reports each column's meet and,
+# per column, the relative degrees i = n - meet at which the backward
+# values passed 1e250 and were rescaled.
 
 def _backfill_column(P, col, x, meet, a_all, w, rescaled):
     nmax = P.shape[0]
@@ -144,12 +148,14 @@ def _p_matrix_per_column(x, nmax, ctx):
         return P, tail_start, meet, rescaled
     ax = np.abs(x)
     w = tail_width(ctx.q)
+    peak = int(np.argmax(a[:nmax]))
     P[1] = x / a[0]
     colmax = np.maximum(1.0, np.abs(P[1]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(1, nmax - 1):
             P[n + 1] = (x * P[n] - a[n - 1] * P[n - 1]) / a[n]
-            hit = (meet < 0) & (a[n] < ax) & (np.abs(P[n]) < 1e-2 * colmax)
+            hit = ((meet < 0) & (n > peak) & (2.0 * a[n] < ax)
+                   & (np.abs(P[n]) < 1e-2 * colmax))
             meet[hit] = n
             live = meet < 0
             colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
@@ -259,6 +265,36 @@ def test_miller_sweep_raises_like_per_column_pass(q, S, N):
     with pytest.raises(DomainError, match=rf"^p_{n} is not finite at "
                        rf"x = {float(xs[c])!r} "):
         _p_matrix(xs, N, ctx)
+
+
+@pytest.mark.parametrize("q,S,N", [(0.97, 300, 700), (0.98, 350, 700),
+                                   (0.99, 400, 800)])
+def test_core_completeness_as_q_nears_one(q, S, N):
+    # |1 - c_s sum_n p_n(q^s)^2| over the core levels s < S/2. With Miller's
+    # start allowed before the last turning point of a_n, 2, 3 and 66 core
+    # levels missed by up to 4.2e-7, 0.71 and 0.99
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    values = build_mode_table("position", ctx).values[:, :S]
+    defect = np.abs(1.0 - norm_c_window(ctx)[:S] * np.sum(values ** 2, axis=0))
+    assert np.max(defect) <= 1e-8
+
+
+@pytest.mark.parametrize("s", [116, 146])
+def test_q099_columns_match_a_120_digit_recurrence(s):
+    # p_n(q^s) for n < 40, where the forward recurrence carried in 120
+    # digits keeps them all; with the old start these columns were off by
+    # 0.63 and 0.67 of their largest entry
+    ctx = DeformationContext(q=0.99, fock_dim=800, lattice_depth=400)
+    got = build_mode_table("position", ctx).values[:40, 2 * s]
+    with mpmath.workdps(120):
+        q = mpmath.mpf(ctx.q)
+        x = q ** s
+        a = [mpmath.sqrt(q ** n * (1 - q ** (n + 1))) for n in range(40)]
+        p = [mpmath.mpf(1), x / a[0]]
+        for n in range(1, 39):
+            p.append((x * p[n] - a[n - 1] * p[n - 1]) / a[n])
+        want = np.array([float(v) for v in p])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _orthogonality_residual_per_site(k, m, ctx):
