@@ -11,8 +11,10 @@ Most of the set runs at q = 0.5, S = 128, N = 320:
 
 hermite, kernel (CSV and --variant raw JSON) and evolve also run at
 q = 0.95, S = 256, N = 640, where Miller's backward band is w = 63
-degrees wide (18 at q = 0.5) and two columns start it before their
-turning point n = 2s.
+degrees wide (18 at q = 0.5). hermite and evolve run once more at
+q = 0.99, S = 400, N = 800 (w = 143), a window that builds in about
+0.1 s, where a_n rises for about 70 degrees before it decays and a
+start before that peak would break the core levels.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned
@@ -37,6 +39,7 @@ from pathlib import Path
 
 SIZE = ["--q", "0.5", "--lattice-depth", "128", "--fock-dim", "320"]
 WIDE = ["--q", "0.95", "--lattice-depth", "256", "--fock-dim", "640"]
+NEAR_ONE = ["--q", "0.99", "--lattice-depth", "400", "--fock-dim", "800"]
 
 # (artifact name, qosc arguments); each writes its artifact to --out
 COMMANDS = [
@@ -53,6 +56,8 @@ COMMANDS = [
     ("kernel_raw_q095.json", ["kernel", *WIDE, "--variant", "raw", "--format",
                               "json"]),
     ("evolved_q095.csv", ["evolve", *WIDE, "--input", "state.csv"]),
+    ("hermite_q099.csv", ["hermite", *NEAR_ONE]),
+    ("evolved_q099.csv", ["evolve", *NEAR_ONE, "--input", "state.csv"]),
 ]
 
 _TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")
