@@ -245,7 +245,7 @@ def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray
     many negative entries as T has eigenvalues below sigma (Barth, Martin
     and Wilkinson, Numer. Math. 9, 1967). A pivot smaller than pivmin is
     taken as -pivmin, as LAPACK's bisection does, so an eigenvalue equal
-    to the shift counts as below it.
+    to the shift counts as below it. Each distinct shift is counted once.
     """
     shifts, inverse = np.unique(shifts, return_inverse=True)
     e2 = np.concatenate([[0.0], e * e])  # e2[i] couples pivot i to i - 1

@@ -164,9 +164,8 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             row -= np.multiply(a[n - 1], P[n - 1], out=buf)
             row /= a[n]
         # the meets, by blocks of rows that carry the running max (and NaN)
-        meet, colmax = np.full(m, -1), np.ones(m)
+        meet, colmax, step = np.full(m, -1), np.ones(m), max(1, _SCAN_BLOCK // m)
         lim = np.where(np.arange(a.size) > np.argmax(a[:nmax]), 2.0 * a, np.inf)
-        step = max(1, _SCAN_BLOCK // m)
         for n0 in range(1, nmax - 1, step):
             if not (live := np.flatnonzero(meet < 0)).size:
                 break
@@ -192,7 +191,7 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
                 row /= ac[i - 1]
                 if np.greater(np.abs(row, out=buf), 1e250, out=big).any():
                     v[i - 1:, big] /= buf[big]
-            del ac  # before the write-back's temporaries
+            del ac  # so that the write-back's temporaries do not stack on it
             ok = v[0] != 0.0
             rows = mc + np.arange(1, w + 1)[:, None]
             put = (rows < nmax) & ok
@@ -239,7 +238,8 @@ def _weights(ctx: DeformationContext) -> Weights:
     if not q2 > 0.0:
         raise DomainError(f"product base must lie in (0, 1), got {q2!r}")
     lead = np.array([q2 ** (s + 1) for s in range(ctx.lattice_depth)])
-    qk = np.cumprod([1.0] + [q2] * int(math.log(tol, q2) + 2))[:, None]
+    k = int(math.log(tol, q2)) + 2  # two past the last factor w_0 needs
+    qk = np.cumprod([1.0] + [q2] * k)[:, None]
     w, step = np.ones(ctx.lattice_depth), max(1, _WEIGHT_CHUNK // len(qk))
     for s0 in range(0, ctx.lattice_depth, step):
         t = lead[s0:s0 + step] * qk[:np.count_nonzero(lead[s0] * qk >= tol)]
