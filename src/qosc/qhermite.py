@@ -19,16 +19,16 @@ holds -q^s, for s = 0 .. lattice_depth-1. Orthogonality weights:
 so that sum over the window of c_{s(x)} p_k(x) p_m(x) = delta_km up to
 the lattice tail.
 
-This module owns the window: window_values defines its abscissas, and
-two read-only per-context caches hold the rest. _weights holds every
-weight the package reads. _half_table holds p_n(+q^s); every window
-table is its parity mirror (_modes). The forward recurrence is unstable
-past the turning point n > 2s, so each column's decaying tail is
-re-filled by backward (Miller) recurrence from its meet (_p_matrix).
-Both sweeps run in place over all columns at once, the backward one
-indexed by the degree relative to each meet, so every entry sees the
-same operations as a column run alone. Pointwise mode_poly and
-hermite_eval use the plain forward recurrence, for shallow degrees.
+This module owns the window: window_values defines its abscissas, and two
+read-only per-context caches hold the rest. _weights holds every weight
+the package reads, with qpoch_inf's bits. _half_table holds p_n(+q^s);
+every window table is its parity mirror (_modes). The forward recurrence
+is unstable past the turning point n > 2s, so each column's decaying tail
+is re-filled by backward (Miller) recurrence from its meet, past the peak
+of a_n where p_n dips (_p_matrix), in one sweep over all flagged columns,
+indexed by the degree relative to each meet: every entry sees the same
+operations as a column run alone. Pointwise mode_poly and hermite_eval use
+the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations

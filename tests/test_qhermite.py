@@ -253,7 +253,8 @@ def test_weights_equal_per_level_products_bitwise(q, tol, monkeypatch):
             ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=tol)
             got, want = _weights.__wrapped__(ctx), _weights_per_level(ctx)
             assert np.array_equal(got.w.view(np.uint64), want.view(np.uint64))
-            assert np.array_equal(got.c, window_values(ctx)[0::2] * want / got.prefactor)
+            want_c = window_values(ctx)[0::2] * want / got.prefactor
+            assert np.array_equal(got.c, want_c)
 
 
 @pytest.mark.parametrize("q,S,N", [(0.5, 640, 1280), (0.3, 300, 800)])
