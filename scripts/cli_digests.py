@@ -18,9 +18,13 @@ start before that peak would break the core levels.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned
-to one thread. One line per artifact is printed: digest, then name. Run
-it on two checkouts and diff the output to see whether a change moved
-any written byte:
+to one thread. Each artifact is then read back with the public loader
+for its kind, in one more such subprocess. Two lines per artifact are
+printed, digest then name: one of the file's bytes, and one, named
+"<artifact> (loaded)", of every field of the loaded object (the bytes,
+dtype and shape of each array, the repr of each other value). Run it on
+two checkouts and diff the output to see whether a change moved any
+written byte or any value a loader returns:
 
     python scripts/cli_digests.py [--src path/to/src]
 
@@ -60,17 +64,37 @@ COMMANDS = [
     ("evolved_q099.csv", ["evolve", *NEAR_ONE, "--input", "state.csv"]),
 ]
 
+# the loader for each artifact, by the command that wrote it
+LOADERS = {"hermite": "load_mode_table", "spectrum": "load_spectrum_report",
+           "kernel": "load_kernel", "evolve": "load_lattice_function"}
+
+# prints the SHA-256 of every field of the object argv[2] loads from argv[1]
+_LOAD = """
+import hashlib, sys, numpy as np, qosc
+obj = getattr(qosc, sys.argv[2])(sys.argv[1])
+h = hashlib.sha256()
+for key, value in sorted(vars(obj).items()):
+    if isinstance(value, np.ndarray):
+        text = f"{value.dtype.str}{value.shape}".encode() + value.tobytes()
+    else:
+        text = repr(value).encode()
+    h.update(f"{key}:{len(text)}:".encode() + text)
+print(h.hexdigest())
+"""
+
 _TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")
 
 
 def _run(src: Path, cwd: str, args: list) -> str:
+    """stdout of python args (after -m qosc.cli, unless args start with -c)."""
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    r = subprocess.run([sys.executable, "-m", "qosc.cli", *args], cwd=cwd,
-                       env=env, capture_output=True, text=True)
+    argv = args if args[0] == "-c" else ["-m", "qosc.cli", *args]
+    r = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
+                       capture_output=True, text=True)
     if r.returncode != 0:
-        raise SystemExit(f"qosc {' '.join(args)} exited {r.returncode}:\n"
-                         f"{r.stderr}")
+        raise SystemExit(f"python {' '.join(argv)[:80]} exited "
+                         f"{r.returncode}:\n{r.stderr}")
     return r.stdout
 
 
@@ -99,6 +123,8 @@ def digests(src: Path) -> list:
             _run(src, tmp, [*args, "--out", name])
             out.append((hashlib.sha256(Path(tmp, name).read_bytes())
                         .hexdigest(), name))
+            loaded = _run(src, tmp, ["-c", _LOAD, name, LOADERS[args[0]]])
+            out.append((loaded.strip(), f"{name} (loaded)"))
     with tempfile.TemporaryDirectory() as tmp:
         stdout = _run(src, tmp, ["verify", "--seed", "3"])
     text = "".join(_TIMING.sub("", line) + "\n"

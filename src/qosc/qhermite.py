@@ -198,9 +198,15 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             P[rows[put], np.broadcast_to(c, put.shape)[put]] = (
                 v[1:w + 1] * (P[mc, c] / v[0]))[put]
             tail_start[c[ok]] = np.minimum(mc[ok] + w, nmax - 1) + 1
-            P[np.arange(nmax)[:, None] >= tail_start] = 0.0
-    if not np.isfinite(P).all():
-        n, c = np.argwhere(~np.isfinite(P))[0]
+    # cut each flagged column from tail_start on, then check what is left,
+    # by the scan's blocks of rows: no N x S mask at any size
+    for n0 in range(0, nmax, step):
+        blk = P[n0:n0 + step]
+        blk[np.arange(n0, n0 + len(blk))[:, None] >= tail_start] = 0.0
+        if np.isfinite(blk).all():
+            continue
+        n, c = np.argwhere(~np.isfinite(blk))[0]
+        n += n0
         xc = float(x[c])
         level = round(math.log(abs(xc), ctx.q)) if xc else None
         raise DomainError(

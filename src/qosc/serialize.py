@@ -24,6 +24,28 @@ Column layouts:
                           (metadata on a leading '#' line)
     spectrum CSV          sign,s,lambda,error  (unmatched: sign, s empty)
     polynomial CSV        n,sign,s,x,value  (grid rows: sign, s empty)
+
+The three bulk CSV loaders (mode table, lattice function, kernel) read
+this grammar, and raise ValidationError on anything else:
+
+    file     = [meta] header {blank} row {row | blank}
+    meta     = "# " key=value {" " key=value} newline   (kernel only)
+    header   = the column names above, comma-separated, exactly, newline
+    row      = cell {"," cell} newline, one cell per column (the file's
+               last newline may be left out)
+    cell     = in the sign, s, n and flag columns, an integer: ASCII
+               digits with an optional sign, no '.' and no exponent; in
+               the x, re, im, value_re and value_im columns, a float as
+               Python's float() reads it, nan and inf included, but with
+               no '_' and only ASCII digits; either with optional
+               whitespace around it
+    blank    = an empty line, skipped wherever it stands after the header
+
+There is no quoting and no comment syntax after the metadata line: a
+'"' or '#' in a row makes its cell unreadable. A line of spaces is not
+blank; it is a row with too few cells. Every cell of every column is
+parsed, the x column included, and at least one row must follow the
+header. Lines may end in '\n' or '\r\n'.
 """
 
 from __future__ import annotations
@@ -32,7 +54,6 @@ import csv
 import json
 import math
 import os
-import secrets
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain, repeat
@@ -50,10 +71,15 @@ from .qhermite import ModeTable, lattice_window, window_index
 
 SCHEMA_VERSION = 1
 
-_MODE_COLUMNS = ["sign", "s", "x", "n", "value_re", "value_im"]
-_LATTICE_COLUMNS = ["sign", "s", "x", "re", "im", "rescaled_flag"]
-_KERNEL_COLUMNS = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
-                   "low_confidence"]
+# the bulk CSV columns, in file order, with the type each is parsed as
+_MODE_COLUMNS = np.dtype([("sign", "i8"), ("s", "i8"), ("x", "f8"), ("n", "i8"),
+                          ("value_re", "f8"), ("value_im", "f8")])
+_LATTICE_COLUMNS = np.dtype([("sign", "i8"), ("s", "i8"), ("x", "f8"),
+                             ("re", "f8"), ("im", "f8"),
+                             ("rescaled_flag", "i8")])
+_KERNEL_COLUMNS = np.dtype([("row_sign", "i8"), ("row_s", "i8"),
+                            ("col_sign", "i8"), ("col_s", "i8"), ("re", "f8"),
+                            ("im", "f8"), ("low_confidence", "i8")])
 
 
 # -- the codec ---------------------------------------------------------
@@ -66,7 +92,7 @@ def _atomic_open(path: str):
     the artifact's final mode, as it would for a plain open().
     """
     d = os.path.dirname(os.path.abspath(path))
-    tmp = os.path.join(d, f".qosc-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(d, f".qosc-{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
                  | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -131,12 +157,39 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # a float64's bits but its sign
+_INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # the magnitudes above it are NaN
+# Below this many values the sort that finds repeats costs more than a
+# few percent of the reprs it could save.
+_DEDUPE_MIN = 256
 
 
 def _floats(values: np.ndarray, fmt: str) -> list:
-    """Text of each float as csv and json write it: repr, except that
-    JSON spells nan and +-inf as NaN and +-Infinity."""
-    text = list(map(repr, values.tolist()))
+    """Text of each float of a 1-D array as csv and json write it: repr,
+    except that JSON spells nan and +-inf as NaN and +-Infinity.
+
+    In a float64 row of at least _DEDUPE_MIN values that repeats a
+    magnitude, each distinct magnitude is formatted once, and a '-' is
+    put before it where the sign bit is set (not on NaN, as repr(-nan) is
+    'nan'). The window's parity makes that the common case: each value of
+    a mode table row or a kernel level appears twice, once per sign or
+    once per mirrored site.
+    """
+    text = None
+    if values.dtype == np.float64 and values.size >= _DEDUPE_MIN:
+        bits = values.view(np.uint64)
+        mag = bits & _MAGNITUDE
+        srt = np.sort(mag)  # np.unique costs 10x more than this sort
+        fresh = srt[1:] != srt[:-1]
+        if not fresh.all():
+            distinct = np.concatenate((srt[:1], srt[1:][fresh]))
+            text = np.array(list(map(repr, distinct.view(float).tolist())),
+                            dtype=object)[np.searchsorted(distinct, mag)]
+            neg = np.flatnonzero((bits > _MAGNITUDE) & (mag <= _INF_BITS))
+            text[neg] = "-" + text[neg]
+            text = text.tolist()
+    if text is None:
+        text = list(map(repr, values.tolist()))
     if fmt == "json" and not np.isfinite(values).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
     return text
@@ -172,8 +225,10 @@ def _read_json(path: str, obj: str):
 
 
 @contextmanager
-def _read_csv(path: str, what: str, header, meta: bool = False):
-    """Yield (metadata dict or None, rows as lists of strings)."""
+def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
+    """Yield (metadata dict or None, the data rows as a 1-D array of the
+    structured dtype columns), parsed by the grammar in the module
+    docstring."""
     with _fields(path, what) as fh:
         info = None
         if meta:
@@ -181,35 +236,31 @@ def _read_csv(path: str, what: str, header, meta: bool = False):
             if not line.startswith("# "):
                 raise ValidationError(f"{what} CSV is missing its metadata line")
             info = dict(tok.partition("=")[::2] for tok in line[2:].split())
-        reader = csv.reader(fh)
-        if next(reader, None) != header:
-            raise ValidationError(
-                f"{what} CSV header is wrong, expected {','.join(header)}")
-        rows = list(reader)
-        if set(map(len, rows)) != {len(header)}:
-            raise ValidationError(
-                f"{what} CSV needs one or more rows of {len(header)} fields")
-        yield info, rows
-
-
-def _columns(rows, keys) -> list:
-    """Columns picked out of CSV rows by index or JSON entries by key."""
-    return [list(map(itemgetter(k), rows)) for k in keys]
+        header = ",".join(columns.names)
+        if fh.readline().rstrip("\r\n") != header:
+            raise ValidationError(f"{what} CSV header is wrong, expected {header}")
+        for first in fh:  # empty lines are skipped, as loadtxt skips them
+            if first.rstrip("\r\n"):
+                break
+        else:
+            raise ValidationError(f"{what} CSV has no rows after its header")
+        yield info, np.loadtxt(chain([first], fh), dtype=columns,
+                               delimiter=",", comments=None, ndmin=1)
 
 
 def _complexes(re, im) -> np.ndarray:
+    """re + i im from two float columns, bit for bit."""
     out = np.empty(len(re), dtype=complex)
-    out.real = np.fromiter(map(float, re), dtype=float, count=len(re))
-    out.imag = np.fromiter(map(float, im), dtype=float, count=len(im))
+    out.real, out.imag = re, im
     return out
 
 
 def _site(sign, s) -> np.ndarray:
     """Window positions of (sign, s) key columns; signs must be +1 or -1."""
-    sign = np.array(sign, dtype=np.int64)
+    sign = np.asarray(sign, dtype=np.int64)
     if not np.all((sign == 1) | (sign == -1)):
         raise ValidationError("site sign must be +1 or -1")
-    return window_index(sign, np.array(s, dtype=np.int64))
+    return window_index(sign, np.asarray(s, dtype=np.int64))
 
 
 def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
@@ -240,10 +291,10 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
-def _csv_q(rows, site: np.ndarray) -> Optional[float]:
+def _csv_q(x: np.ndarray, site: np.ndarray) -> Optional[float]:
     """q read from the x cell of window site (+1, s=1); None if absent."""
     at = np.flatnonzero(site == window_index(1, 1))
-    return float(rows[at[0]][2]) if at.size else None
+    return float(x[at[0]]) if at.size else None
 
 
 def _check_window(path: str, ctx: Optional[DeformationContext],
@@ -289,7 +340,7 @@ def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> 
         return
     sites = [f"{sign},{s},{x}," for sign, s, x in
              _sites(table.q, table.lattice_depth)]
-    atomic_write_text(path, ",".join(_MODE_COLUMNS) + "\n", (
+    atomic_write_text(path, ",".join(_MODE_COLUMNS.names) + "\n", (
         "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n", fmt))
         for n, row in enumerate(table.values)))
 
@@ -315,12 +366,11 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
                 f"window site needs {(2 * depth,)}")
     else:
         with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
-            sign, s, n, re, im = _columns(rows, (0, 1, 3, 4, 5))
-            site, n = _site(sign, s), np.array(n, dtype=np.int64)
+            site, n = _site(rows["sign"], rows["s"]), rows["n"]
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
-            values = _place(_complexes(re, im), (n, site), (nmax, 2 * depth),
-                            "mode table CSV")
-            q = _csv_q(rows, site)
+            values = _place(_complexes(rows["value_re"], rows["value_im"]),
+                            (n, site), (nmax, 2 * depth), "mode table CSV")
+            q = _csv_q(rows["x"], site)
         if q is None:
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
@@ -353,7 +403,7 @@ def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
             [",\n".join(_cells(repeat("  [\n   "), f.values, ",\n   ", "\n  ]",
                                fmt))])
         return
-    atomic_write_text(path, ",".join(_LATTICE_COLUMNS) + "\n", _cells(
+    atomic_write_text(path, ",".join(_LATTICE_COLUMNS.names) + "\n", _cells(
         [f"{sign},{s},{x}," for sign, s, x in _sites(ctx.q, ctx.lattice_depth)],
         f.values, ",", f",{int(f.rescaled)}\n", fmt))
 
@@ -376,15 +426,14 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
                                 rescaled=bool(doc["rescaled"]))
     else:
         with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
-            sign, s, re, im, flag = _columns(rows, (0, 1, 3, 4, 5))
-            site = _site(sign, s)
-            values = _place(_complexes(re, im), (site,),
+            site = _site(rows["sign"], rows["s"])
+            values = _place(_complexes(rows["re"], rows["im"]), (site,),
                             (int(site.max()) // 2 * 2 + 2,), "lattice function CSV")
-            flags = set(map(int, flag))
-            q = _csv_q(rows, site)
-        if len(flags) != 1:
+            flags = np.unique(rows["rescaled_flag"])
+            q = _csv_q(rows["x"], site)
+        if flags.size != 1:
             raise ValidationError("rescaled_flag must be constant across rows")
-        f = LatticeFunction(kind, values, rescaled=bool(flags.pop()))
+        f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
     _check_window(path, ctx, q, len(f.values))
     return f
 
@@ -397,14 +446,19 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
                      n_max=k.n_max, lattice_depth=k.lattice_depth,
                      s_match=k.s_match, tail_estimate=k.tail_estimate)
     sites = [(sign, s) for sign, s, _ in _sites(k.q, k.lattice_depth)]
-    rows = zip(sites, k.matrix)
+    # one level at a time: rows (+1, s) and (-1, s) hold the same values,
+    # in columns swapped pairwise, so _floats formats each of them once
+    levels = ((sites[2 * s:2 * s + 2], k.matrix[2 * s:2 * s + 2].ravel(),
+               k.low_confidence(s)) for s in range(k.lattice_depth))
     if fmt == "csv":
         head = " ".join(f"{key}={v}" for key, v in meta.items())
         cols = [f"{sign},{s}," for sign, s in sites]
-        atomic_write_text(path, f"# {head}\n{','.join(_KERNEL_COLUMNS)}\n", (
-            "".join(_cells([f"{rs},{rl},{col}" for col in cols], row, ",",
-                           f",{int(k.low_confidence(rl))}\n", fmt))
-            for (rs, rl), row in rows))
+        atomic_write_text(
+            path, f"# {head}\n{','.join(_KERNEL_COLUMNS.names)}\n", (
+                "".join(_cells([f"{rs},{rl},{col}" for rs, rl in pair
+                                for col in cols], row, ",", f",{int(low)}\n",
+                               fmt))
+                for pair, row, low in levels))
         return
     cols = [f'   "col_sign": {sign},\n   "col_s": {s},\n   "re": '
             for sign, s in sites]
@@ -412,16 +466,27 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
     _write_json(path, meta, (
         ",\n".join(_cells(
             [f'  {{\n   "row_sign": {rs},\n   "row_s": {rl},\n{col}'
-             for col in cols], row, ',\n   "im": ',
-            f',\n   "low_confidence": {json.dumps(bool(k.low_confidence(rl)))}'
-            '\n  }', fmt))
-        for (rs, rl), row in rows))
+             for rs, rl in pair for col in cols], row, ',\n   "im": ',
+            f',\n   "low_confidence": {json.dumps(bool(low))}\n  }}', fmt))
+        for pair, row, low in levels))
 
 
-def _kernel(meta: dict, rows, keys) -> EvolutionKernel:
-    rs, rl, cs, cl, re, im = _columns(rows, keys)
+def _json_columns(entries) -> dict:
+    """The columns of JSON kernel entries by name, re and im as floats."""
+    cols = {key: list(map(itemgetter(key), entries))
+            for key in _KERNEL_COLUMNS.names[:6]}
+    for key in ("re", "im"):
+        cols[key] = np.fromiter(map(float, cols[key]), dtype=float,
+                                count=len(cols[key]))
+    return cols
+
+
+def _kernel(meta: dict, cols) -> EvolutionKernel:
+    """A kernel from its metadata and its entries' columns, by name."""
     depth = int(meta["lattice_depth"])
-    matrix = _place(_complexes(re, im), (_site(rs, rl), _site(cs, cl)),
+    matrix = _place(_complexes(cols["re"], cols["im"]),
+                    (_site(cols["row_sign"], cols["row_s"]),
+                     _site(cols["col_sign"], cols["col_s"])),
                     (2 * depth, 2 * depth), "kernel")
     return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
                            q=float(meta["q"]), n_max=int(meta["n_max"]),
@@ -436,10 +501,10 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     ctx's (n_max is the fock_dim it was built at), or ValidationError."""
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel") as doc:
-            k = _kernel(doc, doc["entries"], _KERNEL_COLUMNS[:6])
+            k = _kernel(doc, _json_columns(doc["entries"]))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
-            k = _kernel(meta, rows, range(6))
+            k = _kernel(meta, rows)
     _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
     return k
 

@@ -1,12 +1,15 @@
 import csv
 import io
 import json
+import math
 import os
 import stat
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
                   ModeTable, ValidationError, build_Q,
@@ -17,7 +20,7 @@ from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
                   verify_report_payload, write_kernel, write_lattice_function,
                   write_mode_table, write_spectrum_report,
                   write_verify_report)
-from qosc.serialize import atomic_write_text
+from qosc.serialize import _DEDUPE_MIN, _floats, atomic_write_text
 
 
 @pytest.fixture
@@ -255,6 +258,14 @@ def _duplicated(rows):
     return rows[:-1] + rows[:1]
 
 
+def _extra_field(rows):
+    return [rows[0] + ",0"] + rows[1:]
+
+
+def _commented(rows):
+    return [rows[0] + " # a note"] + rows[1:]
+
+
 @pytest.mark.parametrize("artifact,fmt,damage", [
     pytest.param("kernel", "csv", _rows(_truncated), id="kernel-csv-truncated"),
     pytest.param("kernel", "csv", _rows(_duplicated), id="kernel-csv-duplicate"),
@@ -300,6 +311,36 @@ def _duplicated(rows):
                  id="lattice-function-json-missing-key"),
     pytest.param("spectrum_report", "json", _doc(lambda d: d.pop("matched")),
                  id="spectrum-json-missing-key"),
+    # the CSV grammar of the column parser (module docstring)
+    pytest.param("kernel", "csv", _rows(_first_cell(1, "1.0")),
+                 id="kernel-csv-float-key"),
+    pytest.param("mode_table", "csv", _rows(_first_cell(3, "0.0")),
+                 id="mode-table-csv-float-degree"),
+    pytest.param("kernel", "csv", _rows(_first_cell(0, '"1"')),
+                 id="kernel-csv-quoted-cell"),
+    pytest.param("lattice_function", "csv", _rows(_first_cell(3, '"0.5"')),
+                 id="lattice-function-csv-quoted-cell"),
+    pytest.param("kernel", "csv", _rows(_extra_field),
+                 id="kernel-csv-extra-field"),
+    pytest.param("mode_table", "csv", _rows(_extra_field),
+                 id="mode-table-csv-extra-field"),
+    pytest.param("kernel", "csv", _rows(lambda rows: []),
+                 id="kernel-csv-header-only"),
+    pytest.param("mode_table", "csv", _rows(lambda rows: []),
+                 id="mode-table-csv-header-only"),
+    pytest.param("lattice_function", "csv", _rows(lambda rows: ["", ""]),
+                 id="lattice-function-csv-header-and-empty-lines"),
+    pytest.param("kernel", "csv", _rows(_commented),
+                 id="kernel-csv-comment-in-row"),
+    pytest.param("lattice_function", "csv", _rows(_commented),
+                 id="lattice-function-csv-comment-in-row"),
+    pytest.param("mode_table", "csv", _rows(_first_cell(2, "x")),
+                 id="mode-table-csv-non-numeric-x"),
+    pytest.param("lattice_function", "csv", _rows(_first_cell(2, "x")),
+                 id="lattice-function-csv-non-numeric-x"),
+    pytest.param("mode_table", "csv", _rows(lambda rows: rows[:1] + ["  "]
+                                            + rows[1:]),
+                 id="mode-table-csv-line-of-spaces"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt}"
@@ -307,6 +348,24 @@ def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p.write_text(damage(p.read_text()))
     with pytest.raises(ValidationError):
         _LOADERS[artifact](str(p))
+
+
+_ARRAY = {"kernel": "matrix", "mode_table": "values",
+          "lattice_function": "values"}
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("artifact", ["kernel", "mode_table",
+                                      "lattice_function"])
+def test_csv_loader_skips_empty_lines(tmp_path, sctx, artifact, newline):
+    p = tmp_path / "a.csv"
+    _WRITERS[artifact](sctx, str(p))
+    want = getattr(_LOADERS[artifact](str(p)), _ARRAY[artifact])
+    text = _rows(lambda rows: ["", *rows[:3], "", "", *rows[3:], ""])(
+        p.read_text())
+    p.write_bytes(text.replace("\n", newline).encode())
+    got = getattr(_LOADERS[artifact](str(p)), _ARRAY[artifact])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_momentum_mode_table_csv_roundtrip(tmp_path):
@@ -471,3 +530,106 @@ def test_streamed_writer_matches_reference_encoder(tmp_path, artifact, fmt):
         write_kernel(k, str(p))
         want = _kernel_text(k, fmt)
     assert p.read_bytes() == want.encode("utf-8")
+
+
+# The emitter and the loaders on values the writers' goldens lack: random
+# bit patterns (NaN payloads, subnormals, infinities), signed zeros and
+# magnitudes that repeat with either sign, in rows on both sides of the
+# length from which _floats formats each distinct magnitude once.
+
+_EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+                -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                1.7976931348623157e308, 1.0, -1.0]
+
+
+def _floats_like(draw, n):
+    """n float64 values: random bits or normals, edge values, and a drawn
+    share of them copied, with a random sign, from others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        v = np.frombuffer(rng.bytes(8 * n), dtype=float).copy()
+    else:
+        v = rng.standard_normal(n)
+    edges = draw(st.lists(st.sampled_from(_EDGE_FLOATS) | st.floats(),
+                          max_size=min(n, 24)))
+    v[rng.choice(n, len(edges), replace=False)] = edges
+    k = int(draw(st.sampled_from([0.0, 0.25, 0.5])) * n)
+    src, dst = rng.choice(n, (2, k), replace=False)
+    v[dst] = np.where(rng.random(k) < 0.5, v[src], np.negative(v[src]))
+    return v
+
+
+@st.composite
+def _float_rows(draw):
+    return _floats_like(draw, draw(st.integers(0, 3 * _DEDUPE_MIN)))
+
+
+@given(_float_rows())
+@settings(max_examples=150, deadline=None)
+def test_float_text_is_repr(v):
+    want = list(map(repr, v.tolist()))
+    assert _floats(v, "csv") == want
+    assert _floats(v, "json") == list(map(json.dumps, v.tolist()))
+    z = np.zeros(v.size, dtype=complex)  # a strided view, as _cells passes
+    z.imag = v
+    assert _floats(z.imag, "csv") == want
+
+
+def _mirrored(draw, shape):
+    """Complex values whose window sites pair up as qosc's parity pairs
+    them: column 2s+1 is column 2s times (-1)^n (mode tables), or row
+    2s+1 is row 2s with its columns swapped pairwise (kernels)."""
+    v = _floats_like(draw, 2 * math.prod(shape)).reshape(*shape, 2)
+    if len(shape) == 2 and draw(st.booleans()):
+        if shape[0] == shape[1]:
+            v[1::2] = v[0::2].reshape(-1, shape[1] // 2, 2, 2)[:, :, ::-1] \
+                .reshape(-1, shape[1], 2)
+        else:
+            v[:, 1::2] = v[:, 0::2] * (-1.0) ** np.arange(shape[0])[:, None,
+                                                               None]
+    v[np.isnan(v)] = math.nan  # repr drops a NaN's sign and payload
+    return v.view(complex)[..., 0]
+
+
+@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 2 + 2]),
+       st.integers(1, 3), st.sampled_from(["csv", "json"]),
+       st.sampled_from(["position", "momentum"]))
+@settings(max_examples=40, deadline=None)
+def test_mode_table_roundtrip_is_bit_exact(tmp_path_factory, data, depth, dim,
+                                           fmt, kind):
+    v = _mirrored(data.draw, (dim, 2 * depth))
+    if kind == "position":
+        v = v.real.copy()
+    t = ModeTable(kind, 0.7, dim, depth, v, np.full(2 * depth, dim))
+    p = str(tmp_path_factory.mktemp("t") / f"t.{fmt}")
+    write_mode_table(t, p)
+    back = load_mode_table(p, kind=kind)
+    assert (back.q, back.kind, back.values.dtype) == (t.q, kind, v.dtype)
+    assert back.values.tobytes() == v.tobytes()
+
+
+@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 4 + 1]),
+       st.sampled_from(["csv", "json"]))
+@settings(max_examples=25, deadline=None)
+def test_kernel_roundtrip_is_bit_exact(tmp_path_factory, data, depth, fmt):
+    m = _mirrored(data.draw, (2 * depth, 2 * depth))
+    k = EvolutionKernel(0.3, "raw_K", 0.7, 9, depth, m, 1e-3, 1)
+    p = str(tmp_path_factory.mktemp("k") / f"k.{fmt}")
+    write_kernel(k, p)
+    back = load_kernel(p)
+    assert back.matrix.tobytes() == m.tobytes()
+
+
+@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 2 + 2]),
+       st.sampled_from(["csv", "json"]), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_lattice_function_roundtrip_is_bit_exact(tmp_path_factory, data, depth,
+                                                 fmt, rescaled):
+    ctx = DeformationContext(q=0.7, lattice_depth=depth)
+    f = LatticeFunction("position", _mirrored(data.draw, (2 * depth,)),
+                        rescaled=rescaled)
+    p = str(tmp_path_factory.mktemp("f") / f"f.{fmt}")
+    write_lattice_function(f, ctx, p)
+    back = load_lattice_function(p, ctx=ctx)
+    assert back.rescaled == rescaled
+    assert back.values.tobytes() == f.values.tobytes()
