@@ -85,11 +85,10 @@ print(h.hexdigest())
 _TIMING = re.compile(r" \(\d+\.\d+s\)$| in \d+\.\d+s(?= )")
 
 
-def _run(src: Path, cwd: str, args: list) -> str:
-    """stdout of python args (after -m qosc.cli, unless args start with -c)."""
+def _run(src: Path, cwd: str, argv: list) -> str:
+    """stdout of python argv, importing qosc from src."""
     env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    argv = args if args[0] == "-c" else ["-m", "qosc.cli", *args]
     r = subprocess.run([sys.executable, *argv], cwd=cwd, env=env,
                        capture_output=True, text=True)
     if r.returncode != 0:
@@ -120,13 +119,13 @@ def digests(src: Path) -> list:
         with tempfile.TemporaryDirectory() as tmp:
             if "evolve" in args:  # its size flags follow the command name
                 _seeded_state(src, os.path.join(tmp, "state.csv"), args[1:7])
-            _run(src, tmp, [*args, "--out", name])
+            _run(src, tmp, ["-m", "qosc.cli", *args, "--out", name])
             out.append((hashlib.sha256(Path(tmp, name).read_bytes())
                         .hexdigest(), name))
             loaded = _run(src, tmp, ["-c", _LOAD, name, LOADERS[args[0]]])
             out.append((loaded.strip(), f"{name} (loaded)"))
     with tempfile.TemporaryDirectory() as tmp:
-        stdout = _run(src, tmp, ["verify", "--seed", "3"])
+        stdout = _run(src, tmp, ["-m", "qosc.cli", "verify", "--seed", "3"])
     text = "".join(_TIMING.sub("", line) + "\n"
                    for line in stdout.splitlines())
     out.append((hashlib.sha256(text.encode()).hexdigest(), "verify-seed3.txt"))
