@@ -54,6 +54,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain, repeat
@@ -159,46 +160,42 @@ def _write_csv(path: str, header, rows) -> None:
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # a float64's bits but its sign
 _INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # the magnitudes above it are NaN
-# Below this many values the sort that looks for repeats costs more than
-# 5% of the row's reprs (about 5 us beside 100 us at 256 values).
-_DEDUPE_MIN = 256
 
 
-def _floats(values: np.ndarray, fmt: str) -> list:
-    """Text of each float of a 1-D array as csv and json write it: repr,
-    except that JSON spells nan and +-inf as NaN and +-Infinity.
+def _floats(values: np.ndarray, fmt: str, mirrored: bool = False) -> list:
+    """Text of each float of a 1-D float64 array as csv and json write it:
+    repr, except that JSON spells nan and +-inf as NaN and +-Infinity.
 
-    In a float64 row of at least _DEDUPE_MIN values that repeats a
-    magnitude, each distinct magnitude is formatted once, and a '-' is
-    put before it where the sign bit is set (not on NaN, as repr(-nan) is
-    'nan'). The window's parity makes that the common case: each value of
-    a mode table row or a kernel level appears twice, once per sign or
-    once per mirrored site.
+    mirrored says that each magnitude recurs in the array: the window's
+    parity puts each value of a mode table row or a kernel level at a
+    mirror site too, up to sign. Each distinct magnitude is then
+    formatted once, and a '-' is put before each value whose sign bit is
+    set (not on NaN, as repr(-nan) is 'nan').
     """
-    text = None
-    if values.size >= _DEDUPE_MIN and values.dtype == np.float64:
+    if not mirrored:
+        text = list(map(repr, values.tolist()))
+    else:
         bits = values.view(np.uint64)
         mag = bits & _MAGNITUDE
         srt = np.sort(mag)  # np.unique costs 10x more than this sort
-        fresh = srt[1:] != srt[:-1]
-        if not fresh.all():
-            distinct = np.concatenate((srt[:1], srt[1:][fresh]))
-            text = np.array(list(map(repr, distinct.view(float).tolist())),
-                            dtype=object)[np.searchsorted(distinct, mag)]
-            neg = np.flatnonzero((bits > _MAGNITUDE) & (mag <= _INF_BITS))
-            text[neg] = "-" + text[neg]
-            text = text.tolist()
-    if text is None:
-        text = list(map(repr, values.tolist()))
+        distinct = np.concatenate((srt[:1], srt[1:][srt[1:] != srt[:-1]]))
+        text = np.array(list(map(repr, distinct.view(float).tolist())),
+                        dtype=object)[np.searchsorted(distinct, mag)]
+        neg = np.flatnonzero((bits > _MAGNITUDE) & (mag <= _INF_BITS))
+        text[neg] = "-" + text[neg]
+        text = text.tolist()
     if fmt == "json" and not np.isfinite(values).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
     return text
 
 
-def _cells(heads, row: np.ndarray, mid: str, end: str, fmt: str) -> list:
-    """head + re + mid + im + end for each value of a 1-D row."""
-    return list(map("".join, zip(heads, _floats(row.real, fmt), repeat(mid),
-                                 _floats(row.imag, fmt), repeat(end))))
+def _cells(heads, row: np.ndarray, mid: str, end: str, fmt: str,
+           mirrored: bool = False) -> list:
+    """head + re + mid + im + end for each value of a 1-D row; mirrored as
+    in _floats."""
+    return list(map("".join, zip(heads, _floats(row.real, fmt, mirrored),
+                                 repeat(mid), _floats(row.imag, fmt, mirrored),
+                                 repeat(end))))
 
 
 @contextmanager
@@ -244,8 +241,15 @@ def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
                 break
         else:
             raise ValidationError(f"{what} CSV has no rows after its header")
-        yield info, np.loadtxt(chain([first], fh), dtype=columns,
-                               delimiter=",", comments=None, ndmin=1)
+        with warnings.catch_warnings():
+            # numpy releases that only deprecate float text in an int column
+            # read '1.7' as 1 with this warning; as an error, loadtxt turns
+            # it into its ValueError
+            warnings.filterwarnings("error", ".*integer via a float",
+                                    DeprecationWarning)
+            rows = np.loadtxt(chain([first], fh), dtype=columns,
+                              delimiter=",", comments=None, ndmin=1)
+        yield info, rows
 
 
 def _complexes(re, im) -> np.ndarray:
@@ -329,19 +333,21 @@ def _sites(q: float, depth: int) -> list:
 
 def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> None:
     fmt = _infer_format(path, fmt)
+    # p_n(-x) = (-1)^n p_n(x): each row is mirrored, as _floats means it
     if fmt == "json":
         _write_json(path, _document(
             "mode_table", kind=table.kind, q=table.q, fock_dim=table.fock_dim,
             lattice_depth=table.lattice_depth,
             tail_start=[int(t) for t in table.tail_start], values=[]), (
             "  [\n" + ",\n".join(_cells(repeat("   [\n    "), row, ",\n    ",
-                                         "\n   ]", fmt)) + "\n  ]"
+                                         "\n   ]", fmt, True)) + "\n  ]"
             for row in table.values))
         return
     sites = [f"{sign},{s},{x}," for sign, s, x in
              _sites(table.q, table.lattice_depth)]
     atomic_write_text(path, ",".join(_MODE_COLUMNS.names) + "\n", (
-        "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n", fmt))
+        "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n", fmt,
+                       True))
         for n, row in enumerate(table.values)))
 
 
@@ -457,7 +463,7 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
             path, f"# {head}\n{','.join(_KERNEL_COLUMNS.names)}\n", (
                 "".join(_cells([f"{rs},{rl},{col}" for rs, rl in pair
                                 for col in cols], row, ",", f",{int(low)}\n",
-                               fmt))
+                               fmt, True))
                 for pair, row, low in levels))
         return
     cols = [f'   "col_sign": {sign},\n   "col_s": {s},\n   "re": '
@@ -467,7 +473,8 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
         ",\n".join(_cells(
             [f'  {{\n   "row_sign": {rs},\n   "row_s": {rl},\n{col}'
              for rs, rl in pair for col in cols], row, ',\n   "im": ',
-            f',\n   "low_confidence": {json.dumps(bool(low))}\n  }}', fmt))
+            f',\n   "low_confidence": {json.dumps(bool(low))}\n  }}', fmt,
+            True))
         for pair, row, low in levels))
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
                   verify_report_payload, write_kernel, write_lattice_function,
                   write_mode_table, write_spectrum_report,
                   write_verify_report)
-from qosc.serialize import _DEDUPE_MIN, _floats, atomic_write_text
+from qosc.serialize import _floats, atomic_write_text
 
 
 @pytest.fixture
@@ -350,6 +351,28 @@ def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
         _LOADERS[artifact](str(p))
 
 
+def test_csv_loader_fails_where_numpy_only_warns(tmp_path, sctx, monkeypatch):
+    """numpy releases that only deprecate float text in an int column warn
+    and read '1.7' as 1; under an error filter for that warning, loadtxt
+    raises ValueError instead (numpy's test_implicit_cast_float_to_int_fails
+    pins this). The stand-in below does as those releases do."""
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is "
+                          "deprecated.", DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string '1.7' to int64") from exc
+        return loadtxt(*args, **kwargs)
+
+    p = tmp_path / "k.csv"
+    _WRITERS["kernel"](sctx, str(p))
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    with pytest.raises(ValidationError, match="to int64"):
+        load_kernel(str(p))
+
+
 _ARRAY = {"kernel": "matrix", "mode_table": "values",
           "lattice_function": "values"}
 
@@ -534,8 +557,7 @@ def test_streamed_writer_matches_reference_encoder(tmp_path, artifact, fmt):
 
 # The emitter and the loaders on values the writers' goldens lack: random
 # bit patterns (NaN payloads, subnormals, infinities), signed zeros and
-# magnitudes that repeat with either sign, in rows on both sides of the
-# length from which _floats formats each distinct magnitude once.
+# magnitudes that repeat with either sign, through both of _floats' paths.
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                 -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -561,18 +583,18 @@ def _floats_like(draw, n):
 
 @st.composite
 def _float_rows(draw):
-    return _floats_like(draw, draw(st.integers(0, 3 * _DEDUPE_MIN)))
+    return _floats_like(draw, draw(st.integers(0, 768)))
 
 
-@given(_float_rows())
+@given(_float_rows(), st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_float_text_is_repr(v):
+def test_float_text_is_repr(v, mirrored):
     want = list(map(repr, v.tolist()))
-    assert _floats(v, "csv") == want
-    assert _floats(v, "json") == list(map(json.dumps, v.tolist()))
+    assert _floats(v, "csv", mirrored) == want
+    assert _floats(v, "json", mirrored) == list(map(json.dumps, v.tolist()))
     z = np.zeros(v.size, dtype=complex)  # a strided view, as _cells passes
     z.imag = v
-    assert _floats(z.imag, "csv") == want
+    assert _floats(z.imag, "csv", mirrored) == want
 
 
 def _mirrored(draw, shape):
@@ -591,7 +613,7 @@ def _mirrored(draw, shape):
     return v.view(complex)[..., 0]
 
 
-@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 2 + 2]),
+@given(st.data(), st.sampled_from([2, 3, 40]),
        st.integers(1, 3), st.sampled_from(["csv", "json"]),
        st.sampled_from(["position", "momentum"]))
 @settings(max_examples=40, deadline=None)
@@ -608,7 +630,7 @@ def test_mode_table_roundtrip_is_bit_exact(tmp_path_factory, data, depth, dim,
     assert back.values.tobytes() == v.tobytes()
 
 
-@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 4 + 1]),
+@given(st.data(), st.sampled_from([2, 3, 17]),
        st.sampled_from(["csv", "json"]))
 @settings(max_examples=25, deadline=None)
 def test_kernel_roundtrip_is_bit_exact(tmp_path_factory, data, depth, fmt):
@@ -620,7 +642,7 @@ def test_kernel_roundtrip_is_bit_exact(tmp_path_factory, data, depth, fmt):
     assert back.matrix.tobytes() == m.tobytes()
 
 
-@given(st.data(), st.sampled_from([2, 3, _DEDUPE_MIN // 2 + 2]),
+@given(st.data(), st.sampled_from([2, 3, 40]),
        st.sampled_from(["csv", "json"]), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_lattice_function_roundtrip_is_bit_exact(tmp_path_factory, data, depth,
