@@ -5,8 +5,8 @@ Most of the set runs at q = 0.5, S = 128, N = 320:
 
     hermite                    CSV, JSON, and --n-max 4 JSON
     spectrum --format json
-    kernel                     CSV, and --variant raw JSON
-    evolve                     on a seeded rescaled state
+    kernel                     CSV, JSON, and --variant raw JSON
+    evolve                     on a seeded rescaled state, CSV and JSON
     verify --seed 3            its stdout, with the timings stripped
 
 hermite, kernel (CSV and --variant raw JSON) and evolve also run at
@@ -52,9 +52,12 @@ COMMANDS = [
     ("hermite_n4.json", ["hermite", *SIZE, "--n-max", "4", "--format", "json"]),
     ("spectrum.json", ["spectrum", *SIZE, "--format", "json"]),
     ("kernel.csv", ["kernel", *SIZE]),
+    ("kernel.json", ["kernel", *SIZE, "--format", "json"]),
     ("kernel_raw.json", ["kernel", *SIZE, "--variant", "raw", "--format",
                          "json"]),
     ("evolved.csv", ["evolve", *SIZE, "--input", "state.csv"]),
+    ("evolved.json", ["evolve", *SIZE, "--input", "state.csv", "--format",
+                      "json"]),
     ("hermite_q095.csv", ["hermite", *WIDE]),
     ("kernel_q095.csv", ["kernel", *WIDE]),
     ("kernel_raw_q095.json", ["kernel", *WIDE, "--variant", "raw", "--format",

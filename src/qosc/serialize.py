@@ -6,15 +6,29 @@ metadata line and a header. Writes are atomic (temp file, then rename)
 and emit floats with repr, so values round-trip exactly and identical
 inputs give identical bytes; the file mode follows the umask. Mode
 tables, lattice functions and kernels are streamed one window row (or
-degree n) at a time, as the very text json.dumps(indent=1) or csv.writer
-would give, without building the file in memory. On load, a missing or
-ill-typed field raises ValidationError.
+degree n) at a time, without building the file in memory. On load, a
+missing or ill-typed field raises ValidationError; fields a loader does
+not know are ignored.
 
-Every cell is placed exactly once: CSV rows and JSON kernel entries are
-keyed by window site (sign, s), plus degree n in mode tables, and a key
-that is missing, repeated, negative or out of range raises
-ValidationError. JSON mode tables and lattice functions hold nested
-arrays in window order, whose shape is checked.
+Files are written in schema 2; the loaders read schema 1 as well, which
+differs only in the JSON bulk fields (below). In schema 2 the JSON mode
+table, lattice function and kernel end in two fields, "re" and "im",
+the real and imaginary parts of their values as nested number arrays
+in window order:
+
+    mode table        N x 2S, one row per degree n
+    lattice function  2S, on one line
+    kernel            2S x 2S, one row per window row; its low_confidence
+                      is one boolean per window row, before "re"
+
+Each row is one line, as json.dumps writes a list, NaN and +-Infinity
+included. The rest of the document is json.dumps(indent=1). On load,
+every cell must be a JSON number and the arrays must have exactly this
+shape. Schema 1 held the values as [re, im] pairs ("values"), and the
+kernel as one {row_sign, row_s, col_sign, col_s, re, im, low_confidence}
+object per entry ("entries"); there, as in CSV files, every cell is
+placed exactly once by its key, and a key that is missing, repeated,
+negative, out of range or not an integer raises ValidationError.
 
 Column layouts:
 
@@ -44,8 +58,10 @@ this grammar, and raise ValidationError on anything else:
 There is no quoting and no comment syntax after the metadata line: a
 '"' or '#' in a row makes its cell unreadable. A line of spaces is not
 blank; it is a row with too few cells. Every cell of every column is
-parsed, the x column included, and at least one row must follow the
-header. Lines may end in '\n' or '\r\n'.
+parsed, and at least one row must follow the header. Lines may end in
+'\n' or '\r\n'. Cells are keyed by window site (sign, s), plus degree
+n in mode tables, and placed as in schema-1 JSON. Each x must be its
+site's window value at the q of site (+1, s=1), to a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -68,9 +84,9 @@ from .errors import ValidationError
 from .evolution import EvolutionKernel
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
-from .qhermite import ModeTable, lattice_window, window_index
+from .qhermite import ModeTable, lattice_window, window_index, window_values
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # the bulk CSV columns, in file order, with the type each is parsed as
 _MODE_COLUMNS = np.dtype([("sign", "i8"), ("s", "i8"), ("x", "f8"), ("n", "i8"),
@@ -132,21 +148,22 @@ def _document(obj: Optional[str], **fields) -> dict:
     return {**head, **fields}
 
 
-def _write_json(path: str, payload: dict, items=()) -> None:
+def _write_json(path: str, payload: dict, values: Optional[np.ndarray] = None,
+                step: int = 1, mirrored: bool = False) -> None:
     """json.dumps(payload, indent=1) and a newline, written to path.
 
-    With items, payload's last field is an empty list and items are the
-    texts of its elements, indented as json.dumps would indent them; they
-    are streamed in one at a time instead of going through the encoder.
+    With values, a 1-D or 2-D array, the document ends in two more
+    fields, "re" and "im", laid out as the module docstring says. They
+    are streamed, not encoded: _floats formats step rows of a part at a
+    time, mirrored as it says.
     """
     text = json.dumps(payload, indent=1)
-    items = iter(items)
-    first = next(items, None)
-    if first is None:
+    if values is None:
         atomic_write_text(path, text + "\n")
-    else:  # text ends in '[]\n}'
-        atomic_write_text(path, f"{text[:-3]}\n{first}", chain(
-            map(",\n".__add__, items), ["\n ]\n}\n"]))
+        return
+    atomic_write_text(path, text[:-2], chain(  # text ends in '\n}'
+        _json_rows("re", values.real, step, mirrored),
+        _json_rows("im", values.imag, step, mirrored), ["\n}\n"]))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -189,6 +206,21 @@ def _floats(values: np.ndarray, fmt: str, mirrored: bool = False) -> list:
     return text
 
 
+def _json_rows(key: str, part: np.ndarray, step: int, mirrored: bool):
+    """The texts of field key: part, a 1-D or 2-D float array, as
+    _write_json lays it out."""
+    if part.ndim == 1:
+        yield f',\n "{key}": [{", ".join(_floats(part, "json", mirrored))}]'
+        return
+    head, width = f',\n "{key}": [\n  ', part.shape[1]
+    for i in range(0, len(part), step):
+        cells = _floats(part[i:i + step].ravel(), "json", mirrored)
+        for j in range(0, len(cells), width):
+            yield f"{head}[{', '.join(cells[j:j + width])}]"
+            head = ",\n  "
+    yield "\n ]"
+
+
 def _cells(heads, row: np.ndarray, mid: str, end: str, fmt: str,
            mirrored: bool = False) -> list:
     """head + re + mid + im + end for each value of a 1-D row; mirrored as
@@ -210,14 +242,19 @@ def _fields(path: str, what: str):
 
 @contextmanager
 def _read_json(path: str, obj: str):
+    """The document of a JSON artifact of schema 1 or 2, tagged obj."""
     with _fields(path, obj) as fh:
         payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValidationError("top-level JSON payload must be an object")
-        for key, want in (("schema_version", SCHEMA_VERSION), ("object", obj)):
-            if payload.get(key) != want:
-                raise ValidationError(
-                    f"expected {key} {want!r}, found {payload.get(key)!r}")
+        version = payload.get("schema_version")
+        if type(version) is not int or version not in (1, SCHEMA_VERSION):
+            raise ValidationError(
+                f"expected schema_version 1 or {SCHEMA_VERSION}, found "
+                f"{version!r}")
+        if payload.get("object") != obj:
+            raise ValidationError(
+                f"expected object {obj!r}, found {payload.get('object')!r}")
         yield payload
 
 
@@ -259,12 +296,28 @@ def _complexes(re, im) -> np.ndarray:
     return out
 
 
+def _typed(value, kind: str, what: str, shape: Optional[tuple] = None
+           ) -> np.ndarray:
+    """value as an array of numpy dtype kind ('i' integers, 'b' booleans),
+    of this shape if one is given, or ValidationError. No cell is
+    converted: a float cell makes the whole array float, and so fails."""
+    a = np.asarray(value)
+    if a.dtype.kind != kind:
+        raise ValidationError(f"{what} must hold only "
+                              f"{'integers' if kind == 'i' else 'booleans'}")
+    if shape is not None and a.shape != shape:
+        raise ValidationError(
+            f"{what} has shape {a.shape}, one entry per window site "
+            f"needs {shape}")
+    return a
+
+
 def _site(sign, s) -> np.ndarray:
     """Window positions of (sign, s) key columns; signs must be +1 or -1."""
-    sign = np.asarray(sign, dtype=np.int64)
+    sign = _typed(sign, "i", "site sign")
     if not np.all((sign == 1) | (sign == -1)):
         raise ValidationError("site sign must be +1 or -1")
-    return window_index(sign, np.asarray(s, dtype=np.int64))
+    return window_index(sign, _typed(s, "i", "site level"))
 
 
 def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
@@ -295,10 +348,52 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
     return a.view(complex)[..., 0]
 
 
-def _csv_q(x: np.ndarray, site: np.ndarray) -> Optional[float]:
-    """q read from the x cell of window site (+1, s=1); None if absent."""
+def _numbers(value, shape: tuple, what: str) -> np.ndarray:
+    """A JSON array of this shape, every cell a number, as floats."""
+    cells = value
+    for _ in shape[1:]:
+        cells = chain.from_iterable(cells)
+    if not set(map(type, cells)) <= {float, int}:
+        raise ValidationError(f"{what} must hold only numbers")
+    a = np.array(value, dtype=float)
+    if a.shape != shape:
+        raise ValidationError(f"{what} has shape {a.shape}, not {shape}")
+    return a
+
+
+def _from_arrays(doc: dict, shape: tuple) -> np.ndarray:
+    """Complex values of this shape from the "re" and "im" fields of a
+    schema-2 document, bit for bit."""
+    out = np.empty(shape, dtype=complex)
+    out.real, out.imag = (_numbers(doc[key], shape, f'"{key}"')
+                          for key in ("re", "im"))
+    return out
+
+
+def _bulk(doc: dict, shape: tuple) -> np.ndarray:
+    """The values of a JSON mode table or lattice function, either schema."""
+    if doc["schema_version"] == 1:
+        return _from_pairs(doc["values"], shape)
+    return _from_arrays(doc, shape)
+
+
+def _csv_q(x: np.ndarray, site: np.ndarray, depth: int) -> Optional[float]:
+    """q read from the x cell of window site (+1, s=1); None if the window
+    has one level. Every x must be its site's window value at that q to a
+    relative 1e-12, not bit for bit: the file may come from a machine whose
+    power function rounds differently, or ValidationError."""
     at = np.flatnonzero(site == window_index(1, 1))
-    return float(x[at[0]]) if at.size else None
+    q = float(x[at[0]]) if at.size else None
+    # a one-level window is {+1, -1} at every q
+    want = window_values(DeformationContext(
+        q=0.5 if q is None else q, lattice_depth=depth))[site]
+    close = np.isclose(x, want, rtol=1e-12, atol=np.finfo(float).tiny)
+    if not close.all():
+        bad = np.argmin(close)
+        raise ValidationError(
+            f"x = {x[bad]!r} at window site {site[bad]} is not its window "
+            f"value {want[bad]!r} at q={q!r}")
+    return q
 
 
 def _check_window(path: str, ctx: Optional[DeformationContext],
@@ -338,10 +433,8 @@ def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> 
         _write_json(path, _document(
             "mode_table", kind=table.kind, q=table.q, fock_dim=table.fock_dim,
             lattice_depth=table.lattice_depth,
-            tail_start=[int(t) for t in table.tail_start], values=[]), (
-            "  [\n" + ",\n".join(_cells(repeat("   [\n    "), row, ",\n    ",
-                                         "\n   ]", fmt, True)) + "\n  ]"
-            for row in table.values))
+            tail_start=[int(t) for t in table.tail_start]),
+            table.values, mirrored=True)
         return
     sites = [f"{sign},{s},{x}," for sign, s, x in
              _sites(table.q, table.lattice_depth)]
@@ -364,19 +457,16 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
         with _read_json(path, "mode_table") as doc:
             kind, q = doc["kind"], float(doc["q"])
             nmax, depth = int(doc["fock_dim"]), int(doc["lattice_depth"])
-            values = _from_pairs(doc["values"], (nmax, 2 * depth))
-            tail_start = np.asarray(doc["tail_start"], dtype=int)
-        if tail_start.shape != (2 * depth,):
-            raise ValidationError(
-                f"tail_start has shape {tail_start.shape}, one entry per "
-                f"window site needs {(2 * depth,)}")
+            values = _bulk(doc, (nmax, 2 * depth))
+            tail_start = _typed(doc["tail_start"], "i", "tail_start",
+                                (2 * depth,))
     else:
         with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
             site, n = _site(rows["sign"], rows["s"]), rows["n"]
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
             values = _place(_complexes(rows["value_re"], rows["value_im"]),
                             (n, site), (nmax, 2 * depth), "mode table CSV")
-            q = _csv_q(rows["x"], site)
+            q = _csv_q(rows["x"], site, depth)
         if q is None:
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
@@ -404,10 +494,8 @@ def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
     if fmt == "json":
         _write_json(path, _document(
             "lattice_function", kind=f.kind, q=ctx.q,
-            lattice_depth=ctx.lattice_depth, rescaled=bool(f.rescaled),
-            values=[]),
-            [",\n".join(_cells(repeat("  [\n   "), f.values, ",\n   ", "\n  ]",
-                               fmt))])
+            lattice_depth=ctx.lattice_depth, rescaled=bool(f.rescaled)),
+            f.values)
         return
     atomic_write_text(path, ",".join(_LATTICE_COLUMNS.names) + "\n", _cells(
         [f"{sign},{s},{x}," for sign, s, x in _sites(ctx.q, ctx.lattice_depth)],
@@ -427,16 +515,17 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "lattice_function") as doc:
             q = float(doc["q"])
-            values = _from_pairs(doc["values"], (2 * int(doc["lattice_depth"]),))
+            values = _bulk(doc, (2 * int(doc["lattice_depth"]),))
             f = LatticeFunction(doc["kind"], values,
                                 rescaled=bool(doc["rescaled"]))
     else:
         with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
             site = _site(rows["sign"], rows["s"])
+            depth = int(site.max()) // 2 + 1
             values = _place(_complexes(rows["re"], rows["im"]), (site,),
-                            (int(site.max()) // 2 * 2 + 2,), "lattice function CSV")
+                            (2 * depth,), "lattice function CSV")
             flags = np.unique(rows["rescaled_flag"])
-            q = _csv_q(rows["x"], site)
+            q = _csv_q(rows["x"], site, depth)
         if flags.size != 1:
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
@@ -451,31 +540,21 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
     meta = _document("evolution_kernel", variant=k.variant, tau=k.tau, q=k.q,
                      n_max=k.n_max, lattice_depth=k.lattice_depth,
                      s_match=k.s_match, tail_estimate=k.tail_estimate)
-    sites = [(sign, s) for sign, s, _ in _sites(k.q, k.lattice_depth)]
     # one level at a time: rows (+1, s) and (-1, s) hold the same values,
     # in columns swapped pairwise, so _floats formats each of them once
-    levels = ((sites[2 * s:2 * s + 2], k.matrix[2 * s:2 * s + 2].ravel(),
-               k.low_confidence(s)) for s in range(k.lattice_depth))
-    if fmt == "csv":
-        head = " ".join(f"{key}={v}" for key, v in meta.items())
-        cols = [f"{sign},{s}," for sign, s in sites]
-        atomic_write_text(
-            path, f"# {head}\n{','.join(_KERNEL_COLUMNS.names)}\n", (
-                "".join(_cells([f"{rs},{rl},{col}" for rs, rl in pair
-                                for col in cols], row, ",", f",{int(low)}\n",
-                               fmt, True))
-                for pair, row, low in levels))
+    if fmt == "json":
+        meta["low_confidence"] = [bool(k.low_confidence(s))
+                                  for s in range(k.lattice_depth) for _ in (1, -1)]
+        _write_json(path, meta, k.matrix, step=2, mirrored=True)
         return
-    cols = [f'   "col_sign": {sign},\n   "col_s": {s},\n   "re": '
-            for sign, s in sites]
-    meta["entries"] = []
-    _write_json(path, meta, (
-        ",\n".join(_cells(
-            [f'  {{\n   "row_sign": {rs},\n   "row_s": {rl},\n{col}'
-             for rs, rl in pair for col in cols], row, ',\n   "im": ',
-            f',\n   "low_confidence": {json.dumps(bool(low))}\n  }}', fmt,
-            True))
-        for pair, row, low in levels))
+    sites = [(sign, s) for sign, s, _ in _sites(k.q, k.lattice_depth)]
+    head = " ".join(f"{key}={v}" for key, v in meta.items())
+    cols = [f"{sign},{s}," for sign, s in sites]
+    atomic_write_text(path, f"# {head}\n{','.join(_KERNEL_COLUMNS.names)}\n", (
+        "".join(_cells([f"{rs},{rl},{col}" for rs, rl in sites[2 * s:2 * s + 2]
+                        for col in cols], k.matrix[2 * s:2 * s + 2].ravel(),
+                       ",", f",{int(k.low_confidence(s))}\n", fmt, True))
+        for s in range(k.lattice_depth)))
 
 
 def _json_columns(entries) -> dict:
@@ -488,16 +567,21 @@ def _json_columns(entries) -> dict:
     return cols
 
 
-def _kernel(meta: dict, cols) -> EvolutionKernel:
-    """A kernel from its metadata and its entries' columns, by name."""
+def _placed(cols):
+    """The matrix of kernel entries given as columns by name (a schema-1
+    JSON or a CSV kernel), as a function of the window's 2S sites."""
+    return lambda size: _place(_complexes(cols["re"], cols["im"]),
+                               (_site(cols["row_sign"], cols["row_s"]),
+                                _site(cols["col_sign"], cols["col_s"])),
+                               (size, size), "kernel")
+
+
+def _kernel(meta: dict, matrix) -> EvolutionKernel:
+    """A kernel from its metadata and matrix(2S), its 2S x 2S values."""
     depth = int(meta["lattice_depth"])
-    matrix = _place(_complexes(cols["re"], cols["im"]),
-                    (_site(cols["row_sign"], cols["row_s"]),
-                     _site(cols["col_sign"], cols["col_s"])),
-                    (2 * depth, 2 * depth), "kernel")
     return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
                            q=float(meta["q"]), n_max=int(meta["n_max"]),
-                           lattice_depth=depth, matrix=matrix,
+                           lattice_depth=depth, matrix=matrix(2 * depth),
                            tail_estimate=float(meta["tail_estimate"]),
                            s_match=int(meta["s_match"]))
 
@@ -508,10 +592,19 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     ctx's (n_max is the fock_dim it was built at), or ValidationError."""
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel") as doc:
-            k = _kernel(doc, _json_columns(doc["entries"]))
+            if doc["schema_version"] == 1:
+                k = _kernel(doc, _placed(_json_columns(doc["entries"])))
+            else:
+                k = _kernel(doc, lambda size: _from_arrays(doc, (size, size)))
+                _typed(doc["low_confidence"], "b", "low_confidence",
+                       (2 * k.lattice_depth,))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
-            k = _kernel(meta, rows)
+            if meta.get("schema_version") not in ("1", str(SCHEMA_VERSION)):
+                raise ValidationError(
+                    f"expected schema_version 1 or {SCHEMA_VERSION}, found "
+                    f"{meta.get('schema_version')!r}")
+            k = _kernel(meta, _placed(rows))
     _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
     return k
 

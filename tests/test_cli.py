@@ -43,7 +43,7 @@ def test_spectrum_json_format(runner, tmp_path):
     r = runner.invoke(main, ["spectrum", "--format", "json", "--out", out])
     assert r.exit_code == 0
     doc = json.load(open(out))
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
 
 
 def test_hermite_lattice_table(runner, tmp_path):

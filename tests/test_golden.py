@@ -7,8 +7,14 @@ formatting (-0.0, the smallest subnormal, a near-overflow value, 0.1).
 Nothing here comes from a GEMM or from numpy's vectorized power, whose
 last bits depend on the CPU; the `hermite --family hermite` command runs
 a pure-Python recurrence.
+
+tests/golden/schema1/ holds the files of the same inputs that schema 1
+wrote where schema 2 writes other bytes: every JSON file and the kernel
+CSVs. They are loader fixtures: each must still load to the very object
+written.
 """
 
+import json
 import math
 from pathlib import Path
 
@@ -18,11 +24,14 @@ from click.testing import CliRunner
 
 from qosc import (CheckResult, DeformationContext, EvolutionKernel,
                   LatticeFunction, MatchedLevel, ModeTable, SpectrumReport,
-                  VerifyReport, write_kernel, write_lattice_function,
-                  write_mode_table, write_spectrum_report, write_verify_report)
+                  VerifyReport, load_kernel, load_lattice_function,
+                  load_mode_table, load_spectrum_report, write_kernel,
+                  write_lattice_function, write_mode_table,
+                  write_spectrum_report, write_verify_report)
 from qosc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SCHEMA1 = GOLDEN / "schema1"
 Q, N, S = 0.7, 5, 4
 AWKWARD = [-0.0, 5e-324, 1e308, 0.1]
 
@@ -37,9 +46,10 @@ def _complex(rng, shape):
     return _real(rng, shape) + 1j * _real(rng, shape)[::-1]
 
 
-def _write_all(out: Path) -> None:
+def _objects() -> dict:
+    """The artifacts _write_all writes through the library's writers, by
+    file name without the format suffix."""
     rng = np.random.default_rng(20071)
-    ctx = DeformationContext(q=Q, fock_dim=N, lattice_depth=S)
     tails = rng.integers(0, N + 1, 2 * S)
     tables = {
         "position": ModeTable("position", Q, N, S, _real(rng, (N, 2 * S)), tails),
@@ -67,15 +77,28 @@ def _write_all(out: Path) -> None:
               CheckResult("spectrum-match", False, 1e308, 1e-10, -0.0,
                           detail="q=0.7, s=3")]
     report = VerifyReport(False, 3, (0.5, 0.7), 0.1, checks)
+    return {**{f"mode_{kind}": t for kind, t in tables.items()},
+            **{f"lattice_{name}": f for name, f in functions.items()},
+            **{f"kernel_{variant}": k for variant, k in kernels.items()},
+            "spectrum": spectrum, "verify": report}
+
+
+def _write_all(out: Path) -> None:
+    ctx = DeformationContext(q=Q, fock_dim=N, lattice_depth=S)
+    objects = _objects()
     for fmt in ("csv", "json"):
-        for kind, t in tables.items():
-            write_mode_table(t, str(out / f"mode_{kind}.{fmt}"), fmt)
-        for name, f in functions.items():
-            write_lattice_function(f, ctx, str(out / f"lattice_{name}.{fmt}"))
-        for variant, k in kernels.items():
-            write_kernel(k, str(out / f"kernel_{variant}.{fmt}"))
-        write_spectrum_report(spectrum, str(out / f"spectrum.{fmt}"))
-        write_verify_report(report, str(out / f"verify.{fmt}"))
+        for name, obj in objects.items():
+            path = str(out / f"{name}.{fmt}")
+            if isinstance(obj, ModeTable):
+                write_mode_table(obj, path, fmt)
+            elif isinstance(obj, LatticeFunction):
+                write_lattice_function(obj, ctx, path)
+            elif isinstance(obj, EvolutionKernel):
+                write_kernel(obj, path)
+            elif isinstance(obj, SpectrumReport):
+                write_spectrum_report(obj, path)
+            else:
+                write_verify_report(obj, path)
         for name, extra in (("grid", ["--grid", "-1:1:0.3"]), ("lattice", [])):
             r = CliRunner().invoke(main, [
                 "hermite", "--family", "hermite", "--q", str(Q), "--n-max", "3",
@@ -91,11 +114,40 @@ def written(tmp_path_factory):
     return out
 
 
+def _files(directory: Path) -> list:
+    return sorted(p.name for p in directory.iterdir() if p.is_file())
+
+
 def test_golden_set_is_complete(written):
-    assert sorted(p.name for p in written.iterdir()) == \
-        sorted(p.name for p in GOLDEN.iterdir())
+    assert _files(written) == _files(GOLDEN)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.iterdir()))
+@pytest.mark.parametrize("name", _files(GOLDEN))
 def test_writer_bytes_match_golden(written, name):
     assert (written / name).read_bytes() == (GOLDEN / name).read_bytes()
+
+
+_LOADERS = {"mode": load_mode_table, "lattice": load_lattice_function,
+            "kernel": load_kernel, "spectrum": load_spectrum_report}
+
+
+def _fields(obj) -> dict:
+    """Each field of obj: an array as its dtype, shape and bytes, any
+    other value as its repr."""
+    return {key: (v.dtype.str, v.shape, v.tobytes())
+            if isinstance(v, np.ndarray) else repr(v)
+            for key, v in vars(obj).items()}
+
+
+@pytest.mark.parametrize("name", _files(SCHEMA1))
+def test_schema1_fixture_loads_to_written_object(name):
+    stem = name.rpartition(".")[0]
+    loader = _LOADERS.get(stem.partition("_")[0])
+    if loader is None:
+        # no loader reads verify reports or polynomial tables; their
+        # layout did not change, and only the version moved
+        new = json.loads((GOLDEN / name).read_text())
+        assert json.loads((SCHEMA1 / name).read_text()) == {
+            **new, "schema_version": 1}
+        return
+    assert _fields(loader(str(SCHEMA1 / name))) == _fields(_objects()[stem])

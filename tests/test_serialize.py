@@ -103,7 +103,7 @@ def test_spectrum_report_roundtrip(tmp_path, sctx):
     assert len(back.matched) == len(rep.matched)
     assert back.matched[0].value == rep.matched[0].value
     payload = spectrum_report_payload(rep)
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == 2
 
 
 def test_spectrum_csv_has_unmatched_rows(tmp_path):
@@ -243,6 +243,17 @@ def _doc(edit):
     return apply
 
 
+def _set(*path_and_value):
+    """Set the cell at a path of keys and indices in the JSON document."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return _doc(edit)
+
+
 def _first_cell(col, value):
     def edit(rows):
         cells = rows[0].split(",")
@@ -267,6 +278,13 @@ def _commented(rows):
     return [rows[0] + " # a note"] + rows[1:]
 
 
+def _edited_x(rows):
+    """The x cell of the first row at site (-1, s=2) set to 0.9."""
+    cells = [r.split(",") for r in rows]
+    next(c for c in cells if c[:2] == ["-1", "2"])[2] = "0.9"
+    return [",".join(c) for c in cells]
+
+
 @pytest.mark.parametrize("artifact,fmt,damage", [
     pytest.param("kernel", "csv", _rows(_truncated), id="kernel-csv-truncated"),
     pytest.param("kernel", "csv", _rows(_duplicated), id="kernel-csv-duplicate"),
@@ -274,41 +292,42 @@ def _commented(rows):
                  id="kernel-csv-negative-site"),
     pytest.param("kernel", "csv", _rows(_first_cell(0, "0")),
                  id="kernel-csv-zero-sign"),
-    pytest.param("kernel", "json", _doc(lambda d: d["entries"].pop()),
+    # "json1": the same object as a schema-1 document
+    pytest.param("kernel", "json1", _doc(lambda d: d["entries"].pop()),
                  id="kernel-json-truncated"),
-    pytest.param("kernel", "json",
+    pytest.param("kernel", "json1",
                  _doc(lambda d: d["entries"].__setitem__(-1, d["entries"][0])),
                  id="kernel-json-duplicate"),
-    pytest.param("kernel", "json",
-                 _doc(lambda d: d["entries"][0].__setitem__("row_s", -1)),
+    pytest.param("kernel", "json1", _set("entries", 0, "row_s", -1),
                  id="kernel-json-negative-site"),
-    pytest.param("kernel", "json",
-                 _doc(lambda d: d["entries"][0].__setitem__("col_s", 8)),
+    pytest.param("kernel", "json1", _set("entries", 0, "col_s", 8),
                  id="kernel-json-out-of-range-site"),
-    pytest.param("kernel", "json", _doc(lambda d: d.pop("entries")),
+    pytest.param("kernel", "json1", _doc(lambda d: d.pop("entries")),
                  id="kernel-json-missing-key"),
+    pytest.param("kernel", "json1", _set("entries", 0, "row_s", 0.7),
+                 id="kernel-json-float-key"),
     pytest.param("mode_table", "csv", _rows(_truncated),
                  id="mode-table-csv-truncated"),
     pytest.param("mode_table", "csv", _rows(_duplicated),
                  id="mode-table-csv-duplicate"),
-    pytest.param("mode_table", "json", lambda text: text[:-5],
+    pytest.param("mode_table", "json1", lambda text: text[:-5],
                  id="mode-table-json-invalid"),
-    pytest.param("mode_table", "json", _doc(lambda d: d.pop("values")),
+    pytest.param("mode_table", "json1", _doc(lambda d: d.pop("values")),
                  id="mode-table-json-missing-key"),
-    pytest.param("mode_table", "json",
-                 _doc(lambda d: d.__setitem__("kind", "bogus")),
+    pytest.param("mode_table", "json1", _set("kind", "bogus"),
                  id="mode-table-json-unknown-kind"),
-    pytest.param("mode_table", "json", _doc(lambda d: d["tail_start"].pop()),
+    pytest.param("mode_table", "json1", _doc(lambda d: d["tail_start"].pop()),
                  id="mode-table-json-short-tail-start"),
+    pytest.param("mode_table", "json1", _set("tail_start", 0, 0.5),
+                 id="mode-table-json-float-tail-start"),
     # undamaged, but read with the default kind="position"
     pytest.param("momentum_table", "csv", lambda text: text,
                  id="mode-table-csv-momentum-read-as-position"),
-    pytest.param("mode_table", "json",
-                 _doc(lambda d: d["values"][1][2].__setitem__(1, 0.5)),
+    pytest.param("mode_table", "json1", _set("values", 1, 2, 1, 0.5),
                  id="mode-table-json-position-with-imaginary-part"),
     pytest.param("lattice_function", "csv", _rows(_duplicated),
                  id="lattice-function-csv-duplicate"),
-    pytest.param("lattice_function", "json", _doc(lambda d: d.pop("rescaled")),
+    pytest.param("lattice_function", "json1", _doc(lambda d: d.pop("rescaled")),
                  id="lattice-function-json-missing-key"),
     pytest.param("spectrum_report", "json", _doc(lambda d: d.pop("matched")),
                  id="spectrum-json-missing-key"),
@@ -327,6 +346,9 @@ def _commented(rows):
                  id="mode-table-csv-extra-field"),
     pytest.param("kernel", "csv", _rows(lambda rows: []),
                  id="kernel-csv-header-only"),
+    pytest.param("kernel", "csv",
+                 lambda text: text.replace("schema_version=2", "schema_version=3"),
+                 id="kernel-csv-unknown-schema"),
     pytest.param("mode_table", "csv", _rows(lambda rows: []),
                  id="mode-table-csv-header-only"),
     pytest.param("lattice_function", "csv", _rows(lambda rows: ["", ""]),
@@ -342,10 +364,73 @@ def _commented(rows):
     pytest.param("mode_table", "csv", _rows(lambda rows: rows[:1] + ["  "]
                                             + rows[1:]),
                  id="mode-table-csv-line-of-spaces"),
+    # an x that is not its site's window value
+    pytest.param("mode_table", "csv", _rows(_edited_x),
+                 id="mode-table-csv-edited-x"),
+    pytest.param("lattice_function", "csv", _rows(_edited_x),
+                 id="lattice-function-csv-edited-x"),
+    # the schema-2 arrays
+    pytest.param("kernel", "json", _doc(lambda d: d["re"][3].pop()),
+                 id="kernel-json2-short-row"),
+    pytest.param("kernel", "json", _doc(lambda d: d["im"][0].append(0.0)),
+                 id="kernel-json2-ragged-row"),
+    pytest.param("kernel", "json", _doc(lambda d: d["re"].pop()),
+                 id="kernel-json2-missing-row"),
+    pytest.param("kernel", "json",
+                 _doc(lambda d: [row.pop() for part in ("re", "im")
+                                 for row in d[part]]),
+                 id="kernel-json2-short-rows"),
+    pytest.param("kernel", "json", _doc(lambda d: d.pop("im")),
+                 id="kernel-json2-missing-im"),
+    pytest.param("kernel", "json", _set("re", 2, 5, "0.5"),
+                 id="kernel-json2-string-cell"),
+    pytest.param("kernel", "json", _set("im", 2, 5, None),
+                 id="kernel-json2-null-cell"),
+    pytest.param("kernel", "json", _set("im", 0, 0, True),
+                 id="kernel-json2-boolean-cell"),
+    pytest.param("kernel", "json", _set("re", 1, 1, [0.5]),
+                 id="kernel-json2-nested-cell"),
+    pytest.param("kernel", "json", _set("re", "not an array"),
+                 id="kernel-json2-string-field"),
+    pytest.param("kernel", "json", _doc(lambda d: d["low_confidence"].pop()),
+                 id="kernel-json2-short-low-confidence"),
+    pytest.param("kernel", "json", _set("low_confidence", 0, 0),
+                 id="kernel-json2-integer-low-confidence"),
+    pytest.param("kernel", "json", _doc(lambda d: d.pop("low_confidence")),
+                 id="kernel-json2-missing-low-confidence"),
+    pytest.param("mode_table", "json", _doc(lambda d: d["re"][1].pop()),
+                 id="mode-table-json2-short-row"),
+    pytest.param("mode_table", "json", _doc(lambda d: d["re"].pop()),
+                 id="mode-table-json2-missing-row"),
+    pytest.param("mode_table", "json",
+                 _doc(lambda d: d.__setitem__("re", list(zip(*d["re"])))),
+                 id="mode-table-json2-transposed"),
+    pytest.param("mode_table", "json", _doc(lambda d: d.pop("im")),
+                 id="mode-table-json2-missing-im"),
+    pytest.param("mode_table", "json", _set("re", 0, 3, "1.0"),
+                 id="mode-table-json2-string-cell"),
+    pytest.param("mode_table", "json", _set("re", 4, 0, None),
+                 id="mode-table-json2-null-cell"),
+    pytest.param("mode_table", "json", _set("im", 1, 2, 0.5),
+                 id="mode-table-json2-position-with-imaginary-part"),
+    pytest.param("mode_table", "json", _set("tail_start", 0, 0.5),
+                 id="mode-table-json2-float-tail-start"),
+    pytest.param("lattice_function", "json", _doc(lambda d: d["re"].pop()),
+                 id="lattice-function-json2-short-row"),
+    pytest.param("lattice_function", "json", _set("re", [[0.0] * 16]),
+                 id="lattice-function-json2-nested"),
+    pytest.param("lattice_function", "json", _doc(lambda d: d.pop("im")),
+                 id="lattice-function-json2-missing-im"),
+    pytest.param("lattice_function", "json", _set("im", 3, "0.5"),
+                 id="lattice-function-json2-string-cell"),
+    pytest.param("lattice_function", "json", _set("re", 0, None),
+                 id="lattice-function-json2-null-cell"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
-    p = tmp_path / f"a.{fmt}"
+    p = tmp_path / f"a.{fmt[:4]}"
     _WRITERS[artifact](sctx, str(p))
+    if fmt == "json1":
+        p.write_text(_SCHEMA1[artifact](_LOADERS[artifact](str(p)), sctx))
     p.write_text(damage(p.read_text()))
     with pytest.raises(ValidationError):
         _LOADERS[artifact](str(p))
@@ -452,10 +537,11 @@ def test_artifact_mode_follows_umask(tmp_path, sctx, umask, mode):
     assert stat.S_IMODE(p.stat().st_mode) == mode
 
 
-# The streamed writers against the encoders they replaced: json.dumps on
-# the dict/list payload and csv.writer on the row tuples, at a size and
-# with values (nan, +-inf, -0.0, the smallest subnormal) the golden files
-# do not have.
+# The streamed writers against reference encoders: csv.writer on the row
+# tuples; for schema 2, json.dumps(indent=1) on the metadata and
+# json.dumps on each row of "re" and "im"; for schema 1, json.dumps on
+# the whole dict/list payload. They run at a size and with values (nan,
+# +-inf, -0.0, the smallest subnormal) the golden files do not have.
 
 _SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
 
@@ -486,33 +572,47 @@ def _csv_text(header, rows, meta=None):
     return buf.getvalue()
 
 
-def _mode_table_text(t, fmt):
+def _json_text(meta, values, schema):
+    """A JSON document: meta, then values as "values" pairs (schema 1) or
+    as "re" and "im" arrays, one line per row (schema 2)."""
+    meta = {"schema_version": schema, **meta}
+    if schema == 1:
+        return json.dumps({**meta, "values": _pairs(values)}, indent=1) + "\n"
+    text = json.dumps(meta, indent=1)[:-2]
+    for key, part in (("re", values.real), ("im", values.imag)):
+        if part.ndim == 1:
+            text += f',\n "{key}": {json.dumps(part.tolist())}'
+        else:
+            text += f',\n "{key}": [\n  ' + ",\n  ".join(
+                map(json.dumps, part.tolist())) + "\n ]"
+    return text + "\n}\n"
+
+
+def _mode_table_text(t, fmt, schema=2):
     if fmt == "json":
-        return json.dumps({
-            "schema_version": 1, "object": "mode_table", "kind": t.kind,
+        return _json_text({
+            "object": "mode_table", "kind": t.kind,
             "q": t.q, "fock_dim": t.fock_dim, "lattice_depth": t.lattice_depth,
-            "tail_start": [int(v) for v in t.tail_start],
-            "values": _pairs(t.values)}, indent=1) + "\n"
+            "tail_start": [int(v) for v in t.tail_start]}, t.values, schema)
     return _csv_text(["sign", "s", "x", "n", "value_re", "value_im"], [
         (sign, s, x, n, re, im) for n, row in enumerate(t.values)
         for (sign, s, x), (re, im) in zip(_sites(t.q, t.lattice_depth),
                                           _pairs(row))])
 
 
-def _lattice_function_text(f, ctx, fmt):
+def _lattice_function_text(f, ctx, fmt, schema=2):
     if fmt == "json":
-        return json.dumps({
-            "schema_version": 1, "object": "lattice_function", "kind": f.kind,
+        return _json_text({
+            "object": "lattice_function", "kind": f.kind,
             "q": ctx.q, "lattice_depth": ctx.lattice_depth,
-            "rescaled": f.rescaled, "values": _pairs(f.values)},
-            indent=1) + "\n"
+            "rescaled": f.rescaled}, f.values, schema)
     return _csv_text(["sign", "s", "x", "re", "im", "rescaled_flag"], [
         (sign, s, x, re, im, int(f.rescaled))
         for (sign, s, x), (re, im) in zip(_sites(ctx.q, ctx.lattice_depth),
                                           _pairs(f.values))])
 
 
-def _kernel_text(k, fmt):
+def _kernel_text(k, fmt, schema=2):
     columns = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
                "low_confidence"]
     sites = _sites(k.q, k.lattice_depth)
@@ -520,14 +620,26 @@ def _kernel_text(k, fmt):
     cells = [(rs, rl, cs, cl, re, im, flag(k.low_confidence(rl)))
              for (rs, rl, _), row in zip(sites, k.matrix)
              for (cs, cl, _), (re, im) in zip(sites, _pairs(row))]
-    meta = {"schema_version": 1, "object": "evolution_kernel",
+    meta = {"schema_version": schema, "object": "evolution_kernel",
             "variant": k.variant, "tau": k.tau, "q": k.q, "n_max": k.n_max,
             "lattice_depth": k.lattice_depth, "s_match": k.s_match,
             "tail_estimate": k.tail_estimate}
-    if fmt == "json":
+    if fmt == "csv":
+        return _csv_text(columns, cells, meta)
+    if schema == 1:
         meta["entries"] = [dict(zip(columns, c)) for c in cells]
         return json.dumps(meta, indent=1) + "\n"
-    return _csv_text(columns, cells, meta)
+    meta["low_confidence"] = [k.low_confidence(rl) for _, rl, _ in sites]
+    return _json_text(meta, k.matrix, schema)
+
+
+# the schema-1 JSON document of a loaded artifact, and the context it
+# lies on
+_SCHEMA1 = {
+    "kernel": lambda k, ctx: _kernel_text(k, "json", 1),
+    "mode_table": lambda t, ctx: _mode_table_text(t, "json", 1),
+    "lattice_function": lambda f, ctx: _lattice_function_text(f, ctx, "json", 1),
+}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -553,6 +665,71 @@ def test_streamed_writer_matches_reference_encoder(tmp_path, artifact, fmt):
         write_kernel(k, str(p))
         want = _kernel_text(k, fmt)
     assert p.read_bytes() == want.encode("utf-8")
+
+
+def _special(shape):
+    """Seeded complex values with nan, +-inf, -0.0 and 5e-324 in both parts."""
+    return _awkward(np.random.default_rng(1401), shape)
+
+
+_SPECIAL_ARTIFACTS = {
+    "mode_table": lambda ctx: ModeTable(
+        "momentum", ctx.q, ctx.fock_dim, ctx.lattice_depth,
+        _special((ctx.fock_dim, 2 * ctx.lattice_depth)),
+        np.arange(2 * ctx.lattice_depth) % (ctx.fock_dim + 1)),
+    "lattice_function": lambda ctx: LatticeFunction(
+        "momentum", _special(2 * ctx.lattice_depth), rescaled=True),
+    "kernel": lambda ctx: EvolutionKernel(
+        0.3, "raw_K", ctx.q, ctx.fock_dim, ctx.lattice_depth,
+        _special((2 * ctx.lattice_depth,) * 2), 1e-3, 2),
+}
+
+
+def _write_any(obj, ctx, path):
+    if isinstance(obj, LatticeFunction):
+        write_lattice_function(obj, ctx, path)
+    elif isinstance(obj, ModeTable):
+        write_mode_table(obj, path)
+    else:
+        write_kernel(obj, path)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("artifact", sorted(_SPECIAL_ARTIFACTS))
+def test_roundtrip_keeps_special_values_bitwise(tmp_path, sctx, artifact, fmt):
+    obj = _SPECIAL_ARTIFACTS[artifact](sctx)
+    p = str(tmp_path / f"a.{fmt}")
+    _write_any(obj, sctx, p)
+    kind = {} if artifact == "kernel" else {"kind": "momentum"}
+    back = _LOADERS[artifact](p, **kind)
+    want = getattr(obj, _ARRAY[artifact])
+    got = getattr(back, _ARRAY[artifact])
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    if artifact == "mode_table" and fmt == "json":  # CSV keeps no tail_start
+        assert back.tail_start.tobytes() == obj.tail_start.tobytes()
+
+
+@pytest.mark.parametrize("artifact", ["kernel", "mode_table",
+                                      "lattice_function", "spectrum_report"])
+def test_schema2_loader_ignores_unknown_fields(tmp_path, sctx, artifact):
+    p = tmp_path / "a.json"
+    _WRITERS[artifact](sctx, str(p))
+    want = _LOADERS[artifact](str(p))
+    p.write_text(_doc(lambda d: d.update(health={"s_match": 1}, extra=[1]))(
+        p.read_text()))
+    got = _LOADERS[artifact](str(p))
+    assert repr(vars(got)) == repr(vars(want))
+
+
+def test_kernel_json_flags_low_confidence_rows(tmp_path, sctx):
+    k = fractional_ft(0.3, sctx)
+    p = tmp_path / "k.json"
+    write_kernel(k, str(p))
+    flags = json.loads(p.read_text())["low_confidence"]
+    assert flags == [k.low_confidence(s) for s in range(sctx.lattice_depth)
+                     for _ in (1, -1)]
+    assert any(flags) and not all(flags)
 
 
 # The emitter and the loaders on values the writers' goldens lack: random
