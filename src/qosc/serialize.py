@@ -149,21 +149,22 @@ def _document(obj: Optional[str], **fields) -> dict:
 
 
 def _write_json(path: str, payload: dict, values: Optional[np.ndarray] = None,
-                step: int = 1, mirrored: bool = False) -> None:
+                mirrored: bool = False) -> None:
     """json.dumps(payload, indent=1) and a newline, written to path.
 
     With values, a 1-D or 2-D array, the document ends in two more
     fields, "re" and "im", laid out as the module docstring says. They
-    are streamed, not encoded: _floats formats step rows of a part at a
-    time, mirrored as it says.
+    are streamed, not encoded: _floats formats two rows of a part at a
+    time (a kernel's level pair, whose rows hold the same values),
+    mirrored as it says.
     """
     text = json.dumps(payload, indent=1)
     if values is None:
         atomic_write_text(path, text + "\n")
         return
     atomic_write_text(path, text[:-2], chain(  # text ends in '\n}'
-        _json_rows("re", values.real, step, mirrored),
-        _json_rows("im", values.imag, step, mirrored), ["\n}\n"]))
+        _json_rows("re", values.real, mirrored),
+        _json_rows("im", values.imag, mirrored), ["\n}\n"]))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -206,15 +207,15 @@ def _floats(values: np.ndarray, fmt: str, mirrored: bool = False) -> list:
     return text
 
 
-def _json_rows(key: str, part: np.ndarray, step: int, mirrored: bool):
+def _json_rows(key: str, part: np.ndarray, mirrored: bool):
     """The texts of field key: part, a 1-D or 2-D float array, as
     _write_json lays it out."""
     if part.ndim == 1:
         yield f',\n "{key}": [{", ".join(_floats(part, "json", mirrored))}]'
         return
     head, width = f',\n "{key}": [\n  ', part.shape[1]
-    for i in range(0, len(part), step):
-        cells = _floats(part[i:i + step].ravel(), "json", mirrored)
+    for i in range(0, len(part), 2):
+        cells = _floats(part[i:i + 2].ravel(), "json", mirrored)
         for j in range(0, len(cells), width):
             yield f"{head}[{', '.join(cells[j:j + width])}]"
             head = ",\n  "
@@ -240,6 +241,13 @@ def _fields(path: str, what: str):
         raise ValidationError(f"{what} file {path!r} is malformed: {exc!r}") from exc
 
 
+def _check_schema(version) -> None:
+    """ValidationError unless version is a schema the loaders read."""
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):
+        raise ValidationError(f"expected schema_version 1 or "
+                              f"{SCHEMA_VERSION}, found {version!r}")
+
+
 @contextmanager
 def _read_json(path: str, obj: str):
     """The document of a JSON artifact of schema 1 or 2, tagged obj."""
@@ -247,11 +255,7 @@ def _read_json(path: str, obj: str):
         payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValidationError("top-level JSON payload must be an object")
-        version = payload.get("schema_version")
-        if type(version) is not int or version not in (1, SCHEMA_VERSION):
-            raise ValidationError(
-                f"expected schema_version 1 or {SCHEMA_VERSION}, found "
-                f"{version!r}")
+        _check_schema(payload.get("schema_version"))
         if payload.get("object") != obj:
             raise ValidationError(
                 f"expected object {obj!r}, found {payload.get('object')!r}")
@@ -540,13 +544,13 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
     meta = _document("evolution_kernel", variant=k.variant, tau=k.tau, q=k.q,
                      n_max=k.n_max, lattice_depth=k.lattice_depth,
                      s_match=k.s_match, tail_estimate=k.tail_estimate)
+    if fmt == "json":  # window row i lies on level i // 2
+        meta["low_confidence"] = [bool(k.low_confidence(i // 2))
+                                  for i in range(2 * k.lattice_depth)]
+        _write_json(path, meta, k.matrix, mirrored=True)
+        return
     # one level at a time: rows (+1, s) and (-1, s) hold the same values,
     # in columns swapped pairwise, so _floats formats each of them once
-    if fmt == "json":
-        meta["low_confidence"] = [bool(k.low_confidence(s))
-                                  for s in range(k.lattice_depth) for _ in (1, -1)]
-        _write_json(path, meta, k.matrix, step=2, mirrored=True)
-        return
     sites = [(sign, s) for sign, s, _ in _sites(k.q, k.lattice_depth)]
     head = " ".join(f"{key}={v}" for key, v in meta.items())
     cols = [f"{sign},{s}," for sign, s in sites]
@@ -567,21 +571,21 @@ def _json_columns(entries) -> dict:
     return cols
 
 
-def _placed(cols):
-    """The matrix of kernel entries given as columns by name (a schema-1
-    JSON or a CSV kernel), as a function of the window's 2S sites."""
-    return lambda size: _place(_complexes(cols["re"], cols["im"]),
-                               (_site(cols["row_sign"], cols["row_s"]),
-                                _site(cols["col_sign"], cols["col_s"])),
-                               (size, size), "kernel")
+def _placed(cols, meta: dict) -> np.ndarray:
+    """The 2S x 2S matrix of kernel entries given as columns by name (a
+    schema-1 JSON or a CSV kernel); S is the metadata's lattice_depth."""
+    size = 2 * int(meta["lattice_depth"])
+    return _place(_complexes(cols["re"], cols["im"]),
+                  (_site(cols["row_sign"], cols["row_s"]),
+                   _site(cols["col_sign"], cols["col_s"])),
+                  (size, size), "kernel")
 
 
-def _kernel(meta: dict, matrix) -> EvolutionKernel:
-    """A kernel from its metadata and matrix(2S), its 2S x 2S values."""
-    depth = int(meta["lattice_depth"])
+def _kernel(meta: dict, matrix: np.ndarray) -> EvolutionKernel:
+    """A kernel from its metadata and its 2S x 2S matrix."""
     return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
                            q=float(meta["q"]), n_max=int(meta["n_max"]),
-                           lattice_depth=depth, matrix=matrix(2 * depth),
+                           lattice_depth=len(matrix) // 2, matrix=matrix,
                            tail_estimate=float(meta["tail_estimate"]),
                            s_match=int(meta["s_match"]))
 
@@ -593,18 +597,15 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel") as doc:
             if doc["schema_version"] == 1:
-                k = _kernel(doc, _placed(_json_columns(doc["entries"])))
+                k = _kernel(doc, _placed(_json_columns(doc["entries"]), doc))
             else:
-                k = _kernel(doc, lambda size: _from_arrays(doc, (size, size)))
-                _typed(doc["low_confidence"], "b", "low_confidence",
-                       (2 * k.lattice_depth,))
+                size = 2 * int(doc["lattice_depth"])
+                _typed(doc["low_confidence"], "b", "low_confidence", (size,))
+                k = _kernel(doc, _from_arrays(doc, (size, size)))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
-            if meta.get("schema_version") not in ("1", str(SCHEMA_VERSION)):
-                raise ValidationError(
-                    f"expected schema_version 1 or {SCHEMA_VERSION}, found "
-                    f"{meta.get('schema_version')!r}")
-            k = _kernel(meta, _placed(rows))
+            _check_schema(int(meta["schema_version"]))
+            k = _kernel(meta, _placed(rows, meta))
     _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
     return k
 
