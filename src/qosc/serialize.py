@@ -346,10 +346,8 @@ def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
 
 
 def _from_pairs(pairs, shape: tuple) -> np.ndarray:
-    a = np.array(pairs, dtype=float)
-    if a.shape != (*shape, 2):
-        raise ValidationError(f"values have shape {a.shape}, not {(*shape, 2)}")
-    return a.view(complex)[..., 0]
+    """Complex values of this shape from schema-1 [re, im] pairs."""
+    return _numbers(pairs, (*shape, 2), '"values"').view(complex)[..., 0]
 
 
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
@@ -464,6 +462,8 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
             values = _bulk(doc, (nmax, 2 * depth))
             tail_start = _typed(doc["tail_start"], "i", "tail_start",
                                 (2 * depth,))
+        if not np.all((tail_start >= 0) & (tail_start <= nmax)):
+            raise ValidationError(f"tail_start must lie in [0, {nmax}]")
     else:
         with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
             site, n = _site(rows["sign"], rows["s"]), rows["n"]
@@ -566,8 +566,7 @@ def _json_columns(entries) -> dict:
     cols = {key: list(map(itemgetter(key), entries))
             for key in _KERNEL_COLUMNS.names[:6]}
     for key in ("re", "im"):
-        cols[key] = np.fromiter(map(float, cols[key]), dtype=float,
-                                count=len(cols[key]))
+        cols[key] = _numbers(cols[key], (len(entries),), key)
     return cols
 
 

@@ -306,6 +306,10 @@ def _edited_x(rows):
                  id="kernel-json-missing-key"),
     pytest.param("kernel", "json1", _set("entries", 0, "row_s", 0.7),
                  id="kernel-json-float-key"),
+    pytest.param("kernel", "json1", _set("entries", 0, "re", "1.5"),
+                 id="kernel-json-string-cell"),
+    pytest.param("kernel", "json1", _set("entries", 1, "im", True),
+                 id="kernel-json-boolean-cell"),
     pytest.param("mode_table", "csv", _rows(_truncated),
                  id="mode-table-csv-truncated"),
     pytest.param("mode_table", "csv", _rows(_duplicated),
@@ -325,6 +329,10 @@ def _edited_x(rows):
                  id="mode-table-csv-momentum-read-as-position"),
     pytest.param("mode_table", "json1", _set("values", 1, 2, 1, 0.5),
                  id="mode-table-json-position-with-imaginary-part"),
+    pytest.param("mode_table", "json1", _set("values", 0, 0, 0, None),
+                 id="mode-table-json-null-cell"),
+    pytest.param("lattice_function", "json1", _set("values", 2, 1, "0.5"),
+                 id="lattice-function-json-string-cell"),
     pytest.param("lattice_function", "csv", _rows(_duplicated),
                  id="lattice-function-csv-duplicate"),
     pytest.param("lattice_function", "json1", _doc(lambda d: d.pop("rescaled")),
@@ -415,6 +423,10 @@ def _edited_x(rows):
                  id="mode-table-json2-position-with-imaginary-part"),
     pytest.param("mode_table", "json", _set("tail_start", 0, 0.5),
                  id="mode-table-json2-float-tail-start"),
+    pytest.param("mode_table", "json", _set("tail_start", 1, -1),
+                 id="mode-table-json2-negative-tail-start"),
+    pytest.param("mode_table", "json", _set("tail_start", 2, 21),
+                 id="mode-table-json2-tail-start-past-fock-dim"),
     pytest.param("lattice_function", "json", _doc(lambda d: d["re"].pop()),
                  id="lattice-function-json2-short-row"),
     pytest.param("lattice_function", "json", _set("re", [[0.0] * 16]),
