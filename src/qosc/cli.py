@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .context import DeformationContext
-from .errors import QoscError, ValidationError
+from .errors import DomainError, QoscError, ValidationError
 from .evolution import evolve, fractional_ft, kernel_K, rescale
 from .fock import build_Q, spectrum_report
 from .qhermite import build_mode_table, hermite_eval, lattice_window, mode_poly
@@ -38,14 +38,15 @@ _CONFIG_KEYS = set(_DEFAULTS) | {"seed"}
 # Largest table `hermite --grid` or `hermite --family hermite` may write.
 MAX_TABLE_ROWS = 1_000_000
 
-# Largest working set `spectrum`, `kernel` or `evolve` may ask for, in
-# bytes. Each command's is estimated from its arrays before any is formed
-# (_check_size): the complex 2S x 2S kernel (16 (2S)^2; kernel only), the
-# real N x S half table of the modes (8 N S; kernel and evolve), the
-# bidiagonal half of Q's largest block and its copy (spectrum only), and
-# ENTRY_BYTES per level and per eigenvalue for the vectors, Python floats
-# and file rows of the window, the spectrum report and the artifact
-# readers (evolve holds about 0.9 KB per level at S = 200000).
+# Largest working set `spectrum`, `kernel`, `evolve` or the mode table of
+# `hermite` may ask for, in bytes. Each command's is estimated from its
+# arrays before any is formed (_check_size): the complex 2S x 2S kernel
+# (16 (2S)^2; kernel only), the real N x S half table of the modes (8 N S;
+# all but spectrum) and the N x 2S table written from it (16 N S; hermite
+# only), the bidiagonal half of Q's largest block and its copy (spectrum
+# only), and ENTRY_BYTES per level and per eigenvalue for the vectors,
+# Python floats and file rows of the window, the spectrum report and the
+# artifact readers (evolve holds about 0.9 KB per level at S = 200000).
 MAX_WORK_BYTES = 4 * 2**30
 ENTRY_BYTES = 1024
 
@@ -193,6 +194,7 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
             f"--n-max must lie in [0, {ctx.fock_dim}), got {n_max}")
 
     if grid is None and family == "orthonormal":
+        _check_size(ctx, 24 * ctx.fock_dim * ctx.lattice_depth)
         path = out or f"modes.{fmt}"
         table = build_mode_table("position", ctx)
         if top < ctx.fock_dim - 1:
@@ -222,13 +224,20 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
             f"the table would exceed {MAX_TABLE_ROWS} rows; lower --n-max, "
             f"the grid size or --lattice-depth")
     if grid is None:
-        xs = [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
+        sites = [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
     else:
-        xs = [("", "", start + k * step) for k in range(count)]
+        sites = [("", "", start + k * step) for k in range(count)]
+    xs = np.array([x for _, _, x in sites])
 
     evalf = hermite_eval if family == "hermite" else mode_poly
-    rows = [(n, sign, s, x, float(evalf(n, x, ctx)))
-            for n in range(top + 1) for sign, s, x in xs]
+    with np.errstate(all="ignore"):  # one pass per degree over every x
+        vals = np.array([evalf(n, xs, ctx) for n in range(top + 1)])
+    if not np.isfinite(vals).all():
+        n, i = np.argwhere(~np.isfinite(vals))[0]
+        raise DomainError(f"degree {n} is not finite at x = {float(xs[i])!r} "
+                          f"at q={ctx.q}; lower --n-max or --fock-dim")
+    rows = [(n, sign, s, x, v) for n, row in enumerate(vals.tolist())
+            for (sign, s, x), v in zip(sites, row)]
     path = out or f"hermite.{fmt}"
     write_polynomial_table(rows, family, ctx.q, path, fmt)
     click.echo(path)

@@ -24,11 +24,11 @@ read-only per-context caches hold the rest. _weights holds every weight
 the package reads, with qpoch_inf's bits. _half_table holds p_n(+q^s);
 every window table is its parity mirror (_modes). The forward recurrence
 is unstable past the turning point n > 2s, so each column's decaying tail
-is re-filled by backward (Miller) recurrence from its meet, past the peak
-of a_n where p_n dips (_p_matrix), in one sweep over all flagged columns,
-indexed by the degree relative to each meet: every entry sees the same
-operations as a column run alone. Pointwise mode_poly and hermite_eval use
-the plain forward recurrence, for shallow degrees.
+is re-filled by backward (Miller) recurrence from its meet, the first n
+past the peak of a_n with 2 a_n < |x| (_p_matrix), in one sweep over all
+flagged columns, indexed by the degree relative to each meet: every entry
+sees the same operations as a column run alone. Pointwise mode_poly and
+hermite_eval use the plain forward recurrence, for shallow degrees.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     Returns (values, tail_start) where values[n, c] = p_n(x[c]) and
     tail_start[c] is the first degree stored as exact zero (nmax if the
     column has no flagged tail). Miller's pass starts at each column's meet:
-    its first n in [1, nmax - 2] past the peak of a_n with 2 a_n < |x| and
-    |p_n| < 1e-2 max(1, |p_1|, ..., |p_n|), where p_n is the minimal
-    solution (Gautschi, SIAM Rev. 9, 1967). Raises DomainError if any value
-    is not finite, as on deep windows where the couplings underflow.
+    its first n in [1, nmax - 2] past the peak of a_n with 2 a_n < |x|, found
+    from the couplings alone. There p_n is the minimal solution (Gautschi,
+    SIAM Rev. 9, 1967). Raises DomainError if any value is not finite, as on
+    deep windows where the couplings underflow.
     """
     m = x.shape[0]
     a = coupling(np.arange(max(nmax, 2), dtype=float), ctx)
@@ -163,19 +163,12 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
             row = np.multiply(x, P[n], out=P[n + 1])
             row -= np.multiply(a[n - 1], P[n - 1], out=buf)
             row /= a[n]
-        # the meets, by blocks of rows that carry the running max (and NaN)
-        meet, colmax, step = np.full(m, -1), np.ones(m), max(1, _SCAN_BLOCK // m)
-        lim = np.where(np.arange(a.size) > np.argmax(a[:nmax]), 2.0 * a, np.inf)
-        for n0 in range(1, nmax - 1, step):
-            if not (live := np.flatnonzero(meet < 0)).size:
-                break
-            n1, cols = min(n0 + step, nmax - 1), slice(live[0], live[-1] + 1)
-            mag = np.abs(P[n0:n1, cols])  # the columns outside cols have met
-            run = np.maximum(np.maximum.accumulate(mag, axis=0), colmax[cols])
-            colmax[cols] = run[-1]
-            hit = (mag < 1e-2 * run) & (lim[n0:n1, None] < ax[cols])
-            new = hit.any(axis=0) & (meet[cols] < 0)
-            meet[cols][new] = n0 + hit.argmax(axis=0)[new]
+        # the meets, from the couplings alone: the first n in (peak, nmax - 2]
+        # with 2 a_n < |x|, by a search of the decreasing a_n past the peak
+        peak = int(np.argmax(a[:nmax]))
+        lim = -2.0 * a[peak + 1:nmax - 1]
+        meet = peak + 1 + np.searchsorted(lim, -ax, side="right")
+        meet[meet >= nmax - 1] = -1
         # Miller's backward pass over all flagged columns c at once: row i of
         # v is p_{meet+i} up to a per-column scale, started from v[2w+8] = 1.
         c = np.flatnonzero(meet >= 0)
@@ -199,7 +192,8 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
                 v[1:w + 1] * (P[mc, c] / v[0]))[put]
             tail_start[c[ok]] = np.minimum(mc[ok] + w, nmax - 1) + 1
     # cut each flagged column from tail_start on, then check what is left,
-    # by the scan's blocks of rows: no N x S mask at any size
+    # by blocks of rows: no N x S mask at any size
+    step = max(1, _SCAN_BLOCK // m)
     for n0 in range(0, nmax, step):
         blk = P[n0:n0 + step]
         blk[np.arange(n0, n0 + len(blk))[:, None] >= tail_start] = 0.0

@@ -148,23 +148,22 @@ def _document(obj: Optional[str], **fields) -> dict:
     return {**head, **fields}
 
 
-def _write_json(path: str, payload: dict, values: Optional[np.ndarray] = None,
-                mirrored: bool = False) -> None:
+def _write_json(path: str, payload: dict,
+                values: Optional[np.ndarray] = None) -> None:
     """json.dumps(payload, indent=1) and a newline, written to path.
 
     With values, a 1-D or 2-D array, the document ends in two more
     fields, "re" and "im", laid out as the module docstring says. They
     are streamed, not encoded: _floats formats two rows of a part at a
-    time (a kernel's level pair, whose rows hold the same values),
-    mirrored as it says.
+    time (a kernel's level pair, whose rows hold the same values).
     """
     text = json.dumps(payload, indent=1)
     if values is None:
         atomic_write_text(path, text + "\n")
         return
     atomic_write_text(path, text[:-2], chain(  # text ends in '\n}'
-        _json_rows("re", values.real, mirrored),
-        _json_rows("im", values.imag, mirrored), ["\n}\n"]))
+        _json_rows("re", values.real), _json_rows("im", values.imag),
+        ["\n}\n"]))
 
 
 def _write_csv(path: str, header, rows) -> None:
@@ -180,55 +179,48 @@ _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)  # a float64's bits but its sign
 _INF_BITS = np.uint64(0x7FF0_0000_0000_0000)  # the magnitudes above it are NaN
 
 
-def _floats(values: np.ndarray, fmt: str, mirrored: bool = False) -> list:
+def _floats(values: np.ndarray, fmt: str) -> list:
     """Text of each float of a 1-D float64 array as csv and json write it:
     repr, except that JSON spells nan and +-inf as NaN and +-Infinity.
 
-    mirrored says that each magnitude recurs in the array: the window's
-    parity puts each value of a mode table row or a kernel level at a
-    mirror site too, up to sign. Each distinct magnitude is then
-    formatted once, and a '-' is put before each value whose sign bit is
-    set (not on NaN, as repr(-nan) is 'nan').
+    Each distinct magnitude is formatted once, and a '-' is put before
+    each value whose sign bit is set (not on NaN, as repr(-nan) is 'nan'):
+    the window's parity puts each value of a mode table row or a kernel
+    level at a mirror site too, up to sign.
     """
-    if not mirrored:
-        text = list(map(repr, values.tolist()))
-    else:
-        bits = values.view(np.uint64)
-        mag = bits & _MAGNITUDE
-        srt = np.sort(mag)  # np.unique costs 10x more than this sort
-        distinct = np.concatenate((srt[:1], srt[1:][srt[1:] != srt[:-1]]))
-        text = np.array(list(map(repr, distinct.view(float).tolist())),
-                        dtype=object)[np.searchsorted(distinct, mag)]
-        neg = np.flatnonzero((bits > _MAGNITUDE) & (mag <= _INF_BITS))
-        text[neg] = "-" + text[neg]
-        text = text.tolist()
+    bits = values.view(np.uint64)
+    mag = bits & _MAGNITUDE
+    srt = np.sort(mag)  # np.unique costs 10x more than this sort
+    distinct = np.concatenate((srt[:1], srt[1:][srt[1:] != srt[:-1]]))
+    text = np.array(list(map(repr, distinct.view(float).tolist())),
+                    dtype=object)[np.searchsorted(distinct, mag)]
+    neg = np.flatnonzero((bits > _MAGNITUDE) & (mag <= _INF_BITS))
+    text[neg] = "-" + text[neg]
+    text = text.tolist()
     if fmt == "json" and not np.isfinite(values).all():
         text = [_JSON_NONFINITE.get(t, t) for t in text]
     return text
 
 
-def _json_rows(key: str, part: np.ndarray, mirrored: bool):
+def _json_rows(key: str, part: np.ndarray):
     """The texts of field key: part, a 1-D or 2-D float array, as
     _write_json lays it out."""
     if part.ndim == 1:
-        yield f',\n "{key}": [{", ".join(_floats(part, "json", mirrored))}]'
+        yield f',\n "{key}": [{", ".join(_floats(part, "json"))}]'
         return
     head, width = f',\n "{key}": [\n  ', part.shape[1]
     for i in range(0, len(part), 2):
-        cells = _floats(part[i:i + 2].ravel(), "json", mirrored)
+        cells = _floats(part[i:i + 2].ravel(), "json")
         for j in range(0, len(cells), width):
             yield f"{head}[{', '.join(cells[j:j + width])}]"
             head = ",\n  "
     yield "\n ]"
 
 
-def _cells(heads, row: np.ndarray, mid: str, end: str, fmt: str,
-           mirrored: bool = False) -> list:
-    """head + re + mid + im + end for each value of a 1-D row; mirrored as
-    in _floats."""
-    return list(map("".join, zip(heads, _floats(row.real, fmt, mirrored),
-                                 repeat(mid), _floats(row.imag, fmt, mirrored),
-                                 repeat(end))))
+def _cells(heads, row: np.ndarray, mid: str, end: str) -> list:
+    """CSV head + re + mid + im + end for each value of a 1-D row."""
+    return list(map("".join, zip(heads, _floats(row.real, "csv"), repeat(mid),
+                                 _floats(row.imag, "csv"), repeat(end))))
 
 
 @contextmanager
@@ -430,19 +422,17 @@ def _sites(q: float, depth: int) -> list:
 
 def write_mode_table(table: ModeTable, path: str, fmt: Optional[str] = None) -> None:
     fmt = _infer_format(path, fmt)
-    # p_n(-x) = (-1)^n p_n(x): each row is mirrored, as _floats means it
     if fmt == "json":
         _write_json(path, _document(
             "mode_table", kind=table.kind, q=table.q, fock_dim=table.fock_dim,
             lattice_depth=table.lattice_depth,
             tail_start=[int(t) for t in table.tail_start]),
-            table.values, mirrored=True)
+            table.values)
         return
     sites = [f"{sign},{s},{x}," for sign, s, x in
              _sites(table.q, table.lattice_depth)]
     atomic_write_text(path, ",".join(_MODE_COLUMNS.names) + "\n", (
-        "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n", fmt,
-                       True))
+        "".join(_cells([f"{site}{n}," for site in sites], row, ",", "\n"))
         for n, row in enumerate(table.values)))
 
 
@@ -503,7 +493,7 @@ def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
         return
     atomic_write_text(path, ",".join(_LATTICE_COLUMNS.names) + "\n", _cells(
         [f"{sign},{s},{x}," for sign, s, x in _sites(ctx.q, ctx.lattice_depth)],
-        f.values, ",", f",{int(f.rescaled)}\n", fmt))
+        f.values, ",", f",{int(f.rescaled)}\n"))
 
 
 def load_lattice_function(path: str, fmt: Optional[str] = None,
@@ -547,7 +537,7 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
     if fmt == "json":  # window row i lies on level i // 2
         meta["low_confidence"] = [bool(k.low_confidence(i // 2))
                                   for i in range(2 * k.lattice_depth)]
-        _write_json(path, meta, k.matrix, mirrored=True)
+        _write_json(path, meta, k.matrix)
         return
     # one level at a time: rows (+1, s) and (-1, s) hold the same values,
     # in columns swapped pairwise, so _floats formats each of them once
@@ -557,7 +547,7 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
     atomic_write_text(path, f"# {head}\n{','.join(_KERNEL_COLUMNS.names)}\n", (
         "".join(_cells([f"{rs},{rl},{col}" for rs, rl in sites[2 * s:2 * s + 2]
                         for col in cols], k.matrix[2 * s:2 * s + 2].ravel(),
-                       ",", f",{int(k.low_confidence(s))}\n", fmt, True))
+                       ",", f",{int(k.low_confidence(s))}\n"))
         for s in range(k.lattice_depth)))
 
 

@@ -139,10 +139,13 @@ def test_oversized_inputs_fail_before_allocating(tmp_path):
     r = _qosc_subprocess(code, f"spectrum {deep}", f"kernel {deep}",
                          f"evolve {deep} --input missing.csv",
                          "spectrum --fock-dim 1000000000",
-                         "kernel --lattice-depth 8192", cwd=tmp_path)
+                         "kernel --lattice-depth 8192",
+                         "hermite --fock-dim 20000 --lattice-depth 20000",
+                         cwd=tmp_path)
     assert r.stdout.split("\n") == ["spectrum 1", "kernel 1", "evolve 1",
-                                     "spectrum 1", "kernel 1", ""], r.stderr
-    assert r.stderr.count("over the 4.29e+09-byte cap") == 5, r.stderr
+                                     "spectrum 1", "kernel 1", "hermite 1",
+                                     ""], r.stderr
+    assert r.stderr.count("over the 4.29e+09-byte cap") == 6, r.stderr
     assert not list(tmp_path.iterdir())
 
 
@@ -236,6 +239,19 @@ def test_hermite_deep_window_is_a_domain_error(runner, tmp_path):
                              "--lattice-depth", "300", "--out", str(out)])
     assert r.exit_code == 1
     assert "not finite" in r.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_max", [200, 1199])
+def test_hermite_grid_out_of_double_range_is_a_domain_error(runner, tmp_path,
+                                                            n_max):
+    # off the lattice p_n grows like q^(-n^2/4) and overflows from n ~ 75
+    # at q = 0.5; from n = 1075 on a coupling is 0 as well
+    out = tmp_path / "g.csv"
+    r = runner.invoke(main, ["hermite", "--grid", "0:1:0.5", "--fock-dim",
+                             "1200", "--n-max", str(n_max), "--out", str(out)])
+    assert r.exit_code == 1
+    assert r.output.startswith("error: degree ") and "not finite" in r.output
     assert not out.exists()
 
 
@@ -421,7 +437,7 @@ def test_hermite_json_evaluates_each_value_once(runner, tmp_path, monkeypatch):
     calls = []
 
     def counting(n, x, ctx):
-        calls.append((n, x))
+        calls.extend((n, v) for v in np.atleast_1d(x))
         return hermite_eval(n, x, ctx)
 
     monkeypatch.setattr("qosc.cli.hermite_eval", counting)

@@ -237,7 +237,8 @@ def test_evolve_computes_no_kernel_certificate(monkeypatch, ectx):
 
 def test_deep_window_raises_instead_of_non_finite_values():
     ctx = DeformationContext(q=0.3, fock_dim=800, lattice_depth=300)
-    with pytest.raises(DomainError, match=r"p_588 .*\(level 291\)"):
+    # the entry the per-column oracle of test_qhermite.py reports first
+    with pytest.raises(DomainError, match=r"p_587 .*\(level 292\)"):
         build_mode_table("position", ctx)
     with pytest.raises(DomainError):
         fractional_ft(0.5, ctx)

@@ -221,7 +221,7 @@ def test_eigensolver_failures_are_typed(ctx):
 # deeper than the Fock space resolves, with odd N among them
 _COUNT_SIZES = [(32, 64), (128, 320), (256, 640), (674, 1348), (16, 12),
                 (40, 41), (30, 60), (8, 24), (1, 1), (5, 1), (1, 3), (7, 13)]
-# p_n leaves double range there (p_588 at q = 0.3, p_1034 at q = 0.5), so
+# p_n leaves double range there (p_587 at q = 0.3, p_1034 at q = 0.5), so
 # no kernel can carry them; the two s_match figures part at levels where
 # q^s < 1e-150
 _DEEP = {(0.3, 674, 1348), (0.5, 674, 1348)}

@@ -110,9 +110,9 @@ def test_mirrored_table_raises_like_full_window():
 
 # The hybrid table with Miller's pass run one column at a time, as it was
 # before the pass became one sweep over all columns, and with the meet
-# found inside the forward loop, as it was before the block scan. The
-# meet is past the peak of a_n, where 2 a_n < |x| and |p_n| dips below
-# 1e-2 of the running maximum. It also reports each column's meet and,
+# found inside the forward loop, degree by degree, where _p_matrix finds
+# it by a search over the couplings. The meet is the first n past the
+# peak of a_n where 2 a_n < |x|. It also reports each column's meet and,
 # per column, the relative degrees i = n - meet at which the backward
 # values passed 1e250 and were rescaled.
 
@@ -150,15 +150,10 @@ def _p_matrix_per_column(x, nmax, ctx):
     w = tail_width(ctx.q)
     peak = int(np.argmax(a[:nmax]))
     P[1] = x / a[0]
-    colmax = np.maximum(1.0, np.abs(P[1]))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for n in range(1, nmax - 1):
             P[n + 1] = (x * P[n] - a[n - 1] * P[n - 1]) / a[n]
-            hit = ((meet < 0) & (n > peak) & (2.0 * a[n] < ax)
-                   & (np.abs(P[n]) < 1e-2 * colmax))
-            meet[hit] = n
-            live = meet < 0
-            colmax[live] = np.maximum(colmax[live], np.abs(P[n + 1][live]))
+            meet[(meet < 0) & (n > peak) & (2.0 * a[n] < ax)] = n
     a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for c in range(m):
@@ -169,15 +164,25 @@ def _p_matrix_per_column(x, nmax, ctx):
     return P, tail_start, meet, rescaled
 
 
+@pytest.mark.parametrize("q", [0.01, 0.3, 0.5, 0.9, 0.97, 0.99, 0.995, 0.999,
+                               0.9999])
+def test_couplings_never_rise_past_their_peak(q):
+    # _p_matrix finds the meets by a binary search of 2 a_n past the peak
+    # of a_n, which needs the computed couplings in order there. Next to
+    # the peak a_{n+1} / a_n is 1 - O((1 - q)^2), far from 1 in ulps
+    a = coupling(np.arange(40_000, dtype=float), DeformationContext(q=q))
+    assert not (np.diff(a[np.argmax(a):]) > 0).any()
+
+
 def _assert_sweep_matches_columns(x, ctx):
     """_p_matrix against the per-column oracle, bitwise (uint64 views tell
-    +0.0 from -0.0); returns the oracle's (meet, rescaled)."""
+    +0.0 from -0.0); returns the oracle's (tail_start, meet, rescaled)."""
     want, want_tail, meet, rescaled = _p_matrix_per_column(x, ctx.fock_dim, ctx)
     assert np.isfinite(want).all()
     got, got_tail = _p_matrix(x, ctx.fock_dim, ctx)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got_tail, want_tail)
-    return meet, rescaled
+    return want_tail, meet, rescaled
 
 
 _SWEEP_SIZES = [(1, 1), (4, 1), (1, 2), (4, 2), (2, 3), (6, 3), (16, 3),
@@ -190,47 +195,52 @@ def test_miller_sweep_equals_per_column_pass_bitwise(q):
     for S, N in _SWEEP_SIZES:
         ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
         for x in (window_values(ctx)[0::2], window_values(ctx)[1::2]):
-            meet, _ = _assert_sweep_matches_columns(x, ctx)
+            _, meet, _ = _assert_sweep_matches_columns(x, ctx)
             at_last += int(np.sum(meet == N - 2))
     # some column meets at the last degree the forward pass can flag
     assert at_last > 0
 
 
 def test_miller_sweep_rescales_like_per_column_pass():
-    # At small q the backward values pass 1e250. On the lattice every
-    # column does so at the same relative degree (a_{meet+i} / q^s hardly
-    # depends on s), so the second case adds points 1% inside the lattice,
-    # whose columns rescale at other degrees: only a per-column mask keeps
-    # the rest of the columns' bits.
-    ctx = DeformationContext(q=0.05, fock_dim=60, lattice_depth=30)
-    _, rescaled = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
+    # At small q the backward values pass 1e250 (at q = 0.02, not at 0.05,
+    # since the meet comes right after the turning point). On the lattice
+    # every column does so at the same relative degree (a_{meet+i} / q^s
+    # hardly depends on s), so the second case adds points at 0.7 of the
+    # lattice's, whose columns rescale at other degrees: only a per-column
+    # mask keeps the rest of the columns' bits.
+    ctx = DeformationContext(q=0.02, fock_dim=60, lattice_depth=30)
+    _, _, rescaled = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
     assert rescaled and all(rescaled.values())
     ctx = DeformationContext(q=0.02, fock_dim=20, lattice_depth=12)
     xs = window_values(ctx)[0::2]
-    _, rescaled = _assert_sweep_matches_columns(np.concatenate([xs, 0.99 * xs]), ctx)
+    _, _, rescaled = _assert_sweep_matches_columns(np.concatenate([xs, 0.7 * xs]),
+                                                   ctx)
     assert len({tuple(steps) for steps in rescaled.values()}) > 1
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
 def test_miller_start_scan_carries_across_blocks(rows, monkeypatch):
-    # blocks of a few rows, so that meets fall on the first and the last
-    # row of a block (rows n0 .. n0 + rows - 1, from n0 = 1), and the
-    # running maximum is carried over many block edges
+    # The meets need no scan; the tail cut and the finiteness check still
+    # go by blocks of rows (n0 .. n0 + rows - 1, from n0 = 0). Blocks of a
+    # few rows, so that cuts start on the first and on the last row of a
+    # block and run over many block edges. On the lattice every tail_start
+    # has one parity; the points at sqrt(q) of it have the other.
     ctx = DeformationContext(q=0.5, fock_dim=64, lattice_depth=32)
     monkeypatch.setattr(qhermite, "_SCAN_BLOCK", rows * 32)
-    edges = set()
-    for x in (window_values(ctx)[0::2], window_values(ctx)[1::2]):
-        meet, _ = _assert_sweep_matches_columns(x, ctx)
-        edges |= {(n - 1) % rows for n in meet[meet > 0]} & {0, rows - 1}
+    xs, edges = window_values(ctx), set()
+    for x in (xs[0::2], xs[1::2], math.sqrt(ctx.q) * xs[0::2]):
+        tail, _, _ = _assert_sweep_matches_columns(x, ctx)
+        edges |= {n % rows for n in tail[tail < ctx.fock_dim]} & {0, rows - 1}
     assert edges == {0, rows - 1}
 
 
 def test_miller_start_scan_spans_blocks_at_full_size():
-    # 300 columns: the scan's blocks hold 436 rows, and meets lie in both
+    # 300 columns: the tail cut's blocks hold 436 rows, and cuts start in
+    # the first block and in later ones
     ctx = DeformationContext(q=0.97, fock_dim=700, lattice_depth=300)
-    meet, _ = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
-    step = qhermite._SCAN_BLOCK // 300
-    assert (meet[meet > 0] <= step).any() and (meet > step).any()
+    tail, _, _ = _assert_sweep_matches_columns(window_values(ctx)[0::2], ctx)
+    step, cut = qhermite._SCAN_BLOCK // 300, tail[tail < 700]
+    assert (cut < step).any() and (cut >= step).any()
 
 
 def _weights_per_level(ctx):
@@ -296,6 +306,35 @@ def test_q099_columns_match_a_120_digit_recurrence(s):
             p.append((x * p[n] - a[n - 1] * p[n - 1]) / a[n])
         want = np.array([float(v) for v in p])
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("q,S,N,levels,bound", [
+    (0.1, 32, 80, (2, 8, 16), 1e-14), (0.5, 128, 320, (16, 64, 120), 1e-14),
+    (0.95, 256, 640, (48, 160, 240), 1e-14),
+    (0.99, 400, 800, (25, 100, 200), 5e-14)])
+def test_miller_band_matches_a_250_digit_recurrence(q, S, N, levels, bound):
+    # Whole columns of the half table, through the Miller band (every row
+    # below tail_start), against the forward recurrence carried in 250
+    # digits. The reference runs at the exact lattice point q^s: at the
+    # rounded double the true p_n picks up the growing solution past the
+    # turning point. With the meet held back until |p_n| dipped below
+    # 1e-2 of its running maximum, these columns were off by 1.1e-13 to
+    # 1.1e-12 of their largest entry.
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    values, tail_start = qhermite._half_table(ctx)
+    for s in levels:
+        t = int(tail_start[s])
+        assert t < N  # the column has a Miller band
+        with mpmath.workdps(250):
+            qm = mpmath.mpf(q)
+            x = qm ** s
+            a = [mpmath.sqrt(qm ** n * (1 - qm ** (n + 1))) for n in range(t)]
+            p = [mpmath.mpf(1), x / a[0]]
+            for n in range(1, t - 1):
+                p.append((x * p[n] - a[n - 1] * p[n - 1]) / a[n])
+            want = np.array([float(v) for v in p[:t]])
+        err = np.max(np.abs(values[:t, s] - want))
+        assert err <= bound * np.max(np.abs(want)), (s, err)
 
 
 def _orthogonality_residual_per_site(k, m, ctx):

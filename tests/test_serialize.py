@@ -746,7 +746,7 @@ def test_kernel_json_flags_low_confidence_rows(tmp_path, sctx):
 
 # The emitter and the loaders on values the writers' goldens lack: random
 # bit patterns (NaN payloads, subnormals, infinities), signed zeros and
-# magnitudes that repeat with either sign, through both of _floats' paths.
+# magnitudes that repeat with either sign, or no magnitude that repeats.
 
 _EDGE_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
                 -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -775,15 +775,15 @@ def _float_rows(draw):
     return _floats_like(draw, draw(st.integers(0, 768)))
 
 
-@given(_float_rows(), st.booleans())
+@given(_float_rows())
 @settings(max_examples=150, deadline=None)
-def test_float_text_is_repr(v, mirrored):
+def test_float_text_is_repr(v):
     want = list(map(repr, v.tolist()))
-    assert _floats(v, "csv", mirrored) == want
-    assert _floats(v, "json", mirrored) == list(map(json.dumps, v.tolist()))
+    assert _floats(v, "csv") == want
+    assert _floats(v, "json") == list(map(json.dumps, v.tolist()))
     z = np.zeros(v.size, dtype=complex)  # a strided view, as _cells passes
     z.imag = v
-    assert _floats(z.imag, "csv", mirrored) == want
+    assert _floats(z.imag, "csv") == want
 
 
 def _mirrored(draw, shape):
