@@ -14,7 +14,9 @@ q = 0.95, S = 256, N = 640, where Miller's backward band is w = 63
 degrees wide (18 at q = 0.5). hermite and evolve run once more at
 q = 0.99, S = 400, N = 800 (w = 143), a window that builds in about
 0.1 s, where a_n rises for about 70 degrees before it decays and a
-start before that peak would break the core levels.
+start before that peak would break the core levels. Two polynomial
+tables run at q = 0.5, N = 64: hermite --grid -1:1:0.02 as CSV (its
+values reach 1.3e292) and hermite --family hermite at S = 128 as JSON.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned
@@ -22,7 +24,8 @@ to one thread. Each artifact is then read back with the public loader
 for its kind, in one more such subprocess. Two lines per artifact are
 printed, digest then name: one of the file's bytes, and one, named
 "<artifact> (loaded)", of every field of the loaded object (the bytes,
-dtype and shape of each array, the repr of each other value). Run it on
+dtype and shape of each array, the repr of each other value). The
+polynomial tables have no loader, so only their bytes are digested. Run it on
 two checkouts and diff the output to see whether a change moved any
 written byte or any value a loader returns:
 
@@ -65,6 +68,14 @@ COMMANDS = [
     ("evolved_q095.csv", ["evolve", *WIDE, "--input", "state.csv"]),
     ("hermite_q099.csv", ["hermite", *NEAR_ONE]),
     ("evolved_q099.csv", ["evolve", *NEAR_ONE, "--input", "state.csv"]),
+]
+
+# polynomial tables, which no loader reads
+POLY = ["--q", "0.5", "--fock-dim", "64"]
+TABLES = [
+    ("hermite_grid.csv", ["hermite", *POLY, "--grid", "-1:1:0.02"]),
+    ("hermite_family.json", ["hermite", *POLY, "--lattice-depth", "128",
+                             "--family", "hermite", "--format", "json"]),
 ]
 
 # the loader for each artifact, by the command that wrote it
@@ -118,13 +129,15 @@ def _seeded_state(src: Path, path: str, size: list) -> None:
 
 def digests(src: Path) -> list:
     out = []
-    for name, args in COMMANDS:
+    for name, args in COMMANDS + TABLES:
         with tempfile.TemporaryDirectory() as tmp:
             if "evolve" in args:  # its size flags follow the command name
                 _seeded_state(src, os.path.join(tmp, "state.csv"), args[1:7])
             _run(src, tmp, ["-m", "qosc.cli", *args, "--out", name])
             out.append((hashlib.sha256(Path(tmp, name).read_bytes())
                         .hexdigest(), name))
+            if (name, args) in TABLES:
+                continue
             loaded = _run(src, tmp, ["-c", _LOAD, name, LOADERS[args[0]]])
             out.append((loaded.strip(), f"{name} (loaded)"))
     with tempfile.TemporaryDirectory() as tmp:

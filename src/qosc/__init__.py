@@ -29,11 +29,10 @@ from .qcore import (CoefficientVector, apply_lowering, apply_raising,
                     q_number, qpoch, qpoch_inf, scale_op)
 from .qhermite import (LatticePoint, ModeTable, build_mode_table,
                        completeness_defect, dual_orthogonality_residual,
-                       hermite_eval, lattice_point, lattice_weight,
-                       lattice_weight_window, lattice_window, mode_poly,
-                       norm_c, norm_c_window, orthogonality_residual,
-                       window_index, window_levels, window_signs,
-                       window_values)
+                       forward_rows, lattice_point, lattice_weight,
+                       lattice_weight_window, lattice_window, norm_c,
+                       norm_c_window, orthogonality_residuals, window_index,
+                       window_levels, window_signs, window_values)
 from .serialize import (SCHEMA_VERSION, load_kernel, load_lattice_function,
                         load_mode_table, load_spectrum_report,
                         spectrum_report_payload, verify_report_payload,

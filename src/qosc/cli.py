@@ -21,7 +21,7 @@ from .context import DeformationContext
 from .errors import DomainError, QoscError, ValidationError
 from .evolution import evolve, fractional_ft, kernel_K, rescale
 from .fock import build_Q, spectrum_report
-from .qhermite import build_mode_table, hermite_eval, lattice_window, mode_poly
+from .qhermite import build_mode_table, forward_rows, lattice_window
 from .serialize import (load_lattice_function, write_kernel,
                         write_lattice_function, write_mode_table,
                         write_polynomial_table, write_spectrum_report,
@@ -229,9 +229,8 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
         sites = [("", "", start + k * step) for k in range(count)]
     xs = np.array([x for _, _, x in sites])
 
-    evalf = hermite_eval if family == "hermite" else mode_poly
-    with np.errstate(all="ignore"):  # one pass per degree over every x
-        vals = np.array([evalf(n, xs, ctx) for n in range(top + 1)])
+    with np.errstate(all="ignore"):  # non-finite values are reported below
+        vals = forward_rows(family, top, xs, ctx)
     if not np.isfinite(vals).all():
         n, i = np.argwhere(~np.isfinite(vals))[0]
         raise DomainError(f"degree {n} is not finite at x = {float(xs[i])!r} "

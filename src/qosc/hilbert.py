@@ -37,7 +37,7 @@ from .errors import (DimensionMismatch, DomainError, KindMismatch,
                      NonConvergent, TailTooLarge, ValidationError)
 from .qcore import coupling, qpoch_inf
 from .qhermite import (LatticePoint, _index, _modes, _weights,
-                       build_mode_table, mode_poly, norm_c, norm_c_window,
+                       build_mode_table, forward_rows, norm_c, norm_c_window,
                        window_index, window_values)
 
 _KINDS = ("position", "momentum")
@@ -285,6 +285,18 @@ def mode_function(n: int, ctx: DeformationContext,
     return LatticeFunction(kind, _modes(kind, n, ctx))
 
 
+def _bracket(n: int, ctx: DeformationContext):
+    """(bracket, rows) where rows[k] = p_k over the window for k <= n + 1:
+    one forward pass over the window x, q x and x / q."""
+    q = ctx.q
+    x = window_values(ctx)
+    p = forward_rows("orthonormal", n + 1, np.stack([x, q * x, x / q]), ctx)
+    pn, pn_down, pn_up = p[n]
+    dq = (pn - pn_down) / ((1.0 - q) * x)
+    dqi = (pn - (1.0 - x * x) * pn_up) / ((1.0 - 1.0 / q) * x) / (q * q)
+    return dq + dqi, p[:, 0]
+
+
 def q_difference_bracket(n: int, ctx: DeformationContext) -> np.ndarray:
     """[D_q + q^{-2} W^{-1} D_{1/q} W] applied to p_n over the window.
 
@@ -292,14 +304,19 @@ def q_difference_bracket(n: int, ctx: DeformationContext) -> np.ndarray:
     equation W(x/q) = (1 - x^2) W(x), so no infinite products appear.
     Forward-recurrence evaluation keeps this honest for shallow n.
     """
-    q = ctx.q
-    x = window_values(ctx)
-    pn = np.asarray(mode_poly(n, x, ctx), dtype=float)
-    pn_down = np.asarray(mode_poly(n, q * x, ctx), dtype=float)
-    pn_up = np.asarray(mode_poly(n, x / q, ctx), dtype=float)
-    dq = (pn - pn_down) / ((1.0 - q) * x)
-    dqi = (pn - (1.0 - x * x) * pn_up) / ((1.0 - 1.0 / q) * x) / (q * q)
-    return dq + dqi
+    return _bracket(n, ctx)[0]
+
+
+def _components(n: int, ctx: DeformationContext):
+    """((u, v, fit_residual), A): the split and its columns p_{n+1} and,
+    for n >= 1, p_{n-1} over the window."""
+    B, p = _bracket(n, ctx)
+    A = np.stack([p[n + 1]] + ([p[n - 1]] if n >= 1 else []), axis=1)
+    sol, *_ = np.linalg.lstsq(A, B, rcond=None)
+    resid = float(np.max(np.abs(B - A @ sol)))
+    u = float(sol[0])
+    v = float(sol[1]) if n >= 1 else 0.0
+    return (u, v, resid), A
 
 
 def q_difference_components(n: int, ctx: DeformationContext):
@@ -309,17 +326,7 @@ def q_difference_components(n: int, ctx: DeformationContext):
     fit_residual the sup-norm defect of the two-mode fit (v is 0 for
     n = 0 where no lower neighbor exists).
     """
-    x = window_values(ctx)
-    B = q_difference_bracket(n, ctx)
-    cols = [np.asarray(mode_poly(n + 1, x, ctx), dtype=float)]
-    if n >= 1:
-        cols.append(np.asarray(mode_poly(n - 1, x, ctx), dtype=float))
-    A = np.stack(cols, axis=1)
-    sol, *_ = np.linalg.lstsq(A, B, rcond=None)
-    resid = float(np.max(np.abs(B - A @ sol)))
-    u = float(sol[0])
-    v = float(sol[1]) if n >= 1 else 0.0
-    return u, v, resid
+    return _components(n, ctx)[0]
 
 
 def q_difference_P_oracle(n: int, ctx: DeformationContext) -> LatticeFunction:
@@ -331,9 +338,8 @@ def q_difference_P_oracle(n: int, ctx: DeformationContext) -> LatticeFunction:
     independent check of apply_P on position functions.
     """
     q = ctx.q
-    x = window_values(ctx)
-    u, v, _ = q_difference_components(n, ctx)
-    vals = q ** (n + 1) * u * np.asarray(mode_poly(n + 1, x, ctx), dtype=float)
+    (u, v, _), A = _components(n, ctx)
+    vals = q ** (n + 1) * u * A[:, 0]
     if n >= 1:
-        vals = vals + q ** (n - 1) * v * np.asarray(mode_poly(n - 1, x, ctx), dtype=float)
+        vals = vals + q ** (n - 1) * v * A[:, 1]
     return LatticeFunction("position", -1j * (1.0 - q) * vals)

@@ -27,8 +27,9 @@ is unstable past the turning point n > 2s, so each column's decaying tail
 is re-filled by backward (Miller) recurrence from its meet, the first n
 past the peak of a_n with 2 a_n < |x| (_p_matrix), in one sweep over all
 flagged columns, indexed by the degree relative to each meet: every entry
-sees the same operations as a column run alone. Pointwise mode_poly and
-hermite_eval use the plain forward recurrence, for shallow degrees.
+sees the same operations as a column run alone. forward_rows runs the
+plain forward recurrence over degrees 0..n at any abscissas, for shallow
+degrees.
 """
 
 from __future__ import annotations
@@ -106,34 +107,37 @@ def window_signs(ctx: DeformationContext) -> np.ndarray:
     return np.tile(np.array([1, -1]), ctx.lattice_depth)
 
 
-def hermite_eval(n: int, z, ctx: DeformationContext):
-    """h_n(z) by the forward three-term recurrence."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise IndexOutOfRange(f"degree must be a non-negative int, got {n!r}")
-    prev = 1.0 if np.isscalar(z) else np.ones_like(np.asarray(z, dtype=float))
-    if n == 0:
-        return prev
-    q, cur = ctx.q, z
-    for k in range(1, int(n)):
-        prev, cur = cur, z * cur - q ** (k - 1) * (1.0 - q**k) * prev
-    return cur
-
-
-def mode_poly(n: int, x, ctx: DeformationContext):
-    """Orthonormal p_n(x) by the forward recurrence.
+def forward_rows(family: str, n: int, z, ctx: DeformationContext) -> np.ndarray:
+    """Degrees 0..n at the abscissas z by one forward pass of the
+    three-term recurrence: out[k] holds h_k(z) (family "hermite") or the
+    orthonormal p_k(z) ("orthonormal"), with z's shape. Each coefficient
+    is a Python float formed once per degree, coupling(k, ctx) for p_k, so
+    every value has the bits of a pass run for its degree alone.
 
     Fine for shallow degrees; past the turning point n > 2s the forward
     recurrence loses relative accuracy, use build_mode_table there.
     """
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise IndexOutOfRange(f"degree must be a non-negative int, got {n!r}")
-    prev = 1.0 if np.isscalar(x) else np.ones_like(np.asarray(x, dtype=float))
-    if n == 0:
-        return prev
-    cur = x / coupling(0, ctx)
-    for k in range(1, int(n)):
-        prev, cur = cur, (x * cur - coupling(k - 1, ctx) * prev) / coupling(k, ctx)
-    return cur
+    if family not in ("hermite", "orthonormal"):
+        raise ValidationError(
+            f"family must be 'hermite' or 'orthonormal', got {family!r}")
+    shape, z = np.shape(z), np.ravel(z)  # rows stay arrays for out=
+    out = np.empty((n + 1, z.size), np.result_type(z, 1.0))
+    out[0], buf = 1.0, np.empty(z.size, out.dtype)
+    if family == "hermite" and n > 0:
+        q, out[1] = ctx.q, z
+        for k in range(1, n):
+            row = np.multiply(z, out[k], out=out[k + 1])
+            row -= np.multiply(q ** (k - 1) * (1.0 - q**k), out[k - 1], out=buf)
+    elif n > 0:
+        a = [coupling(k, ctx) for k in range(n)]
+        np.divide(z, a[0], out=out[1])
+        for k in range(1, n):
+            row = np.multiply(z, out[k], out=out[k + 1])
+            row -= np.multiply(a[k - 1], out[k - 1], out=buf)
+            row /= a[k]
+    return out.reshape((n + 1,) + shape)
 
 
 def tail_width(q: float) -> int:
@@ -334,31 +338,28 @@ def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:
                      tail_start=np.repeat(_half_table(ctx)[1], 2))
 
 
-def orthogonality_residual(k: int, m: int, ctx: DeformationContext) -> float:
-    """Scale-normalized defect of the windowed orthogonality sum.
+def orthogonality_residuals(n: int, ctx: DeformationContext) -> np.ndarray:
+    """Scale-normalized defects of the windowed orthogonality sums.
 
-    LHS = sum_s q^s w_s [h_k h_m(q^s) + h_k h_m(-q^s)] over the window,
-    RHS = 2 (q;q)_inf (-q;q)_inf^2 (q;q)_m q^{m(m-1)/2} delta_km, and the
-    residual is |LHS - RHS| / (1 + sqrt(RHS_kk RHS_mm)). Normalizing by
-    the diagonal scale keeps the figure meaningful at depths where the
-    exact lattice tail already exceeds tiny absolute thresholds. Opposite
-    signs are paired before accumulation, so odd k+m cancels exactly.
+    Entry [k, m], for degrees k, m <= n, compares
+    LHS = sum_s q^s w_s [h_k h_m(q^s) + h_k h_m(-q^s)] over the window with
+    RHS = 2 (q;q)_inf (-q;q)_inf^2 (q;q)_m q^{m(m-1)/2} delta_km, as
+    |LHS - RHS| / (1 + sqrt(RHS_kk RHS_mm)). Normalizing by the diagonal
+    scale keeps the figure meaningful at depths where the exact lattice
+    tail already exceeds tiny absolute thresholds. Opposite signs are
+    paired before accumulation, so odd k+m cancels exactly. The h_k come
+    from one forward pass per sign.
     """
-    if k < 0 or m < 0:
-        raise IndexOutOfRange("degrees must be non-negative")
     q, weights = ctx.q, _weights(ctx)
-
-    def diag(j: int) -> float:
-        return weights.prefactor * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
-
     xs = window_values(ctx)[0::2]
-    plus = hermite_eval(k, xs, ctx) * hermite_eval(m, xs, ctx)
-    minus = hermite_eval(k, -xs, ctx) * hermite_eval(m, -xs, ctx)
-    lhs = 0.0
-    for term in (xs * weights.w * (plus + minus)).tolist():
+    plus, minus = (forward_rows("hermite", n, x, ctx) for x in (xs, -xs))
+    terms = xs * weights.w * (plus[:, None] * plus + minus[:, None] * minus)
+    lhs = np.zeros((n + 1, n + 1))
+    for term in np.moveaxis(terms, -1, 0):
         lhs += term  # in site order; np.sum's pairwise order moves the last bits
-    rhs = diag(m) if k == m else 0.0
-    return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
+    diag = np.array([weights.prefactor * float(qpoch(q, j, ctx))
+                     * q ** (j * (j - 1) // 2) for j in range(n + 1)])
+    return np.abs(lhs - np.diag(diag)) / (1.0 + np.sqrt(diag[:, None] * diag))
 
 
 def dual_orthogonality_residual(ctx: DeformationContext) -> float:

@@ -518,9 +518,9 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
             depth = int(site.max()) // 2 + 1
             values = _place(_complexes(rows["re"], rows["im"]), (site,),
                             (2 * depth,), "lattice function CSV")
-            flags = np.unique(rows["rescaled_flag"])
+            flags = rows["rescaled_flag"]  # np.unique would import numpy.ma
             q = _csv_q(rows["x"], site, depth)
-        if flags.size != 1:
+        if (flags != flags[0]).any():
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
     _check_window(path, ctx, q, len(f.values))

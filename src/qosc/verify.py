@@ -36,9 +36,9 @@ from .hilbert import (WavefunctionQuery, apply_P, apply_Q, fock_to_lattice,
 from .qcore import (apply_lowering, apply_raising, coupling, fock_inner,
                     fock_monomial, qpoch, qpoch_inf, scale_op)
 from .qhermite import (_p_matrix, build_mode_table,
-                       dual_orthogonality_residual, hermite_eval,
-                       lattice_point, mode_poly, norm_c, norm_c_window,
-                       orthogonality_residual, window_values)
+                       dual_orthogonality_residual, forward_rows,
+                       lattice_point, norm_c, norm_c_window,
+                       orthogonality_residuals, window_values)
 
 QS = (0.3, 0.5, 0.8, 0.95)
 
@@ -185,12 +185,12 @@ def _hermite_mode_consistency(q: float):
     # generic abscissas only: at lattice points both forward recurrences
     # shed the minimal branch and stop agreeing past n ~ 2s
     ctx = _ctx(q)
+    xs = (0.7, 0.2, -0.43, 1.3)
+    ps, hs = (forward_rows(f, 30, xs, ctx).tolist() for f in ("orthonormal", "hermite"))
     worst = 0.0
     for n in range(0, 31, 3):
         scale = 1.0 / math.sqrt(float(qpoch(q, n, ctx))) / q ** (n * (n - 1) / 4.0)
-        for x in (0.7, 0.2, -0.43, 1.3):
-            p = float(mode_poly(n, x, ctx))
-            h = float(hermite_eval(n, x, ctx))
+        for p, h in zip(ps[n], hs[n]):
             worst = max(worst, abs(p - scale * h) / max(abs(p), 1e-30))
     return worst, 1e-9, "p_n vs rescaled h_n at generic points, n <= 30"
 
@@ -202,10 +202,7 @@ def _dual_orth(q: float, depth: int, n: int):
 
 def _sum_orth(q: float, depth: int, tol: float):
     ctx = _ctx(q, lattice_depth=depth)
-    worst = 0.0
-    for k in range(0, 11):
-        for m in range(k, 11):
-            worst = max(worst, orthogonality_residual(k, m, ctx))
+    worst = float(orthogonality_residuals(10, ctx).max())
     return worst, tol, f"S={depth}, degrees k,m <= 10, normalized residual"
 
 
@@ -278,13 +275,14 @@ def _eigenvector_mode_ratio(q: float):
     # truncation error and the comparison stops being meaningful
     ctx = _ctx(q, fock_dim=60)
     vals, vecs = eigendecompose(build_Q(ctx), ctx)
+    levels = (0, 2, 5, 8)
+    p = forward_rows("orthonormal", 9, [q**s for s in levels], ctx)
     worst = 0.0
-    for s in (0, 2, 5, 8):
+    for c, s in enumerate(levels):
         idx = int(np.argmin(np.abs(vals - q**s)))
         v = vecs[:, idx]
-        x = q**s
         for n in range(1, 10):
-            worst = max(worst, abs(v[n] / v[0] - float(mode_poly(n, x, ctx))))
+            worst = max(worst, abs(v[n] / v[0] - float(p[n, c])))
     return worst, 1e-8, "eigenvector component ratios equal p_n(q^s), n <= 9"
 
 

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 
 import qosc
 from qosc import (DeformationContext, ValidationError, build_mode_table,
-                  hermite_eval, rescaled_mode)
+                  forward_rows, rescaled_mode)
 from qosc.cli import (ENTRY_BYTES, MAX_WORK_BYTES, _check_size,
                        _spectrum_bytes, main)
 from qosc.serialize import (load_lattice_function, load_mode_table,
@@ -436,14 +436,14 @@ def test_hermite_table_edges_are_validation_errors(runner, args):
 def test_hermite_json_evaluates_each_value_once(runner, tmp_path, monkeypatch):
     calls = []
 
-    def counting(n, x, ctx):
-        calls.extend((n, v) for v in np.atleast_1d(x))
-        return hermite_eval(n, x, ctx)
+    def counting(family, n, x, ctx):  # one pass yields degrees 0..n
+        calls.extend((k, v) for k in range(n + 1) for v in np.atleast_1d(x))
+        return forward_rows(family, n, x, ctx)
 
-    monkeypatch.setattr("qosc.cli.hermite_eval", counting)
+    monkeypatch.setattr("qosc.cli.forward_rows", counting)
     out = str(tmp_path / "h.json")
     r = runner.invoke(main, ["hermite", "--family", "hermite", "--n-max", "2",
                              "--grid", "0.0:1.0:0.5", "--format", "json",
                              "--out", out])
     assert r.exit_code == 0, r.output
-    assert len(json.load(open(out))["rows"]) == len(calls) == 9
+    assert len(json.load(open(out))["rows"]) == len(set(calls)) == len(calls) == 9

@@ -6,9 +6,9 @@ import pytest
 
 from qosc import (DeformationContext, DomainError, IndexOutOfRange,
                   ValidationError, build_mode_table, completeness_defect,
-                  dual_orthogonality_residual, hermite_eval, lattice_point,
+                  dual_orthogonality_residual, forward_rows, lattice_point,
                   lattice_weight, lattice_weight_window, lattice_window,
-                  mode_poly, norm_c, norm_c_window, orthogonality_residual,
+                  norm_c, norm_c_window, orthogonality_residuals,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
 from qosc import qhermite
@@ -49,35 +49,77 @@ def test_window_interleaving(ctx):
 
 def test_hermite_eval_dyadic_exact(ctx):
     # at q = 1/2 and x = 1 every recurrence step stays dyadic
-    assert hermite_eval(0, 1.0, ctx) == 1.0
-    assert hermite_eval(1, 1.0, ctx) == 1.0
-    assert hermite_eval(2, 1.0, ctx) == 0.5
-    assert hermite_eval(3, 1.0, ctx) == 0.125
+    assert forward_rows("hermite", 3, 1.0, ctx).tolist() == [1.0, 1.0, 0.5, 0.125]
 
 
 def test_mode_poly_low_orders(ctx):
     q = ctx.q
     a0 = math.sqrt(1 - q)
-    assert float(mode_poly(0, 0.77, ctx)) == 1.0
-    assert float(mode_poly(1, 0.5, ctx)) == pytest.approx(0.5 / a0)
+    p = forward_rows("orthonormal", 1, [0.77, 0.5], ctx)
+    assert p[0, 0] == 1.0
+    assert p[1, 1] == pytest.approx(0.5 / a0)
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8])
 def test_mode_poly_matches_rescaled_hermite(q):
     # generic abscissas; on-lattice forward evaluation is a different story
     ctx = DeformationContext(q=q)
+    xs = (0.7, 0.2, 1.3, -0.41)
+    p, h = (forward_rows(f, 25, xs, ctx) for f in ("orthonormal", "hermite"))
     for n in range(0, 26, 5):
         scale = 1.0 / math.sqrt(float(qpoch(q, n, ctx))) / q ** (n * (n - 1) / 4)
-        for x in (0.7, 0.2, 1.3, -0.41):
-            want = scale * float(hermite_eval(n, x, ctx))
-            assert float(mode_poly(n, x, ctx)) == pytest.approx(want, rel=1e-11)
+        assert p[n] == pytest.approx(scale * h[n], rel=1e-11)
+
+
+def _one_degree(family, n, z, ctx):
+    """The degree-n value by its own forward loop from degree 0, each
+    coefficient formed at its step: the per-degree reference."""
+    q = ctx.q
+    prev = 1.0 if np.isscalar(z) else np.ones_like(z)
+    if n == 0:
+        return prev
+    cur = z if family == "hermite" else z / coupling(0, ctx)
+    for k in range(1, n):
+        if family == "hermite":
+            prev, cur = cur, z * cur - q ** (k - 1) * (1.0 - q**k) * prev
+        else:
+            prev, cur = cur, (z * cur - coupling(k - 1, ctx) * prev) / coupling(k, ctx)
+    return cur
+
+
+@pytest.mark.parametrize("family", ["hermite", "orthonormal"])
+def test_forward_rows_equal_per_degree_recurrence_bitwise(family):
+    # arrays: lattice and generic points at q = 0.8, where numpy's vectorized
+    # power moves a_1 and a_2 by an ulp; at q = 0.01 the values leave double
+    # range from n ~ 25 and from n = 162 on the couplings are 0
+    for q, n, big in ((0.8, 60, 3.0), (0.01, 170, 1e200)):
+        ctx = DeformationContext(q=q)
+        xs = np.array([1.0, -q, q**7, 0.0, 0.7, -1.3, big])
+        with np.errstate(all="ignore"):
+            rows = forward_rows(family, n, xs, ctx)
+            want = [_one_degree(family, k, xs, ctx) for k in range(n + 1)]
+        assert rows.shape == (n + 1, len(xs))
+        for k in range(n + 1):
+            assert rows[k].tobytes() == want[k].tobytes(), (q, k)
+        assert np.isfinite(rows).all() == (q == 0.8)
+    # scalars: Python float arithmetic per degree, as verify once ran it
+    ctx = DeformationContext(q=0.5)
+    for x in (0.7, -0.43, 1.3, 0.5**5):
+        rows = forward_rows(family, 30, x, ctx)
+        assert rows.shape == (31,)
+        for k in range(31):
+            assert rows[k].hex() == float(_one_degree(family, k, x, ctx)).hex()
 
 
 def test_mode_poly_accepts_arrays(ctx):
-    xs = np.array([0.1, 0.4, -0.3])
-    vals = mode_poly(2, xs, ctx)
-    assert vals.shape == (3,)
-    assert vals[1] == pytest.approx(float(mode_poly(2, 0.4, ctx)))
+    xs = np.array([[0.1, 0.4, -0.3], [0.2, 0.5, 0.9]])
+    vals = forward_rows("orthonormal", 2, xs, ctx)
+    assert vals.shape == (3, 2, 3)
+    assert vals[2, 0, 1] == forward_rows("orthonormal", 2, 0.4, ctx)[2]
+    with pytest.raises(IndexOutOfRange):
+        forward_rows("orthonormal", -1, xs, ctx)
+    with pytest.raises(ValidationError):
+        forward_rows("monic", 2, xs, ctx)
 
 
 def test_table_parity_bitwise(ctx):
@@ -338,16 +380,19 @@ def test_miller_band_matches_a_250_digit_recurrence(q, S, N, levels, bound):
 
 
 def _orthogonality_residual_per_site(k, m, ctx):
-    """orthogonality_residual as a scalar loop over the sites."""
+    """orthogonality_residuals[k, m] as a scalar loop over the sites."""
     q, weights = ctx.q, _weights(ctx)
 
     def diag(j):
         return weights.prefactor * float(qpoch(q, j, ctx)) * q ** (j * (j - 1) // 2)
 
+    def h(n, x):
+        return _one_degree("hermite", n, x, ctx)
+
     lhs = 0.0
     for xs, ws in zip(window_values(ctx)[0::2].tolist(), weights.w.tolist()):
-        plus = float(hermite_eval(k, xs, ctx)) * float(hermite_eval(m, xs, ctx))
-        minus = float(hermite_eval(k, -xs, ctx)) * float(hermite_eval(m, -xs, ctx))
+        plus = h(k, xs) * h(m, xs)
+        minus = h(k, -xs) * h(m, -xs)
         lhs += xs * ws * (plus + minus)
     rhs = diag(m) if k == m else 0.0
     return abs(lhs - rhs) / (1.0 + math.sqrt(diag(k) * diag(m)))
@@ -357,10 +402,11 @@ def _orthogonality_residual_per_site(k, m, ctx):
 def test_orthogonality_residual_equals_per_site_loop(q, depth):
     # verify's sum-orthogonality contexts; qosc verify prints these bits
     ctx = DeformationContext(q=q, lattice_depth=depth)
+    got = orthogonality_residuals(10, ctx)
     for k in range(11):
-        for m in range(k, 11):
+        for m in range(11):
             want = _orthogonality_residual_per_site(k, m, ctx)
-            assert orthogonality_residual(k, m, ctx).hex() == want.hex()
+            assert float(got[k, m]).hex() == want.hex()
 
 
 def test_table_tail_flags(ctx):
@@ -420,14 +466,12 @@ def test_norm_c_window_sums_to_one():
                                          (0.8, 80, 1e-7)])
 def test_orthogonality_residuals(q, depth, tol):
     ctx = DeformationContext(q=q, lattice_depth=depth)
-    worst = max(orthogonality_residual(k, m, ctx)
-                for k in range(6) for m in range(k, 6))
-    assert worst < tol
+    assert orthogonality_residuals(5, ctx).max() < tol
 
 
 def test_orthogonality_frozen_corner():
     ctx = DeformationContext(q=0.5, lattice_depth=40)
-    assert orthogonality_residual(0, 0, ctx) < 5e-12
+    assert orthogonality_residuals(0, ctx)[0, 0] < 5e-12
 
 
 def test_dual_orthogonality():
