@@ -235,10 +235,8 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
         n, i = np.argwhere(~np.isfinite(vals))[0]
         raise DomainError(f"degree {n} is not finite at x = {float(xs[i])!r} "
                           f"at q={ctx.q}; lower --n-max or --fock-dim")
-    rows = [(n, sign, s, x, v) for n, row in enumerate(vals.tolist())
-            for (sign, s, x), v in zip(sites, row)]
     path = out or f"hermite.{fmt}"
-    write_polynomial_table(rows, family, ctx.q, path, fmt)
+    write_polynomial_table(sites, vals, family, ctx.q, path, fmt)
     click.echo(path)
 
 

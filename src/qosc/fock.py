@@ -154,10 +154,12 @@ def eigenvalues(T: TridiagonalOperator, ctx: DeformationContext) -> np.ndarray:
 def eigendecompose(T: TridiagonalOperator,
                    ctx: DeformationContext) -> Tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a Hermitian operator,
-    from numpy's dense solver. A failed solve, or an eigenpair residual
-    not within 1e-12 times the operator scale (NaN included), raises
-    NoConvergence."""
+    from numpy's dense solver. A diagonal or coupling that is not finite,
+    a failed solve, or an eigenpair residual not within 1e-12 times the
+    operator scale raises NoConvergence."""
     d, e = _real_form(T)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise NoConvergence("Hermitian eigensolver needs finite entries")
     dense = T.to_dense()
     try:
         vals, vecs = np.linalg.eigh(dense)

@@ -650,15 +650,24 @@ def write_verify_report(rep, path: str, fmt: Optional[str] = None) -> None:
          c.runtime_s) for c in rep.checks))
 
 
-def write_polynomial_table(rows: list, family: str, q: float, path: str,
+def write_polynomial_table(sites: list, values: np.ndarray, family: str,
+                           q: float, path: str,
                            fmt: Optional[str] = None) -> None:
-    """Rows (n, sign, s, x, value) tabulated by `qosc hermite`.
+    """The table `qosc hermite` writes: values[n, i] at the i-th of sites,
+    (sign, s, x) triples, one row (n, sign, s, x, value) per entry.
 
     sign and s are "" for grid points. The JSON form keeps n, x and value
-    and has no object tag.
+    and has no object tag. The CSV form formats each x once and each row
+    of values with _floats.
     """
     if _infer_format(path, fmt) == "json":
         _write_json(path, _document(None, family=family, q=q, rows=[
-            {"n": n, "x": x, "value": v} for n, _, _, x, v in rows]))
+            {"n": n, "x": x, "value": v} for n, row in enumerate(values.tolist())
+            for (_, _, x), v in zip(sites, row)]))
         return
-    _write_csv(path, ["n", "sign", "s", "x", "value"], rows)
+    xs = _floats(np.array([x for _, _, x in sites], dtype=float), "csv")
+    heads = [f"{sign},{s},{x}," for (sign, s, _), x in zip(sites, xs)]
+    atomic_write_text(path, "n,sign,s,x,value\n", (
+        "".join(map("".join, zip(repeat(f"{n},"), heads,
+                                 _floats(row, "csv"), repeat("\n"))))
+        for n, row in enumerate(values)))

@@ -15,7 +15,7 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   periodicity_residual, phase_map_residual, rescale,
                   rescaled_mode, spectrum_report, standard_inner,
                   unitarity_residual, unrescale)
-from qosc.evolution import _certificate
+from qosc.evolution import _FOLD_BLOCK, _certificate, _parity_product
 from qosc.qhermite import (_half_table, _weights, build_mode_table,
                            lattice_weight_window, norm_c_window)
 
@@ -203,6 +203,82 @@ def test_kernels_match_complex_gemm(q):
     for got, want in ((fractional_ft(tau, ctx).matrix, phi),
                       (kernel_K(tau, ctx).matrix, raw)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+# windows smaller than one block, a multiple of it and not, S = 1, N = 1
+# and odd N
+_FOLD_SIZES = [(0.5, 1, 1), (0.5, 5, 1), (0.5, 1, 7), (0.5, 30, 80),
+               (0.5, 2 * _FOLD_BLOCK, 320), (0.95, 2 * _FOLD_BLOCK + 3, 321)]
+_FOLD_TAUS = [0.0, math.pi / 2, 2 * math.pi, -1.3]
+
+
+def _unblocked(ctx, tau):
+    """The parity products A^T diag(e^{i n tau}) A, A = half[p::2], as one
+    complex product each."""
+    half = _half_table(ctx)[0]
+    phases = np.exp(1j * tau * np.arange(ctx.fock_dim))
+    return [half[p::2].T @ (phases[p::2, None] * half[p::2]) for p in (0, 1)]
+
+
+@pytest.mark.parametrize("tau", _FOLD_TAUS)
+@pytest.mark.parametrize("q, S, N", _FOLD_SIZES + [(0.99, 150, 301),
+                                                   (0.99, 400, 800)])
+def test_parity_products_are_symmetric_within_the_summation_bound(
+        q, S, N, tau):
+    # each entry of either product lies within 1e-13 of the sum of its
+    # terms' magnitudes: a bound every summation order meets, also at
+    # q = 0.99, where entries cancel terms 1e14 times their size
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    half, tail_start = _half_table(ctx)
+    phases = np.exp(1j * tau * np.arange(N))
+    for p, want in enumerate(_unblocked(ctx, tau)):
+        got = _parity_product(half[p::2], phases[p::2], tail_start, p)
+        assert np.array_equal(_bits(got), _bits(got.T))
+        size = np.abs(half[p::2]).T @ np.abs(half[p::2])
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("tau", _FOLD_TAUS)
+@pytest.mark.parametrize("q, S, N", _FOLD_SIZES)
+def test_blocked_fold_matches_the_unblocked_product(q, S, N, tau):
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    half, tail_start = _half_table(ctx)
+    phases = np.exp(1j * tau * np.arange(N))
+    E, O = _unblocked(ctx, tau)
+    for p, want in enumerate((E, O)):
+        got = _parity_product(half[p::2], phases[p::2], tail_start, p)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    w = _weights(ctx)
+    for make, scale in (
+            (kernel_K, np.exp(1j * tau / 2.0) * w.c[None, :]),
+            (fractional_ft, (w.sqrt_w[:, None] / w.sqrt_w[None, :])
+             * w.c[None, :])):
+        want = np.empty((2 * S, 2 * S), dtype=complex)
+        want[0::2, 0::2] = want[1::2, 1::2] = scale * (E + O)
+        want[0::2, 1::2] = want[1::2, 0::2] = scale * (E - O)
+        got = make(tau, ctx).matrix
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_blocked_fold_reads_every_tail_start_of_a_block():
+    # a column whose backward pass failed keeps tail_start = N and its
+    # full forward values, wherever it sits in its block
+    ctx = DeformationContext(q=0.5, lattice_depth=2 * _FOLD_BLOCK, fock_dim=320)
+    half, tail_start = _half_table(ctx)
+    A, ts = half.copy(), tail_start.copy()
+    A[:, 3] = np.random.default_rng(0).standard_normal(320)
+    ts[3] = 320
+    assert ts[3] > ts[_FOLD_BLOCK - 1] < 320
+    ph = np.exp(0.4j * np.arange(320))
+    for p in (0, 1):
+        got = _parity_product(A[p::2], ph[p::2], ts, p)
+        want = A[p::2].T @ (ph[p::2, None] * A[p::2])
+        size = np.abs(A[p::2]).T @ np.abs(A[p::2])
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
 @pytest.mark.parametrize("change", ["tau", "q", "n_max", "lattice_depth"])

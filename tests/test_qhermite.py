@@ -409,6 +409,17 @@ def test_orthogonality_residual_equals_per_site_loop(q, depth):
             assert float(got[k, m]).hex() == want.hex()
 
 
+@pytest.mark.parametrize("q,S,N", [(0.3, 100, 240), (0.5, 128, 320),
+                                   (0.95, 256, 640), (0.99, 400, 800)])
+def test_half_table_is_positive_zero_from_tail_start(q, S, N):
+    # evolution._parity_product skips these rows of every column
+    half, tail_start = qhermite._half_table(
+        DeformationContext(q=q, lattice_depth=S, fock_dim=N))
+    assert (tail_start < N).any()
+    cut = half[np.arange(N)[:, None] >= tail_start]
+    assert cut.size and np.all(cut == 0.0) and not np.signbit(cut).any()
+
+
 def test_table_tail_flags(ctx):
     t = build_mode_table("position", ctx)
     for c in range(t.values.shape[1]):

@@ -796,8 +796,8 @@ def _mirrored(draw, shape):
             v[1::2] = v[0::2].reshape(-1, shape[1] // 2, 2, 2)[:, :, ::-1] \
                 .reshape(-1, shape[1], 2)
         else:
-            v[:, 1::2] = v[:, 0::2] * (-1.0) ** np.arange(shape[0])[:, None,
-                                                               None]
+            odd = (np.arange(shape[0]) % 2 == 1)[:, None, None]
+            v[:, 1::2] = np.where(odd, np.negative(v[:, 0::2]), v[:, 0::2])
     v[np.isnan(v)] = math.nan  # repr drops a NaN's sign and payload
     return v.view(complex)[..., 0]
 
