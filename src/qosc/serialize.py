@@ -662,7 +662,8 @@ def write_polynomial_table(sites: list, values: np.ndarray, family: str,
     """
     if _infer_format(path, fmt) == "json":
         _write_json(path, _document(None, family=family, q=q, rows=[
-            {"n": n, "x": x, "value": v} for n, row in enumerate(values.tolist())
+            {"n": n, "x": x, "value": v}
+            for n, row in enumerate(values.tolist())
             for (_, _, x), v in zip(sites, row)]))
         return
     xs = _floats(np.array([x for _, _, x in sites], dtype=float), "csv")

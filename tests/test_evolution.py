@@ -267,7 +267,8 @@ def test_blocked_fold_matches_the_unblocked_product(q, S, N, tau):
 def test_blocked_fold_reads_every_tail_start_of_a_block():
     # a column whose backward pass failed keeps tail_start = N and its
     # full forward values, wherever it sits in its block
-    ctx = DeformationContext(q=0.5, lattice_depth=2 * _FOLD_BLOCK, fock_dim=320)
+    ctx = DeformationContext(q=0.5, lattice_depth=2 * _FOLD_BLOCK,
+                             fock_dim=320)
     half, tail_start = _half_table(ctx)
     A, ts = half.copy(), tail_start.copy()
     A[:, 3] = np.random.default_rng(0).standard_normal(320)
