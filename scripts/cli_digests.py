@@ -11,13 +11,16 @@ Most of the set runs at q = 0.5, S = 128, N = 320:
 
 hermite, kernel (CSV and --variant raw JSON) and evolve also run at
 q = 0.95, S = 256, N = 640, where Miller's backward band is w = 63
-degrees wide (18 at q = 0.5). hermite, evolve and a CSV kernel at
-tau = 0.7 run once more at q = 0.99, S = 400, N = 800 (w = 143), a
-window that builds in about 0.1 s, where a_n rises for about 70 degrees
-before it decays and a start before that peak would break the core
-levels. Every other kernel runs at the default tau = pi/2, whose phases
-lie within roundoff of +-1 and +-i; this one folds other phases over
-several block rows cut short by the Miller tail, at S > 256. Two
+degrees wide (18 at q = 0.5). hermite, evolve, a CSV kernel and a raw
+JSON kernel, both at tau = 0.7, run once more at q = 0.99, S = 400,
+N = 800 (w = 143), a window that builds in about 0.1 s, where a_n rises
+for about 70 degrees before it decays and a start before that peak
+would break the core levels. Every other kernel runs at the default
+tau = pi/2, whose phases lie within roundoff of +-1 and +-i; these two
+fold other phases over several block rows cut short by the Miller tail,
+at S > 256. The raw one also scales by a complex factor at a generic
+phase, and its entries cancel terms up to about 1e18 times their size,
+so it is the digest most sensitive to summation and operand order. Two
 polynomial tables run at q = 0.5, N = 64: hermite --grid -1:1:0.02 as
 CSV (its values reach 1.3e292) and hermite --family hermite at S = 128
 as JSON.
@@ -73,6 +76,8 @@ COMMANDS = [
     ("hermite_q099.csv", ["hermite", *NEAR_ONE]),
     ("evolved_q099.csv", ["evolve", *NEAR_ONE, "--input", "state.csv"]),
     ("kernel_q099_tau07.csv", ["kernel", *NEAR_ONE, "--tau", "0.7"]),
+    ("kernel_raw_q099_tau07.json", ["kernel", *NEAR_ONE, "--variant", "raw",
+                                    "--tau", "0.7", "--format", "json"]),
 ]
 
 # polynomial tables, which no loader reads

@@ -19,7 +19,8 @@ they are all evolve() reads. Since p_n(-x) = (-1)^n p_n(x), the sum over
 n splits into an even part E and an odd part O on the half window: sites
 of equal sign get E + O, sites of opposite sign E - O. E and O are
 complex symmetric; each is formed a block row of levels at a time from
-the degrees before the block's Miller tail cut (_parity_product).
+the degrees before the block's Miller tail cut (_parity_product), and
+_fold scales and interleaves E +- O a block of levels at a time.
 evolve() applies the same split to a vector in O(N S) without forming
 any kernel. Only the kernels report the completeness tail and s_match
 (fock._count_s_match: Sturm counts on Q, no eigensolver), cached per
@@ -54,6 +55,9 @@ _VARIANTS = ("raw_K", "rescaled_Phi")
 # of each other at S = 128 to 800; one block of 1024 is 15-45% slower
 _FOLD_BLOCK = 64
 _BELOW = np.tri(_FOLD_BLOCK, k=-1, dtype=bool)  # a diagonal block's mirror
+# levels per block of _fold's E +- O assembly: 32 took 1-14% less time
+# than 64 at S = 256 to 1600, and 128 is slower still
+_FOLD_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -104,11 +108,12 @@ def _parity_product(A: np.ndarray, ph: np.ndarray,
     Row j of A is degree 2j + p, exact zero at every level of I from the
     block's largest tail_start t on, so only the first (t - p + 1) // 2
     rows enter block row I. Its columns from i0 on come from one real
-    product on the interleaved (re, im) columns of ph A; the product is
-    complex symmetric, so the blocks left of the diagonal are the
-    transposes of those above it, and each diagonal block mirrors its own
-    upper triangle. Any tail_start is correct; a monotone one (the meet
-    rule's) is what makes the later block rows cheap.
+    product on the interleaved (re, im) columns of ph A, written straight
+    into the result; the product is complex symmetric, so the blocks left
+    of the diagonal are the transposes of those above it, and each
+    diagonal block mirrors its own upper triangle. Any tail_start is
+    correct; a monotone one (the meet rule's) is what makes the later
+    block rows cheap.
     """
     S = A.shape[1]
     Z = (ph[:, None] * A).view(float)
@@ -116,9 +121,9 @@ def _parity_product(A: np.ndarray, ph: np.ndarray,
     for i0 in range(0, S, _FOLD_BLOCK):
         i1 = min(i0 + _FOLD_BLOCK, S)
         k = (int(tail_start[i0:i1].max()) - p + 1) // 2
-        C = (A[:k, i0:i1].T @ Z[:k, 2 * i0:]).view(complex)
-        out[i0:i1, i0:] = C
-        out[i1:, i0:i1] = C[:, i1 - i0:].T
+        np.matmul(A[:k, i0:i1].T, Z[:k, 2 * i0:],
+                  out=out.view(float)[i0:i1, 2 * i0:])
+        out[i1:, i0:i1] = out[i0:i1, i1:].T
         D = out[i0:i1, i0:i1]
         np.copyto(D, D.T, where=_BELOW[:i1 - i0, :i1 - i0])
     return out
@@ -130,17 +135,24 @@ def _fold(tau: float, ctx: DeformationContext, scale) -> np.ndarray:
     E and O are the sums over even and odd n on the half table, each
     complex symmetric and formed by _parity_product on the rows before
     the Miller tail cut; sites of equal sign get E + O, opposite signs
-    E - O. scale is indexed by level pairs, so it is shared by all four
-    blocks.
+    E - O. scale(w, rows) gives the rows of the level-pair factor, shared
+    by all four blocks. Both sums, their scaling and the stride-2
+    interleave run _FOLD_ROWS levels at a time, so no S x S temporary is
+    formed. scale stays the left operand: for a complex scale,
+    E + O times scale differs from scale times E + O in the last bit.
     """
     half, tail_start = _half_table(ctx)
     phases = np.exp(1j * tau * np.arange(half.shape[0]))
     E, O = (_parity_product(half[p::2], phases[p::2], tail_start, p)
             for p in (0, 1))
-    S = half.shape[1]
+    w, S = _weights(ctx), half.shape[1]
     G = np.empty((2 * S, 2 * S), dtype=complex)
-    G[0::2, 0::2] = G[1::2, 1::2] = scale * (E + O)
-    G[0::2, 1::2] = G[1::2, 0::2] = scale * (E - O)
+    sites = G.reshape(S, 2, S, 2)  # [level, sign, level, sign]
+    for r0 in range(0, S, _FOLD_ROWS):
+        rows = slice(r0, r0 + _FOLD_ROWS)
+        s = scale(w, rows)
+        sites[rows, 0, :, 0] = sites[rows, 1, :, 1] = s * (E[rows] + O[rows])
+        sites[rows, 0, :, 1] = sites[rows, 1, :, 0] = s * (E[rows] - O[rows])
     return G
 
 
@@ -173,25 +185,23 @@ def _check_tau(tau: float) -> None:
 def _kernel(tau: float, variant: str, ctx: DeformationContext,
             scale) -> EvolutionKernel:
     _check_tau(tau)
-    # the certificate builds the half table on a new context; the S x S
-    # level-pair factors scale(weights) are formed after it, off that peak
     tail, s_match = _certificate(ctx)
     return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
                            n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=_fold(tau, ctx, scale(_weights(ctx))),
+                           matrix=_fold(tau, ctx, scale),
                            tail_estimate=tail, s_match=s_match)
 
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
     return _kernel(tau, "raw_K", ctx,
-                   lambda w: cmath.exp(1j * tau / 2.0) * w.c[None, :])
+                   lambda w, rows: cmath.exp(1j * tau / 2.0) * w.c[None, :])
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
-    return _kernel(tau, "rescaled_Phi", ctx, lambda w: (
-        w.sqrt_w[:, None] / w.sqrt_w[None, :]) * w.c[None, :])
+    return _kernel(tau, "rescaled_Phi", ctx, lambda w, rows: (
+        w.sqrt_w[rows, None] / w.sqrt_w[None, :]) * w.c[None, :])
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:

@@ -1,3 +1,4 @@
+import cmath
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -280,6 +281,29 @@ def test_blocked_fold_reads_every_tail_start_of_a_block():
         want = A[p::2].T @ (ph[p::2, None] * A[p::2])
         size = np.abs(A[p::2]).T @ np.abs(A[p::2])
         assert np.all(np.abs(got - want) <= 1e-13 * size)
+
+
+@pytest.mark.parametrize("tau", [0.7, -1.3])
+@pytest.mark.parametrize("S, N", [(1, 1), (5, 13), (33, 80), (131, 321)])
+def test_fold_is_the_interleave_of_the_scaled_parity_sums(S, N, tau):
+    # _fold scales and interleaves E +- O a few levels at a time, on
+    # windows that are no multiple of that block; the bits are those of
+    # the whole-array assembly with scale the left operand (for raw_K's
+    # complex scale, the other order moves last bits)
+    ctx = DeformationContext(q=0.95, lattice_depth=S, fock_dim=N)
+    half, tail_start = _half_table(ctx)
+    phases = np.exp(1j * tau * np.arange(N))
+    E, O = (_parity_product(half[p::2], phases[p::2], tail_start, p)
+            for p in (0, 1))
+    w = _weights(ctx)
+    for make, scale in (
+            (kernel_K, cmath.exp(1j * tau / 2.0) * w.c[None, :]),
+            (fractional_ft, (w.sqrt_w[:, None] / w.sqrt_w[None, :])
+             * w.c[None, :])):
+        want = np.empty((2 * S, 2 * S), dtype=complex)
+        want[0::2, 0::2] = want[1::2, 1::2] = scale * (E + O)
+        want[0::2, 1::2] = want[1::2, 0::2] = scale * (E - O)
+        assert np.array_equal(_bits(make(tau, ctx).matrix), _bits(want))
 
 
 @pytest.mark.parametrize("change", ["tau", "q", "n_max", "lattice_depth"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from qosc import (DeformationContext, DimensionMismatch, DomainError,
                   build_F_of_H, build_H, build_ladders, build_P, build_Q,
                   commutator, coupling, eigendecompose, eigenvalues,
                   fractional_ft, spectrum_report, window_values)
+from qosc import fock
 from qosc.fock import _count_below, _count_s_match
 
 
@@ -277,15 +280,18 @@ def test_sturm_count_takes_a_zero_pivot_as_negative():
     assert _count_below(d, e, shifts).tolist() == [3, 0, 5, 2, 3]
 
 
-def _count_below_one_shift(d, e, sigma):
-    """_count_below's Sturm loop for a single shift, in Python floats."""
+def _count_below_one_shift(d, e, sigma, clamped=None):
+    """_count_below's Sturm loop for a single shift, in Python floats;
+    the rows whose pivot was clamped are appended to clamped."""
     e2 = [0.0] + (e * e).tolist()
     pivmin = np.finfo(float).tiny * max(1.0, max(e2))
     piv, count = 1.0, 0
-    for di, ek2 in zip(d.tolist(), e2):
+    for i, (di, ek2) in enumerate(zip(d.tolist(), e2)):
         piv = (di - sigma) - ek2 / piv
         if abs(piv) < pivmin:
             piv = -pivmin
+            if clamped is not None:
+                clamped.append(i)
         count += piv < 0
     return count
 
@@ -305,3 +311,66 @@ def test_sturm_count_of_repeated_shifts_is_one_count_per_shift(q, S, N):
     for d in (np.zeros(N), rng.uniform(-0.01, 0.01, N)):
         want = [_count_below_one_shift(d, e, float(s)) for s in shifts]
         assert _count_below(d, e, shifts).tolist() == want
+
+
+# rows whose pivot breaks down at a split block's eigenvalue: for blocks
+# of 3 rows the first of one (3, 9), the middle (16) or the last (14,
+# 20); for blocks of 7 the first (14), the middle (3, 9, 16) or the last
+# (20)
+_CLAMP_ROWS = [3, 9, 14, 16, 20]
+
+
+def _split_blocks(d, e):
+    """Zero couplings so that each clamp row r ends a 2-site block
+    {r - 1, r} with a dyadic coupling and (on a nonzero diagonal) one
+    dyadic diagonal value; return the shifts at its eigenvalues, which
+    are exact, so the Sturm sequence meets a zero pivot at row r."""
+    shifts = []
+    for k, r in enumerate(_CLAMP_ROWS):
+        a, c = 2.0 ** -(k + 1), (0.25 * k if d.any() else 0.0)
+        e[r - 2], e[r - 1], e[r] = 0.0, a, 0.0
+        d[r - 1] = d[r] = c
+        shifts += [c + a, c - a]
+    return shifts
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_blocked_sturm_count_is_the_guarded_count(monkeypatch, rows):
+    # the count runs unguarded a block at a time and redoes only the
+    # columns whose pivot fell under pivmin; at 0, -0 and +-1e-320 on a
+    # zero diagonal every other pivot does, in every block, and at the
+    # split blocks' eigenvalues one pivot does, in one block and not the
+    # next. On Q and on a seeded diagonal, the counts are the loop's
+    ctx = DeformationContext(q=0.5, fock_dim=23)
+    rng = np.random.default_rng(rows)
+    for d in (np.zeros(23), rng.uniform(-1.0, 1.0, 23)):
+        e = build_Q(ctx).offdiag.copy()
+        shifts = np.array([0.0, -0.0, 1e-320, -1e-320, *_split_blocks(d, e),
+                           *rng.uniform(-1.2, 1.2, 5)])
+        monkeypatch.setattr(fock, "_STURM_ENTRIES",
+                            rows * np.unique(shifts).size)
+        clamped, want = [], []
+        for s in shifts:
+            rows_hit = []
+            want.append(_count_below_one_shift(d, e, float(s), rows_hit))
+            clamped.append(rows_hit)
+        assert _count_below(d, e, shifts).tolist() == want
+        for k, r in enumerate(_CLAMP_ROWS):
+            assert r in clamped[4 + 2 * k] or r in clamped[5 + 2 * k]
+        if not d.any():  # every other row of each split-off block
+            assert {0, 2, 12, 13, 21} <= set(clamped[0])
+
+
+def test_sturm_count_stays_within_one_block_of_memory():
+    # N x M pivots would be 64 MB here; the count holds one block of at
+    # most _STURM_ENTRIES of them (512 KB) at a time
+    ctx = DeformationContext(q=0.95, fock_dim=2000)
+    Q = build_Q(ctx)
+    shifts = np.random.default_rng(0).uniform(-1.0, 1.0, 4000)
+    tracemalloc.start()
+    try:
+        _count_below(Q.diag, Q.offdiag, shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
