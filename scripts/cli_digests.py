@@ -7,7 +7,8 @@ Most of the set runs at q = 0.5, S = 128, N = 320:
     spectrum --format json
     kernel                     CSV, JSON, and --variant raw JSON
     evolve                     on a seeded rescaled state, CSV and JSON
-    verify --seed 3            its stdout, with the timings stripped
+    verify --seed 3            its stdout and its --format json report,
+                               with the timings stripped
 
 hermite, kernel (CSV and --variant raw JSON) and evolve also run at
 q = 0.95, S = 256, N = 640, where Miller's backward band is w = 63
@@ -44,6 +45,7 @@ summation order, so they are only comparable on one machine.
 
 import argparse
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -151,10 +153,17 @@ def digests(src: Path) -> list:
             loaded = _run(src, tmp, ["-c", _LOAD, name, LOADERS[args[0]]])
             out.append((loaded.strip(), f"{name} (loaded)"))
     with tempfile.TemporaryDirectory() as tmp:
-        stdout = _run(src, tmp, ["-m", "qosc.cli", "verify", "--seed", "3"])
+        stdout = _run(src, tmp, ["-m", "qosc.cli", "verify", "--seed", "3",
+                                 "--format", "json", "--out", "verify.json"])
+        report = json.loads(Path(tmp, "verify.json").read_text())
     text = "".join(_TIMING.sub("", line) + "\n"
                    for line in stdout.splitlines())
     out.append((hashlib.sha256(text.encode()).hexdigest(), "verify-seed3.txt"))
+    # the report's residuals at full precision, every runtime_s removed
+    for item in [report, *report["checks"]]:
+        del item["runtime_s"]
+    out.append((hashlib.sha256(json.dumps(report).encode()).hexdigest(),
+                "verify-seed3.json (no runtime_s)"))
     return out
 
 

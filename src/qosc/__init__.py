@@ -23,16 +23,16 @@ from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
                       apply_H, apply_P, apply_Q, decompose, fock_to_lattice,
                       lattice_inner, mode_function, normalized_eigenfunction,
                       phi_eval, phi_product_residuals, psi_eval,
-                      q_difference_P_oracle, q_difference_bracket)
+                      q_difference_P_oracle)
 from .qcore import (CoefficientVector, apply_lowering, apply_raising,
                     basis_coeff, coupling, fock_inner, fock_monomial, q_diff,
                     q_number, qpoch, qpoch_inf, scale_op)
 from .qhermite import (LatticePoint, ModeTable, build_mode_table,
-                       completeness_defect, dual_orthogonality_residual,
-                       forward_rows, lattice_point, lattice_weight,
-                       lattice_weight_window, lattice_window, norm_c,
-                       norm_c_window, orthogonality_residuals, window_index,
-                       window_levels, window_signs, window_values)
+                       dual_orthogonality_residual, forward_rows,
+                       lattice_point, lattice_weight, lattice_weight_window,
+                       lattice_window, norm_c, norm_c_window,
+                       orthogonality_residuals, window_index, window_levels,
+                       window_signs, window_values)
 from .serialize import (SCHEMA_VERSION, load_kernel, load_lattice_function,
                         load_mode_table, load_spectrum_report,
                         spectrum_report_payload, verify_report_payload,

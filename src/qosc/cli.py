@@ -77,9 +77,11 @@ def _parse_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"config {path!r}: unknown key {key!r}")
-        try:
-            out[key] = int(value) if key in ("fock_dim", "lattice_depth",
-                                             "seed") else float(value)
+        is_int = key in ("fock_dim", "lattice_depth", "seed")
+        try:  # JSON true is no number, and 64.7 no count
+            if isinstance(value, bool) or is_int and isinstance(value, float):
+                raise TypeError
+            out[key] = int(value) if is_int else float(value)
         except (TypeError, ValueError):
             raise ValidationError(
                 f"config {path!r}: bad value for {key}: {value!r}")

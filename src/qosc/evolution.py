@@ -47,8 +47,8 @@ from .context import DeformationContext
 from .errors import AlreadyRescaled, KindMismatch, NotRescaled, ValidationError
 from .fock import build_P, build_Q, _count_s_match
 from .hilbert import LatticeFunction, _check_window
-from .qhermite import (_I_POWERS, _half_table, _index, _modes, _weights,
-                       lattice_weight_window, window_values)
+from .qhermite import (_I_POWERS, _completeness, _half_table, _index, _modes,
+                       _weights, window_values)
 
 _VARIANTS = ("raw_K", "rescaled_Phi")
 # levels per block row of _parity_product: 32, 48 and 64 time within noise
@@ -93,10 +93,9 @@ class EvolutionKernel:
 
 @lru_cache(maxsize=4)
 def _certificate(ctx: DeformationContext) -> tuple[float, int]:
-    """(tail_estimate, s_match) of every kernel at ctx: completeness_defect's
-    per-site sums, equal for +-x, and the Sturm-count s_match."""
-    half, c = _half_table(ctx)[0], _weights(ctx).c
-    tail = float(np.max(np.abs(1.0 - c * np.sum(half**2, axis=0))))
+    """(tail_estimate, s_match) of every kernel at ctx: the largest
+    |_completeness| over the levels, and the Sturm-count s_match."""
+    tail = float(np.max(np.abs(_completeness(ctx))))
     return tail, _count_s_match(build_Q(ctx), ctx)
 
 
@@ -209,7 +208,7 @@ def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     if f.rescaled:
         raise AlreadyRescaled("values already carry the sqrt(w) factor")
     _check_window(f, ctx)
-    sw = np.sqrt(lattice_weight_window(ctx))
+    sw = np.repeat(_weights(ctx).sqrt_w, 2)
     return LatticeFunction(f.kind, sw * f.values, rescaled=True)
 
 
@@ -218,7 +217,7 @@ def unrescale(F: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
     if not F.rescaled:
         raise NotRescaled("values do not carry the sqrt(w) factor")
     _check_window(F, ctx)
-    sw = np.sqrt(lattice_weight_window(ctx))
+    sw = np.repeat(_weights(ctx).sqrt_w, 2)
     return LatticeFunction(F.kind, F.values / sw, rescaled=False)
 
 
@@ -370,13 +369,13 @@ def inverse_residual(tau: float, ctx: DeformationContext) -> float:
     return float(np.max(np.abs(prod - np.eye(core))))
 
 
-def phase_map_residual(ctx: DeformationContext, n_modes: int = 20) -> float:
-    """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= n_modes, on a
+def phase_map_residual(ctx: DeformationContext) -> float:
+    """Worst core defect of Phi^{pi/2} F_n = i^n F_n for n <= 20, on a
     window deepened by 40 levels."""
     deep = _deepened(ctx, 40)
     core = 2 * ctx.lattice_depth
     worst = 0.0
-    for n in range(n_modes + 1):
+    for n in range(21):
         F = _rescaled_modes(n, deep)
         d = (_apply(math.pi / 2.0, F, deep) - _I_POWERS[n % 4] * F)[:core]
         worst = max(worst, float(np.max(np.abs(d))))
@@ -401,21 +400,21 @@ def intertwine_residual(ctx: DeformationContext, seed: int = 0) -> float:
     return float(np.max(np.abs((evolved - F_mom)[:core])))
 
 
-def norm_drift_max(ctx: DeformationContext, n_support: int = 10,
-                   n_draws: int = 100, seed: int = 0) -> float:
+def norm_drift_max(ctx: DeformationContext, n_draws: int = 100,
+                   seed: int = 0) -> float:
     """Largest relative drift of standard_inner under evolve at this
     exact window, over seeded random states.
 
-    The draws live on modes n < n_support: that is the band a window of
-    this depth resolves (wider support provably cannot stay below 1e-7
-    on a 30-level window, whatever the implementation does).
+    The draws live on modes n < 10: that is the band a window of 30
+    levels resolves (wider support provably cannot stay below 1e-7
+    there, whatever the implementation does).
     """
     rng = np.random.default_rng(seed)
-    modes = _rescaled_modes(np.arange(n_support), ctx)
+    modes = _rescaled_modes(np.arange(10), ctx)
     absx = np.abs(window_values(ctx))
     worst = 0.0
     for _ in range(n_draws):
-        b = rng.standard_normal(n_support) + 1j * rng.standard_normal(n_support)
+        b = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         F = b @ modes
         G = _apply(1.0, F, ctx)
         n0 = float(np.sum(absx * np.abs(F) ** 2))

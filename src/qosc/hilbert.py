@@ -167,8 +167,6 @@ def normalized_eigenfunction(kind: str, pt: LatticePoint,
                              ctx: DeformationContext) -> np.ndarray:
     """Coefficients n < fock_dim of the unit eigenvector with eigenvalue
     sign*q^s: b_n = sqrt(c_s) p_n(x) for position, times i^n for momentum."""
-    if kind not in _KINDS:
-        raise ValidationError(f"kind must be one of {_KINDS}, got {kind!r}")
     scale = math.sqrt(norm_c(pt.s, ctx))
     return scale * build_mode_table(kind, ctx).values[
         :, window_index(pt.sign, pt.s)].astype(complex)
@@ -236,8 +234,7 @@ def _roundtrip(f: LatticeFunction, ctx: DeformationContext, action) -> LatticeFu
             f"mode expansion discards {exp.tail:.3e} of the norm "
             f"(limit {math.sqrt(ctx.match_tol):.1e}); deepen the window "
             "or raise fock_dim")
-    out = action(exp.coeffs)
-    return LatticeFunction(f.kind, out @ build_mode_table(f.kind, ctx).values)
+    return fock_to_lattice(action(exp.coeffs), f.kind, ctx)
 
 
 def _tridiag_action(b: np.ndarray, ctx: DeformationContext,
@@ -285,61 +282,25 @@ def mode_function(n: int, ctx: DeformationContext,
     return LatticeFunction(kind, _modes(kind, n, ctx))
 
 
-def _bracket(n: int, ctx: DeformationContext):
-    """(bracket, rows) where rows[k] = p_k over the window for k <= n + 1:
-    one forward pass over the window x, q x and x / q."""
+def q_difference_P_oracle(n: int, ctx: DeformationContext) -> LatticeFunction:
+    """P applied to mode n via the q-difference form, not the recurrence:
+    an independent check of apply_P on position functions.
+
+    The bracket [D_q + q^{-2} W^{-1} D_{1/q} W] p_n, W(x) = (q^2 x^2; q^2)_inf,
+    comes from one forward pass over x, q x and x / q on the window (honest
+    for shallow n), through W(x/q) = (1 - x^2) W(x): no infinite product.
+    Its least-squares split u p_{n+1} + v p_{n-1} (v = 0 at n = 0) gives
+    P p_n = -i (1 - q) (q^{n+1} u p_{n+1} + q^{n-1} v p_{n-1}).
+    """
     q = ctx.q
     x = window_values(ctx)
     p = forward_rows("orthonormal", n + 1, np.stack([x, q * x, x / q]), ctx)
     pn, pn_down, pn_up = p[n]
     dq = (pn - pn_down) / ((1.0 - q) * x)
     dqi = (pn - (1.0 - x * x) * pn_up) / ((1.0 - 1.0 / q) * x) / (q * q)
-    return dq + dqi, p[:, 0]
-
-
-def q_difference_bracket(n: int, ctx: DeformationContext) -> np.ndarray:
-    """[D_q + q^{-2} W^{-1} D_{1/q} W] applied to p_n over the window.
-
-    W(x) = (q^2 x^2; q^2)_inf; the evaluation uses the functional
-    equation W(x/q) = (1 - x^2) W(x), so no infinite products appear.
-    Forward-recurrence evaluation keeps this honest for shallow n.
-    """
-    return _bracket(n, ctx)[0]
-
-
-def _components(n: int, ctx: DeformationContext):
-    """((u, v, fit_residual), A): the split and its columns p_{n+1} and,
-    for n >= 1, p_{n-1} over the window."""
-    B, p = _bracket(n, ctx)
-    A = np.stack([p[n + 1]] + ([p[n - 1]] if n >= 1 else []), axis=1)
-    sol, *_ = np.linalg.lstsq(A, B, rcond=None)
-    resid = float(np.max(np.abs(B - A @ sol)))
-    u = float(sol[0])
-    v = float(sol[1]) if n >= 1 else 0.0
-    return (u, v, resid), A
-
-
-def q_difference_components(n: int, ctx: DeformationContext):
-    """Least-squares split of the bracket over {p_{n+1}, p_{n-1}}.
-
-    Returns (u, v, fit_residual): bracket = u p_{n+1} + v p_{n-1} with
-    fit_residual the sup-norm defect of the two-mode fit (v is 0 for
-    n = 0 where no lower neighbor exists).
-    """
-    return _components(n, ctx)[0]
-
-
-def q_difference_P_oracle(n: int, ctx: DeformationContext) -> LatticeFunction:
-    """P applied to mode n via the q-difference form, not the recurrence.
-
-    P = -i (1 - q) q^{exponent of the level above the ground} times the
-    bracket, where the diagonal factor weights the p_{n+1} component by
-    q^{n+1} and the p_{n-1} component by q^{n-1}. Serves as an
-    independent check of apply_P on position functions.
-    """
-    q = ctx.q
-    (u, v, _), A = _components(n, ctx)
-    vals = q ** (n + 1) * u * A[:, 0]
+    A = np.stack([p[n + 1, 0]] + ([p[n - 1, 0]] if n >= 1 else []), axis=1)
+    sol, *_ = np.linalg.lstsq(A, dq + dqi, rcond=None)
+    vals = q ** (n + 1) * float(sol[0]) * A[:, 0]
     if n >= 1:
-        vals = vals + q ** (n - 1) * v * A[:, 1]
+        vals = vals + q ** (n - 1) * float(sol[1]) * A[:, 1]
     return LatticeFunction("position", -1j * (1.0 - q) * vals)

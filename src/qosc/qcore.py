@@ -119,15 +119,6 @@ class CoefficientVector:
     def __len__(self) -> int:
         return self.coeffs.shape[0]
 
-    def __getitem__(self, n: int) -> complex:
-        return complex(self.coeffs[n])
-
-    def padded(self, length: int) -> np.ndarray:
-        out = np.zeros(length, dtype=complex)
-        m = min(length, len(self))
-        out[:m] = self.coeffs[:m]
-        return out
-
 
 def scale_op(f: CoefficientVector, a: Scalar) -> CoefficientVector:
     """(T_a f)(y) = f(a y): multiplies slot n by a^n."""
@@ -144,8 +135,7 @@ def q_diff(f: CoefficientVector, ctx: DeformationContext) -> CoefficientVector:
     if len(f) <= 1:
         return CoefficientVector(np.zeros(0))
     n = np.arange(1, len(f), dtype=float)
-    factors = (1.0 - ctx.q**n) / (1.0 - ctx.q)
-    return CoefficientVector(f.coeffs[1:] * factors)
+    return CoefficientVector(f.coeffs[1:] * q_number(n, ctx))
 
 
 def basis_coeff(n: int, ctx: DeformationContext) -> float:

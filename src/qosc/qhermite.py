@@ -29,7 +29,7 @@ past the peak of a_n with 2 a_n < |x| (_p_matrix), in one sweep over all
 flagged columns, indexed by the degree relative to each meet: every entry
 sees the same operations as a column run alone. forward_rows runs the
 plain forward recurrence over degrees 0..n at any abscissas, for shallow
-degrees.
+degrees. _completeness sums the half table's squares per level.
 """
 
 from __future__ import annotations
@@ -294,6 +294,21 @@ def _half_table(ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
     return out
 
 
+def _completeness(ctx: DeformationContext) -> np.ndarray:
+    """1 - c_s sum_n p_n(q^s)^2 per level s, with np.sum(half**2, axis=0)'s
+    bits and no N x S temporary: the squares are added in degree order, a
+    block of rows at a time, each block's reduce started from the sum so far."""
+    half = _half_table(ctx)[0]
+    step = max(1, _SCAN_BLOCK // half.shape[1])
+    sq, total = np.empty((step + 1, half.shape[1])), np.zeros(half.shape[1])
+    for n0 in range(0, len(half), step):
+        blk, head = half[n0:n0 + step], int(n0 > 0)  # row 0: the sum so far
+        np.square(blk, out=sq[head:head + len(blk)])
+        np.add.reduce(sq[:head + len(blk)], axis=0, out=total)
+        sq[0] = total
+    return 1.0 - _weights(ctx).c * total
+
+
 @dataclass(frozen=True)
 class ModeTable:
     """p_n (or i^n p_n) tabulated over the window.
@@ -376,9 +391,3 @@ def dual_orthogonality_residual(ctx: DeformationContext) -> float:
     G = G[:core, :core]
     return float(np.max(np.abs(G - np.eye(core))))
 
-
-def completeness_defect(table: ModeTable, ctx: DeformationContext) -> float:
-    """Max over sites of |1 - sum_n c_x |p_n(x)|^2|, the bilinear tail."""
-    cs = norm_c_window(ctx)
-    sums = cs * np.sum(np.abs(table.values) ** 2, axis=0)
-    return float(np.max(np.abs(1.0 - sums)))

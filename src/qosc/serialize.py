@@ -302,10 +302,16 @@ def _typed(value, kind: str, what: str, shape: Optional[tuple] = None
         raise ValidationError(f"{what} must hold only "
                               f"{'integers' if kind == 'i' else 'booleans'}")
     if shape is not None and a.shape != shape:
-        raise ValidationError(
-            f"{what} has shape {a.shape}, one entry per window site "
-            f"needs {shape}")
+        raise ValidationError(f"{what} has shape {a.shape}, not {shape}")
     return a
+
+
+def _scalar(doc: dict, key: str, typ: type):
+    """doc[key] as typ, which must be its JSON type: float (an integer
+    passes), int or bool (each passes only as itself), or ValidationError."""
+    if typ is float:
+        return float(_numbers(doc[key], (), key))
+    return typ(_typed(doc[key], "b" if typ is bool else "i", key, ()))
 
 
 def _site(sign, s) -> np.ndarray:
@@ -344,8 +350,8 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
 
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
     """A JSON array of this shape, every cell a number, as floats."""
-    cells = value
-    for _ in shape[1:]:
+    cells = [value]
+    for _ in shape:
         cells = chain.from_iterable(cells)
     if not set(map(type, cells)) <= {float, int}:
         raise ValidationError(f"{what} must hold only numbers")
@@ -447,8 +453,9 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
     is_json = _infer_format(path, fmt) == "json"
     if is_json:
         with _read_json(path, "mode_table") as doc:
-            kind, q = doc["kind"], float(doc["q"])
-            nmax, depth = int(doc["fock_dim"]), int(doc["lattice_depth"])
+            kind, q = doc["kind"], _scalar(doc, "q", float)
+            nmax = _scalar(doc, "fock_dim", int)
+            depth = _scalar(doc, "lattice_depth", int)
             values = _bulk(doc, (nmax, 2 * depth))
             tail_start = _typed(doc["tail_start"], "i", "tail_start",
                                 (2 * depth,))
@@ -508,10 +515,10 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
     """
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "lattice_function") as doc:
-            q = float(doc["q"])
-            values = _bulk(doc, (2 * int(doc["lattice_depth"]),))
+            q = _scalar(doc, "q", float)
+            values = _bulk(doc, (2 * _scalar(doc, "lattice_depth", int),))
             f = LatticeFunction(doc["kind"], values,
-                                rescaled=bool(doc["rescaled"]))
+                                rescaled=_scalar(doc, "rescaled", bool))
     else:
         with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
             site = _site(rows["sign"], rows["s"])
@@ -560,23 +567,23 @@ def _json_columns(entries) -> dict:
     return cols
 
 
-def _placed(cols, meta: dict) -> np.ndarray:
-    """The 2S x 2S matrix of kernel entries given as columns by name (a
-    schema-1 JSON or a CSV kernel); S is the metadata's lattice_depth."""
-    size = 2 * int(meta["lattice_depth"])
+def _placed(cols, size: int) -> np.ndarray:
+    """The size x size matrix of kernel entries given as columns by name
+    (a schema-1 JSON or a CSV kernel)."""
     return _place(_complexes(cols["re"], cols["im"]),
                   (_site(cols["row_sign"], cols["row_s"]),
                    _site(cols["col_sign"], cols["col_s"])),
                   (size, size), "kernel")
 
 
-def _kernel(meta: dict, matrix: np.ndarray) -> EvolutionKernel:
-    """A kernel from its metadata and its 2S x 2S matrix."""
-    return EvolutionKernel(tau=float(meta["tau"]), variant=meta["variant"],
-                           q=float(meta["q"]), n_max=int(meta["n_max"]),
+def _kernel(meta: dict, matrix: np.ndarray, num=_scalar) -> EvolutionKernel:
+    """A kernel from its metadata and its 2S x 2S matrix; num(meta, key,
+    type) reads each number, by default as a JSON value of that type."""
+    return EvolutionKernel(tau=num(meta, "tau", float), variant=meta["variant"],
+                           q=num(meta, "q", float), n_max=num(meta, "n_max", int),
                            lattice_depth=len(matrix) // 2, matrix=matrix,
-                           tail_estimate=float(meta["tail_estimate"]),
-                           s_match=int(meta["s_match"]))
+                           tail_estimate=num(meta, "tail_estimate", float),
+                           s_match=num(meta, "s_match", int))
 
 
 def load_kernel(path: str, fmt: Optional[str] = None,
@@ -585,16 +592,17 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     ctx's (n_max is the fock_dim it was built at), or ValidationError."""
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel") as doc:
+            size = 2 * _scalar(doc, "lattice_depth", int)
             if doc["schema_version"] == 1:
-                k = _kernel(doc, _placed(_json_columns(doc["entries"]), doc))
+                k = _kernel(doc, _placed(_json_columns(doc["entries"]), size))
             else:
-                size = 2 * int(doc["lattice_depth"])
                 _typed(doc["low_confidence"], "b", "low_confidence", (size,))
                 k = _kernel(doc, _from_arrays(doc, (size, size)))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
             _check_schema(int(meta["schema_version"]))
-            k = _kernel(meta, _placed(rows, meta))
+            k = _kernel(meta, _placed(rows, 2 * int(meta["lattice_depth"])),
+                        lambda m, key, typ: typ(m[key]))  # CSV text
     _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
     return k
 
@@ -623,16 +631,18 @@ def write_spectrum_report(rep: SpectrumReport, path: str,
 
 def load_spectrum_report(path: str) -> SpectrumReport:
     with _read_json(path, "spectrum_report") as doc:
-        matched = [MatchedLevel(int(m["sign"]), int(m["s"]),
-                                float(m["lambda"]), float(m["error"]))
+        matched = [MatchedLevel(_scalar(m, "sign", int), _scalar(m, "s", int),
+                                _scalar(m, "lambda", float), _scalar(m, "error", float))
                    for m in doc["matched"]]
-        return SpectrumReport(q=float(doc["q"]), fock_dim=int(doc["fock_dim"]),
-                              lattice_depth=int(doc["lattice_depth"]),
-                              match_tol=float(doc["match_tol"]),
-                              matched=matched,
-                              unmatched=[float(v) for v in doc["unmatched"]],
-                              s_match=int(doc["s_match"]),
-                              max_error=float(doc["max_error"]))
+        rest = doc["unmatched"]
+        return SpectrumReport(q=_scalar(doc, "q", float),
+                              fock_dim=_scalar(doc, "fock_dim", int),
+                              lattice_depth=_scalar(doc, "lattice_depth", int),
+                              match_tol=_scalar(doc, "match_tol", float),
+                              matched=matched, unmatched=_numbers(
+                                  rest, (len(rest),), "unmatched").tolist(),
+                              s_match=_scalar(doc, "s_match", int),
+                              max_error=_scalar(doc, "max_error", float))
 
 
 def verify_report_payload(rep) -> dict:

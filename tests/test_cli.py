@@ -345,6 +345,23 @@ def test_config_json_variant(runner, tmp_path):
     assert json.load(open(out))["q"] == 0.3
 
 
+@pytest.mark.parametrize("entry", [
+    {"fock_dim": 64.7}, {"fock_dim": 24.0}, {"lattice_depth": True},
+    {"seed": False}, {"q": True}, {"tail_tol": False},
+], ids=["float-fock-dim", "integral-float-fock-dim", "boolean-depth",
+        "boolean-seed", "boolean-q", "boolean-tail-tol"])
+def test_config_json_rejects_what_key_value_text_rejects(runner, tmp_path,
+                                                          entry):
+    # a JSON true is no number and a JSON float no count, as in the
+    # key=value form, where "fock_dim = 64.7" fails to parse
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"q": 0.3, **entry}))
+    r = runner.invoke(main, ["spectrum", "--config", str(cfg), "--out",
+                             str(tmp_path / "s.csv")])
+    assert r.exit_code == 1 and "bad value" in r.output, r.output
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_unknown_key(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("qq = 0.5\n")

@@ -10,7 +10,7 @@ from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
                   fock_inner, fock_to_lattice, lattice_inner, lattice_point,
                   mode_function, normalized_eigenfunction, phi_eval,
                   phi_product_residuals, psi_eval, q_difference_P_oracle,
-                  q_difference_bracket, rescaled_mode, window_values)
+                  rescaled_mode, window_values)
 
 
 def test_lattice_function_kind_guard():
@@ -66,6 +66,11 @@ def test_phi_candidate_residuals(ctx):
                 a = phi_eval(WavefunctionQuery(pt, y, "series"), ctx)
                 b = phi_eval(WavefunctionQuery(pt, y, "product"), ctx)
                 assert a == pytest.approx(b, rel=1e-11)
+
+
+def test_normalized_eigenfunction_rejects_an_unknown_kind(ctx):
+    with pytest.raises(ValidationError, match="kind"):
+        normalized_eigenfunction("bogus", lattice_point(1, 0, ctx), ctx)
 
 
 def test_normalized_eigenfunction_unit_norm(ctx):
@@ -207,16 +212,3 @@ def test_q_difference_oracle_matches_recurrence(ctx):
         direct = apply_P(mode_function(n, ctx), ctx)
         assert np.max(np.abs(oracle.values[core] - direct.values[core])) < 5e-9
 
-
-def test_q_difference_bracket_is_two_term(ctx):
-    from qosc.hilbert import q_difference_components
-    n = 2
-    u, v, fit = q_difference_components(n, ctx)
-    assert fit < 1e-6
-    q = ctx.q
-    a_n = float(coupling(n, ctx))
-    a_m = float(coupling(n - 1, ctx))
-    assert u == pytest.approx(-a_n / ((1 - q) * q ** (n + 1)), rel=1e-7)
-    assert v == pytest.approx(a_m / ((1 - q) * q ** (n - 1)), rel=1e-7)
-    bracket = q_difference_bracket(n, ctx)
-    assert bracket.shape == (2 * ctx.lattice_depth,)

@@ -88,12 +88,10 @@ def test_basis_coeff_recurrence_matches_direct():
                 assert abs(a - b) < 1e-290
 
 
-def test_coefficient_vector_shape_and_padding():
+def test_coefficient_vector_shape():
     f = CoefficientVector(np.array([1.0, 2.0]))
     assert f.coeffs.dtype == complex
-    g = f.padded(5)
-    assert g.shape == (5,)
-    assert g[3] == 0.0
+    assert len(f) == 2
     with pytest.raises(ValidationError):
         CoefficientVector(np.ones((2, 2)))
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from qosc import (DeformationContext, DomainError, IndexOutOfRange,
-                  ValidationError, build_mode_table, completeness_defect,
+                  ValidationError, build_mode_table,
                   dual_orthogonality_residual, forward_rows, lattice_point,
                   lattice_weight, lattice_weight_window, lattice_window,
                   norm_c, norm_c_window, orthogonality_residuals,
@@ -493,10 +494,37 @@ def test_dual_orthogonality():
 def test_completeness_defect_shrinks_with_fock_dim():
     shallow = DeformationContext(q=0.5, lattice_depth=12, fock_dim=24)
     deep = DeformationContext(q=0.5, lattice_depth=12, fock_dim=64)
-    d_shallow = completeness_defect(build_mode_table("position", shallow), shallow)
-    d_deep = completeness_defect(build_mode_table("position", deep), deep)
+    d_shallow, d_deep = (np.max(np.abs(qhermite._completeness(c)))
+                         for c in (shallow, deep))
     assert d_deep < d_shallow
     assert d_deep < 1e-10
+
+
+@pytest.mark.parametrize("q,S,N,block", [
+    (0.5, 7, 40, 1 << 17),  # S does not divide the block: one short block
+    (0.5, 12, 1, 1 << 17),  # N = 1
+    (0.95, 30, 90, 245),  # 8 rows a block: boundaries mid-table, last short
+    (0.8, 12, 50, 7),  # fewer entries than a row: one row a block
+])
+def test_completeness_has_the_bits_of_one_sum(monkeypatch, q, S, N, block):
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    half = qhermite._half_table(ctx)[0]
+    want = 1.0 - _weights(ctx).c * np.sum(half**2, axis=0)
+    monkeypatch.setattr(qhermite, "_SCAN_BLOCK", block)
+    assert qhermite._completeness(ctx).tobytes() == want.tobytes()
+
+
+def test_completeness_forms_no_table_sized_temporary():
+    ctx = DeformationContext(q=0.9, lattice_depth=800, fock_dim=3200)
+    assert qhermite._half_table(ctx)[0].nbytes >= 20e6
+    _weights(ctx)  # both caches filled before tracing starts
+    tracemalloc.start()
+    try:
+        qhermite._completeness(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_suggested_depth():

@@ -437,6 +437,43 @@ def _edited_x(rows):
                  id="lattice-function-json2-string-cell"),
     pytest.param("lattice_function", "json", _set("re", 0, None),
                  id="lattice-function-json2-null-cell"),
+    # ill-typed scalar fields, which int(), float() and bool() would convert
+    pytest.param("lattice_function", "json", _set("rescaled", "false"),
+                 id="lattice-function-json2-string-rescaled"),
+    pytest.param("lattice_function", "json1", _set("rescaled", 0),
+                 id="lattice-function-json-integer-rescaled"),
+    pytest.param("lattice_function", "json", _set("q", "0.5"),
+                 id="lattice-function-json2-string-q"),
+    pytest.param("lattice_function", "json", _set("lattice_depth", 8.0),
+                 id="lattice-function-json2-float-depth"),
+    pytest.param("mode_table", "json", _set("lattice_depth", 8.9),
+                 id="mode-table-json2-float-depth"),
+    pytest.param("mode_table", "json1", _set("fock_dim", 20.5),
+                 id="mode-table-json-float-fock-dim"),
+    pytest.param("mode_table", "json", _set("q", True),
+                 id="mode-table-json2-boolean-q"),
+    pytest.param("kernel", "json", _doc(lambda d: d.update(
+        s_match=d["s_match"] + 0.7)), id="kernel-json2-float-s-match"),
+    pytest.param("kernel", "json1", _set("n_max", 20.0),
+                 id="kernel-json-float-n-max"),
+    pytest.param("kernel", "json", _set("lattice_depth", True),
+                 id="kernel-json2-boolean-depth"),
+    pytest.param("kernel", "json", _set("tau", "0.37"),
+                 id="kernel-json2-string-tau"),
+    pytest.param("kernel", "json1", _set("tail_estimate", None),
+                 id="kernel-json-null-tail-estimate"),
+    pytest.param("spectrum_report", "json", _set("s_match", 3.5),
+                 id="spectrum-json-float-s-match"),
+    pytest.param("spectrum_report", "json", _set("fock_dim", False),
+                 id="spectrum-json-boolean-fock-dim"),
+    pytest.param("spectrum_report", "json", _set("matched", 0, "s", 0.0),
+                 id="spectrum-json-float-level"),
+    pytest.param("spectrum_report", "json", _set("matched", 1, "lambda", "1"),
+                 id="spectrum-json-string-lambda"),
+    pytest.param("spectrum_report", "json", _set("max_error", [0.1]),
+                 id="spectrum-json-list-max-error"),
+    pytest.param("spectrum_report", "json", _set("unmatched", ["0.1"]),
+                 id="spectrum-json-string-unmatched"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"
