@@ -78,7 +78,7 @@ def _parse_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"config {path!r}: unknown key {key!r}")
         is_int = key in ("fock_dim", "lattice_depth", "seed")
-        try:  # JSON true is no number, and 64.7 no count
+        try:  # a JSON true is no number, and a JSON float no count
             if isinstance(value, bool) or is_int and isinstance(value, float):
                 raise TypeError
             out[key] = int(value) if is_int else float(value)

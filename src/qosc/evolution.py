@@ -22,9 +22,9 @@ complex symmetric; each is formed a block row of levels at a time from
 the degrees before the block's Miller tail cut (_parity_product), and
 _fold scales and interleaves E +- O a block of levels at a time.
 evolve() applies the same split to a vector in O(N S) without forming
-any kernel. Only the kernels report the completeness tail and s_match
-(fock._count_s_match: Sturm counts on Q, no eigensolver), cached per
-context by _certificate.
+any kernel. Only the kernels report the completeness tail (the largest
+qhermite._completeness) and s_match (fock._count_s_match: Sturm counts
+on Q), cached per context by _certificate.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone

@@ -299,7 +299,7 @@ def _completeness(ctx: DeformationContext) -> np.ndarray:
     bits and no N x S temporary: the squares are added in degree order, a
     block of rows at a time, each block's reduce started from the sum so far."""
     half = _half_table(ctx)[0]
-    step = max(1, _SCAN_BLOCK // half.shape[1])
+    step = min(len(half), max(1, _SCAN_BLOCK // half.shape[1]))
     sq, total = np.empty((step + 1, half.shape[1])), np.zeros(half.shape[1])
     for n0 in range(0, len(half), step):
         blk, head = half[n0:n0 + step], int(n0 > 0)  # row 0: the sum so far

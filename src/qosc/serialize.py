@@ -7,8 +7,8 @@ and emit floats with repr, so values round-trip exactly and identical
 inputs give identical bytes; the file mode follows the umask. Mode
 tables, lattice functions and kernels are streamed one window row (or
 degree n) at a time, without building the file in memory. On load, a
-missing or ill-typed field raises ValidationError; fields a loader does
-not know are ignored.
+missing or ill-typed field (4.9 or true for an integer) raises
+ValidationError; fields a loader does not know are ignored.
 
 Files are written in schema 2; the loaders read schema 1 as well, which
 differs only in the JSON bulk fields (below). In schema 2 the JSON mode
