@@ -21,8 +21,11 @@ tau = pi/2, whose phases lie within roundoff of +-1 and +-i; these two
 fold other phases over several block rows cut short by the Miller tail,
 at S > 256. The raw one also scales by a complex factor at a generic
 phase, and its entries cancel terms up to about 1e18 times their size,
-so it is the digest most sensitive to summation and operand order. Two
-polynomial tables run at q = 0.5, N = 64: hermite --grid -1:1:0.02 as
+so it is the digest most sensitive to summation and operand order. One
+more CSV kernel runs at q = 0.95, S = 24, N = 120, a window so shallow
+that the phased rows its fold reads do not fit in the kernel's lower
+half and get an array of their own (every other kernel here builds them
+inside the kernel). Two polynomial tables run at q = 0.5, N = 64: hermite --grid -1:1:0.02 as
 CSV (its values reach 1.3e292) and hermite --family hermite at S = 128
 as JSON.
 
@@ -80,6 +83,8 @@ COMMANDS = [
     ("kernel_q099_tau07.csv", ["kernel", *NEAR_ONE, "--tau", "0.7"]),
     ("kernel_raw_q099_tau07.json", ["kernel", *NEAR_ONE, "--variant", "raw",
                                     "--tau", "0.7", "--format", "json"]),
+    ("kernel_q095_s24.csv", ["kernel", "--q", "0.95", "--lattice-depth", "24",
+                             "--fock-dim", "120"]),
 ]
 
 # polynomial tables, which no loader reads

@@ -41,12 +41,15 @@ MAX_TABLE_ROWS = 1_000_000
 # Largest working set `spectrum`, `kernel`, `evolve` or the mode table of
 # `hermite` may ask for, in bytes. Each command's is estimated from its
 # arrays before any is formed (_check_size): the complex 2S x 2S kernel
-# (16 (2S)^2; kernel only), the real N x S half table of the modes (8 N S;
-# all but spectrum) and the N x 2S table written from it (16 N S; hermite
-# only), the bidiagonal half of Q's largest block and its copy (spectrum
-# only), and ENTRY_BYTES per level and per eigenvalue for the vectors,
-# Python floats and file rows of the window, the spectrum report and the
-# artifact readers (evolve holds about 0.9 KB per level at S = 200000).
+# (16 (2S)^2; kernel only), inside which the fold forms its even and odd
+# parity sums and, unless a shallow window with N > 4S needs more than
+# its lower half, the phased rows of the modes; the real N x S half table
+# of the modes (8 N S; all but spectrum) and the N x 2S table written
+# from it (16 N S; hermite only), the bidiagonal half of Q's largest
+# block and its copy (spectrum only), and ENTRY_BYTES per level and per
+# eigenvalue for the vectors, Python floats and file rows of the window,
+# the spectrum report and the artifact readers (evolve holds about 0.9 KB
+# per level at S = 200000).
 MAX_WORK_BYTES = 4 * 2**30
 ENTRY_BYTES = 1024
 

@@ -19,8 +19,13 @@ they are all evolve() reads. Since p_n(-x) = (-1)^n p_n(x), the sum over
 n splits into an even part E and an odd part O on the half window: sites
 of equal sign get E + O, sites of opposite sign E - O. E and O are
 complex symmetric; each is formed a block row of levels at a time from
-the degrees before the block's Miller tail cut (_parity_product), and
-_fold scales and interleaves E +- O a block of levels at a time.
+the degrees before the block's Miller tail cut (_parity_product). _fold
+builds each kernel inside its own output G: E in G[:S, :S] and O in
+G[:S, S:], from phased rows held in G's lower half, then scales and
+interleaves E +- O a block of levels at a time from the last block down,
+each block copying its E and O rows before it writes window rows that
+hold only levels at or past its own. So a fold's working set is the
+kernel plus one block of levels.
 evolve() applies the same split to a vector in O(N S) without forming
 any kernel. Only the kernels report the completeness tail (the largest
 qhermite._completeness) and s_match (fock._count_s_match: Sturm counts
@@ -99,24 +104,28 @@ def _certificate(ctx: DeformationContext) -> tuple[float, int]:
     return tail, _count_s_match(build_Q(ctx), ctx)
 
 
-def _parity_product(A: np.ndarray, ph: np.ndarray,
-                    tail_start: np.ndarray, p: int) -> np.ndarray:
-    """A^T diag(ph) A for the parity-p rows A = half[p::2], one block row
-    of levels I = [i0, i1) at a time.
+def _parity_product(A: np.ndarray, ph: np.ndarray, tail_start: np.ndarray,
+                    p: int, out: np.ndarray, buf: np.ndarray) -> None:
+    """Write A^T diag(ph) A into out (S x S complex, its rows may be
+    strided) for the parity-p rows A = half[p::2], one block row of levels
+    I = [i0, i1) at a time.
 
     Row j of A is degree 2j + p, exact zero at every level of I from the
     block's largest tail_start t on, so only the first (t - p + 1) // 2
-    rows enter block row I. Its columns from i0 on come from one real
-    product on the interleaved (re, im) columns of ph A, written straight
-    into the result; the product is complex symmetric, so the blocks left
-    of the diagonal are the transposes of those above it, and each
-    diagonal block mirrors its own upper triangle. Any tail_start is
-    correct; a monotone one (the meet rule's) is what makes the later
-    block rows cheap.
+    rows enter block row I. The phased rows ph A that any block reads are
+    formed in buf, a flat complex array at least that many rows of S long.
+    Block row I's columns from i0 on come from one real product on their
+    interleaved (re, im) columns, written straight into out; the product
+    is complex symmetric, so the blocks left of the diagonal are the
+    transposes of those above it, and each diagonal block mirrors its own
+    upper triangle. Any tail_start is correct; a monotone one (the meet
+    rule's) is what makes the later block rows cheap.
     """
     S = A.shape[1]
-    Z = (ph[:, None] * A).view(float)
-    out = np.empty((S, S), dtype=complex)
+    k = (int(tail_start.max()) - p + 1) // 2
+    Z = buf[:k * S].reshape(k, S)
+    np.multiply(ph[:k, None], A[:k], out=Z)
+    Z = Z.view(float)
     for i0 in range(0, S, _FOLD_BLOCK):
         i1 = min(i0 + _FOLD_BLOCK, S)
         k = (int(tail_start[i0:i1].max()) - p + 1) // 2
@@ -125,33 +134,45 @@ def _parity_product(A: np.ndarray, ph: np.ndarray,
         out[i1:, i0:i1] = out[i0:i1, i1:].T
         D = out[i0:i1, i0:i1]
         np.copyto(D, D.T, where=_BELOW[:i1 - i0, :i1 - i0])
-    return out
 
 
 def _fold(tau: float, ctx: DeformationContext, scale) -> np.ndarray:
     """scale * A^T diag(e^{i n tau}) A on the interleaved window, by parity.
 
     E and O are the sums over even and odd n on the half table, each
-    complex symmetric and formed by _parity_product on the rows before
-    the Miller tail cut; sites of equal sign get E + O, opposite signs
+    complex symmetric; sites of equal sign get E + O, opposite signs
     E - O. scale(w, rows) gives the rows of the level-pair factor, shared
-    by all four blocks. Both sums, their scaling and the stride-2
-    interleave run _FOLD_ROWS levels at a time, so no S x S temporary is
-    formed. scale stays the left operand: for a complex scale,
+    by all four blocks; it stays the left operand: for a complex scale,
     E + O times scale differs from scale times E + O in the last bit.
+
+    The result G is allocated first and the large work runs inside it.
+    _parity_product forms E in G[:S, :S] and O in G[:S, S:] from phased
+    rows held in G's lower half G[S:] (2 S^2 entries; a window whose
+    (max(tail_start) + 1) // 2 phased rows of S do not fit there gets an
+    array of its own). The scaling and stride-2 interleave then run
+    _FOLD_ROWS levels at a time from the last block down: block [r0, r1)
+    copies its E and O rows (contiguous, so no ufunc buffers a strided
+    read) before it writes window rows [2 r0, 2 r1). Those rows hold the
+    E and O rows of levels 2 r0 on, all at or past r0, so read by this
+    block or by a later one, already assembled. The fold's working set is
+    its output plus one block.
     """
     half, tail_start = _half_table(ctx)
-    phases = np.exp(1j * tau * np.arange(half.shape[0]))
-    E, O = (_parity_product(half[p::2], phases[p::2], tail_start, p)
-            for p in (0, 1))
     w, S = _weights(ctx), half.shape[1]
+    phases = np.exp(1j * tau * np.arange(half.shape[0]))
     G = np.empty((2 * S, 2 * S), dtype=complex)
+    lower = G[S:].reshape(-1)
+    need = (int(tail_start.max()) + 1) // 2 * S
+    buf = lower if need <= lower.size else np.empty(need, dtype=complex)
+    E, O = G[:S, :S], G[:S, S:]
+    for p, out in enumerate((E, O)):
+        _parity_product(half[p::2], phases[p::2], tail_start, p, out, buf)
     sites = G.reshape(S, 2, S, 2)  # [level, sign, level, sign]
-    for r0 in range(0, S, _FOLD_ROWS):
+    for r0 in reversed(range(0, S, _FOLD_ROWS)):
         rows = slice(r0, r0 + _FOLD_ROWS)
-        s = scale(w, rows)
-        sites[rows, 0, :, 0] = sites[rows, 1, :, 1] = s * (E[rows] + O[rows])
-        sites[rows, 0, :, 1] = sites[rows, 1, :, 0] = s * (E[rows] - O[rows])
+        s, e, o = scale(w, rows), E[rows].copy(), O[rows].copy()
+        sites[rows, 0, :, 0] = sites[rows, 1, :, 1] = s * (e + o)
+        sites[rows, 0, :, 1] = sites[rows, 1, :, 0] = s * (e - o)
     return G
 
 

@@ -43,7 +43,9 @@ The three bulk CSV loaders (mode table, lattice function, kernel) read
 this grammar, and raise ValidationError on anything else:
 
     file     = [meta] header {blank} row {row | blank}
-    meta     = "# " key=value {" " key=value} newline   (kernel only)
+    meta     = "# " key=value {" " key=value} newline   (kernel only);
+               a numeric value is a cell of its type (below), with no
+               whitespace around it
     header   = the column names above, comma-separated, exactly, newline
     row      = cell {"," cell} newline, one cell per column (the file's
                last newline may be left out)
@@ -70,6 +72,7 @@ import csv
 import json
 import math
 import os
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -312,6 +315,18 @@ def _scalar(doc: dict, key: str, typ: type):
     if typ is float:
         return float(_numbers(doc[key], (), key))
     return typ(_typed(doc[key], "b" if typ is bool else "i", key, ()))
+
+
+def _meta(meta: dict, key: str, typ: type):
+    """meta[key], text of the kernel CSV metadata line, as typ by the cell
+    grammar: an int is ASCII digits with an optional sign; a float is what
+    float() reads, with no '_' and only ASCII digits; or ValidationError."""
+    text = meta[key]
+    if not (re.fullmatch(r"[+-]?[0-9]+", text) if typ is int
+            else text.isascii() and "_" not in text):
+        raise ValidationError(f"kernel CSV metadata {key}={text!r} is not "
+                              f"{'an integer' if typ is int else 'a float'}")
+    return typ(text)
 
 
 def _site(sign, s) -> np.ndarray:
@@ -600,9 +615,9 @@ def load_kernel(path: str, fmt: Optional[str] = None,
                 k = _kernel(doc, _from_arrays(doc, (size, size)))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
-            _check_schema(int(meta["schema_version"]))
-            k = _kernel(meta, _placed(rows, 2 * int(meta["lattice_depth"])),
-                        lambda m, key, typ: typ(m[key]))  # CSV text
+            _check_schema(_meta(meta, "schema_version", int))
+            k = _kernel(meta, _placed(rows, 2 * _meta(meta, "lattice_depth",
+                                                      int)), _meta)
     _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
     return k
 
@@ -631,13 +646,19 @@ def write_spectrum_report(rep: SpectrumReport, path: str,
 
 def load_spectrum_report(path: str) -> SpectrumReport:
     with _read_json(path, "spectrum_report") as doc:
+        depth = _scalar(doc, "lattice_depth", int)
         matched = [MatchedLevel(_scalar(m, "sign", int), _scalar(m, "s", int),
                                 _scalar(m, "lambda", float), _scalar(m, "error", float))
                    for m in doc["matched"]]
+        for m in matched:
+            if m.sign not in (1, -1) or not 0 <= m.s < depth:
+                raise ValidationError(
+                    f"matched level (sign={m.sign}, s={m.s}) is not a site "
+                    f"of the window at lattice_depth {depth}")
         rest = doc["unmatched"]
         return SpectrumReport(q=_scalar(doc, "q", float),
                               fock_dim=_scalar(doc, "fock_dim", int),
-                              lattice_depth=_scalar(doc, "lattice_depth", int),
+                              lattice_depth=depth,
                               match_tol=_scalar(doc, "match_tol", float),
                               matched=matched, unmatched=_numbers(
                                   rest, (len(rest),), "unmatched").tolist(),

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,9 @@ from click.testing import CliRunner
 
 import qosc
 from qosc import (DeformationContext, ValidationError, build_mode_table,
-                  forward_rows, rescaled_mode)
+                  forward_rows, fractional_ft, rescaled_mode)
+from qosc.evolution import _certificate
+from qosc.qhermite import _half_table, _weights
 from qosc.cli import (ENTRY_BYTES, MAX_WORK_BYTES, _check_size,
                        _spectrum_bytes, main)
 from qosc.serialize import (load_lattice_function, load_mode_table,
@@ -194,6 +197,23 @@ def test_size_cap_boundary():
     _check_size(ctx, at)
     with pytest.raises(ValidationError, match="cap"):
         _check_size(ctx, at + 1)
+
+
+@pytest.mark.parametrize("q, S, N", [(0.95, 256, 640), (0.95, 200, 1000)])
+def test_kernel_charge_covers_a_kernel_built_from_empty_caches(q, S, N):
+    # the fold's work arrays live inside the kernel, so building one from
+    # scratch (weights, half table, certificate and fold) peaks within
+    # what the kernel command is charged for
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    for cached in (_weights, _half_table, _certificate):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        fractional_ft(1.5707963, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (2 * S) ** 2 + 8 * N * S + ENTRY_BYTES * (N + S)
 
 
 def test_vector_commands_run_past_the_kernel_cap(runner, tmp_path):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   periodicity_residual, phase_map_residual, rescale,
                   rescaled_mode, spectrum_report, standard_inner,
                   unitarity_residual, unrescale)
-from qosc.evolution import _FOLD_BLOCK, _certificate, _parity_product
+from qosc.evolution import (_FOLD_BLOCK, _FOLD_ROWS, _certificate,
+                            _parity_product)
 from qosc.qhermite import (_half_table, _weights, build_mode_table,
                            lattice_weight_window, norm_c_window)
 
@@ -217,6 +219,16 @@ _FOLD_SIZES = [(0.5, 1, 1), (0.5, 5, 1), (0.5, 1, 7), (0.5, 30, 80),
 _FOLD_TAUS = [0.0, math.pi / 2, 2 * math.pi, -1.3]
 
 
+def _product(A, ph, tail_start, p):
+    """_parity_product into a row-strided S x S view, as _fold lays E and
+    O side by side, with a phased-row buffer of every row of A."""
+    S = A.shape[1]
+    out = np.empty((S, 2 * S), dtype=complex)[:, p * S:(p + 1) * S]
+    buf = np.empty(A.shape[0] * S, dtype=complex)
+    _parity_product(A, ph, tail_start, p, out, buf)
+    return out
+
+
 def _unblocked(ctx, tau):
     """The parity products A^T diag(e^{i n tau}) A, A = half[p::2], as one
     complex product each."""
@@ -237,7 +249,7 @@ def test_parity_products_are_symmetric_within_the_summation_bound(
     half, tail_start = _half_table(ctx)
     phases = np.exp(1j * tau * np.arange(N))
     for p, want in enumerate(_unblocked(ctx, tau)):
-        got = _parity_product(half[p::2], phases[p::2], tail_start, p)
+        got = _product(half[p::2], phases[p::2], tail_start, p)
         assert np.array_equal(_bits(got), _bits(got.T))
         size = np.abs(half[p::2]).T @ np.abs(half[p::2])
         assert np.all(np.abs(got - want) <= 1e-13 * size)
@@ -251,7 +263,7 @@ def test_blocked_fold_matches_the_unblocked_product(q, S, N, tau):
     phases = np.exp(1j * tau * np.arange(N))
     E, O = _unblocked(ctx, tau)
     for p, want in enumerate((E, O)):
-        got = _parity_product(half[p::2], phases[p::2], tail_start, p)
+        got = _product(half[p::2], phases[p::2], tail_start, p)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     w = _weights(ctx)
     for make, scale in (
@@ -277,14 +289,29 @@ def test_blocked_fold_reads_every_tail_start_of_a_block():
     assert ts[3] > ts[_FOLD_BLOCK - 1] < 320
     ph = np.exp(0.4j * np.arange(320))
     for p in (0, 1):
-        got = _parity_product(A[p::2], ph[p::2], ts, p)
+        got = _product(A[p::2], ph[p::2], ts, p)
         want = A[p::2].T @ (ph[p::2, None] * A[p::2])
         size = np.abs(A[p::2]).T @ np.abs(A[p::2])
         assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
+def _phased_rows_fit(ctx):
+    # _fold forms the phased rows in G's lower half (2 S^2 entries) when
+    # the (max(tail_start) + 1) // 2 rows of S that any block reads fit
+    rows = (int(_half_table(ctx)[1].max()) + 1) // 2
+    return rows <= 2 * ctx.lattice_depth
+
+
+def test_fold_cases_cover_both_phased_row_buffers():
+    for q, S, N, fits in ((0.95, 131, 321, True), (0.95, 24, 120, False),
+                          (0.5, 1, 7, False)):
+        ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+        assert _phased_rows_fit(ctx) == fits
+
+
 @pytest.mark.parametrize("tau", [0.7, -1.3])
-@pytest.mark.parametrize("S, N", [(1, 1), (5, 13), (33, 80), (131, 321)])
+@pytest.mark.parametrize("S, N", [(1, 1), (5, 13), (24, 120), (33, 80),
+                                  (131, 321)])
 def test_fold_is_the_interleave_of_the_scaled_parity_sums(S, N, tau):
     # _fold scales and interleaves E +- O a few levels at a time, on
     # windows that are no multiple of that block; the bits are those of
@@ -293,7 +320,7 @@ def test_fold_is_the_interleave_of_the_scaled_parity_sums(S, N, tau):
     ctx = DeformationContext(q=0.95, lattice_depth=S, fock_dim=N)
     half, tail_start = _half_table(ctx)
     phases = np.exp(1j * tau * np.arange(N))
-    E, O = (_parity_product(half[p::2], phases[p::2], tail_start, p)
+    E, O = (_product(half[p::2], phases[p::2], tail_start, p)
             for p in (0, 1))
     w = _weights(ctx)
     for make, scale in (
@@ -304,6 +331,23 @@ def test_fold_is_the_interleave_of_the_scaled_parity_sums(S, N, tau):
         want[0::2, 0::2] = want[1::2, 1::2] = scale * (E + O)
         want[0::2, 1::2] = want[1::2, 0::2] = scale * (E - O)
         assert np.array_equal(_bits(make(tau, ctx).matrix), _bits(want))
+
+
+@pytest.mark.parametrize("q, S, N", [(0.95, 256, 640), (0.95, 800, 1600)])
+def test_fold_peak_is_its_output_plus_one_block(q, S, N):
+    # E, O and the phased rows live inside the kernel; beyond it a fold
+    # holds one _FOLD_ROWS block: copies of its E and O rows, their sum,
+    # its scaled copy, the scale and a ufunc cast buffer (8192 entries at
+    # most), under six blocks of complex entries in all
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    fractional_ft(0.7, ctx)  # every cache filled before tracing starts
+    tracemalloc.start()
+    try:
+        k = fractional_ft(-1.3, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= k.matrix.nbytes + 6 * 16 * _FOLD_ROWS * S
 
 
 @pytest.mark.parametrize("change", ["tau", "q", "n_max", "lattice_depth"])

@@ -474,6 +474,23 @@ def _edited_x(rows):
                  id="spectrum-json-list-max-error"),
     pytest.param("spectrum_report", "json", _set("unmatched", ["0.1"]),
                  id="spectrum-json-string-unmatched"),
+    # a matched level off the window
+    pytest.param("spectrum_report", "json", _set("matched", 0, "sign", 5),
+                 id="spectrum-json-sign-5"),
+    pytest.param("spectrum_report", "json", _doc(lambda d: d["matched"][1]
+                                                 .update(s=d["lattice_depth"])),
+                 id="spectrum-json-level-past-the-window"),
+    # the metadata line's numbers follow the cell grammar
+    pytest.param("kernel", "csv", lambda text: text.replace("n_max=20",
+                                                            "n_max=2_0"),
+                 id="kernel-csv-underscore-in-metadata"),
+    pytest.param("kernel", "csv", lambda text: text.replace("q=0.5 ",
+                                                            "q=0.5_0 "),
+                 id="kernel-csv-underscore-in-metadata-float"),
+    pytest.param("kernel", "csv",
+                 lambda text: text.replace("schema_version=2",
+                                           "schema_version=\u0662"),
+                 id="kernel-csv-non-ascii-digit-in-schema"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"
