@@ -25,9 +25,9 @@ so it is the digest most sensitive to summation and operand order. One
 more CSV kernel runs at q = 0.95, S = 24, N = 120, a window so shallow
 that the phased rows its fold reads do not fit in the kernel's lower
 half and get an array of their own (every other kernel here builds them
-inside the kernel). Two polynomial tables run at q = 0.5, N = 64: hermite --grid -1:1:0.02 as
-CSV (its values reach 1.3e292) and hermite --family hermite at S = 128
-as JSON.
+inside the kernel). Two polynomial tables run at q = 0.5, N = 64:
+hermite --grid -1:1:0.02 as CSV (its values reach 1.3e292) and hermite
+--family hermite at S = 128 as JSON.
 
 Each command runs in a fresh temporary directory, as a subprocess that
 imports qosc from --src (default: this checkout's src/) with BLAS pinned

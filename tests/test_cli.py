@@ -12,10 +12,10 @@ from click.testing import CliRunner
 import qosc
 from qosc import (DeformationContext, ValidationError, build_mode_table,
                   forward_rows, fractional_ft, rescaled_mode)
-from qosc.evolution import _certificate
-from qosc.qhermite import _half_table, _weights
 from qosc.cli import (ENTRY_BYTES, MAX_WORK_BYTES, _check_size,
                        _spectrum_bytes, main)
+from qosc.evolution import _certificate
+from qosc.qhermite import _half_table, _weights
 from qosc.serialize import (load_lattice_function, load_mode_table,
                             write_lattice_function)
 
