@@ -20,12 +20,10 @@ n splits into an even part E and an odd part O on the half window: sites
 of equal sign get E + O, sites of opposite sign E - O. E and O are
 complex symmetric; each is formed a block row of levels at a time from
 the degrees before the block's Miller tail cut (_parity_product). _fold
-builds each kernel inside its own output G: E in G[:S, :S] and O in
-G[:S, S:], from phased rows held in G's lower half, then scales and
+builds each kernel inside its own output (E and O in its upper half, the
+phased rows they are summed from in its lower half), then scales and
 interleaves E +- O a block of levels at a time from the last block down,
-each block copying its E and O rows before it writes window rows that
-hold only levels at or past its own. So a fold's working set is the
-kernel plus one block of levels.
+so a fold holds the kernel plus one block of levels.
 evolve() applies the same split to a vector in O(N S) without forming
 any kernel. Only the kernels report the completeness tail (the largest
 qhermite._completeness) and s_match (fock._count_s_match: Sturm counts

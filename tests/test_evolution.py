@@ -295,18 +295,14 @@ def test_blocked_fold_reads_every_tail_start_of_a_block():
         assert np.all(np.abs(got - want) <= 1e-13 * size)
 
 
-def _phased_rows_fit(ctx):
-    # _fold forms the phased rows in G's lower half (2 S^2 entries) when
-    # the (max(tail_start) + 1) // 2 rows of S that any block reads fit
-    rows = (int(_half_table(ctx)[1].max()) + 1) // 2
-    return rows <= 2 * ctx.lattice_depth
-
-
 def test_fold_cases_cover_both_phased_row_buffers():
+    # _fold forms the phased rows in G's lower half (2 S^2 entries) when
+    # the (max(tail_start) + 1) // 2 rows of S that any block reads fit;
     # the bitwise cases below take each path
     for S, N, fits in ((131, 321, True), (24, 120, False)):
         ctx = DeformationContext(q=0.95, lattice_depth=S, fock_dim=N)
-        assert _phased_rows_fit(ctx) == fits
+        rows = (int(_half_table(ctx)[1].max()) + 1) // 2
+        assert (rows <= 2 * S) == fits
 
 
 @pytest.mark.parametrize("tau", [0.7, -1.3])
