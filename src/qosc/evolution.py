@@ -152,8 +152,8 @@ def _fold(tau: float, ctx: DeformationContext, scale) -> np.ndarray:
     copies its E and O rows (contiguous, so no ufunc buffers a strided
     read) before it writes window rows [2 r0, 2 r1). Those rows hold the
     E and O rows of levels 2 r0 on, all at or past r0, so read by this
-    block or by a later one, already assembled. The fold's working set is
-    its output plus one block.
+    block or by a block of higher levels, which the descending loop has
+    already assembled. The fold's working set is its output plus one block.
     """
     half, tail_start = _half_table(ctx)
     w, S = _weights(ctx), half.shape[1]
