@@ -57,7 +57,8 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # (n - 2s)^2 ln(1/q) / 4. The backward sweep keeps w = tail_width(q)
 # degrees past each column's meet and starts 2w + 8 past it.
 _BAND_LOG = 50.7
-_SCAN_BLOCK = _WEIGHT_CHUNK = 1 << 17  # entries: ~1 MB temporaries at any size
+_SCAN_BLOCK = 1 << 17  # entries: 1 MB per float block at any size
+_WEIGHT_CHUNK = 1 << 15  # entries: _weights' four live chunk arrays, ~0.8 MB
 
 
 @dataclass(frozen=True)

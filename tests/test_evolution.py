@@ -9,7 +9,7 @@ import pytest
 
 from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
                   DomainError, EvolutionKernel, KindMismatch, LatticeFunction,
-                  NotRescaled, ValidationError, build_Q, evolve,
+                  NoConvergence, NotRescaled, ValidationError, build_Q, evolve,
                   fractional_ft, group_law_residual,
                   heisenberg_rotation_check, identity_residual,
                   intertwine_residual, inverse_residual, kernel_K,
@@ -20,7 +20,7 @@ from qosc import (AlreadyRescaled, DeformationContext, DimensionMismatch,
 from qosc.evolution import (_FOLD_BLOCK, _FOLD_ROWS, _certificate,
                             _parity_product)
 from qosc.qhermite import (_half_table, _weights, build_mode_table,
-                           lattice_weight_window, norm_c_window)
+                           lattice_weight_window, norm_c_window, window_values)
 
 
 @pytest.fixture
@@ -60,11 +60,38 @@ def test_quarter_turn_phases(ectx):
 
 
 def test_quarter_turn_reaches_momentum_realization(ectx):
-    assert intertwine_residual(ectx, seed=0) < 1e-7
+    assert intertwine_residual(ectx) < 1e-7
 
 
 def test_norm_drift(ectx):
-    assert norm_drift_max(ectx, n_draws=30, seed=0) < 1e-7
+    assert norm_drift_max(ectx) < 1e-7
+
+
+def test_band_sups_bound_every_drawn_state(ectx):
+    # the random states the sups replaced: none exceeds its band's sup
+    rng = np.random.default_rng(5)
+    core, absx = 2 * ectx.lattice_depth, np.abs(window_values(ectx))
+    deep = replace(ectx, lattice_depth=70, fock_dim=164)  # 40 levels deeper
+    sup_drift, sup_defect = norm_drift_max(ectx), intertwine_residual(ectx)
+    for _ in range(20):
+        b = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        F = sum(b[n] * rescaled_mode(n, ectx).values for n in range(10))
+        G = evolve(LatticeFunction("position", F, rescaled=True), 1.0, ectx)
+        n0, n1 = np.sum(absx * np.abs(F) ** 2), np.sum(absx * np.abs(G.values) ** 2)
+        assert abs(n1 - n0) / n0 <= sup_drift * (1 + 1e-6)
+        F = sum(b[n] * rescaled_mode(n, deep).values for n in range(12))
+        mom = sum(b[n] * 1j ** n * rescaled_mode(n, deep).values for n in range(12))
+        evolved = evolve(LatticeFunction("position", F, rescaled=True),
+                         math.pi / 2, deep).values
+        defect = np.max(np.abs(evolved - mom)[:core])
+        assert defect <= sup_defect * np.linalg.norm(b) * (1 + 1e-6)
+
+
+def test_norm_drift_raises_when_the_band_gram_does_not_factor(monkeypatch, ectx):
+    monkeypatch.setattr("qosc.evolution._rescaled_modes",
+                        lambda n, ctx: np.zeros((len(n), 2 * ctx.lattice_depth)))
+    with pytest.raises(NoConvergence):
+        norm_drift_max(ectx)
 
 
 @pytest.mark.parametrize("tau", [math.pi / 6, math.pi / 2, math.pi])

@@ -1,6 +1,14 @@
+import importlib.util
 import inspect
+import json
 import types
+from dataclasses import replace
+from pathlib import Path
 
+import pytest
+
+import qosc.evolution as evolution
+import qosc.qhermite as qhermite
 import qosc.verify as verify
 
 
@@ -27,3 +35,59 @@ def test_every_check_body_is_reachable():
                 seen.add(name)
                 todo.append(bodies[name])
     assert sorted(set(bodies) - seen) == []
+
+
+def test_battery_reads_no_seed():
+    # no check draws random states: two seeds give the same report
+    a, b = verify.run_verification(seed=3), verify.run_verification(seed=4)
+    assert (a.seed, b.seed) == (3, 4)
+    assert ([replace(c, runtime_s=0.0) for c in a.checks]
+            == [replace(c, runtime_s=0.0) for c in b.checks])
+
+
+def _scaled_apply(monkeypatch):
+    real = evolution._apply
+    monkeypatch.setattr(evolution, "_apply",
+                        lambda tau, F, ctx: real(tau, F, ctx) * (1 + 1e-6))
+
+
+def _scaled_c2(monkeypatch):
+    real = qhermite._weights
+
+    def bent(ctx):
+        w = real(ctx)
+        c = w.c.copy()
+        c[2] *= 1 + 1e-6
+        return w._replace(c=c)
+    monkeypatch.setattr(qhermite, "_weights", bent)
+
+
+@pytest.mark.parametrize("mutate, check", [
+    (_scaled_apply, verify._evolve_intertwine),
+    (_scaled_apply, verify._evolve_drift),
+    (_scaled_c2, verify._parseval),
+])
+def test_band_sup_families_fail_under_a_1e6_mutation(monkeypatch, mutate, check):
+    residual, tol, _ = check(0.5)
+    assert residual <= tol
+    mutate(monkeypatch)
+    residual, tol, _ = check(0.5)
+    assert residual > tol
+
+
+def test_benchmark_lists_every_family_and_traced_name():
+    # perfbench's traced run refuses a verify.<family>.s metric that
+    # BENCHMARK.json does not list, and traces the LAYERS names by lookup
+    root = Path(__file__).resolve().parent.parent
+    listed = {m["name"] for m in
+              json.loads((root / "BENCHMARK.json").read_text())["per_layer"]}
+    families = {name.split("[")[0] for name, _ in verify.default_checks(0)}
+    assert sorted(f for f in families if f"verify.{f}.s" not in listed) == []
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.LAYERS.values()
+               for name in names
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
