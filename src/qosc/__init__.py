@@ -22,8 +22,7 @@ from .fock import (MatchedLevel, SpectrumReport, TridiagonalOperator,
 from .hilbert import (LatticeFunction, ModeExpansion, WavefunctionQuery,
                       apply_H, apply_P, apply_Q, decompose, fock_to_lattice,
                       lattice_inner, mode_function, normalized_eigenfunction,
-                      phi_eval, phi_product_residuals, psi_eval,
-                      q_difference_P_oracle)
+                      phi_eval, psi_eval, q_difference_P_oracle)
 from .qcore import (CoefficientVector, apply_lowering, apply_raising,
                     basis_coeff, coupling, fock_inner, fock_monomial, q_diff,
                     q_number, qpoch, qpoch_inf, scale_op)

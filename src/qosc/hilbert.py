@@ -19,16 +19,14 @@ The generating-function wavefunctions are
     phi_p(y) = psi_p(i y) = (-y^2; q^2)_inf / (i p y; q)_inf
 
 for |y| < 1: the momentum form twists h_n by i^n, which is the position
-form at i y. phi_product_residuals measures that numerator against the
-two other candidates in circulation; only (-y^2; q^2)_inf matches the
-series.
+form at i y.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -137,30 +135,6 @@ def psi_eval(qry: WavefunctionQuery, ctx: DeformationContext) -> complex:
 def phi_eval(qry: WavefunctionQuery, ctx: DeformationContext) -> complex:
     """Momentum eigenfunction generating value phi_p(y) = psi_p(iy)."""
     return _generating(qry.point.value, 1j * complex(qry.y), qry.mode, ctx)
-
-
-def phi_product_residuals(qry: WavefunctionQuery,
-                          ctx: DeformationContext) -> Dict[str, float]:
-    """|candidate - series| for each closed-form numerator candidate.
-
-    Candidates share the denominator (i p y; q)_inf and differ in the
-    numerator: (y^2; q^2)_inf, (y^2; q)_inf, (-y^2; q^2)_inf. Substituting
-    y -> iy in the position closed form gives the third; the measured
-    residuals confirm it is the one that matches the series.
-    """
-    p = qry.point.value
-    series = _generating(p, 1j * complex(qry.y), "series", ctx)
-    y2 = complex(qry.y) ** 2
-    q2 = ctx.q * ctx.q
-    den = complex(qpoch_inf(1j * p * complex(qry.y), ctx))
-    out: Dict[str, float] = {}
-    for label, num in (
-        ("(y^2;q^2)", qpoch_inf(y2, ctx, base=q2)),
-        ("(y^2;q)", qpoch_inf(y2, ctx)),
-        ("(-y^2;q^2)", qpoch_inf(-y2, ctx, base=q2)),
-    ):
-        out[label] = abs(complex(num) / den - series)
-    return out
 
 
 def normalized_eigenfunction(kind: str, pt: LatticePoint,

@@ -44,8 +44,8 @@ this grammar, and raise ValidationError on anything else:
 
     file     = [meta] header {blank} row {row | blank}
     meta     = "# " key=value {" " key=value} newline   (kernel only);
-               a numeric value is a cell of its type (below), with no
-               whitespace around it
+               no key may appear twice, and a numeric value is a cell of
+               its type (below), with no whitespace around it
     header   = the column names above, comma-separated, exactly, newline
     row      = cell {"," cell} newline, one cell per column (the file's
                last newline may be left out)
@@ -64,6 +64,10 @@ parsed, and at least one row must follow the header. Lines may end in
 '\n' or '\r\n'. Cells are keyed by window site (sign, s), plus degree
 n in mode tables, and placed as in schema-1 JSON. Each x must be its
 site's window value at the q of site (+1, s=1), to a relative 1e-12.
+
+Whatever the format, the q, sizes and tolerance a file records must make
+a DeformationContext, and a kernel's tau must be finite, as when the
+object was built; otherwise the loader raises ValidationError.
 """
 
 from __future__ import annotations
@@ -84,7 +88,7 @@ import numpy as np
 
 from .context import DeformationContext
 from .errors import ValidationError
-from .evolution import EvolutionKernel
+from .evolution import EvolutionKernel, _check_tau
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
 from .qhermite import ModeTable, lattice_window, window_index, window_values
@@ -268,7 +272,10 @@ def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
             line = fh.readline()
             if not line.startswith("# "):
                 raise ValidationError(f"{what} CSV is missing its metadata line")
-            info = dict(tok.partition("=")[::2] for tok in line[2:].split())
+            pairs = [tok.partition("=")[::2] for tok in line[2:].split()]
+            info = dict(pairs)
+            if len(info) != len(pairs):
+                raise ValidationError(f"{what} CSV metadata repeats a key")
         header = ",".join(columns.names)
         if fh.readline().rstrip("\r\n") != header:
             raise ValidationError(f"{what} CSV header is wrong, expected {header}")
@@ -412,18 +419,20 @@ def _csv_q(x: np.ndarray, site: np.ndarray, depth: int) -> Optional[float]:
 
 
 def _check_window(path: str, ctx: Optional[DeformationContext],
-                  q: Optional[float], sites: int,
+                  q: Optional[float], depth: int,
                   fock_dim: Optional[int] = None) -> None:
-    """With ctx, a loaded artifact must lie on ctx's window, or
-    ValidationError: 2 * ctx.lattice_depth sites, written at ctx.q, and
-    ctx.fock_dim degrees where the file records a degree count."""
+    """A loaded artifact's q, depth and degree count (where the file
+    records one) must make a DeformationContext; with ctx, they must be
+    ctx's, so the artifact lies on ctx's window. Else ValidationError.
+    q is None only for a one-level window, which is {+-1} for every q."""
+    DeformationContext(q=0.5 if q is None else q, lattice_depth=depth,
+                       **({} if fock_dim is None else {"fock_dim": fock_dim}))
     if ctx is None:
         return
-    if sites != 2 * ctx.lattice_depth:
+    if depth != ctx.lattice_depth:
         raise ValidationError(
-            f"{path!r} holds {sites} sites, a window of depth "
+            f"{path!r} holds {2 * depth} sites, a window of depth "
             f"{ctx.lattice_depth} needs {2 * ctx.lattice_depth}")
-    # q is None only for a one-level window, which is {+-1} for every q.
     if q is not None and q != ctx.q:
         raise ValidationError(
             f"{path!r} was written at q={q!r}, the context has q={ctx.q!r}")
@@ -493,7 +502,7 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
                     "a position table must hold real values" if is_json else
                     "a momentum table must be read with kind='momentum'"))
         values = values.real
-    _check_window(path, ctx, q, 2 * depth, nmax)
+    _check_window(path, ctx, q, depth, nmax)
     return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,
                      values=values, tail_start=tail_start)
 
@@ -545,7 +554,7 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
         if (flags != flags[0]).any():
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
-    _check_window(path, ctx, q, len(f.values))
+    _check_window(path, ctx, q, len(f.values) // 2)
     return f
 
 
@@ -618,7 +627,8 @@ def load_kernel(path: str, fmt: Optional[str] = None,
             _check_schema(_meta(meta, "schema_version", int))
             k = _kernel(meta, _placed(rows, 2 * _meta(meta, "lattice_depth",
                                                       int)), _meta)
-    _check_window(path, ctx, k.q, 2 * k.lattice_depth, k.n_max)
+    _check_tau(k.tau)
+    _check_window(path, ctx, k.q, k.lattice_depth, k.n_max)
     return k
 
 
@@ -646,7 +656,11 @@ def write_spectrum_report(rep: SpectrumReport, path: str,
 
 def load_spectrum_report(path: str) -> SpectrumReport:
     with _read_json(path, "spectrum_report") as doc:
-        depth = _scalar(doc, "lattice_depth", int)
+        ctx = DeformationContext(q=_scalar(doc, "q", float),
+                                 fock_dim=_scalar(doc, "fock_dim", int),
+                                 lattice_depth=_scalar(doc, "lattice_depth", int),
+                                 match_tol=_scalar(doc, "match_tol", float))
+        depth = ctx.lattice_depth
         matched = [MatchedLevel(_scalar(m, "sign", int), _scalar(m, "s", int),
                                 _scalar(m, "lambda", float), _scalar(m, "error", float))
                    for m in doc["matched"]]
@@ -656,10 +670,8 @@ def load_spectrum_report(path: str) -> SpectrumReport:
                     f"matched level (sign={m.sign}, s={m.s}) is not a site "
                     f"of the window at lattice_depth {depth}")
         rest = doc["unmatched"]
-        return SpectrumReport(q=_scalar(doc, "q", float),
-                              fock_dim=_scalar(doc, "fock_dim", int),
-                              lattice_depth=depth,
-                              match_tol=_scalar(doc, "match_tol", float),
+        return SpectrumReport(q=ctx.q, fock_dim=ctx.fock_dim,
+                              lattice_depth=depth, match_tol=ctx.match_tol,
                               matched=matched, unmatched=_numbers(
                                   rest, (len(rest),), "unmatched").tolist(),
                               s_match=_scalar(doc, "s_match", int),

@@ -9,8 +9,8 @@ from qosc import (CoefficientVector, DeformationContext, DimensionMismatch,
                   apply_P, apply_Q, basis_coeff, coupling, decompose,
                   fock_inner, fock_to_lattice, lattice_inner, lattice_point,
                   mode_function, normalized_eigenfunction, phi_eval,
-                  phi_product_residuals, psi_eval, q_difference_P_oracle,
-                  rescaled_mode, window_values)
+                  psi_eval, q_difference_P_oracle, rescaled_mode,
+                  window_values)
 
 
 def test_lattice_function_kind_guard():
@@ -52,13 +52,8 @@ def test_psi_series_survives_zero_terms(ctx):
     assert a == pytest.approx(b, rel=1e-11)
 
 
-def test_phi_candidate_residuals(ctx):
-    qry = WavefunctionQuery(lattice_point(1, 1, ctx), 0.5, "series")
-    res = phi_product_residuals(qry, ctx)
-    assert res["(-y^2;q^2)"] < 1e-10
-    assert res["(y^2;q^2)"] > 1e-3
-    assert res["(y^2;q)"] > 1e-3
-    # phi_eval's product form is the matching candidate, phi_p(y) = psi_p(iy)
+def test_phi_series_equals_product(ctx):
+    # phi_p(y) = psi_p(iy), so the product is (-y^2; q^2)_inf / (ipy; q)_inf
     for s in (0, 1, 3):
         for sign in (1, -1):
             pt = lattice_point(sign, s, ctx)

@@ -491,6 +491,32 @@ def _edited_x(rows):
                  lambda text: text.replace("schema_version=2",
                                            "schema_version=\u0662"),
                  id="kernel-csv-non-ascii-digit-in-schema"),
+    # a key given twice, which a kernel CSV has no x column to check
+    pytest.param("kernel", "csv", lambda text: text.replace("q=0.5 ",
+                                                            "q=0.5 q=0.25 "),
+                 id="kernel-csv-repeated-metadata-key"),
+    # well-typed values that no DeformationContext holds
+    pytest.param("kernel", "json", _set("q", 1.5), id="kernel-json2-q-above-1"),
+    pytest.param("kernel", "json", _set("q", -0.2),
+                 id="kernel-json2-negative-q"),
+    pytest.param("kernel", "json", _set("q", math.nan), id="kernel-json2-nan-q"),
+    pytest.param("kernel", "json", _set("tau", math.nan),
+                 id="kernel-json2-nan-tau"),
+    pytest.param("kernel", "json", _set("n_max", 0), id="kernel-json2-zero-n-max"),
+    pytest.param("kernel", "csv", lambda text: text.replace("q=0.5 ", "q=1.5 "),
+                 id="kernel-csv-q-above-1"),
+    pytest.param("mode_table", "json", _set("q", 1.5),
+                 id="mode-table-json2-q-above-1"),
+    pytest.param("mode_table", "json", _set("q", math.nan),
+                 id="mode-table-json2-nan-q"),
+    pytest.param("lattice_function", "json", _set("q", 1.5),
+                 id="lattice-function-json2-q-above-1"),
+    pytest.param("lattice_function", "json", _set("q", math.nan),
+                 id="lattice-function-json2-nan-q"),
+    pytest.param("spectrum_report", "json", _set("q", 2.0),
+                 id="spectrum-json-q-above-1"),
+    pytest.param("spectrum_report", "json", _set("fock_dim", -3),
+                 id="spectrum-json-negative-fock-dim"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import qosc.evolution as evolution
+import qosc.hilbert as hilbert
 import qosc.qhermite as qhermite
 import qosc.verify as verify
+from qosc.qcore import qpoch_inf
 
 
 def _names(code: types.CodeType):
@@ -72,6 +74,25 @@ def test_band_sup_families_fail_under_a_1e6_mutation(monkeypatch, mutate, check)
     assert residual <= tol
     mutate(monkeypatch)
     residual, tol, _ = check(0.5)
+    assert residual > tol
+
+
+@pytest.mark.parametrize("base", [lambda q: q * q, lambda q: q],
+                         ids=["(y^2;q^2)", "(y^2;q)"])
+def test_psi_closed_form_fails_under_the_retired_numerators(monkeypatch, base):
+    # with z = iy, the momentum numerators (y^2; q^2)_inf and (y^2; q)_inf
+    # that phi's closed form rules out are (-z^2; q^2)_inf and (-z^2; q)_inf
+    real = hilbert._generating
+
+    def bent(x, z, mode, ctx):
+        if mode == "series":
+            return real(x, z, mode, ctx)
+        num = qpoch_inf(-z * z, ctx, base=base(ctx.q))
+        return complex(num) / complex(qpoch_inf(x * z, ctx))
+    residual, tol, _ = verify._psi_closed_form()
+    assert residual <= tol == 1e-10
+    monkeypatch.setattr(hilbert, "_generating", bent)
+    residual, tol, _ = verify._psi_closed_form()
     assert residual > tol
 
 
