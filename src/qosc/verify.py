@@ -242,7 +242,8 @@ def _norm_c_ratio(q: float):
 
 
 def _psi_closed_form():
-    # the phi cases keep phi_eval's own factor i in the battery
+    # phi_eval's series and product both see its factor i, so its cases
+    # check phi's closed form, not that factor
     worst = 0.0
     for q in (0.3, 0.5, 0.8):
         ctx = _ctx(q)

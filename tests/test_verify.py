@@ -78,7 +78,7 @@ def test_band_sup_families_fail_under_a_1e6_mutation(monkeypatch, mutate, check)
 
 
 @pytest.mark.parametrize("base", [lambda q: q * q, lambda q: q],
-                         ids=["(y^2;q^2)", "(y^2;q)"])
+                         ids=["y2-base-q2", "y2-base-q"])
 def test_psi_closed_form_fails_under_the_retired_numerators(monkeypatch, base):
     # with z = iy, the momentum numerators (y^2; q^2)_inf and (y^2; q)_inf
     # that phi's closed form rules out are (-z^2; q^2)_inf and (-z^2; q)_inf
