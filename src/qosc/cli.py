@@ -21,8 +21,8 @@ from .context import DeformationContext
 from .errors import DomainError, QoscError, ValidationError
 from .evolution import evolve, fractional_ft, kernel_K, rescale
 from .fock import build_Q, spectrum_report
-from .qhermite import build_mode_table, forward_rows, lattice_window
-from .serialize import (load_lattice_function, write_kernel,
+from .qhermite import build_mode_table, forward_rows
+from .serialize import (_sites, load_lattice_function, write_kernel,
                         write_lattice_function, write_mode_table,
                         write_polynomial_table, write_spectrum_report,
                         write_verify_report)
@@ -229,7 +229,7 @@ def hermite(fmt, out, config, n_max, grid, family, **flags):
             f"the table would exceed {MAX_TABLE_ROWS} rows; lower --n-max, "
             f"the grid size or --lattice-depth")
     if grid is None:
-        sites = [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
+        sites = _sites(ctx.q, ctx.lattice_depth)
     else:
         sites = [("", "", start + k * step) for k in range(count)]
     xs = np.array([x for _, _, x in sites])

@@ -138,15 +138,19 @@ def q_diff(f: CoefficientVector, ctx: DeformationContext) -> CoefficientVector:
     return CoefficientVector(f.coeffs[1:] * q_number(n, ctx))
 
 
+def _basis_coeffs(m: int, q: float) -> list:
+    """c_0 .. c_{m-1} by the stable running recurrence from c_0 = 1."""
+    c = [1.0]
+    for k in range(m - 1):
+        c.append(c[-1] * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1)))
+    return c[:m]
+
+
 def basis_coeff(n: int, ctx: DeformationContext) -> float:
     """c_n by the stable running recurrence from c_0 = 1."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise IndexOutOfRange(f"basis degree must be a non-negative int, got {n!r}")
-    q = ctx.q
-    c = 1.0
-    for k in range(int(n)):
-        c = c * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1))
-    return c
+    return _basis_coeffs(int(n) + 1, ctx.q)[-1]
 
 
 def basis_coeff_direct(n: int, ctx: DeformationContext) -> float:
@@ -178,10 +182,8 @@ def _b_space(f: CoefficientVector, ctx: DeformationContext) -> np.ndarray:
     Dividing slotwise by a running c_n avoids forming 1 / c_n^2, which
     overflows long before b itself does.
     """
-    q = ctx.q
     out = np.empty(len(f), dtype=complex)
-    c = 1.0
-    for k in range(len(f)):
+    for k, c in enumerate(_basis_coeffs(len(f), ctx.q)):
         if c < 1e-290:
             # c_n has underflowed; any mass left this deep is unrecoverable
             if abs(f.coeffs[k]) != 0.0:
@@ -191,7 +193,6 @@ def _b_space(f: CoefficientVector, ctx: DeformationContext) -> np.ndarray:
             out[k] = 0.0
         else:
             out[k] = f.coeffs[k] / c
-        c = c * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1))
     return out
 
 

@@ -21,15 +21,16 @@ the lattice tail.
 
 This module owns the window: window_values defines its abscissas, and two
 read-only per-context caches hold the rest. _weights holds every weight
-the package reads, with qpoch_inf's bits. _half_table holds p_n(+q^s);
-every window table is its parity mirror (_modes). The forward recurrence
-is unstable past the turning point n > 2s, so each column's decaying tail
-is re-filled by backward (Miller) recurrence from its meet, the first n
-past the peak of a_n with 2 a_n < |x| (_p_matrix), in one sweep over all
-flagged columns, indexed by the degree relative to each meet: every entry
-sees the same operations as a column run alone. forward_rows runs the
-plain forward recurrence over degrees 0..n at any abscissas, for shallow
-degrees. _completeness sums the half table's squares per level.
+the package reads, from one qpoch_inf product and the exact level ratio.
+_half_table holds p_n(+q^s); every window table is its parity mirror
+(_modes). The forward recurrence is unstable past the turning point
+n > 2s, so each column's decaying tail is re-filled by backward (Miller)
+recurrence from its meet, the first n past the peak of a_n with
+2 a_n < |x| (_p_matrix), in one sweep over all flagged columns, indexed
+by the degree relative to each meet: every entry sees the same
+operations as a column run alone. forward_rows runs the plain forward
+recurrence over degrees 0..n at any abscissas, for shallow degrees.
+_completeness sums the half table's squares per level.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 # degrees past each column's meet and starts 2w + 8 past it.
 _BAND_LOG = 50.7
 _SCAN_BLOCK = 1 << 17  # entries: 1 MB per float block at any size
-_WEIGHT_CHUNK = 1 << 15  # entries: _weights' four live chunk arrays, ~0.8 MB
 
 
 @dataclass(frozen=True)
@@ -227,28 +227,22 @@ class Weights(NamedTuple):
 
 @lru_cache(maxsize=4)
 def _weights(ctx: DeformationContext) -> Weights:
-    """Every level's weights, computed once per context: w_s multiplies
-    qpoch_inf's factors 1 - q^{2s+2} q^{2k}, formed and ordered as there
-    (q^{2k} by repeated products, 1.0 past tail_tol), a chunk of levels
-    at a time. The prefactor and w_0, the smallest w_s, must be finite
+    """Every level's weights, computed once per context: the deepest,
+    w_{S-1} = (q^{2S}; q^2)_inf, is one qpoch_inf call, and each
+    shallower level follows by the exact ratio w_s = (1 - q^{2s+2})
+    w_{s+1}. The prefactor and w_0, the smallest w_s, must be finite
     positive normal floats (from q ~ 0.998 on they are not), or
     DomainError is raised. c_s may underflow to 0 on deep levels.
     """
-    q, q2, tiny, tol = ctx.q, ctx.q * ctx.q, sys.float_info.min, ctx.tail_tol
+    q, q2, tiny, S = ctx.q, ctx.q * ctx.q, sys.float_info.min, ctx.lattice_depth
     pq = float(qpoch_inf(q, ctx))
     mq = float(qpoch_inf(-q, ctx))
     pref = 2.0 * pq * (mq * mq)
     if not (math.isfinite(pref) and pref >= tiny):
         raise DomainError(f"weight prefactor {pref!r} outside double range at q={q}")
-    if not q2 > 0.0:
-        raise DomainError(f"product base must lie in (0, 1), got {q2!r}")
-    lead = np.array([q2 ** (s + 1) for s in range(ctx.lattice_depth)])
-    k = int(math.log(tol, q2)) + 2  # two past the last factor w_0 needs
-    qk = np.cumprod([1.0] + [q2] * k)[:, None]
-    w, step = np.ones(ctx.lattice_depth), max(1, _WEIGHT_CHUNK // len(qk))
-    for s0 in range(0, ctx.lattice_depth, step):
-        t = lead[s0:s0 + step] * qk[:np.count_nonzero(lead[s0] * qk >= tol)]
-        w[s0:s0 + step] = np.where(t >= tol, 1.0 - t, 1.0).prod(axis=0)
+    w = np.empty(S)
+    np.cumprod([float(qpoch_inf(q2 ** S, ctx, base=q2))]
+               + [1.0 - q2 ** (s + 1) for s in range(S - 2, -1, -1)], out=w[::-1])
     if not w[0] >= tiny:
         raise DomainError(f"weight w_0 = {w[0]!r} outside double range at q={q}")
     out = Weights(w=w, sqrt_w=np.sqrt(w), c=window_values(ctx)[0::2] * w / pref,

@@ -67,7 +67,9 @@ site's window value at the q of site (+1, s=1), to a relative 1e-12.
 
 Whatever the format, the q, sizes and tolerance a file records must make
 a DeformationContext, and a kernel's tau must be finite, as when the
-object was built; otherwise the loader raises ValidationError.
+object was built, and a kernel's tail_estimate >= 0, its s_match >= -1
+and its low_confidence flags those of its s_match; otherwise the loader
+raises ValidationError.
 """
 
 from __future__ import annotations
@@ -91,7 +93,8 @@ from .errors import ValidationError
 from .evolution import EvolutionKernel, _check_tau
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
-from .qhermite import ModeTable, lattice_window, window_index, window_values
+from .qhermite import (ModeTable, window_index, window_levels, window_signs,
+                       window_values)
 
 SCHEMA_VERSION = 2
 
@@ -445,7 +448,8 @@ def _check_window(path: str, ctx: Optional[DeformationContext],
 def _sites(q: float, depth: int) -> list:
     """(sign, s, x) per window site, as qhermite.lattice_window gives them."""
     ctx = DeformationContext(q=q, lattice_depth=depth)
-    return [(p.sign, p.s, p.value) for p in lattice_window(ctx)]
+    return list(zip(window_signs(ctx).tolist(), window_levels(ctx).tolist(),
+                    window_values(ctx).tolist()))
 
 
 # -- mode tables -------------------------------------------------------
@@ -585,7 +589,7 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
 def _json_columns(entries) -> dict:
     """The columns of JSON kernel entries by name, re and im as floats."""
     cols = {key: list(map(itemgetter(key), entries))
-            for key in _KERNEL_COLUMNS.names[:6]}
+            for key in _KERNEL_COLUMNS.names}
     for key in ("re", "im"):
         cols[key] = _numbers(cols[key], (len(entries),), key)
     return cols
@@ -610,6 +614,18 @@ def _kernel(meta: dict, matrix: np.ndarray, num=_scalar) -> EvolutionKernel:
                            s_match=num(meta, "s_match", int))
 
 
+def _check_flags(k: EvolutionKernel, levels, flags) -> None:
+    """ValidationError unless k's tail_estimate >= 0, s_match >= -1 and
+    flags, the stored low_confidence of rows at these levels, are k's.
+    s_match has no upper bound: a file records no match_tol to recount it."""
+    if not k.tail_estimate >= 0 or k.s_match < -1:  # NaN fails too
+        raise ValidationError(f"kernel tail_estimate {k.tail_estimate!r} must "
+                              f"be >= 0 and s_match {k.s_match} >= -1")
+    if not np.array_equal(flags, np.asarray(levels) > k.s_match - 4):
+        raise ValidationError(f"kernel low_confidence flags are not those of "
+                              f"s_match {k.s_match}")
+
+
 def load_kernel(path: str, fmt: Optional[str] = None,
                 ctx: Optional[DeformationContext] = None) -> EvolutionKernel:
     """Read a kernel; with ctx, its q, lattice_depth and n_max must be
@@ -618,15 +634,20 @@ def load_kernel(path: str, fmt: Optional[str] = None,
         with _read_json(path, "evolution_kernel") as doc:
             size = 2 * _scalar(doc, "lattice_depth", int)
             if doc["schema_version"] == 1:
-                k = _kernel(doc, _placed(_json_columns(doc["entries"]), size))
+                rows = _json_columns(doc["entries"])
+                k = _kernel(doc, _placed(rows, size))
+                levels, flags = rows["row_s"], rows["low_confidence"]
             else:
-                _typed(doc["low_confidence"], "b", "low_confidence", (size,))
                 k = _kernel(doc, _from_arrays(doc, (size, size)))
+                levels, flags = np.arange(size) // 2, doc["low_confidence"]
+            flags = _typed(flags, "b", "low_confidence", (len(levels),))
     else:
         with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
             _check_schema(_meta(meta, "schema_version", int))
             k = _kernel(meta, _placed(rows, 2 * _meta(meta, "lattice_depth",
                                                       int)), _meta)
+        levels, flags = rows["row_s"], rows["low_confidence"]
+    _check_flags(k, levels, flags)
     _check_tau(k.tau)
     _check_window(path, ctx, k.q, k.lattice_depth, k.n_max)
     return k

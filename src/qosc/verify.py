@@ -5,7 +5,8 @@ across q in {0.3, 0.5, 0.8, 0.95}, and reports one named result per
 check: residual, tolerance, pass flag, wall time. The whole battery is
 sized to finish in well under a minute. One family covers both closed-form
 wavefunctions: psi-closed-form compares phi_eval's series and product
-too, since phi_p(y) = psi_p(iy).
+too, since phi_p(y) = psi_p(iy), and phi's series with i^n h_n(p) y^n /
+(q;q)_n summed apart.
 
 corrupt_coupling=True deliberately perturbs one off-diagonal coupling
 inside the q=0.5 commutator check; it exists so callers can confirm the
@@ -37,9 +38,9 @@ from .hilbert import (WavefunctionQuery, apply_P, apply_Q, fock_to_lattice,
                       psi_eval, q_difference_P_oracle)
 from .qcore import (apply_lowering, apply_raising, coupling, fock_inner,
                     fock_monomial, qpoch, qpoch_inf, scale_op)
-from .qhermite import (_p_matrix, build_mode_table,
+from .qhermite import (_I_POWERS, _p_matrix, build_mode_table,
                        dual_orthogonality_residual, forward_rows,
-                       lattice_point, norm_c, norm_c_window,
+                       lattice_point, lattice_weight, norm_c, norm_c_window,
                        orthogonality_residuals, window_values)
 
 QS = (0.3, 0.5, 0.8, 0.95)
@@ -232,18 +233,21 @@ def _row_completeness(q: float):
 
 
 def _norm_c_ratio(q: float):
+    # a factor common to every weight cancels in the ratios; w_0 pins it
     ctx = _ctx(q)
-    worst = 0.0
+    w0 = lattice_weight(lattice_point(1, 0, ctx), ctx)
+    want = float(qpoch_inf(q * q, ctx, base=q * q))
+    worst = abs(w0 - want) / want
     for s in range(0, 25):
         ratio = norm_c(s + 1, ctx) / norm_c(s, ctx)
         target = q / (1.0 - q ** (2 * s + 2))
         worst = max(worst, abs(ratio - target) / target)
-    return worst, 1e-12, "c_{s+1}/c_s = q / (1 - q^{2s+2})"
+    return worst, 1e-12, "c_{s+1}/c_s = q / (1 - q^{2s+2}), w_0 = (q^2; q^2)_inf"
 
 
 def _psi_closed_form():
-    # phi_eval's series and product both see its factor i, so its cases
-    # check phi's closed form, not that factor
+    # phi_eval's series and product both see its factor i, so phi's series
+    # is also held to sum_n i^n h_n(p) y^n / (q;q)_n, to n = 60
     worst = 0.0
     for q in (0.3, 0.5, 0.8):
         ctx = _ctx(q)
@@ -253,12 +257,18 @@ def _psi_closed_form():
                 cases = [(psi_eval, y) for y in (0.3, -0.55, 0.2 + 0.6j, 0.85j)]
                 if (q, s) == (0.5, 1):
                     cases.append((phi_eval, 0.5))
+                    h = forward_rows("hermite", 60, pt.value, ctx).tolist()
+                    want = sum(_I_POWERS[n % 4] * hn * 0.5**n / qpoch(q, n, ctx)
+                               for n, hn in enumerate(h))
+                    got = phi_eval(WavefunctionQuery(pt, 0.5, "series"), ctx)
+                    worst = max(worst, abs(got - want) / abs(want))
                 for evaluate, y in cases:
                     a = evaluate(WavefunctionQuery(pt, y, "series"), ctx)
                     b = evaluate(WavefunctionQuery(pt, y, "product"), ctx)
                     worst = max(worst, abs(a - b) / max(abs(b), 1e-30))
     return worst, 1e-10, ("psi and phi = psi at iy, series vs product over "
-                          "lattice points and |y| < 1")
+                          "lattice points and |y| < 1, phi's series vs i^n "
+                          "h_n(p) y^n / (q;q)_n")
 
 
 def _psi_pinned():

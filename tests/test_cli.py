@@ -206,7 +206,7 @@ def test_kernel_charge_covers_a_kernel_built_from_empty_caches(q, S, N):
     # the fold's work arrays live inside the kernel, so building one from
     # scratch (weights, half table, certificate and fold) peaks within
     # what the kernel command is charged for; at (0.99, 150, 1000) the
-    # kernel is small beside _weights' chunk temporaries
+    # kernel is small beside the 1000-degree table it is folded from
     ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
     for cached in (_weights, _half_table, _certificate):
         cached.cache_clear()

@@ -287,8 +287,7 @@ def test_miller_start_scan_spans_blocks_at_full_size():
 
 
 def _weights_per_level(ctx):
-    """w_s by one qpoch_inf product per level, as they were formed
-    before the levels were batched."""
+    """w_s by one qpoch_inf product per level."""
     q2 = ctx.q * ctx.q
     return np.array([float(qpoch_inf(q2 ** (s + 1), ctx, base=q2))
                      for s in range(ctx.lattice_depth)])
@@ -296,18 +295,54 @@ def _weights_per_level(ctx):
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-15])
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997])
-def test_weights_equal_per_level_products_bitwise(q, tol, monkeypatch):
-    # chunks of the default size, then of 1 level, a few levels and a
-    # size no level count divides, so levels lie on both sides of chunk
-    # boundaries
-    for chunk in (qhermite._WEIGHT_CHUNK, 1, 20_000, 77_777):
-        monkeypatch.setattr(qhermite, "_WEIGHT_CHUNK", chunk)
-        for S in (1, 2, 24, 256):
-            ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=tol)
-            got, want = _weights.__wrapped__(ctx), _weights_per_level(ctx)
-            assert np.array_equal(got.w.view(np.uint64), want.view(np.uint64))
-            want_c = window_values(ctx)[0::2] * want / got.prefactor
-            assert np.array_equal(got.c, want_c)
+def test_weights_follow_the_level_ratio_bitwise(q, tol):
+    # the deepest level is one qpoch_inf product, and every shallower one
+    # is the next deeper times its exact factor, c_s from w_s as stated
+    for S in (1, 2, 24, 256):
+        ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=tol)
+        got, q2 = _weights.__wrapped__(ctx), q * q
+        w = got.w.tolist()
+        assert w[-1] == float(qpoch_inf(q2 ** S, ctx, base=q2))
+        assert all(w[s] == w[s + 1] * (1.0 - q2 ** (s + 1))
+                   for s in range(S - 1))
+        assert np.array_equal(got.c, window_values(ctx)[0::2] * got.w
+                              / got.prefactor)
+
+
+@pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997])
+def test_weights_match_per_level_products(q):
+    # at tail_tol = 1e-15 one product per level is an oracle to 1e-13; at
+    # 1e-12 each of its products drops a tail of up to ~3e-12 itself
+    for S in (1, 2, 24, 256):
+        ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=1e-15)
+        got, want = _weights.__wrapped__(ctx).w, _weights_per_level(ctx)
+        assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+
+
+def _weights_mp(q, S):
+    """w_s to 40 digits: the deepest product run to 1e-45, the shallower
+    levels by the level ratio."""
+    with mpmath.workdps(40):
+        q2 = mpmath.mpf(q) ** 2
+        t, w = q2 ** S, [mpmath.mpf(1)]
+        while t > mpmath.mpf(10) ** -45:
+            w[0] *= 1 - t
+            t *= q2
+        for s in range(S - 2, -1, -1):
+            w.append(w[-1] * (1 - q2 ** (s + 1)))
+        return w[::-1]
+
+
+@pytest.mark.parametrize("q,S,bound", [(0.5, 128, 2e-15), (0.95, 256, 2e-14),
+                                       (0.99, 400, 2e-13), (0.9975, 300, 2e-12)])
+def test_weights_against_a_40_digit_product(q, S, bound):
+    # each bound is twice the largest error of the per-level products the
+    # weights replaced (1.5e-15, 9.8e-15, 8.8e-14 and 9.4e-13); most of it
+    # is the factors dropped past tail_tol
+    w = _weights(DeformationContext(q=q, lattice_depth=S)).w.tolist()
+    with mpmath.workdps(40):
+        err = max(abs(mpmath.mpf(x) / r - 1) for x, r in zip(w, _weights_mp(q, S)))
+    assert err <= bound
 
 
 @pytest.mark.parametrize("q,S,N", [(0.5, 640, 1280), (0.3, 300, 800)])

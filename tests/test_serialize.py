@@ -517,6 +517,33 @@ def _edited_x(rows):
                  id="spectrum-json-q-above-1"),
     pytest.param("spectrum_report", "json", _set("fock_dim", -3),
                  id="spectrum-json-negative-fock-dim"),
+    # health figures no certificate gives, and flags that are not those of
+    # the stored s_match (rows at levels s > s_match - 4 = 2 are flagged)
+    pytest.param("kernel", "json", _doc(lambda d: d.update(
+        low_confidence=[False] * 16, tail_estimate=-1.0)),
+                 id="kernel-json2-flags-cleared-negative-tail-estimate"),
+    pytest.param("kernel", "json", _doc(lambda d: d.update(
+        low_confidence=[False] * 16)), id="kernel-json2-flags-cleared"),
+    pytest.param("kernel", "json", _set("tail_estimate", -1.0),
+                 id="kernel-json2-negative-tail-estimate"),
+    pytest.param("kernel", "json", _set("tail_estimate", math.nan),
+                 id="kernel-json2-nan-tail-estimate"),
+    pytest.param("kernel", "json", _doc(lambda d: d.update(
+        s_match=-2, low_confidence=[True] * 16)),
+                 id="kernel-json2-s-match-below-minus-1"),
+    pytest.param("kernel", "json", _set("s_match", 7),
+                 id="kernel-json2-s-match-edited-alone"),
+    pytest.param("kernel", "json1", _set("entries", 0, "low_confidence", True),
+                 id="kernel-json-flag-flipped"),
+    pytest.param("kernel", "json1", _set("tail_estimate", -1e-3),
+                 id="kernel-json-negative-tail-estimate"),
+    pytest.param("kernel", "csv", _rows(_first_cell(6, "7")),
+                 id="kernel-csv-flag-7"),
+    pytest.param("kernel", "csv", _rows(_first_cell(6, "1")),
+                 id="kernel-csv-flag-flipped"),
+    pytest.param("kernel", "csv", lambda text: text.replace(
+        "tail_estimate=", "tail_estimate=-"),
+                 id="kernel-csv-negative-tail-estimate"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"

@@ -5,6 +5,7 @@ import types
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qosc.evolution as evolution
@@ -94,6 +95,41 @@ def test_psi_closed_form_fails_under_the_retired_numerators(monkeypatch, base):
     monkeypatch.setattr(hilbert, "_generating", bent)
     residual, tol, _ = verify._psi_closed_form()
     assert residual > tol
+
+
+@pytest.mark.parametrize("factor", [1, -1j], ids=["y", "minus-iy"])
+def test_psi_closed_form_fails_when_phi_loses_its_factor_i(monkeypatch, factor):
+    # phi_p(y) evaluated as psi_p(y) or psi_p(-iy): series and product
+    # still agree, the series with i^n put in by hand does not
+    def bent(qry, ctx):
+        return hilbert._generating(qry.point.value, factor * complex(qry.y),
+                                   qry.mode, ctx)
+    residual, tol, _ = verify._psi_closed_form()
+    assert residual <= tol
+    monkeypatch.setattr(verify, "phi_eval", bent)
+    residual, tol, _ = verify._psi_closed_form()
+    assert residual > tol
+
+
+def test_norm_c_ratio_fails_when_every_weight_shares_a_factor(monkeypatch):
+    # the deepest level's product scaled by 1 + 1e-10 scales every weight
+    # alike, so every c_{s+1}/c_s holds and only w_0 shows it
+    def bent(a, ctx, base=None):
+        value = qpoch_inf(a, ctx, base)
+        return value if base is None else value * (1 + 1e-10)
+    qhermite._weights.cache_clear()
+    residual, tol, _ = verify._norm_c_ratio(0.8)
+    assert residual <= tol
+    monkeypatch.setattr(qhermite, "qpoch_inf", bent)
+    qhermite._weights.cache_clear()
+    try:
+        residual, tol, _ = verify._norm_c_ratio(0.8)
+        c = qhermite.norm_c_window(verify._ctx(0.8))[0::2]
+    finally:
+        qhermite._weights.cache_clear()
+    assert residual > tol
+    target = [0.8 / (1 - 0.8 ** (2 * s + 2)) for s in range(25)]
+    assert np.allclose(c[1:26] / c[:25], target, rtol=1e-12, atol=0)
 
 
 def test_benchmark_lists_every_family_and_traced_name():
