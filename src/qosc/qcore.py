@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count, islice
 from typing import Sequence, Union
 
 import numpy as np
@@ -138,19 +139,19 @@ def q_diff(f: CoefficientVector, ctx: DeformationContext) -> CoefficientVector:
     return CoefficientVector(f.coeffs[1:] * q_number(n, ctx))
 
 
-def _basis_coeffs(m: int, q: float) -> list:
-    """c_0 .. c_{m-1} by the stable running recurrence from c_0 = 1."""
-    c = [1.0]
-    for k in range(m - 1):
-        c.append(c[-1] * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1)))
-    return c[:m]
+def _basis_coeffs(q: float):
+    """c_0, c_1, ... by the stable running recurrence from c_0 = 1."""
+    c = 1.0
+    for k in count():
+        yield c
+        c = c * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1))
 
 
 def basis_coeff(n: int, ctx: DeformationContext) -> float:
     """c_n by the stable running recurrence from c_0 = 1."""
     if not isinstance(n, (int, np.integer)) or n < 0:
         raise IndexOutOfRange(f"basis degree must be a non-negative int, got {n!r}")
-    return _basis_coeffs(int(n) + 1, ctx.q)[-1]
+    return next(islice(_basis_coeffs(ctx.q), int(n), None))
 
 
 def basis_coeff_direct(n: int, ctx: DeformationContext) -> float:
@@ -183,7 +184,7 @@ def _b_space(f: CoefficientVector, ctx: DeformationContext) -> np.ndarray:
     overflows long before b itself does.
     """
     out = np.empty(len(f), dtype=complex)
-    for k, c in enumerate(_basis_coeffs(len(f), ctx.q)):
+    for k, c in zip(range(len(f)), _basis_coeffs(ctx.q)):
         if c < 1e-290:
             # c_n has underflowed; any mass left this deep is unrecoverable
             if abs(f.coeffs[k]) != 0.0:

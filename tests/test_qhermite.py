@@ -312,7 +312,8 @@ def test_weights_follow_the_level_ratio_bitwise(q, tol):
 @pytest.mark.parametrize("q", [0.05, 0.3, 0.5, 0.8, 0.95, 0.99, 0.997])
 def test_weights_match_per_level_products(q):
     # at tail_tol = 1e-15 one product per level is an oracle to 1e-13; at
-    # 1e-12 each of its products drops a tail of up to ~3e-12 itself
+    # 1e-12 each level's product drops a tail of its own, and the two
+    # differ by up to 2.7e-12
     for S in (1, 2, 24, 256):
         ctx = DeformationContext(q=q, lattice_depth=S, tail_tol=1e-15)
         got, want = _weights.__wrapped__(ctx).w, _weights_per_level(ctx)
@@ -337,8 +338,7 @@ def _weights_mp(q, S):
                                        (0.99, 400, 2e-13), (0.9975, 300, 2e-12)])
 def test_weights_against_a_40_digit_product(q, S, bound):
     # each bound is twice the largest error of the per-level products the
-    # weights replaced (1.5e-15, 9.8e-15, 8.8e-14 and 9.4e-13); most of it
-    # is the factors dropped past tail_tol
+    # weights replaced: 1.5e-15, 9.8e-15, 8.8e-14 and 9.4e-13
     w = _weights(DeformationContext(q=q, lattice_depth=S)).w.tolist()
     with mpmath.workdps(40):
         err = max(abs(mpmath.mpf(x) / r - 1) for x, r in zip(w, _weights_mp(q, S)))
