@@ -117,7 +117,6 @@ def test_norm_c_ratio_fails_when_every_weight_shares_a_factor(monkeypatch):
     def bent(a, ctx, base=None):
         value = qpoch_inf(a, ctx, base)
         return value if base is None else value * (1 + 1e-10)
-    qhermite._weights.cache_clear()
     residual, tol, _ = verify._norm_c_ratio(0.8)
     assert residual <= tol
     monkeypatch.setattr(qhermite, "qpoch_inf", bent)
