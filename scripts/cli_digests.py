@@ -25,7 +25,11 @@ so it is the digest most sensitive to summation and operand order. One
 more CSV kernel runs at q = 0.95, S = 24, N = 120, a window so shallow
 that the phased rows its fold reads do not fit in the kernel's lower
 half and get an array of their own (every other kernel here builds them
-inside the kernel). Two polynomial tables run at q = 0.5, N = 64:
+inside the kernel). A last CSV kernel runs on a one-level window, at
+q = 0.8, S = 1, N = 64: there the completeness sum over degrees is one
+column, which numpy's reductions may add in another order than a sum
+over several levels, so its tail_estimate pins that order in the last
+bits. Two polynomial tables run at q = 0.5, N = 64:
 hermite --grid -1:1:0.02 as CSV (its values reach 1.3e292) and hermite
 --family hermite at S = 128 as JSON.
 
@@ -85,6 +89,8 @@ COMMANDS = [
                                     "--tau", "0.7", "--format", "json"]),
     ("kernel_q095_s24.csv", ["kernel", "--q", "0.95", "--lattice-depth", "24",
                              "--fock-dim", "120"]),
+    ("kernel_q08_s1.csv", ["kernel", "--q", "0.8", "--lattice-depth", "1",
+                           "--fock-dim", "64"]),
 ]
 
 # polynomial tables, which no loader reads

@@ -29,9 +29,9 @@ from .qcore import (CoefficientVector, apply_lowering, apply_raising,
 from .qhermite import (LatticePoint, ModeTable, build_mode_table,
                        dual_orthogonality_residual, forward_rows,
                        lattice_point, lattice_weight, lattice_weight_window,
-                       lattice_window, norm_c, norm_c_window,
-                       orthogonality_residuals, window_index, window_levels,
-                       window_signs, window_values)
+                       norm_c, norm_c_window, orthogonality_residuals,
+                       window_index, window_levels, window_signs,
+                       window_values)
 from .serialize import (SCHEMA_VERSION, load_kernel, load_lattice_function,
                         load_mode_table, load_spectrum_report,
                         spectrum_report_payload, verify_report_payload,

@@ -75,6 +75,8 @@ class EvolutionKernel:
     Both depend on the context alone (_certificate). Rows at levels
     s > s_match - 4 are considered low-confidence: the truncated operator
     no longer resolves those levels, and serialized output flags them.
+    An unknown variant, a tau that is not finite, a tail_estimate outside
+    [0, 1] or an s_match below -1 raises ValidationError.
     """
 
     tau: float
@@ -90,8 +92,13 @@ class EvolutionKernel:
         if self.variant not in _VARIANTS:
             raise ValidationError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        _check_tau(self.tau)
+        if not 0.0 <= self.tail_estimate <= 1.0 or self.s_match < -1:
+            raise ValidationError(
+                f"kernel tail_estimate {self.tail_estimate!r} must lie in "
+                f"[0, 1] and s_match {self.s_match} be >= -1")
 
-    def low_confidence(self, s: int) -> bool:
+    def low_confidence(self, s):  # s: a level or an integer array of them
         return s > self.s_match - 4
 
 

@@ -14,11 +14,13 @@ matrices. The spectrum of the truncated Q fills the geometric lattice
 {+-q^s} from the outside in; spectrum_report performs the matching on
 eigenvalues alone, which come from Q's bidiagonal half to high relative
 accuracy (eigenvalues); eigendecompose also forms the eigenvectors.
-_count_s_match finds the depth of that matching, s_match, from Sturm
-counts at the 4S shifts +-q^s +- match_tol, without computing any
-eigenvalue: it is what the evolution kernels report. _count_below runs
-those counts a block of rows at a time and redoes in Python floats only
-the shifts whose pivots broke down in a block.
+One rule, _s_match, finds the depth of that matching, s_match, from
+counts of the eigenvalues at or below the 4S shifts +-q^s +- match_tol.
+spectrum_report counts its eigenvalues; _count_s_match, what the
+evolution kernels report, takes Sturm counts without computing any
+eigenvalue. _count_below runs those counts a block of rows at a time
+and redoes in Python floats only the shifts whose pivots broke down in
+a block.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 from .context import DeformationContext
 from .errors import DimensionMismatch, DomainError, NoConvergence, NotHermitian
 from .qcore import coupling
-from .qhermite import window_index, window_values
+from .qhermite import window_values
 
 _RESIDUAL_FACTOR = 1e-12
 # pivots per block of _count_below (512 KB of floats). Of 2^14 to 2^18 it
@@ -215,35 +217,23 @@ def spectrum_report(T: TridiagonalOperator,
 
     The matching itself certifies each matched value against its exact
     target, so the eigenpair residual check of eigendecompose is not
-    needed here.
+    needed here. s_match is _s_match on counts of the eigenvalues.
     """
     vals = eigenvalues(T, ctx)
-    targets = window_values(ctx).tolist()
-    pos = sorted([float(v) for v in vals if v > 0], reverse=True)
-    neg = sorted([float(v) for v in vals if v <= 0])
-    matched: List[MatchedLevel] = []
-    unmatched: List[float] = []
-    per_level: dict[int, list[float]] = {}
-    for sign, pool in ((1, pos), (-1, neg)):
-        for s, v in enumerate(pool):
-            if s >= ctx.lattice_depth:
-                unmatched.extend(pool[s:])
-                break
-            err = abs(v - targets[window_index(sign, s)])
-            matched.append(MatchedLevel(sign, s, v, err))
-            per_level.setdefault(s, []).append(err)
-    s_match = -1
-    for s in range(ctx.lattice_depth):
-        errs = per_level.get(s)
-        if errs is None or len(errs) < 2 or max(errs) >= ctx.match_tol:
-            break
-        s_match = s
-    max_error = max((m.error for m in matched), default=0.0)
-    return SpectrumReport(q=ctx.q, fock_dim=ctx.fock_dim,
-                          lattice_depth=ctx.lattice_depth,
+    S, t = ctx.lattice_depth, window_values(ctx)[0::2]
+    matched, unmatched = [], []
+    for sign, pool in ((1, vals[vals > 0][::-1]), (-1, vals[vals <= 0])):
+        head = pool[:S]
+        errors = np.abs(head - sign * t[:len(head)])
+        matched += [MatchedLevel(sign, s, v, err) for s, (v, err) in
+                    enumerate(zip(head.tolist(), errors.tolist()))]
+        unmatched += pool[S:].tolist()
+    s_match = _s_match(lambda shifts: np.searchsorted(vals, shifts, "right"),
+                       len(vals), ctx)
+    return SpectrumReport(q=ctx.q, fock_dim=ctx.fock_dim, lattice_depth=S,
                           match_tol=ctx.match_tol, matched=matched,
                           unmatched=unmatched, s_match=s_match,
-                          max_error=max_error)
+                          max_error=max((m.error for m in matched), default=0.0))
 
 
 def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -303,24 +293,31 @@ def _count_below(d: np.ndarray, e: np.ndarray, shifts: np.ndarray) -> np.ndarray
     return count[inverse]
 
 
-def _count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
-    """spectrum_report(T, ctx).s_match from Sturm counts at 4 lattice_depth
-    shifts, +-q^k +- match_tol, without computing any eigenvalue.
+def _s_match(count_below, n: int, ctx: DeformationContext) -> int:
+    """s_match of an operator of dimension n, from count_below(shifts),
+    its number of eigenvalues at or below each shift.
 
-    Level k passes when the greedy matching of spectrum_report would meet
+    Level k passes when spectrum_report's outside-in matching meets
     match_tol at both +q^k and -q^k. The k-th largest positive eigenvalue
     lies in (q^k - tol, q^k + tol) exactly when at most k eigenvalues lie
-    at or above q^k + tol and at least k + 1 above max(q^k - tol, 0). The
-    nonpositive pool (spectrum_report's v <= 0) is counted the same way on
-    its own shifts, not by symmetry. A pool with too few eigenvalues fails
-    its level, and s_match is the level before the first failure.
+    above q^k + tol and at least k + 1 above max(q^k - tol, 0). The
+    nonpositive pool (v <= 0) is counted the same way on its own shifts,
+    not by symmetry. A pool with too few eigenvalues fails its level, and
+    s_match is the level before the first failure.
     """
-    d, e = _real_form(T)
     t, tol = window_values(ctx)[0::2], ctx.match_tol
     shifts = np.concatenate([t + tol, np.maximum(t - tol, 0.0),
                              -t - tol, np.minimum(tol - t, 0.0)])
-    pos_hi, pos_lo, neg_lo, neg_hi = np.split(_count_below(d, e, shifts), 4)
-    k, n = np.arange(t.shape[0]), d.shape[0]
+    pos_hi, pos_lo, neg_lo, neg_hi = np.split(count_below(shifts), 4)
+    k = np.arange(t.shape[0])
     passed = ((n - pos_hi <= k) & (n - pos_lo > k)
               & (neg_lo <= k) & (neg_hi > k))
     return int(np.logical_and.accumulate(passed).sum()) - 1
+
+
+def _count_s_match(T: TridiagonalOperator, ctx: DeformationContext) -> int:
+    """spectrum_report(T, ctx).s_match from Sturm counts at 4 lattice_depth
+    shifts, +-q^k +- match_tol (_s_match), without computing any
+    eigenvalue."""
+    d, e = _real_form(T)
+    return _s_match(lambda shifts: _count_below(d, e, shifts), d.shape[0], ctx)

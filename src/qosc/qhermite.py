@@ -30,7 +30,7 @@ recurrence from its meet, the first n past the peak of a_n with
 by the degree relative to each meet: every entry sees the same
 operations as a column run alone. forward_rows runs the plain forward
 recurrence over degrees 0..n at any abscissas, for shallow degrees.
-_completeness sums the half table's squares per level.
+_completeness sums the half table's squares per level, in one einsum.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,12 +79,6 @@ class LatticePoint:
 def lattice_point(sign: int, s: int, ctx: DeformationContext) -> LatticePoint:
     s = _index(s, ctx.lattice_depth, "level")
     return LatticePoint(sign, s, float(sign * ctx.q ** s))  # as in window_values
-
-
-def lattice_window(ctx: DeformationContext) -> List[LatticePoint]:
-    """All 2S sites, interleaved: +q^0, -q^0, +q^1, -q^1, ..."""
-    return [LatticePoint(int(sign), int(s), x) for sign, s, x in zip(
-        window_signs(ctx), window_levels(ctx), window_values(ctx).tolist())]
 
 
 def window_index(sign, s):
@@ -290,18 +284,10 @@ def _half_table(ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _completeness(ctx: DeformationContext) -> np.ndarray:
-    """1 - c_s sum_n p_n(q^s)^2 per level s, with np.sum(half**2, axis=0)'s
-    bits and no N x S temporary: the squares are added in degree order, a
-    block of rows at a time, each block's reduce started from the sum so far."""
+    """1 - c_s sum_n p_n(q^s)^2 per level s: one einsum, which adds the
+    squares in degree order with no N x S temporary."""
     half = _half_table(ctx)[0]
-    step = min(len(half), max(1, _SCAN_BLOCK // half.shape[1]))
-    sq, total = np.empty((step + 1, half.shape[1])), np.zeros(half.shape[1])
-    for n0 in range(0, len(half), step):
-        blk, head = half[n0:n0 + step], int(n0 > 0)  # row 0: the sum so far
-        np.square(blk, out=sq[head:head + len(blk)])
-        np.add.reduce(sq[:head + len(blk)], axis=0, out=total)
-        sq[0] = total
-    return 1.0 - _weights(ctx).c * total
+    return 1.0 - _weights(ctx).c * np.einsum("ij,ij->j", half, half)
 
 
 @dataclass(frozen=True)

@@ -66,15 +66,19 @@ n in mode tables, and placed as in schema-1 JSON. Each x must be its
 site's window value at the q of site (+1, s=1), to a relative 1e-12.
 
 Whatever the format, the q, sizes and tolerance a file records must make
-a DeformationContext, and a kernel's tau must be finite, as when the
-object was built, and a kernel's tail_estimate >= 0, its s_match >= -1
-and its low_confidence flags those of its s_match; otherwise the loader
-raises ValidationError.
+a DeformationContext, as when the object was built. A kernel must pass
+EvolutionKernel's own checks (a finite tau, tail_estimate in [0, 1],
+s_match >= -1), and its low_confidence flags must be those of its
+s_match. A spectrum report must match no (sign, s) twice, hold only
+finite eigenvalues, give the largest matched error (0.0 with none) as
+max_error, and an s_match in [-1, the deepest level matched at both
+signs]. Otherwise the loader raises ValidationError. The spectrum and
+verify CSV reports hold str() cells, unquoted: none holds a comma, a
+quote or a line break.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
@@ -90,7 +94,7 @@ import numpy as np
 
 from .context import DeformationContext
 from .errors import ValidationError
-from .evolution import EvolutionKernel, _check_tau
+from .evolution import EvolutionKernel
 from .fock import MatchedLevel, SpectrumReport
 from .hilbert import LatticeFunction
 from .qhermite import (ModeTable, window_index, window_levels, window_signs,
@@ -174,14 +178,6 @@ def _write_json(path: str, payload: dict,
     atomic_write_text(path, text[:-2], chain(  # text ends in '\n}'
         _json_rows("re", values.real), _json_rows("im", values.imag),
         ["\n}\n"]))
-
-
-def _write_csv(path: str, header, rows) -> None:
-    """A small mixed-type table through csv.writer: header, then rows."""
-    with _atomic_open(path) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
 
 
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -446,7 +442,7 @@ def _check_window(path: str, ctx: Optional[DeformationContext],
 
 
 def _sites(q: float, depth: int) -> list:
-    """(sign, s, x) per window site, as qhermite.lattice_window gives them."""
+    """(sign, s, x) per window site, in window order."""
     ctx = DeformationContext(q=q, lattice_depth=depth)
     return list(zip(window_signs(ctx).tolist(), window_levels(ctx).tolist(),
                     window_values(ctx).tolist()))
@@ -570,8 +566,8 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
                      n_max=k.n_max, lattice_depth=k.lattice_depth,
                      s_match=k.s_match, tail_estimate=k.tail_estimate)
     if fmt == "json":  # window row i lies on level i // 2
-        meta["low_confidence"] = [bool(k.low_confidence(i // 2))
-                                  for i in range(2 * k.lattice_depth)]
+        meta["low_confidence"] = k.low_confidence(
+            np.arange(2 * k.lattice_depth) // 2).tolist()
         _write_json(path, meta, k.matrix)
         return
     # one level at a time: rows (+1, s) and (-1, s) hold the same values,
@@ -614,18 +610,6 @@ def _kernel(meta: dict, matrix: np.ndarray, num=_scalar) -> EvolutionKernel:
                            s_match=num(meta, "s_match", int))
 
 
-def _check_flags(k: EvolutionKernel, levels, flags) -> None:
-    """ValidationError unless k's tail_estimate >= 0, s_match >= -1 and
-    flags, the stored low_confidence of rows at these levels, are k's.
-    s_match has no upper bound: a file records no match_tol to recount it."""
-    if not k.tail_estimate >= 0 or k.s_match < -1:  # NaN fails too
-        raise ValidationError(f"kernel tail_estimate {k.tail_estimate!r} must "
-                              f"be >= 0 and s_match {k.s_match} >= -1")
-    if not np.array_equal(flags, np.asarray(levels) > k.s_match - 4):
-        raise ValidationError(f"kernel low_confidence flags are not those of "
-                              f"s_match {k.s_match}")
-
-
 def load_kernel(path: str, fmt: Optional[str] = None,
                 ctx: Optional[DeformationContext] = None) -> EvolutionKernel:
     """Read a kernel; with ctx, its q, lattice_depth and n_max must be
@@ -647,8 +631,9 @@ def load_kernel(path: str, fmt: Optional[str] = None,
             k = _kernel(meta, _placed(rows, 2 * _meta(meta, "lattice_depth",
                                                       int)), _meta)
         levels, flags = rows["row_s"], rows["low_confidence"]
-    _check_flags(k, levels, flags)
-    _check_tau(k.tau)
+    if not np.array_equal(flags, k.low_confidence(np.asarray(levels))):
+        raise ValidationError(f"kernel low_confidence flags are not those of "
+                              f"s_match {k.s_match}")
     _check_window(path, ctx, k.q, k.lattice_depth, k.n_max)
     return k
 
@@ -670,33 +655,44 @@ def write_spectrum_report(rep: SpectrumReport, path: str,
     if _infer_format(path, fmt) == "json":
         _write_json(path, spectrum_report_payload(rep))
         return
-    _write_csv(path, ["sign", "s", "lambda", "error"], chain(
-        ((m.sign, m.s, m.value, m.error) for m in rep.matched),
-        (("", "", v, "") for v in rep.unmatched)))
+    atomic_write_text(path, "sign,s,lambda,error\n", chain(
+        (f"{m.sign},{m.s},{m.value},{m.error}\n" for m in rep.matched),
+        (f",,{v},\n" for v in rep.unmatched)))
 
 
 def load_spectrum_report(path: str) -> SpectrumReport:
+    """Read a JSON spectrum report, checked as the module docstring says."""
     with _read_json(path, "spectrum_report") as doc:
         ctx = DeformationContext(q=_scalar(doc, "q", float),
                                  fock_dim=_scalar(doc, "fock_dim", int),
                                  lattice_depth=_scalar(doc, "lattice_depth", int),
                                  match_tol=_scalar(doc, "match_tol", float))
-        depth = ctx.lattice_depth
         matched = [MatchedLevel(_scalar(m, "sign", int), _scalar(m, "s", int),
                                 _scalar(m, "lambda", float), _scalar(m, "error", float))
                    for m in doc["matched"]]
-        for m in matched:
-            if m.sign not in (1, -1) or not 0 <= m.s < depth:
-                raise ValidationError(
-                    f"matched level (sign={m.sign}, s={m.s}) is not a site "
-                    f"of the window at lattice_depth {depth}")
         rest = doc["unmatched"]
-        return SpectrumReport(q=ctx.q, fock_dim=ctx.fock_dim,
-                              lattice_depth=depth, match_tol=ctx.match_tol,
-                              matched=matched, unmatched=_numbers(
-                                  rest, (len(rest),), "unmatched").tolist(),
-                              s_match=_scalar(doc, "s_match", int),
-                              max_error=_scalar(doc, "max_error", float))
+        rep = SpectrumReport(q=ctx.q, fock_dim=ctx.fock_dim,
+                             lattice_depth=ctx.lattice_depth,
+                             match_tol=ctx.match_tol, matched=matched,
+                             unmatched=_numbers(rest, (len(rest),),
+                                                "unmatched").tolist(),
+                             s_match=_scalar(doc, "s_match", int),
+                             max_error=_scalar(doc, "max_error", float))
+    sites = {(m.sign, m.s) for m in matched}
+    both = [s for sign, s in sites if sign == 1 and (-1, s) in sites]
+    for bad, what in (
+            (any(m.sign not in (1, -1) or not 0 <= m.s < rep.lattice_depth
+                 for m in matched), "a matched level off the window"),
+            (len(sites) < len(matched), "a level matched twice"),
+            (not all(map(math.isfinite, [m.value for m in matched]
+                         + rep.unmatched)), "an eigenvalue that is not finite"),
+            (rep.max_error != max((m.error for m in matched), default=0.0),
+             "a max_error that is not the largest matched error"),
+            (not -1 <= rep.s_match <= max(both, default=-1), "an s_match "
+             "outside [-1, the deepest level matched at both signs]")):
+        if bad:
+            raise ValidationError(f"spectrum report {path!r} holds {what}")
+    return rep
 
 
 def verify_report_payload(rep) -> dict:
@@ -709,9 +705,9 @@ def write_verify_report(rep, path: str, fmt: Optional[str] = None) -> None:
     if _infer_format(path, fmt) == "json":
         _write_json(path, verify_report_payload(rep))
         return
-    _write_csv(path, ["name", "status", "residual", "tolerance", "runtime_s"], (
-        (c.name, "pass" if c.passed else "fail", c.residual, c.tolerance,
-         c.runtime_s) for c in rep.checks))
+    atomic_write_text(path, "name,status,residual,tolerance,runtime_s\n", (
+        f"{c.name},{'pass' if c.passed else 'fail'},{c.residual},"
+        f"{c.tolerance},{c.runtime_s}\n" for c in rep.checks))
 
 
 def write_polynomial_table(sites: list, values: np.ndarray, family: str,

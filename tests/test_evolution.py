@@ -185,6 +185,17 @@ def test_kernel_variant_validation(ectx):
                         tail_estimate=k.tail_estimate, s_match=k.s_match)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan), ("tau", math.inf), ("tail_estimate", -1e-300),
+    ("tail_estimate", math.nan), ("tail_estimate", math.inf),
+    ("tail_estimate", 1.0000000000000002), ("s_match", -2)])
+def test_kernel_rejects_an_impossible_certificate(ectx, field, value):
+    k = fractional_ft(0.1, ectx)
+    assert replace(k, tail_estimate=1.0, s_match=-1).tail_estimate == 1.0
+    with pytest.raises(ValidationError):
+        replace(k, **{field: value})
+
+
 def test_low_confidence_band(ectx):
     k = fractional_ft(0.3, ectx)
     assert k.low_confidence(k.s_match)

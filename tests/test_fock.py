@@ -230,18 +230,47 @@ _COUNT_SIZES = [(32, 64), (128, 320), (256, 640), (674, 1348), (16, 12),
 _DEEP = {(0.3, 674, 1348), (0.5, 674, 1348)}
 
 
+def _greedy_s_match(T, ctx):
+    """The reference s_match: match the eigenvalues outside in per sign
+    (largest positive to +q^0, most negative nonpositive to -q^0, ...),
+    then take the deepest level s through which both signs have a value
+    within match_tol of +-q^s."""
+    vals = eigenvalues(T, ctx).tolist()
+    targets = window_values(ctx).tolist()
+    pos = sorted([v for v in vals if v > 0], reverse=True)
+    neg = sorted([v for v in vals if v <= 0])
+    per_level = {}
+    for sign, pool in ((1, pos), (-1, neg)):
+        for s, v in enumerate(pool[:ctx.lattice_depth]):
+            err = abs(v - targets[2 * s + (sign < 0)])
+            per_level.setdefault(s, []).append(err)
+    s_match = -1
+    for s in range(ctx.lattice_depth):
+        errs = per_level.get(s)
+        if errs is None or len(errs) < 2 or max(errs) >= ctx.match_tol:
+            break
+        s_match = s
+    return s_match
+
+
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.8, 0.95, 0.99])
 @pytest.mark.parametrize("S, N", _COUNT_SIZES)
 def test_count_s_match_agrees_with_bisection(q, S, N):
-    # the count is numpy Sturm sequences, the oracle LAPACK's bidiagonal
-    # SVD plus the greedy matching: the two share no code
-    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    # spectrum_report and the Sturm count share fock._s_match, so both
+    # are checked against the greedy per-level matching of LAPACK's
+    # bidiagonal SVD eigenvalues, which shares no code with that rule
+    for tol in (1e-10, 1e-6):
+        ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S,
+                                 match_tol=tol)
+        for build in (build_Q, build_P):
+            T = build(ctx)
+            want = _greedy_s_match(T, ctx)
+            assert spectrum_report(T, ctx).s_match == want
+            if (q, S, N) not in _DEEP:
+                assert _count_s_match(T, ctx) == want
     if (q, S, N) in _DEEP:
         with pytest.raises(DomainError, match="double range"):
             fractional_ft(0.0, ctx)
-        return
-    assert _count_s_match(build_Q(ctx), ctx) == \
-        spectrum_report(build_Q(ctx), ctx).s_match
 
 
 @pytest.mark.parametrize("q, N", [(0.5, 64), (0.95, 200), (0.9, 37)])

@@ -8,8 +8,7 @@ import pytest
 from qosc import (DeformationContext, DomainError, IndexOutOfRange,
                   ValidationError, build_mode_table,
                   dual_orthogonality_residual, forward_rows, lattice_point,
-                  lattice_weight, lattice_weight_window, lattice_window,
-                  norm_c, norm_c_window, orthogonality_residuals,
+                  lattice_weight, lattice_weight_window, norm_c, norm_c_window, orthogonality_residuals,
                   qpoch, suggested_depth, window_index, window_levels,
                   window_signs, window_values)
 from qosc import qhermite
@@ -44,8 +43,8 @@ def test_window_interleaving(ctx):
     assert np.all(window_levels(ctx)[0::2] == window_levels(ctx)[1::2])
     assert np.all(window_signs(ctx)[0::2] == 1)
     assert np.all(window_signs(ctx)[1::2] == -1)
-    for i, pt in enumerate(lattice_window(ctx)):
-        assert window_index(pt.sign, pt.s) == i
+    index = window_index(window_signs(ctx), window_levels(ctx))
+    assert np.array_equal(index, np.arange(2 * ctx.lattice_depth))
 
 
 def test_hermite_eval_dyadic_exact(ctx):
@@ -535,17 +534,14 @@ def test_completeness_defect_shrinks_with_fock_dim():
     assert d_deep < 1e-10
 
 
-@pytest.mark.parametrize("q,S,N,block", [
-    (0.5, 7, 40, 1 << 17),  # S does not divide the block: one short block
-    (0.5, 12, 1, 1 << 17),  # N = 1
-    (0.95, 30, 90, 245),  # 8 rows a block: boundaries mid-table, last short
-    (0.8, 12, 50, 7),  # fewer entries than a row: one row a block
+@pytest.mark.parametrize("q,S,N", [
+    (0.5, 7, 40), (0.5, 12, 1), (0.95, 30, 90), (0.8, 12, 50),
+    (0.8, 2, 64),  # two levels; at one, np.sum adds the column pairwise
 ])
-def test_completeness_has_the_bits_of_one_sum(monkeypatch, q, S, N, block):
+def test_completeness_has_the_bits_of_one_sum(q, S, N):
     ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
     half = qhermite._half_table(ctx)[0]
     want = 1.0 - _weights(ctx).c * np.sum(half**2, axis=0)
-    monkeypatch.setattr(qhermite, "_SCAN_BLOCK", block)
     assert qhermite._completeness(ctx).tobytes() == want.tobytes()
 
 

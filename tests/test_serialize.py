@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import warnings
 from dataclasses import replace
@@ -544,6 +545,36 @@ def _edited_x(rows):
     pytest.param("kernel", "csv", lambda text: text.replace(
         "tail_estimate=", "tail_estimate=-"),
                  id="kernel-csv-negative-tail-estimate"),
+    # figures that the file itself contradicts: a tail_estimate past 1,
+    # which no completeness defect reaches; a repeated level, a max_error
+    # that is not the largest error, a non-finite eigenvalue, and an
+    # s_match deeper than the levels matched at both signs
+    pytest.param("kernel", "json", _set("tail_estimate", math.inf),
+                 id="kernel-json2-infinite-tail-estimate"),
+    pytest.param("kernel", "json", _set("tail_estimate", 5.0),
+                 id="kernel-json2-tail-estimate-5"),
+    pytest.param("kernel", "csv", lambda text: re.sub(
+        r"tail_estimate=\S+", "tail_estimate=inf", text),
+                 id="kernel-csv-infinite-tail-estimate"),
+    pytest.param("kernel", "csv", lambda text: re.sub(
+        r"tail_estimate=\S+", "tail_estimate=5", text),
+                 id="kernel-csv-tail-estimate-5"),
+    pytest.param("spectrum_report", "json",
+                 _doc(lambda d: d["matched"].append(d["matched"][0])),
+                 id="spectrum-json-repeated-level"),
+    pytest.param("spectrum_report", "json", _set("max_error", 0.0),
+                 id="spectrum-json-max-error-0"),
+    pytest.param("spectrum_report", "json", _set("matched", 3, "error", 0.5),
+                 id="spectrum-json-error-past-max-error"),
+    pytest.param("spectrum_report", "json", _set("unmatched", 0, math.nan),
+                 id="spectrum-json-nan-unmatched"),
+    pytest.param("spectrum_report", "json",
+                 _set("matched", 2, "lambda", -math.inf),
+                 id="spectrum-json-infinite-lambda"),
+    pytest.param("spectrum_report", "json", _doc(lambda d: d.update(
+        matched=[], max_error=0.0)), id="spectrum-json-matched-emptied"),
+    pytest.param("spectrum_report", "json", _set("s_match", -2),
+                 id="spectrum-json-s-match-below-minus-1"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"
@@ -752,6 +783,36 @@ def _kernel_text(k, fmt, schema=2):
     return _json_text(meta, k.matrix, schema)
 
 
+def test_report_csv_matches_reference_encoder(tmp_path, sctx):
+    # the report writers join str() cells with no quoting, which is what
+    # csv.writer gives for cells that need none
+    from qosc import CheckResult, VerifyReport
+    rep = spectrum_report(build_Q(sctx), sctx)
+    checks = [CheckResult(f"c{i}", i % 2 == 0, v, -v, 0.5 * i)
+              for i, v in enumerate(_SPECIAL)]
+    vr = VerifyReport(False, 0, (0.5,), 0.1, checks)
+    for write, obj, want in (
+        (write_spectrum_report, rep, _csv_text(
+            ["sign", "s", "lambda", "error"],
+            [(m.sign, m.s, m.value, m.error) for m in rep.matched]
+            + [("", "", v, "") for v in rep.unmatched])),
+        (write_verify_report, vr, _csv_text(
+            ["name", "status", "residual", "tolerance", "runtime_s"],
+            [(c.name, "pass" if c.passed else "fail", c.residual,
+              c.tolerance, c.runtime_s) for c in checks]))):
+        p = tmp_path / "report.csv"
+        write(obj, str(p))
+        assert p.read_text() == want
+
+
+def test_verify_check_names_need_no_csv_quoting():
+    # csv.writer quotes a cell with a comma, a quote or a line break
+    from qosc.verify import default_checks
+    names = [name for name, _ in default_checks(0)]
+    assert len(names) > 50
+    assert not [n for n in names if set(n) & set(',"\r\n')]
+
+
 # the schema-1 JSON document of a loaded artifact, and the context it
 # lies on
 _SCHEMA1 = {
@@ -780,7 +841,7 @@ def test_streamed_writer_matches_reference_encoder(tmp_path, artifact, fmt):
         want = _lattice_function_text(f, ctx, fmt)
     else:
         k = EvolutionKernel(0.3, "raw_K", q, N, S,
-                            _awkward(rng, (2 * S, 2 * S)), float("inf"), 5)
+                            _awkward(rng, (2 * S, 2 * S)), 5e-324, 5)
         write_kernel(k, str(p))
         want = _kernel_text(k, fmt)
     assert p.read_bytes() == want.encode("utf-8")
