@@ -25,11 +25,15 @@ so it is the digest most sensitive to summation and operand order. One
 more CSV kernel runs at q = 0.95, S = 24, N = 120, a window so shallow
 that the phased rows its fold reads do not fit in the kernel's lower
 half and get an array of their own (every other kernel here builds them
-inside the kernel). A last CSV kernel runs on a one-level window, at
+inside the kernel). Another CSV kernel runs on a one-level window, at
 q = 0.8, S = 1, N = 64: there the completeness sum over degrees is one
 column, which numpy's reductions may add in another order than a sum
 over several levels, so its tail_estimate pins that order in the last
-bits. Two polynomial tables run at q = 0.5, N = 64:
+bits. hermite and a CSV kernel at tau = 0.7 also run at q = 0.02,
+S = 30, N = 60, where Miller's backward values pass 1e250 and are
+rescaled, so the digests cover the step that tests for that (a test the
+mode table runs only where a bound from the couplings allows such
+values). Two polynomial tables run at q = 0.5, N = 64:
 hermite --grid -1:1:0.02 as CSV (its values reach 1.3e292) and hermite
 --family hermite at S = 128 as JSON.
 
@@ -63,6 +67,7 @@ from pathlib import Path
 SIZE = ["--q", "0.5", "--lattice-depth", "128", "--fock-dim", "320"]
 WIDE = ["--q", "0.95", "--lattice-depth", "256", "--fock-dim", "640"]
 NEAR_ONE = ["--q", "0.99", "--lattice-depth", "400", "--fock-dim", "800"]
+SMALL_Q = ["--q", "0.02", "--lattice-depth", "30", "--fock-dim", "60"]
 
 # (artifact name, qosc arguments); each writes its artifact to --out
 COMMANDS = [
@@ -91,6 +96,8 @@ COMMANDS = [
                              "--fock-dim", "120"]),
     ("kernel_q08_s1.csv", ["kernel", "--q", "0.8", "--lattice-depth", "1",
                            "--fock-dim", "64"]),
+    ("hermite_q002.csv", ["hermite", *SMALL_Q]),
+    ("kernel_q002_tau07.csv", ["kernel", *SMALL_Q, "--tau", "0.7"]),
 ]
 
 # polynomial tables, which no loader reads

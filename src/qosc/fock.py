@@ -137,7 +137,11 @@ def eigenvalues(T: TridiagonalOperator, ctx: DeformationContext) -> np.ndarray:
     m-site block is [[0, B^T], [B, 0]], with B the upper bidiagonal of its
     couplings e[0], e[2], ... (diagonal) and e[1], e[3], ... Its
     eigenvalues are +- the singular values of B (Golub and Kahan, 1965),
-    each to a few ulps (Demmel and Kahan, 1990), and an exact 0 for odd m.
+    from numpy's dense SVD, and an exact 0 for odd m. Against a 40-digit
+    bisection of the same couplings, 20 sampled eigenvalues of Q were
+    within a relative 1.9e-15 (9 ulps) at (q, N) = (0.95, 640) and 4.4e-15
+    (22 ulps) at (0.99, 1600), the tiny ones included: more than the few
+    ulps of a bidiagonal solver (Demmel and Kahan, 1990).
     A nonzero diagonal raises DomainError."""
     d, e = _real_form(T)
     if np.any(d != 0):

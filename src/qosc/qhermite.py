@@ -24,10 +24,11 @@ read-only per-context caches hold the rest. _weights holds every weight
 the package reads, from one qpoch_inf product and the exact level ratio.
 _half_table holds p_n(+q^s); every window table is its parity mirror
 (_modes). The forward recurrence is unstable past the turning point
-n > 2s, so each column's decaying tail is re-filled by backward (Miller)
+n > 2s, so each column's decaying tail comes from the backward (Miller)
 recurrence from its meet, the first n past the peak of a_n with
-2 a_n < |x| (_p_matrix), in one sweep over all flagged columns, indexed
-by the degree relative to each meet: every entry sees the same
+2 a_n < |x| (_p_matrix). The meets and Miller's pass, one sweep over all
+flagged columns, read only the couplings; the forward pass then forms
+each degree only on the columns that keep it. Every entry sees the same
 operations as a column run alone. forward_rows runs the plain forward
 recurrence over degrees 0..n at any abscissas, for shallow degrees.
 _completeness sums the half table's squares per level, in one einsum.
@@ -147,8 +148,13 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     column has no flagged tail). Miller's pass starts at each column's meet:
     its first n in [1, nmax - 2] past the peak of a_n with 2 a_n < |x|, found
     from the couplings alone. There p_n is the minimal solution (Gautschi,
-    SIAM Rev. 9, 1967). Raises DomainError if any value is not finite, as on
-    deep windows where the couplings underflow.
+    SIAM Rev. 9, 1967). In order: the meets; Miller's pass; the forward
+    pass, row n + 1 only on the shortest suffix of columns that keep degree
+    n + 1 (to the meet where Miller filled the column, else to nmax - 1);
+    the write-back of the Miller band, scaled to p_meet. Miller's exact test
+    for values past 1e250 runs only where a bound on their growth, from the
+    couplings, is not <= 1e250. Raises DomainError if any value is not
+    finite, as on deep windows where the couplings underflow.
     """
     m = x.shape[0]
     a = coupling(np.arange(max(nmax, 2), dtype=float), ctx)
@@ -156,12 +162,8 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
     P[0] = 1.0
     tail_start = np.full(m, nmax, dtype=int)
     ax, w, buf = np.abs(x), tail_width(ctx.q), np.empty(m)
-    P[1:2] = x / a[0]  # empty when nmax == 1, and so is every loop below
+    keep = np.full(m, nmax - 1)  # the last degree each column reads forward
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for n in range(1, nmax - 1):  # in place, as is the backward pass
-            row = np.multiply(x, P[n], out=P[n + 1])
-            row -= np.multiply(a[n - 1], P[n - 1], out=buf)
-            row /= a[n]
         # the meets, from the couplings alone: the first n in (peak, nmax - 2]
         # with 2 a_n < |x|, by a search of the decreasing a_n past the peak
         peak = int(np.argmax(a[:nmax]))
@@ -170,21 +172,39 @@ def _p_matrix(x: np.ndarray, nmax: int, ctx: DeformationContext) -> tuple[np.nda
         meet[meet >= nmax - 1] = -1
         # Miller's backward pass over all flagged columns c at once: row i of
         # v is p_{meet+i} up to a per-column scale, started from v[2w+8] = 1.
+        # bound >= max |v| over the two latest rows, as a step grows a column
+        # at most (|x| + a_{meet+i}) / a_{meet+i-1} times, plus roundoff
         c = np.flatnonzero(meet >= 0)
         if c.size:
             mc, xc = meet[c], x[c]
             a_all = coupling(np.arange(nmax + 2 * w + 16, dtype=float), ctx)
             ac = a_all[mc + np.arange(2 * w + 9)[:, None]]  # ac[i] = a_{meet+i}
+            growth = (((ax[c] + ac[1:]) / ac[:-1]).max(axis=1)
+                      * (1 + 1e-15)).tolist()
             v, big = np.zeros((2 * w + 10, c.size)), np.empty(c.size, bool)
-            v[-2], buf = 1.0, buf[:c.size]
+            v[-2], cbuf, bound = 1.0, buf[:c.size], 1.0
             for i in range(2 * w + 8, 0, -1):
                 row = np.multiply(xc, v[i], out=v[i - 1])
-                row -= np.multiply(ac[i], v[i + 1], out=buf)
+                row -= np.multiply(ac[i], v[i + 1], out=cbuf)
                 row /= ac[i - 1]
-                if np.greater(np.abs(row, out=buf), 1e250, out=big).any():
-                    v[i - 1:, big] /= buf[big]
-            del ac  # so that the write-back's temporaries do not stack on it
+                bound *= growth[i - 1]
+                if not bound <= 1e250:
+                    if np.greater(np.abs(row, out=cbuf), 1e250, out=big).any():
+                        v[i - 1:, big] /= cbuf[big]
+                    bound = max(float(np.abs(v[i - 1:i + 1]).max()), 1.0)  # NaN stays
+            del ac  # so that later temporaries do not stack on it
             ok = v[0] != 0.0
+            keep[c[ok]] = mc[ok]
+        # the forward pass, row n + 1 on the shortest suffix of columns that
+        # keeps degree n + 1, up to the deepest degree any column keeps
+        P[1:2] = x / a[0]  # empty when nmax == 1, and so is every loop below
+        top = int(keep.max())
+        lo = np.searchsorted(np.maximum.accumulate(keep), np.arange(2, top + 1))
+        for n, j in zip(range(1, top), lo.tolist()):  # in place
+            row = np.multiply(x[j:], P[n, j:], out=P[n + 1, j:])
+            row -= np.multiply(a[n - 1], P[n - 1, j:], out=buf[j:])
+            row /= a[n]
+        if c.size:
             rows = mc + np.arange(1, w + 1)[:, None]
             put = (rows < nmax) & ok
             P[rows[put], np.broadcast_to(c, put.shape)[put]] = (
@@ -316,13 +336,15 @@ class ModeTable:
 def _modes(kind: str, n, ctx: DeformationContext) -> np.ndarray:
     """p_n (kind "position") or i^n p_n ("momentum") over the window, for a
     degree n or one per row: the half table's parity mirror, by
-    p_n(-x) = (-1)^n p_n(x). The + 0.0 writes cut tails as +0.0 at both
-    signs, as the recurrence does."""
-    n = np.arange(ctx.fock_dim)[n]
+    p_n(-x) = (-1)^n p_n(x). Writing h + 0.0 and 0.0 - h stores cut
+    tails as +0.0 at both signs, as the recurrence does."""
     h = _half_table(ctx)[0][n]
+    n = np.arange(ctx.fock_dim)[n]
+    odd = (n % 2 == 1)[..., None]
     out = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
     out[..., 0::2] = h
-    out[..., 1::2] = np.where((n % 2 == 1)[..., None], -h, h) + 0.0
+    np.add(h, 0.0, out=out[..., 1::2], where=~odd)
+    np.subtract(0.0, h, out=out[..., 1::2], where=odd)
     return _I_POWERS[n % 4][..., None] * out if kind == "momentum" else out
 
 
@@ -330,7 +352,7 @@ def build_mode_table(kind: str, ctx: DeformationContext) -> ModeTable:
     """Tabulate all modes n < fock_dim over the window."""
     return ModeTable(kind=kind, q=ctx.q, fock_dim=ctx.fock_dim,
                      lattice_depth=ctx.lattice_depth,
-                     values=_modes(kind, np.arange(ctx.fock_dim), ctx),
+                     values=_modes(kind, slice(None), ctx),
                      tail_start=np.repeat(_half_table(ctx)[1], 2))
 
 

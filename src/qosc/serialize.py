@@ -70,9 +70,9 @@ a DeformationContext, as when the object was built. A kernel must pass
 EvolutionKernel's own checks (a finite tau, tail_estimate in [0, 1],
 s_match >= -1), and its low_confidence flags must be those of its
 s_match. A spectrum report must match no (sign, s) twice, hold only
-finite eigenvalues, give the largest matched error (0.0 with none) as
-max_error, and an s_match in [-1, the deepest level matched at both
-signs]. Otherwise the loader raises ValidationError. The spectrum and
+finite eigenvalues and matched errors that are finite and >= 0, give
+the largest matched error (0.0 with none) as max_error, and an s_match
+in [-1, the deepest level matched at both signs]. Otherwise the loader raises ValidationError. The spectrum and
 verify CSV reports hold str() cells, unquoted: none holds a comma, a
 quote or a line break.
 """
@@ -686,6 +686,8 @@ def load_spectrum_report(path: str) -> SpectrumReport:
             (len(sites) < len(matched), "a level matched twice"),
             (not all(map(math.isfinite, [m.value for m in matched]
                          + rep.unmatched)), "an eigenvalue that is not finite"),
+            (not all(0.0 <= m.error < math.inf for m in matched),
+             "a matched error that is not finite and >= 0"),
             (rep.max_error != max((m.error for m in matched), default=0.0),
              "a max_error that is not the largest matched error"),
             (not -1 <= rep.s_match <= max(both, default=-1), "an s_match "

@@ -260,6 +260,34 @@ def test_miller_sweep_rescales_like_per_column_pass():
     assert len({tuple(steps) for steps in rescaled.values()}) > 1
 
 
+@pytest.mark.parametrize("q,S,N", [(0.5, 48, 64), (0.5, 100, 120),
+                                   (0.99, 200, 240), (0.99, 300, 400)])
+def test_forward_pass_runs_unflagged_columns_in_full(q, S, N):
+    # With S > N/2 the deep columns meet no coupling below |x| / 2: they
+    # keep every degree, and the forward pass runs them to N - 1 while it
+    # stops each shallow column at its meet. Reversed, the deep columns
+    # come first, so the pass runs every column to N - 1.
+    ctx = DeformationContext(q=q, fock_dim=N, lattice_depth=S)
+    xs = window_values(ctx)
+    for x in (xs[0::2], xs[1::2], xs[0::2][::-1]):
+        tail, meet, _ = _assert_sweep_matches_columns(x, ctx)
+        assert (meet < 0).any() and (tail < N).any()
+
+
+def test_miller_bound_passes_1e250_where_no_value_does():
+    # At q = 0.995 the backward band is 2w + 8 = 412 steps long, and the
+    # couplings' bound on its growth passes 1e250, so the exact test runs;
+    # no value passes 1e250, so no column is rescaled
+    ctx = DeformationContext(q=0.995, fock_dim=400, lattice_depth=200)
+    x, w = window_values(ctx)[0::2], tail_width(ctx.q)
+    _, meet, rescaled = _assert_sweep_matches_columns(x, ctx)
+    assert rescaled and not any(rescaled.values())
+    c = meet >= 0
+    a = coupling(np.arange(ctx.fock_dim + 2 * w + 16, dtype=float), ctx)
+    ac = a[meet[c] + np.arange(2 * w + 9)[:, None]]
+    assert np.prod(((x[c] + ac[1:]) / ac[:-1]).max(axis=1)) > 1e250
+
+
 @pytest.mark.parametrize("rows", [1, 2, 3, 5, 8])
 def test_miller_start_scan_carries_across_blocks(rows, monkeypatch):
     # The meets need no scan; the tail cut and the finiteness check still
@@ -462,6 +490,29 @@ def test_table_tail_flags(ctx):
         assert np.all(t.values[ts:, c] == 0.0)
         if ts < ctx.fock_dim:
             assert t.values[ts - 1, c] != 0.0
+
+
+@pytest.mark.parametrize("kind", ["position", "momentum"])
+@pytest.mark.parametrize("n", [0, 1, 31, np.array([3, 0, 38, 5]),
+                               np.array([[1, 24], [39, 2]]), slice(None)],
+                         ids=["0", "1", "31", "array", "grid", "all"])
+def test_modes_have_the_bits_of_the_where_mirror(kind, n):
+    # _modes mirrors the odd sites by two masked writes; here the
+    # np.where form they replaced, which writes +0.0 at both signs past
+    # each cut (uint64 views tell +0.0 from -0.0)
+    ctx = DeformationContext(q=0.5, fock_dim=40, lattice_depth=12)
+    half, tail = qhermite._half_table(ctx)
+    h, deg = half[n], np.arange(ctx.fock_dim)[n]
+    want = np.empty(h.shape[:-1] + (2 * h.shape[-1],))
+    want[..., 0::2] = h
+    want[..., 1::2] = np.where((deg % 2 == 1)[..., None], -h, h) + 0.0
+    past = deg[..., None] >= np.repeat(tail, 2)
+    assert np.all(want[past] == 0.0) and not np.signbit(want[past]).any()
+    if kind == "momentum":
+        want = np.array([1, 1j, -1, -1j])[deg % 4][..., None] * want
+    got = qhermite._modes(kind, n, ctx)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_table_kind_validation(ctx):

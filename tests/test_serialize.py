@@ -575,6 +575,15 @@ def _edited_x(rows):
         matched=[], max_error=0.0)), id="spectrum-json-matched-emptied"),
     pytest.param("spectrum_report", "json", _set("s_match", -2),
                  id="spectrum-json-s-match-below-minus-1"),
+    pytest.param("spectrum_report", "json", _set("matched", 0, "error", -1.0),
+                 id="spectrum-json-negative-first-error"),
+    pytest.param("spectrum_report", "json", _set("matched", 3, "error", math.nan),
+                 id="spectrum-json-nan-error"),
+    pytest.param("spectrum_report", "json",
+                 _set("matched", 5, "error", -math.inf),
+                 id="spectrum-json-minus-infinite-error"),
+    pytest.param("spectrum_report", "json", _set("matched", 2, "error", -1e-300),
+                 id="spectrum-json-tiny-negative-error"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"
