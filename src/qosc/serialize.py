@@ -72,9 +72,9 @@ s_match >= -1), and its low_confidence flags must be those of its
 s_match. A spectrum report must match no (sign, s) twice, hold only
 finite eigenvalues and matched errors that are finite and >= 0, give
 the largest matched error (0.0 with none) as max_error, and an s_match
-in [-1, the deepest level matched at both signs]. Otherwise the loader raises ValidationError. The spectrum and
-verify CSV reports hold str() cells, unquoted: none holds a comma, a
-quote or a line break.
+in [-1, the deepest level matched at both signs]. Otherwise the loader
+raises ValidationError. The spectrum and verify CSV reports hold str()
+cells, unquoted: none holds a comma, a quote or a line break.
 """
 
 from __future__ import annotations
