@@ -17,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from .context import DeformationContext
+from .context import DeformationContext, _index
 from .errors import DomainError, QoscError, ValidationError
 from .evolution import evolve, fractional_ft, kernel_K, rescale
 from .fock import build_Q, spectrum_report
@@ -63,8 +63,6 @@ def _parse_config_file(path: str) -> dict:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path!r} is not valid JSON: {exc}")
-        if not isinstance(raw, dict):
-            raise ValidationError(f"config {path!r} must hold an object")
     else:
         raw = {}
         for lineno, line in enumerate(text.splitlines(), start=1):
@@ -193,10 +191,8 @@ def main():
 def hermite(fmt, out, config, n_max, grid, family, **flags):
     """Tabulate wavefunction polynomials on the lattice or a grid."""
     ctx = _resolve(config, **flags)
-    top = ctx.fock_dim - 1 if n_max is None else n_max
-    if not 0 <= top < ctx.fock_dim:
-        raise ValidationError(
-            f"--n-max must lie in [0, {ctx.fock_dim}), got {n_max}")
+    top = ctx.fock_dim - 1 if n_max is None else _index(
+        n_max, "--n-max", ctx.fock_dim, exc=ValidationError)
 
     if grid is None and family == "orthonormal":
         _check_size(ctx, 24 * ctx.fock_dim * ctx.lattice_depth)

@@ -1,8 +1,10 @@
-"""Shared deformation context.
+"""Shared deformation context, and the one check of each input rule.
 
 A DeformationContext bundles the deformation parameter q with the
 truncation sizes and tolerances every numerical routine needs. Instances
-are frozen; derive variants with dataclasses.replace.
+are frozen; derive variants with dataclasses.replace. Every count or
+index passes _index, and q, each tolerance and each product base pass
+_unit_float; each caller names the error class it raises.
 """
 
 from __future__ import annotations
@@ -10,18 +12,38 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import IndexOutOfRange, ValidationError
+
+
+def _index(i, what: str, hi=math.inf, lo: int = 0,
+           exc: type = IndexOutOfRange) -> int:
+    """i as an int if it is an int or numpy integer (no bool) in [lo, hi)."""
+    if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+            or not lo <= i < hi):
+        raise exc(f"{what} must be an int in [{lo}, {hi}), got {i!r}")
+    return int(i)
+
+
+def _unit_float(x, what: str, exc: type = ValidationError) -> float:
+    """x as a float if it is a float (or float64) strictly inside (0, 1)."""
+    if not (isinstance(x, float) and 0.0 < x < 1.0):
+        raise exc(f"{what} must be a float strictly inside (0, 1), got {x!r}")
+    return float(x)
 
 
 @dataclass(frozen=True)
 class DeformationContext:
     """Parameters shared by all computations.
 
-    q             deformation parameter, strictly inside (0, 1)
+    q             deformation parameter, a float strictly inside (0, 1)
     fock_dim      truncation dimension N of the number basis
     lattice_depth number S of geometric levels q^0 .. q^{S-1} per sign
     tail_tol      truncation tolerance for infinite products and series
     match_tol     tolerance for identity checks and spectrum matching
+
+    Sizes are ints >= 1, tolerances floats in (0, 1), or ValidationError.
     """
 
     q: float
@@ -31,22 +53,11 @@ class DeformationContext:
     match_tol: float = 1e-10
 
     def __post_init__(self):
-        if not (isinstance(self.q, float) and 0.0 < self.q < 1.0):
-            raise ValidationError(
-                f"q must be a float strictly inside (0, 1), got {self.q!r}")
-        if not (isinstance(self.fock_dim, int) and self.fock_dim >= 1):
-            raise ValidationError(
-                f"fock_dim must be a positive integer, got {self.fock_dim!r}")
-        if not (isinstance(self.lattice_depth, int) and self.lattice_depth >= 1):
-            raise ValidationError(
-                f"lattice_depth must be a positive integer, "
-                f"got {self.lattice_depth!r}")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValidationError(
-                f"tail_tol must lie in (0, 1), got {self.tail_tol!r}")
-        if not (0.0 < self.match_tol < 1.0):
-            raise ValidationError(
-                f"match_tol must lie in (0, 1), got {self.match_tol!r}")
+        for name in ("q", "tail_tol", "match_tol"):
+            object.__setattr__(self, name, _unit_float(getattr(self, name), name))
+        for name in ("fock_dim", "lattice_depth"):
+            object.__setattr__(self, name, _index(
+                getattr(self, name), name, lo=1, exc=ValidationError))
 
 
 def suggested_depth(q: float, eps: float) -> int:
@@ -55,9 +66,5 @@ def suggested_depth(q: float, eps: float) -> int:
     Identity-grade checks (completeness sums, Parseval isometry) need this
     depth; the context default (32) is a compromise for operator work.
     """
-    if not 0.0 < q < 1.0:
-        raise ValidationError(f"q must lie in (0, 1), got {q!r}")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError(f"eps must lie in (0, 1), got {eps!r}")
+    q, eps = _unit_float(q, "q"), _unit_float(eps, "eps")
     return int(math.ceil(math.log(eps) / math.log(q)))
-

@@ -46,12 +46,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .context import DeformationContext
-from .errors import (AlreadyRescaled, KindMismatch, NoConvergence, NotRescaled,
-                     ValidationError)
+from .context import DeformationContext, _index
+from .errors import (AlreadyRescaled, DimensionMismatch, KindMismatch,
+                     NoConvergence, NotRescaled, ValidationError)
 from .fock import build_P, build_Q, _count_s_match
 from .hilbert import LatticeFunction, _check_window
-from .qhermite import (_I_POWERS, _completeness, _half_table, _index, _modes,
+from .qhermite import (_I_POWERS, _completeness, _half_table, _modes,
                        _weights, window_values)
 
 _VARIANTS = ("raw_K", "rescaled_Phi")
@@ -76,7 +76,8 @@ class EvolutionKernel:
     s > s_match - 4 are considered low-confidence: the truncated operator
     no longer resolves those levels, and serialized output flags them.
     An unknown variant, a tau that is not finite, a tail_estimate outside
-    [0, 1] or an s_match below -1 raises ValidationError.
+    [0, 1] or an s_match below -1 raises ValidationError, and a matrix
+    that is not 2S x 2S, S = lattice_depth, raises DimensionMismatch.
     """
 
     tau: float
@@ -97,6 +98,8 @@ class EvolutionKernel:
             raise ValidationError(
                 f"kernel tail_estimate {self.tail_estimate!r} must lie in "
                 f"[0, 1] and s_match {self.s_match} be >= -1")
+        if np.shape(self.matrix) != (2 * self.lattice_depth,) * 2:
+            raise DimensionMismatch(f"matrix is not 2S x 2S at S = {self.lattice_depth}")
 
     def low_confidence(self, s):  # s: a level or an integer array of them
         return s > self.s_match - 4
@@ -203,14 +206,16 @@ def _apply(tau: float, F: np.ndarray, ctx: DeformationContext) -> np.ndarray:
     return out
 
 
-def _check_tau(tau: float) -> None:
-    if not math.isfinite(tau):
-        raise ValidationError(f"tau must be finite, got {tau!r}")
+def _check_tau(tau: float, top: int = 0) -> None:
+    """ValidationError unless top * tau, the largest n tau, is finite."""
+    if not math.isfinite(top * tau):  # at top = 0 too: 0 * inf is NaN
+        raise ValidationError(f"tau must be finite, as must n tau at the top "
+                              f"degree n = {top}, got {tau!r}")
 
 
 def _kernel(tau: float, variant: str, ctx: DeformationContext,
             scale) -> EvolutionKernel:
-    _check_tau(tau)
+    _check_tau(tau, ctx.fock_dim - 1)
     tail, s_match = _certificate(ctx)
     return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
                            n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
@@ -256,7 +261,7 @@ def _rescaled_modes(n, ctx: DeformationContext) -> np.ndarray:
 def rescaled_mode(n: int, ctx: DeformationContext) -> LatticeFunction:
     """F_n = sqrt(w) p_n, the eigenfunction of Phi^tau with value e^{in tau},
     for 0 <= n < fock_dim (IndexOutOfRange otherwise)."""
-    n = _index(n, ctx.fock_dim, "degree")
+    n = _index(n, "degree", ctx.fock_dim)
     return LatticeFunction("position", _rescaled_modes(n, ctx), rescaled=True)
 
 
@@ -269,14 +274,14 @@ def evolve(F: LatticeFunction, tau: float, ctx: DeformationContext,
     that already hold fractional_ft(tau, ctx): it must be the
     rescaled_Phi variant (KindMismatch otherwise) built at this tau, q,
     fock_dim and lattice_depth (ValidationError otherwise). Its matrix is
-    not applied, so the result is the same with or without it. A tau
-    that is not finite raises ValidationError, here and in the kernels.
+    not applied, so the result is the same with or without it. A tau with
+    a non-finite n tau, n < fock_dim, raises ValidationError (kernels too).
     """
     if F.kind != "position":
         raise KindMismatch(f"evolve wants a position function, got {F.kind}")
     if not F.rescaled:
         raise NotRescaled("evolve acts on rescaled values; call rescale first")
-    _check_tau(tau)
+    _check_tau(tau, ctx.fock_dim - 1)
     _check_window(F, ctx)
     if kernel is not None:
         if kernel.variant != "rescaled_Phi":
@@ -426,7 +431,9 @@ def norm_drift_max(ctx: DeformationContext) -> float:
     and after, from G0's Cholesky factor (NoConvergence if it fails).
     n < 10 is the band a window of 30 levels resolves (wider support
     provably cannot stay below 1e-7 there, whatever the implementation does).
+    A fock_dim below 10 raises ValidationError.
     """
+    _index(ctx.fock_dim, "fock_dim", lo=10, exc=ValidationError)
     F0 = _rescaled_modes(np.arange(10), ctx)
     F1 = np.array([_apply(1.0, F, ctx) for F in F0])
     absx = np.abs(window_values(ctx))

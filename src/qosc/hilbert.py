@@ -30,15 +30,14 @@ from typing import Optional
 
 import numpy as np
 
-from .context import DeformationContext
+from .context import DeformationContext, _index
 from .errors import (DimensionMismatch, DomainError, KindMismatch,
                      NonConvergent, TailTooLarge, ValidationError)
 from .qcore import coupling, qpoch_inf
-from .qhermite import (LatticePoint, _index, _modes, _weights,
+from .qhermite import (_KINDS, LatticePoint, _modes, _weights,
                        build_mode_table, forward_rows, norm_c, norm_c_window,
                        window_index, window_values)
 
-_KINDS = ("position", "momentum")
 _SERIES_CAP = 100000
 
 
@@ -66,9 +65,9 @@ class WavefunctionQuery:
     mode: str = "series"
 
 
-def _check_window(f: LatticeFunction, ctx: DeformationContext):
+def _check_window(f: LatticeFunction, ctx: DeformationContext, exc=DimensionMismatch):
     if f.values.shape[0] != 2 * ctx.lattice_depth:
-        raise DimensionMismatch(
+        raise exc(
             f"function has {f.values.shape[0]} sites, window wants "
             f"{2 * ctx.lattice_depth}")
 
@@ -87,8 +86,6 @@ def _series_sum(x: float, z: complex, ctx: DeformationContext) -> complex:
     term proves nothing.
     """
     q = ctx.q
-    if z == 0:
-        return 1.0 + 0.0j
     h_prev, h_cur = 1.0, x
     poch = 1.0 - q
     total = 1.0 + 0.0j
@@ -252,7 +249,7 @@ def mode_function(n: int, ctx: DeformationContext,
                   kind: str = "position") -> LatticeFunction:
     """The n-th mode as a window function (a table row), for
     0 <= n < fock_dim (IndexOutOfRange otherwise)."""
-    n = _index(n, ctx.fock_dim, "degree")
+    n = _index(n, "degree", ctx.fock_dim)
     return LatticeFunction(kind, _modes(kind, n, ctx))
 
 

@@ -10,22 +10,25 @@ Conventions used throughout the package, for 0 < q < 1:
   so that e_n has unit norm in the inner product implemented by
   fock_inner. The closed form c_n = q^{n(n-1)/4} / (q; q)_n^{1/2}
   is available as basis_coeff_direct for cross-checking; the running
-  recurrence is the numerically preferred route.
+  recurrence is the numerically preferred route. e_n exists where c_n
+  is a normal float (fock_monomial raises DomainError past that), and
+  fock_inner divides by c_n on the same floor, sys.float_info.min.
 
 Polynomial-side operators act on CoefficientVector, whose slot n holds
-the coefficient of y^n.
+the coefficient of y^n. Orders and degrees pass context._index.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import count, islice
 from typing import Sequence, Union
 
 import numpy as np
 
-from .context import DeformationContext
+from .context import DeformationContext, _index, _unit_float
 from .errors import (DomainError, IndexOutOfRange, NonConvergent,
                      ValidationError)
 
@@ -47,11 +50,10 @@ def qpoch(a: Scalar, n: int, ctx: DeformationContext) -> Scalar:
     qpoch(a, n + 1) == qpoch(a, n) * (1 - a q^n) holds exactly in
     floating arithmetic, not merely approximately.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise IndexOutOfRange(f"qpoch order must be a non-negative int, got {n!r}")
+    n = _index(n, "qpoch order")
     value: Scalar = 1.0
     qk = 1.0
-    for _ in range(int(n)):
+    for _ in range(n):
         value = value * (1.0 - a * qk)
         qk *= ctx.q
     return value
@@ -68,9 +70,7 @@ def qpoch_inf(a: Scalar, ctx: DeformationContext,
     Real a >= 1 makes a leading factor vanish or change sign, so it
     raises DomainError. Complex a of any magnitude is fine.
     """
-    q = ctx.q if base is None else base
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"product base must lie in (0, 1), got {q!r}")
+    q = ctx.q if base is None else _unit_float(base, "product base", DomainError)
     is_real = isinstance(a, (int, float, np.floating)) or (
         isinstance(a, complex) and a.imag == 0.0)
     if is_real and complex(a).real >= 1.0:
@@ -149,9 +149,8 @@ def _basis_coeffs(q: float):
 
 def basis_coeff(n: int, ctx: DeformationContext) -> float:
     """c_n by the stable running recurrence from c_0 = 1."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise IndexOutOfRange(f"basis degree must be a non-negative int, got {n!r}")
-    return next(islice(_basis_coeffs(ctx.q), int(n), None))
+    n = _index(n, "basis degree")
+    return next(islice(_basis_coeffs(ctx.q), n, None))
 
 
 def basis_coeff_direct(n: int, ctx: DeformationContext) -> float:
@@ -164,13 +163,12 @@ def basis_coeff_direct(n: int, ctx: DeformationContext) -> float:
 
 
 def fock_monomial(n: int, ctx: DeformationContext) -> CoefficientVector:
-    """Unit basis vector e_n = c_n y^n, for 0 <= n < fock_dim."""
-    if not isinstance(n, (int, np.integer)) or not 0 <= n < ctx.fock_dim:
-        raise IndexOutOfRange(
-            f"basis index {n!r} outside [0, {ctx.fock_dim})")
+    """Unit basis vector e_n = c_n y^n, for 0 <= n < fock_dim whose c_n
+    is a normal float (DomainError where it is not)."""
+    n = _index(n, "basis index", ctx.fock_dim)
     coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[n] = basis_coeff(int(n), ctx)
-    if coeffs[n] == 0.0:
+    coeffs[n] = basis_coeff(n, ctx)
+    if coeffs[n].real < sys.float_info.min:
         raise DomainError(
             f"basis normalizer c_{n} underflows at q={ctx.q}; this basis "
             f"vector has no monomial representation in double precision")
@@ -185,7 +183,7 @@ def _b_space(f: CoefficientVector, ctx: DeformationContext) -> np.ndarray:
     """
     out = np.empty(len(f), dtype=complex)
     for k, c in zip(range(len(f)), _basis_coeffs(ctx.q)):
-        if c < 1e-290:
+        if c < sys.float_info.min:
             # c_n has underflowed; any mass left this deep is unrecoverable
             if abs(f.coeffs[k]) != 0.0:
                 raise DomainError(
@@ -210,8 +208,6 @@ def fock_inner(f1: CoefficientVector, f2: CoefficientVector,
             f"coefficient vectors must have length <= fock_dim="
             f"{ctx.fock_dim}, got {len(f1)} and {len(f2)}")
     m = min(len(f1), len(f2))
-    if m == 0:
-        return 0.0 + 0.0j
     b1 = _b_space(CoefficientVector(f1.coeffs[:m]), ctx)
     b2 = _b_space(CoefficientVector(f2.coeffs[:m]), ctx)
     return complex(np.sum(b1 * np.conj(b2)))

@@ -44,11 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .context import DeformationContext
-from .errors import DomainError, IndexOutOfRange, ValidationError
+from .context import DeformationContext, _index
+from .errors import (DimensionMismatch, DomainError, IndexOutOfRange,
+                     ValidationError)
 from .qcore import coupling, qpoch, qpoch_inf
 
 TAIL_MARGIN = 4
+_KINDS = ("position", "momentum")
 
 # i^n, indexed by n % 4: exact at every degree, where numpy's complex
 # power 1j ** n misses by roundoff from n = 100 on
@@ -73,12 +75,11 @@ class LatticePoint:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not isinstance(self.s, (int, np.integer)) or self.s < 0:
-            raise ValidationError(f"level must be a non-negative int, got {self.s!r}")
+        object.__setattr__(self, "s", _index(self.s, "level", exc=ValidationError))
 
 
 def lattice_point(sign: int, s: int, ctx: DeformationContext) -> LatticePoint:
-    s = _index(s, ctx.lattice_depth, "level")
+    s = _index(s, "level", ctx.lattice_depth)
     return LatticePoint(sign, s, float(sign * ctx.q ** s))  # as in window_values
 
 
@@ -113,8 +114,7 @@ def forward_rows(family: str, n: int, z, ctx: DeformationContext) -> np.ndarray:
     Fine for shallow degrees; past the turning point n > 2s the forward
     recurrence loses relative accuracy, use build_mode_table there.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise IndexOutOfRange(f"degree must be a non-negative int, got {n!r}")
+    n = _index(n, "degree")
     if family not in ("hermite", "orthonormal"):
         raise ValidationError(
             f"family must be 'hermite' or 'orthonormal', got {family!r}")
@@ -266,21 +266,14 @@ def _weights(ctx: DeformationContext) -> Weights:
     return out
 
 
-def _index(i, bound: int, what: str) -> int:
-    """A level (bound lattice_depth) or degree (bound fock_dim) as an int."""
-    if not isinstance(i, (int, np.integer)) or not 0 <= i < bound:
-        raise IndexOutOfRange(f"{what} {i!r} is not an int in [0, {bound})")
-    return int(i)
-
-
 def lattice_weight(pt: LatticePoint, ctx: DeformationContext) -> float:
     """Bare weight w_s = (q^{2s+2}; q^2)_inf; sign-independent, in (0, 1]."""
-    return float(_weights(ctx).w[_index(pt.s, ctx.lattice_depth, "level")])
+    return float(_weights(ctx).w[_index(pt.s, "level", ctx.lattice_depth)])
 
 
 def norm_c(s: int, ctx: DeformationContext) -> float:
     """Normalized weight c_s = q^s w_s / (2 (q;q)_inf (-q;q)_inf^2)."""
-    return float(_weights(ctx).c[_index(s, ctx.lattice_depth, "level")])
+    return float(_weights(ctx).c[_index(s, "level", ctx.lattice_depth)])
 
 
 def norm_c_window(ctx: DeformationContext) -> np.ndarray:
@@ -317,7 +310,8 @@ class ModeTable:
     values[n, i] is the degree-n mode at window index i. kind "position"
     stores real p_n; kind "momentum" stores complex i^n p_n on the same
     grid. tail_start[i] is the first degree stored as exact zero after
-    the flagged tail cut (fock_dim if none).
+    the flagged tail cut (fock_dim if none). Arrays of other shapes than
+    (fock_dim, 2S) and (2S,), S = lattice_depth, raise DimensionMismatch.
     """
 
     kind: str
@@ -328,9 +322,12 @@ class ModeTable:
     tail_start: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in ("position", "momentum"):
-            raise ValidationError(
-                f"kind must be 'position' or 'momentum', got {self.kind!r}")
+        if self.kind not in _KINDS:
+            raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        want = (self.fock_dim, 2 * self.lattice_depth)
+        if np.shape(self.values) != want or np.shape(self.tail_start) != want[1:]:
+            raise DimensionMismatch(f"values and tail_start must have shapes "
+                                    f"{want} and {want[1:]}")
 
 
 def _modes(kind: str, n, ctx: DeformationContext) -> np.ndarray:
@@ -386,11 +383,13 @@ def dual_orthogonality_residual(ctx: DeformationContext) -> float:
     The weight sits on the second (summed-against) site, matching the
     evolution kernel convention. Core means both sites at levels
     s < lattice_depth - TAIL_MARGIN; the outermost levels never resolve.
+    An empty core raises ValidationError.
     """
+    core = 2 * _index(ctx.lattice_depth - TAIL_MARGIN, "lattice_depth - "
+                      "TAIL_MARGIN", lo=1, exc=ValidationError)
     table = build_mode_table("position", ctx)
     cs = norm_c_window(ctx)
     G = table.values.T @ table.values * cs[None, :]
-    core = 2 * max(ctx.lattice_depth - TAIL_MARGIN, 0)
     G = G[:core, :core]
     return float(np.max(np.abs(G - np.eye(core))))
 

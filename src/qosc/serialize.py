@@ -96,7 +96,7 @@ from .context import DeformationContext
 from .errors import ValidationError
 from .evolution import EvolutionKernel
 from .fock import MatchedLevel, SpectrumReport
-from .hilbert import LatticeFunction
+from .hilbert import LatticeFunction, _check_window
 from .qhermite import (ModeTable, window_index, window_levels, window_signs,
                        window_values)
 
@@ -417,7 +417,7 @@ def _csv_q(x: np.ndarray, site: np.ndarray, depth: int) -> Optional[float]:
     return q
 
 
-def _check_window(path: str, ctx: Optional[DeformationContext],
+def _check_loaded(path: str, ctx: Optional[DeformationContext],
                   q: Optional[float], depth: int,
                   fock_dim: Optional[int] = None) -> None:
     """A loaded artifact's q, depth and degree count (where the file
@@ -502,7 +502,7 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
                     "a position table must hold real values" if is_json else
                     "a momentum table must be read with kind='momentum'"))
         values = values.real
-    _check_window(path, ctx, q, depth, nmax)
+    _check_loaded(path, ctx, q, depth, nmax)
     return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,
                      values=values, tail_start=tail_start)
 
@@ -512,10 +512,7 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
 def write_lattice_function(f: LatticeFunction, ctx: DeformationContext,
                            path: str, fmt: Optional[str] = None) -> None:
     fmt = _infer_format(path, fmt)
-    if f.values.shape[0] != 2 * ctx.lattice_depth:
-        raise ValidationError(
-            f"function has {f.values.shape[0]} sites, context wants "
-            f"{2 * ctx.lattice_depth}")
+    _check_window(f, ctx, ValidationError)
     if fmt == "json":
         _write_json(path, _document(
             "lattice_function", kind=f.kind, q=ctx.q,
@@ -554,7 +551,7 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
         if (flags != flags[0]).any():
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
-    _check_window(path, ctx, q, len(f.values) // 2)
+    _check_loaded(path, ctx, q, len(f.values) // 2)
     return f
 
 
@@ -634,7 +631,7 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     if not np.array_equal(flags, k.low_confidence(np.asarray(levels))):
         raise ValidationError(f"kernel low_confidence flags are not those of "
                               f"s_match {k.s_match}")
-    _check_window(path, ctx, k.q, k.lattice_depth, k.n_max)
+    _check_loaded(path, ctx, k.q, k.lattice_depth, k.n_max)
     return k
 
 

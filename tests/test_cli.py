@@ -251,6 +251,12 @@ def test_hermite_bad_grid_is_validation_error(runner):
     assert r.exit_code == 1
 
 
+@pytest.mark.parametrize("grid", ["1:0:0.5", "0:1:0", "0:1:-0.5"])
+def test_hermite_empty_grid_is_validation_error(runner, grid):
+    r = runner.invoke(main, ["hermite", "--grid", grid])
+    assert r.exit_code == 1 and "range is empty" in r.output, r.output
+
+
 def test_hermite_bad_n_max(runner):
     r = runner.invoke(main, ["hermite", "--n-max", "200"])
     assert r.exit_code == 1
@@ -383,6 +389,22 @@ def test_config_json_rejects_what_key_value_text_rejects(runner, tmp_path,
                              str(tmp_path / "s.csv")])
     assert r.exit_code == 1 and "bad value" in r.output, r.output
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"q": 0.3,}', "not valid JSON"), ('  {"q": 0.3} []', "not valid JSON"),
+    ("q = 0.3\nfock_dim 24\n", "line 2: expected key=value"),
+    ("[0.3]\n", "line 1: expected key=value"),
+], ids=["json-trailing-comma", "json-extra-data", "line-without-equals",
+        "json-array"])
+def test_config_that_does_not_parse_exits_1(runner, tmp_path, text, error):
+    # a file that starts with '{' is JSON, and JSON that starts with '{' is
+    # an object; any other file is key=value lines
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    r = runner.invoke(main, ["spectrum", "--config", str(cfg), "--out",
+                             str(tmp_path / "s.csv")])
+    assert r.exit_code == 1 and error in r.output, r.output
 
 
 def test_config_unknown_key(runner, tmp_path):

@@ -158,10 +158,11 @@ def test_evolve_guards(ectx):
         evolve(f, 0.5, ectx, kernel=raw)
 
 
-@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, 1e308])
 @pytest.mark.parametrize("entry", ["kernel_K", "fractional_ft", "evolve"])
 def test_non_finite_tau_is_a_validation_error(entry, tau, ectx):
-    # a NaN or infinite angle would give all-NaN phases e^{i n tau}
+    # a NaN or infinite angle would give all-NaN phases e^{i n tau}, and so
+    # would a finite tau whose n tau overflows at the top degree n = 79
     call = {"kernel_K": lambda: kernel_K(tau, ectx),
             "fractional_ft": lambda: fractional_ft(tau, ectx),
             "evolve": lambda: evolve(rescaled_mode(1, ectx), tau, ectx)}[entry]
@@ -194,6 +195,37 @@ def test_kernel_rejects_an_impossible_certificate(ectx, field, value):
     assert replace(k, tail_estimate=1.0, s_match=-1).tail_estimate == 1.0
     with pytest.raises(ValidationError):
         replace(k, **{field: value})
+
+
+def test_kernel_matrix_must_be_its_window(ectx):
+    k = fractional_ft(0.1, ectx)
+    for matrix in (np.eye(2), k.matrix[:, :-2], k.matrix.ravel()):
+        with pytest.raises(DimensionMismatch):
+            replace(k, matrix=matrix)
+    for depth in (4, 2):  # a 2 x 2 matrix is the window of depth 1 only
+        with pytest.raises(DimensionMismatch):
+            replace(k, lattice_depth=depth, matrix=np.eye(2))
+    assert replace(k, lattice_depth=1, matrix=np.eye(2)).lattice_depth == 1
+
+
+def test_norm_drift_below_its_band_is_a_validation_error():
+    # the band is modes n < 10; a smaller fock_dim has no band to evolve
+    ctx = DeformationContext(q=0.5, fock_dim=8, lattice_depth=4)
+    with pytest.raises(ValidationError, match="fock_dim"):
+        norm_drift_max(ctx)
+    assert norm_drift_max(replace(ctx, fock_dim=10, lattice_depth=30)) < 1e-7
+
+
+def test_unitarity_is_a_statement_about_the_rescaled_kernel(ectx):
+    with pytest.raises(KindMismatch):
+        unitarity_residual(kernel_K(0.3, ectx), ectx)
+
+
+def test_standard_inner_requires_one_kind(ectx):
+    F = rescaled_mode(1, ectx)
+    G = LatticeFunction("momentum", F.values, rescaled=True)
+    with pytest.raises(KindMismatch):
+        standard_inner(F, G, ectx)
 
 
 def test_low_confidence_band(ectx):

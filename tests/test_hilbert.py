@@ -43,6 +43,14 @@ def test_psi_rejects_bad_input(ctx):
         psi_eval(WavefunctionQuery(pt, 0.5, "closed"), ctx)
 
 
+@pytest.mark.parametrize("y", [0.0, -0.0, 0j])
+def test_generating_functions_at_y_0_are_1(ctx, y):
+    pt = lattice_point(-1, 3, ctx)
+    for evaluate in (psi_eval, phi_eval):
+        for mode in ("series", "product"):
+            assert evaluate(WavefunctionQuery(pt, y, mode), ctx) == 1.0
+
+
 def test_psi_series_survives_zero_terms(ctx):
     # h_1(x) vanishes at x = 0-adjacent arguments of the series; a single
     # zero term must not stop the summation early

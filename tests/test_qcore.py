@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qosc import (CoefficientVector, DeformationContext, DomainError,
-                  IndexOutOfRange, ValidationError, apply_lowering,
+                  IndexOutOfRange, NonConvergent, ValidationError, apply_lowering,
                   apply_raising, basis_coeff, coupling, fock_inner,
                   fock_monomial, q_diff, q_number, qpoch, qpoch_inf, scale_op)
+from qosc import qcore
 from qosc.qcore import basis_coeff_direct
 
 
@@ -52,6 +53,21 @@ def test_qpoch_inf_reports_terms(ctx):
 def test_qpoch_inf_domain_guard(ctx):
     with pytest.raises(DomainError):
         qpoch_inf(1.2, ctx)
+
+
+@pytest.mark.parametrize("base", [0.0, 1.0, -0.5, 1.5, "x", 1])
+def test_qpoch_inf_base_must_be_a_float_inside_0_1(ctx, base):
+    with pytest.raises(DomainError, match="product base"):
+        qpoch_inf(0.5, ctx, base=base)
+
+
+def test_qpoch_inf_stops_at_its_factor_cap(ctx, monkeypatch):
+    # at base 0.01 the product reaches tail_tol in 8 factors, at 0.5 in 50
+    short = qpoch_inf(0.5, ctx, base=0.01)
+    monkeypatch.setattr(qcore, "_MAX_PRODUCT_TERMS", 10)
+    assert qpoch_inf(0.5, ctx, base=0.01) == short
+    with pytest.raises(NonConvergent):
+        qpoch_inf(0.5, ctx)
 
 
 def test_qpoch_inf_base_override(ctx):
@@ -124,6 +140,25 @@ def test_fock_monomial_underflow_is_loud():
     ctx = DeformationContext(q=0.3)
     with pytest.raises(DomainError):
         fock_monomial(60, ctx)
+
+
+@pytest.mark.parametrize("q, top", [(0.5, 64), (0.3, 49)])
+def test_every_monomial_fock_monomial_returns_has_unit_norm(q, top):
+    # c_n must be a normal float for e_n to exist, as fock_inner needs it
+    # to be; at q = 0.5, c_63 and c_64 are 2.1e-294 and 6.8e-304
+    ctx = DeformationContext(q=q, fock_dim=top + 8)
+    for n in range(top + 1):
+        e_n = fock_monomial(n, ctx)
+        assert fock_inner(e_n, e_n, ctx) == pytest.approx(1.0, rel=1e-15)
+    for n in range(top + 1, top + 8):
+        with pytest.raises(DomainError):
+            fock_monomial(n, ctx)
+
+
+def test_fock_inner_of_empty_vectors_is_zero(ctx):
+    empty = CoefficientVector([])
+    assert fock_inner(empty, empty, ctx) == 0.0
+    assert fock_inner(empty, fock_monomial(2, ctx), ctx) == 0.0
 
 
 def test_fock_inner_orthonormal_basis(ctx):

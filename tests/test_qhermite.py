@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from qosc import (DeformationContext, DomainError, IndexOutOfRange,
-                  ValidationError, build_mode_table,
+from qosc import (DeformationContext, DimensionMismatch, DomainError,
+                  IndexOutOfRange, ModeTable, ValidationError, build_mode_table,
                   dual_orthogonality_residual, forward_rows, lattice_point,
                   lattice_weight, lattice_weight_window, norm_c, norm_c_window, orthogonality_residuals,
                   qpoch, suggested_depth, window_index, window_levels,
@@ -574,6 +574,30 @@ def test_orthogonality_frozen_corner():
 def test_dual_orthogonality():
     ctx = DeformationContext(q=0.5, lattice_depth=40, fock_dim=128)
     assert dual_orthogonality_residual(ctx) < 1e-10
+
+
+@pytest.mark.parametrize("S", [1, 2, 4])
+def test_dual_orthogonality_without_a_core_is_a_validation_error(S):
+    # no level lies below lattice_depth - TAIL_MARGIN, so the core is empty
+    ctx = DeformationContext(q=0.5, lattice_depth=S, fock_dim=8)
+    with pytest.raises(ValidationError, match="TAIL_MARGIN"):
+        dual_orthogonality_residual(ctx)
+    assert dual_orthogonality_residual(DeformationContext(
+        q=0.5, lattice_depth=5, fock_dim=8)) >= 0.0
+
+
+@pytest.mark.parametrize("values, tail_start", [
+    (np.ones((2, 4)), np.full(6, 5)), (np.ones((5, 4)), np.full(6, 5)),
+    (np.ones((6, 6)), np.full(6, 5)), (np.ones((5, 6)), np.full(4, 5)),
+    (np.ones((5, 6)), np.full((6, 1), 5)), (np.ones(30), np.full(6, 5)),
+], ids=["rows-and-columns", "columns", "rows", "tail-start-length",
+        "tail-start-2d", "values-flat"])
+def test_mode_table_values_must_have_its_sizes(values, tail_start):
+    # the writers trust fock_dim and lattice_depth: a table they contradict
+    # would write a file that no loader reads back as the same table
+    with pytest.raises(DimensionMismatch):
+        ModeTable("position", 0.5, 5, 3, values, tail_start)
+    ModeTable("position", 0.5, 5, 3, np.ones((5, 6)), np.full(6, 5))
 
 
 def test_completeness_defect_shrinks_with_fock_dim():

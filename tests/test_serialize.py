@@ -40,6 +40,17 @@ def test_mode_table_roundtrip_csv(tmp_path, sctx):
     assert np.array_equal(back.values, t.values)
 
 
+def test_one_level_mode_table_csv_does_not_give_q(tmp_path):
+    # a CSV table reads q from its site (+1, s=1), and a JSON one records it
+    t = build_mode_table("position", DeformationContext(
+        q=0.5, fock_dim=3, lattice_depth=1))
+    for name in ("t.csv", "t.json"):
+        write_mode_table(t, str(tmp_path / name))
+    assert load_mode_table(str(tmp_path / "t.json")).q == 0.5
+    with pytest.raises(ValidationError, match="needs level s=1"):
+        load_mode_table(str(tmp_path / "t.csv"))
+
+
 def test_mode_table_roundtrip_json(tmp_path, sctx):
     t = build_mode_table("momentum", sctx)
     p = str(tmp_path / "t.json")
@@ -59,6 +70,14 @@ def test_lattice_function_roundtrip(tmp_path, sctx):
         assert back.kind == "position"
         assert not back.rescaled
         assert np.array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("name", ["f.csv", "f.json"])
+def test_lattice_function_off_its_window_is_not_written(tmp_path, sctx, name):
+    f = mode_function(3, replace(sctx, lattice_depth=sctx.lattice_depth + 1))
+    with pytest.raises(ValidationError, match="sites, window wants 16"):
+        write_lattice_function(f, sctx, str(tmp_path / name))
+    assert not (tmp_path / name).exists()
 
 
 def test_lattice_function_rescaled_flag_roundtrip(tmp_path, sctx):
@@ -584,6 +603,20 @@ def _edited_x(rows):
                  id="spectrum-json-minus-infinite-error"),
     pytest.param("spectrum_report", "json", _set("matched", 2, "error", -1e-300),
                  id="spectrum-json-tiny-negative-error"),
+    # the codec's own checks: a JSON document that is no object or carries
+    # another object's tag, a CSV file without its metadata line or header
+    pytest.param("mode_table", "json", lambda text: f"[{text}]",
+                 id="mode-table-json-not-an-object"),
+    pytest.param("kernel", "json", _set("object", "mode_table"),
+                 id="kernel-json-wrong-object"),
+    pytest.param("mode_table", "json", _doc(lambda d: d.pop("object")),
+                 id="mode-table-json-no-object"),
+    pytest.param("kernel", "csv", lambda text: text.partition("\n")[2],
+                 id="kernel-csv-no-metadata-line"),
+    pytest.param("mode_table", "csv", lambda text: text.replace(
+        "value_re", "re", 1), id="mode-table-csv-wrong-header"),
+    pytest.param("lattice_function", "csv", lambda text: text.partition(
+        "\n")[2], id="lattice-function-csv-no-header"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
     p = tmp_path / f"a.{fmt[:4]}"

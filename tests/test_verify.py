@@ -12,6 +12,7 @@ import qosc.evolution as evolution
 import qosc.hilbert as hilbert
 import qosc.qhermite as qhermite
 import qosc.verify as verify
+from qosc.errors import DomainError
 from qosc.qcore import qpoch_inf
 
 
@@ -38,6 +39,19 @@ def test_every_check_body_is_reachable():
                 seen.add(name)
                 todo.append(bodies[name])
     assert sorted(set(bodies) - seen) == []
+
+
+def test_a_check_that_raises_is_reported_as_a_failure(monkeypatch):
+    def raises():
+        raise DomainError("out of range")
+    monkeypatch.setattr(verify, "default_checks", lambda seed, corrupt: [
+        ("raises", raises), ("passes", lambda: (0.0, 1e-9, ""))])
+    report = verify.run_verification()
+    assert not report.overall_pass
+    bad, good = report.checks
+    assert (bad.passed, bad.residual, bad.tolerance) == (False, float("inf"), 0.0)
+    assert bad.detail == "raised DomainError('out of range')"
+    assert good.passed
 
 
 def test_battery_reads_no_seed():
