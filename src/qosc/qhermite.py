@@ -45,8 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .context import DeformationContext, _index
-from .errors import (DimensionMismatch, DomainError, IndexOutOfRange,
-                     ValidationError)
+from .errors import DimensionMismatch, DomainError, ValidationError
 from .qcore import coupling, qpoch, qpoch_inf
 
 TAIL_MARGIN = 4
@@ -73,7 +72,7 @@ class LatticePoint:
     value: float = field(compare=False)
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if isinstance(self.sign, bool) or self.sign not in (1, -1):
             raise ValidationError(f"sign must be +1 or -1, got {self.sign!r}")
         object.__setattr__(self, "s", _index(self.s, "level", exc=ValidationError))
 

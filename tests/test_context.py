@@ -80,6 +80,7 @@ def test_counts_reject_bool_where_they_index(ctx, call):
         call(ctx)
 
 
-def test_lattice_point_rejects_a_bool_level():
+@pytest.mark.parametrize("sign, s", [(1, True), (True, 1), (-1, False)])
+def test_lattice_point_rejects_a_bool_sign_or_level(sign, s):
     with pytest.raises(ValidationError):
-        LatticePoint(1, True, 0.5)
+        LatticePoint(sign, s, 0.5)
