@@ -3,6 +3,8 @@ and fractional-Fourier time evolution, with a verification battery that
 checks every identity the library relies on.
 """
 
+from importlib import import_module as _import_module
+
 from .context import DeformationContext, suggested_depth
 from .errors import (AlreadyRescaled, DimensionMismatch, DomainError,
                      IndexOutOfRange, KindMismatch, NoConvergence,
@@ -38,6 +40,17 @@ from .serialize import (SCHEMA_VERSION, load_kernel, load_lattice_function,
                         write_kernel, write_lattice_function,
                         write_mode_table, write_spectrum_report,
                         write_verify_report)
-from .verify import CheckResult, VerifyReport, run_verification
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the battery loads on first access, not with the package or its CLI
+_BATTERY = ("verify", "CheckResult", "VerifyReport", "run_verification")
+
+
+def __getattr__(name):
+    if name not in _BATTERY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(".verify", __name__)
+    return module if name == "verify" else getattr(module, name)
+
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")]
+                 + list(_BATTERY))

@@ -26,7 +26,6 @@ from .serialize import (_sites, load_lattice_function, write_kernel,
                         write_lattice_function, write_mode_table,
                         write_polynomial_table, write_spectrum_report,
                         write_verify_report)
-from .verify import run_verification
 
 # The CLI's own default is q; the rest are DeformationContext's.
 _DEFAULTS = {"q": 0.5, **{f.name: f.default
@@ -299,6 +298,13 @@ def evolve_cmd(fmt, out, config, input_path, tau, rescale_input, **flags):
     path = out or f"evolved.{fmt}"
     write_lattice_function(result, ctx, path, fmt)
     click.echo(path)
+
+
+def run_verification(seed: int = 0, corrupt_coupling: bool = False):
+    """qosc.verify.run_verification, imported on the first call, so that
+    only the verify command loads the battery."""
+    from .verify import run_verification as run
+    return run(seed=seed, corrupt_coupling=corrupt_coupling)
 
 
 @main.command()

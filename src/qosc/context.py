@@ -11,10 +11,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import IndexOutOfRange, ValidationError
+
+# The one capacity of every per-context cache (qhermite's weights and half
+# table, evolution's certificate, qcore's normalizers): the verify battery
+# reads 13 distinct half-table contexts, and 8 is the smallest capacity at
+# which it builds none twice (16, 14 and 13 half tables at 4, 6 and 8).
+_per_context = lru_cache(maxsize=8)
 
 
 def _index(i, what: str, hi=math.inf, lo: int = 0,

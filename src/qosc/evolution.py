@@ -27,7 +27,8 @@ so a fold holds the kernel plus one block of levels.
 evolve() applies the same split to a vector in O(N S) without forming
 any kernel. Only the kernels report the completeness tail (the largest
 qhermite._completeness) and s_match (fock._count_s_match: Sturm counts
-on Q), cached per context by _certificate.
+on Q), cached per context by _certificate; the *_residual helpers read
+only matrices, which _raw and _rescaled fold without it.
 
 Window truncation matters for every identity at tau != 0: the modes do
 not decay along the lattice, so a kernel built on the output window alone
@@ -42,11 +43,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .context import DeformationContext, _index
+from .context import DeformationContext, _index, _per_context
 from .errors import (AlreadyRescaled, DimensionMismatch, KindMismatch,
                      NoConvergence, NotRescaled, ValidationError)
 from .fock import build_P, build_Q, _count_s_match
@@ -76,7 +76,8 @@ class EvolutionKernel:
     s > s_match - 4 are considered low-confidence: the truncated operator
     no longer resolves those levels, and serialized output flags them.
     An unknown variant, a tau that is not finite, a tail_estimate outside
-    [0, 1] or an s_match below -1 raises ValidationError, and a matrix
+    [0, 1], an n_max or lattice_depth that is not an int >= 1 or an
+    s_match that is not an int >= -1 raises ValidationError, and a matrix
     that is not 2S x 2S, S = lattice_depth, raises DimensionMismatch.
     """
 
@@ -94,10 +95,12 @@ class EvolutionKernel:
             raise ValidationError(
                 f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         _check_tau(self.tau)
-        if not 0.0 <= self.tail_estimate <= 1.0 or self.s_match < -1:
-            raise ValidationError(
-                f"kernel tail_estimate {self.tail_estimate!r} must lie in "
-                f"[0, 1] and s_match {self.s_match} be >= -1")
+        if not 0.0 <= self.tail_estimate <= 1.0:
+            raise ValidationError(f"kernel tail_estimate {self.tail_estimate!r} "
+                                  f"must lie in [0, 1]")
+        for name, lo in (("n_max", 1), ("lattice_depth", 1), ("s_match", -1)):
+            object.__setattr__(self, name, _index(
+                getattr(self, name), name, lo=lo, exc=ValidationError))
         if np.shape(self.matrix) != (2 * self.lattice_depth,) * 2:
             raise DimensionMismatch(f"matrix is not 2S x 2S at S = {self.lattice_depth}")
 
@@ -105,7 +108,7 @@ class EvolutionKernel:
         return s > self.s_match - 4
 
 
-@lru_cache(maxsize=4)
+@_per_context
 def _certificate(ctx: DeformationContext) -> tuple[float, int]:
     """(tail_estimate, s_match) of every kernel at ctx: the largest
     |_completeness| over the levels, and the Sturm-count s_match."""
@@ -213,26 +216,38 @@ def _check_tau(tau: float, top: int = 0) -> None:
                               f"degree n = {top}, got {tau!r}")
 
 
-def _kernel(tau: float, variant: str, ctx: DeformationContext,
-            scale) -> EvolutionKernel:
+def _raw(tau: float, ctx: DeformationContext) -> np.ndarray:
+    """K^tau's matrix, with no certificate: kernel_K's, and all that the
+    *_residual helpers read of it."""
     _check_tau(tau, ctx.fock_dim - 1)
+    return _fold(tau, ctx, lambda w, rows: cmath.exp(1j * tau / 2.0) * w.c[None, :])
+
+
+def _rescaled(tau: float, ctx: DeformationContext) -> np.ndarray:
+    """Phi^tau's matrix, with no certificate (fractional_ft's)."""
+    _check_tau(tau, ctx.fock_dim - 1)
+    return _fold(tau, ctx, lambda w, rows: (
+        w.sqrt_w[rows, None] / w.sqrt_w[None, :]) * w.c[None, :])
+
+
+def _kernel(tau: float, variant: str, ctx: DeformationContext,
+            matrix) -> EvolutionKernel:
+    _check_tau(tau, ctx.fock_dim - 1)  # before the certificate's work
     tail, s_match = _certificate(ctx)
     return EvolutionKernel(tau=float(tau), variant=variant, q=ctx.q,
                            n_max=ctx.fock_dim, lattice_depth=ctx.lattice_depth,
-                           matrix=_fold(tau, ctx, scale),
+                           matrix=matrix(tau, ctx),
                            tail_estimate=tail, s_match=s_match)
 
 
 def kernel_K(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Raw kernel, ground phase included."""
-    return _kernel(tau, "raw_K", ctx,
-                   lambda w, rows: cmath.exp(1j * tau / 2.0) * w.c[None, :])
+    return _kernel(tau, "raw_K", ctx, _raw)
 
 
 def fractional_ft(tau: float, ctx: DeformationContext) -> EvolutionKernel:
     """Rescaled kernel Phi^tau acting on sqrt(w)-rescaled values."""
-    return _kernel(tau, "rescaled_Phi", ctx, lambda w, rows: (
-        w.sqrt_w[rows, None] / w.sqrt_w[None, :]) * w.c[None, :])
+    return _kernel(tau, "rescaled_Phi", ctx, _rescaled)
 
 
 def rescale(f: LatticeFunction, ctx: DeformationContext) -> LatticeFunction:
@@ -357,22 +372,21 @@ def _deepened(ctx: DeformationContext, buffer_levels: int) -> DeformationContext
 
 def identity_residual(ctx: DeformationContext) -> float:
     """max |Phi^0 - I| over the full window, no buffering."""
-    k = fractional_ft(0.0, ctx)
-    return float(np.max(np.abs(k.matrix - np.eye(2 * ctx.lattice_depth))))
+    return float(np.max(np.abs(_rescaled(0.0, ctx) - np.eye(2 * ctx.lattice_depth))))
 
 
 def periodicity_residual(tau: float, ctx: DeformationContext) -> float:
     """max |Phi^{tau + 2 pi} - Phi^tau|; exact up to phase roundoff."""
-    a = fractional_ft(tau, ctx)
-    b = fractional_ft(tau + 2.0 * math.pi, ctx)
-    return float(np.max(np.abs(a.matrix - b.matrix)))
+    a = _rescaled(tau, ctx)
+    b = _rescaled(tau + 2.0 * math.pi, ctx)
+    return float(np.max(np.abs(a - b)))
 
 
 def kernel_sign_flip_residual(ctx: DeformationContext) -> float:
     """max |K^{2 pi} + K^0|: the raw kernel picks up the ground phase -1."""
-    a = kernel_K(0.0, ctx)
-    b = kernel_K(2.0 * math.pi, ctx)
-    return float(np.max(np.abs(b.matrix + a.matrix)))
+    a = _raw(0.0, ctx)
+    b = _raw(2.0 * math.pi, ctx)
+    return float(np.max(np.abs(b + a)))
 
 
 def group_law_residual(t1: float, t2: float, ctx: DeformationContext) -> float:
@@ -380,12 +394,13 @@ def group_law_residual(t1: float, t2: float, ctx: DeformationContext) -> float:
 
     Composition feeds intermediate values from the whole lattice back
     into the core, so both factors are built on a window deepened by 30
-    levels and only the leading 2S rows and columns are compared.
+    levels and only the leading 2S rows and columns are compared. At
+    t2 == t1 the one factor serves twice.
     """
     deep = _deepened(ctx, 30)
-    k1 = fractional_ft(t1, deep).matrix
-    k2 = fractional_ft(t2, deep).matrix
-    k12 = fractional_ft(t1 + t2, deep).matrix
+    k1 = _rescaled(t1, deep)
+    k2 = k1 if t2 == t1 else _rescaled(t2, deep)
+    k12 = _rescaled(t1 + t2, deep)
     core = 2 * ctx.lattice_depth
     return float(np.max(np.abs((k1 @ k2 - k12)[:core, :core])))
 
@@ -394,8 +409,8 @@ def inverse_residual(tau: float, ctx: DeformationContext) -> float:
     """max core defect of Phi^tau Phi^{-tau} = I, on a window deepened by
     30 levels."""
     deep = _deepened(ctx, 30)
-    k1 = fractional_ft(tau, deep).matrix
-    k2 = fractional_ft(-tau, deep).matrix
+    k1 = _rescaled(tau, deep)
+    k2 = _rescaled(-tau, deep)
     core = 2 * ctx.lattice_depth
     prod = (k1 @ k2)[:core, :core]
     return float(np.max(np.abs(prod - np.eye(core))))

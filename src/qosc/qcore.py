@@ -23,12 +23,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from itertools import count, islice
 from typing import Sequence, Union
 
 import numpy as np
 
-from .context import DeformationContext, _index, _unit_float
+from .context import DeformationContext, _index, _per_context, _unit_float
 from .errors import (DomainError, IndexOutOfRange, NonConvergent,
                      ValidationError)
 
@@ -139,18 +138,28 @@ def q_diff(f: CoefficientVector, ctx: DeformationContext) -> CoefficientVector:
     return CoefficientVector(f.coeffs[1:] * q_number(n, ctx))
 
 
-def _basis_coeffs(q: float):
-    """c_0, c_1, ... by the stable running recurrence from c_0 = 1."""
-    c = 1.0
-    for k in count():
-        yield c
+@_per_context
+def _normalizer_block(q: float, size: int) -> np.ndarray:
+    """c_0 .. c_{size-1} at q by the running recurrence from c_0 = 1,
+    read-only: the bits of a loop that carries c_n in a Python float."""
+    out, c = np.empty(size), 1.0
+    for k in range(size):
+        out[k] = c
         c = c * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1))
+    out.flags.writeable = False
+    return out
+
+
+def _normalizers(n: int, q: float) -> np.ndarray:
+    """c_0 .. c_{n-1}: a prefix of the one cached array per q and
+    power-of-two length (64 at least) that holds them."""
+    return _normalizer_block(q, max(64, 1 << (n - 1).bit_length()))[:n]
 
 
 def basis_coeff(n: int, ctx: DeformationContext) -> float:
     """c_n by the stable running recurrence from c_0 = 1."""
     n = _index(n, "basis degree")
-    return next(islice(_basis_coeffs(ctx.q), n, None))
+    return float(_normalizers(n + 1, ctx.q)[n])
 
 
 def basis_coeff_direct(n: int, ctx: DeformationContext) -> float:
@@ -178,21 +187,19 @@ def fock_monomial(n: int, ctx: DeformationContext) -> CoefficientVector:
 def _b_space(f: CoefficientVector, ctx: DeformationContext) -> np.ndarray:
     """Coefficients of f over the orthonormal e_n, i.e. b_n = f_n / c_n.
 
-    Dividing slotwise by a running c_n avoids forming 1 / c_n^2, which
-    overflows long before b itself does.
+    Dividing slotwise by c_n avoids forming 1 / c_n^2, which overflows
+    long before b itself does. Where c_n is not a normal float, b_n is 0
+    if f_n is, and DomainError is raised if it is not.
     """
-    out = np.empty(len(f), dtype=complex)
-    for k, c in zip(range(len(f)), _basis_coeffs(ctx.q)):
-        if c < sys.float_info.min:
-            # c_n has underflowed; any mass left this deep is unrecoverable
-            if abs(f.coeffs[k]) != 0.0:
-                raise DomainError(
-                    f"basis normalizer underflows at index {k}; the "
-                    f"coefficient there cannot be converted")
-            out[k] = 0.0
-        else:
-            out[k] = f.coeffs[k] / c
-    return out
+    c = _normalizers(len(f), ctx.q)
+    low = c < sys.float_info.min
+    lost = np.flatnonzero(low & (f.coeffs != 0.0))
+    if lost.size:  # any mass left this deep is unrecoverable
+        raise DomainError(
+            f"basis normalizer underflows at index {lost[0]}; the "
+            f"coefficient there cannot be converted")
+    out = np.zeros(len(f), dtype=complex)
+    return np.divide(f.coeffs, c, out=out, where=~low)
 
 
 def fock_inner(f1: CoefficientVector, f2: CoefficientVector,

@@ -39,12 +39,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .context import DeformationContext, _index
+from .context import DeformationContext, _index, _per_context
 from .errors import DimensionMismatch, DomainError, ValidationError
 from .qcore import coupling, qpoch, qpoch_inf
 
@@ -238,7 +237,7 @@ class Weights(NamedTuple):
     prefactor: float
 
 
-@lru_cache(maxsize=4)
+@_per_context
 def _weights(ctx: DeformationContext) -> Weights:
     """Every level's weights, computed once per context: the deepest,
     w_{S-1} = (q^{2S}; q^2)_inf, is one qpoch_inf call, and each
@@ -285,7 +284,7 @@ def lattice_weight_window(ctx: DeformationContext) -> np.ndarray:
     return np.repeat(_weights(ctx).w, 2)
 
 
-@lru_cache(maxsize=4)
+@_per_context
 def _half_table(ctx: DeformationContext) -> tuple[np.ndarray, np.ndarray]:
     """(p_n(+q^s) for n < fock_dim, tail_start per level), read-only:
     the one tabulation of the modes."""
@@ -309,7 +308,8 @@ class ModeTable:
     values[n, i] is the degree-n mode at window index i. kind "position"
     stores real p_n; kind "momentum" stores complex i^n p_n on the same
     grid. tail_start[i] is the first degree stored as exact zero after
-    the flagged tail cut (fock_dim if none). Arrays of other shapes than
+    the flagged tail cut (fock_dim if none). fock_dim and lattice_depth
+    are ints >= 1, or ValidationError; arrays of other shapes than
     (fock_dim, 2S) and (2S,), S = lattice_depth, raise DimensionMismatch.
     """
 
@@ -323,6 +323,9 @@ class ModeTable:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"kind must be one of {_KINDS}, got {self.kind!r}")
+        for name in ("fock_dim", "lattice_depth"):
+            object.__setattr__(self, name, _index(
+                getattr(self, name), name, lo=1, exc=ValidationError))
         want = (self.fock_dim, 2 * self.lattice_depth)
         if np.shape(self.values) != want or np.shape(self.tail_start) != want[1:]:
             raise DimensionMismatch(f"values and tail_start must have shapes "

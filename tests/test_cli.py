@@ -127,6 +127,23 @@ def test_spectrum_and_verify_do_not_import_scipy(tmp_path):
     assert f"PASS overall {n}/{n} checks" in r.stdout, r.stdout
 
 
+def test_kernel_command_leaves_the_battery_unloaded(tmp_path):
+    # only the verify command loads qosc.verify; the package still names
+    # the battery's entry points, which load it on first access
+    code = ("import sys\n"
+            "import qosc\n"
+            "from qosc.cli import main\n"
+            "main(['kernel', '--lattice-depth', '6', '--fock-dim', '16',\n"
+            "      '--out', 'k.csv'], standalone_mode=False)\n"
+            "assert 'qosc.verify' not in sys.modules, 'battery loaded'\n"
+            "run = qosc.run_verification\n"
+            "assert run is sys.modules['qosc.verify'].run_verification\n"
+            "assert qosc.verify.VerifyReport is qosc.VerifyReport\n")
+    r = _qosc_subprocess(code, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert (tmp_path / "k.csv").exists()
+
+
 def test_oversized_inputs_fail_before_allocating(tmp_path):
     # under 1 GiB of address space: the window alone of 10^12 levels
     # would raise MemoryError; the size check must come first, before

@@ -189,10 +189,15 @@ def test_kernel_variant_validation(ectx):
 @pytest.mark.parametrize("field, value", [
     ("tau", math.nan), ("tau", math.inf), ("tail_estimate", -1e-300),
     ("tail_estimate", math.nan), ("tail_estimate", math.inf),
-    ("tail_estimate", 1.0000000000000002), ("s_match", -2)])
+    ("tail_estimate", 1.0000000000000002), ("s_match", -2),
+    # a float or bool count was written to a file that load_kernel refuses,
+    # and a float lattice_depth passed the matrix's shape check
+    ("s_match", 0.7), ("s_match", 3.0), ("s_match", True), ("n_max", 80.0),
+    ("n_max", 0), ("lattice_depth", 30.0)])
 def test_kernel_rejects_an_impossible_certificate(ectx, field, value):
     k = fractional_ft(0.1, ectx)
     assert replace(k, tail_estimate=1.0, s_match=-1).tail_estimate == 1.0
+    assert type(replace(k, s_match=np.int64(3)).s_match) is int
     with pytest.raises(ValidationError):
         replace(k, **{field: value})
 
@@ -427,6 +432,45 @@ def test_evolve_rejects_a_kernel_built_for_another_call(change, ectx):
     k = fractional_ft(tau, ctx)
     with pytest.raises(ValidationError):
         evolve(rescaled_mode(2, ectx), 0.7, ectx, kernel=k)
+
+
+def _matrix_residuals(ctx):
+    """The rerouted residuals, each from the public kernels' matrices."""
+    Phi = lambda t, c=ctx: fractional_ft(t, c).matrix  # noqa: E731
+    K = lambda t: kernel_K(t, ctx).matrix  # noqa: E731
+    deep = replace(ctx, lattice_depth=ctx.lattice_depth + 30,
+                   fock_dim=2 * (ctx.lattice_depth + 30) + 24)
+    core = 2 * ctx.lattice_depth
+    group = [np.abs((Phi(t1, deep) @ Phi(t2, deep) - Phi(t1 + t2, deep))
+                    [:core, :core]).max() for t1, t2 in _GROUP_PAIRS]
+    inverse = (Phi(math.pi / 2, deep) @ Phi(-math.pi / 2, deep))[:core, :core]
+    return [np.abs(Phi(0.0) - np.eye(core)).max(),
+            np.abs(Phi(0.7) - Phi(0.7 + 2.0 * math.pi)).max(),
+            np.abs(K(2.0 * math.pi) + K(0.0)).max(), *group,
+            np.abs(inverse - np.eye(core)).max()]
+
+
+_GROUP_PAIRS = [(0.3, 1.0), (math.pi / 2, math.pi / 2)]
+
+
+@pytest.mark.parametrize("q, S, N", [(0.5, 30, 80), (0.8, 12, 40)])
+def test_residual_helpers_match_the_kernels_bit_for_bit(monkeypatch, q, S, N):
+    # the helpers fold their matrices with no certificate (no Sturm count
+    # runs), and group_law_residual folds Phi^{t1} once when t2 == t1
+    def boom(T, ctx):
+        raise AssertionError("Sturm count ran")
+
+    ctx = DeformationContext(q=q, lattice_depth=S, fock_dim=N)
+    _certificate.cache_clear()
+    monkeypatch.setattr("qosc.evolution._count_s_match", boom)
+    got = [identity_residual(ctx), periodicity_residual(0.7, ctx),
+           kernel_sign_flip_residual(ctx),
+           *(group_law_residual(t1, t2, ctx) for t1, t2 in _GROUP_PAIRS),
+           inverse_residual(math.pi / 2, ctx)]
+    monkeypatch.undo()
+    want = _matrix_residuals(ctx)
+    assert np.array(got).view(np.uint64).tolist() == (
+        np.array(want).view(np.uint64).tolist())
 
 
 def test_evolve_computes_no_kernel_certificate(monkeypatch, ectx):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +103,66 @@ def test_basis_coeff_recurrence_matches_direct():
                 assert a == pytest.approx(b, rel=1e-12)
             else:
                 assert abs(a - b) < 1e-290
+
+
+def _running(q, n):
+    """c_0 .. c_{n-1}, one Python float carried through the recurrence."""
+    out, c = [], 1.0
+    for k in range(n):
+        out.append(c)
+        c = c * q ** (k / 2.0) / math.sqrt(1.0 - q ** (k + 1))
+    return out
+
+
+def _bits(values):
+    return np.asarray(values).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+def test_normalizers_are_the_running_recurrence_bit_for_bit(q):
+    # 400 degrees reach past the underflow of c_n at each q, a short read
+    # comes first so that the longer one replaces its array
+    ctx = DeformationContext(q=q, fock_dim=400)
+    want = _running(q, 400)
+    assert want[-1] == 0.0
+    assert _bits(qcore._normalizers(10, q)) == _bits(want[:10])
+    assert _bits(qcore._normalizers(400, q)) == _bits(want)
+    assert _bits([basis_coeff(n, ctx) for n in range(400)]) == _bits(want)
+    normal = [n for n in range(400) if want[n] >= sys.float_info.min]
+    assert _bits([fock_monomial(n, ctx).coeffs[n].real for n in normal]) == (
+        _bits([want[n] for n in normal]))
+
+
+def _b_running(coeffs, q):
+    """b_n = f_n / c_n slot by slot, as a loop over the running c_n."""
+    out = np.empty(len(coeffs), dtype=complex)
+    for k, c in enumerate(_running(q, len(coeffs))):
+        if c < sys.float_info.min:
+            if abs(coeffs[k]) != 0.0:
+                raise DomainError(f"basis normalizer underflows at index {k}")
+            out[k] = 0.0
+        else:
+            out[k] = coeffs[k] / c
+    return out
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
+def test_b_space_is_the_slotwise_division_bit_for_bit(q):
+    ctx = DeformationContext(q=q, fock_dim=400)
+    low = next(n for n, c in enumerate(_running(q, 400))
+               if c < sys.float_info.min)
+    rng = np.random.default_rng(29)
+    coeffs = rng.standard_normal(400) + 1j * rng.standard_normal(400)
+    coeffs[3], coeffs[5], coeffs[low:] = -0.0, complex(0.0, -0.0), 0.0
+    coeffs[low + 2] = complex(-0.0, 0.0)  # a zero past the underflow passes
+    got = qcore._b_space(CoefficientVector(coeffs), ctx)
+    assert _bits(got) == _bits(_b_running(coeffs, q))
+    assert not got[low:].any()
+    coeffs[low + 1] = 1e-300  # a nonzero one raises, at its index
+    with pytest.raises(DomainError, match=f"index {low + 1};"):
+        qcore._b_space(CoefficientVector(coeffs), ctx)
+    with pytest.raises(DomainError, match=f"index {low + 1}"):
+        _b_running(coeffs, q)
 
 
 def test_coefficient_vector_shape():

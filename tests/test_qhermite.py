@@ -600,6 +600,18 @@ def test_mode_table_values_must_have_its_sizes(values, tail_start):
     ModeTable("position", 0.5, 5, 3, np.ones((5, 6)), np.full(6, 5))
 
 
+@pytest.mark.parametrize("fock_dim, lattice_depth", [
+    (5.0, 3), (5, 3.0), (True, 3), (5, 0), (np.float64(5), 3)])
+def test_mode_table_sizes_are_ints(fock_dim, lattice_depth):
+    # np.shape compares (5, 6) equal to (5.0, 6), so a float size passed the
+    # shape check and wrote a file that load_mode_table refuses
+    with pytest.raises(ValidationError):
+        ModeTable("position", 0.5, fock_dim, lattice_depth, np.ones((5, 6)),
+                  np.full(6, 5))
+    t = ModeTable("position", 0.5, np.int64(5), 3, np.ones((5, 6)), np.full(6, 5))
+    assert type(t.fock_dim) is int
+
+
 def test_completeness_defect_shrinks_with_fock_dim():
     shallow = DeformationContext(q=0.5, lattice_depth=12, fock_dim=24)
     deep = DeformationContext(q=0.5, lattice_depth=12, fock_dim=64)

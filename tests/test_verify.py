@@ -145,6 +145,27 @@ def test_norm_c_ratio_fails_when_every_weight_shares_a_factor(monkeypatch):
     assert np.allclose(c[1:26] / c[:25], target, rtol=1e-12, atol=0)
 
 
+def test_battery_builds_each_table_and_certificate_once(monkeypatch):
+    # from empty caches, one pass tabulates each of its 13 half-table
+    # contexts once, plus mode-parity's two -x passes, and computes one
+    # kernel certificate: the residual helpers read matrices alone
+    seen = []
+    p_matrix = qhermite._p_matrix
+
+    def counted(x, nmax, ctx):
+        seen.append(ctx)
+        return p_matrix(x, nmax, ctx)
+
+    monkeypatch.setattr(qhermite, "_p_matrix", counted)
+    monkeypatch.setattr(verify, "_p_matrix", counted)
+    for cache in (qhermite._weights, qhermite._half_table,
+                  evolution._certificate):
+        cache.cache_clear()
+    assert verify.run_verification(seed=3).overall_pass
+    assert (len(seen), len(set(seen))) == (15, 13)
+    assert evolution._certificate.cache_info().misses == 1
+
+
 def test_benchmark_lists_every_family_and_traced_name():
     # perfbench's traced run refuses a verify.<family>.s metric that
     # BENCHMARK.json does not list, and traces the LAYERS names by lookup
