@@ -197,9 +197,14 @@ def test_kernel_variant_validation(ectx):
 def test_kernel_rejects_an_impossible_certificate(ectx, field, value):
     k = fractional_ft(0.1, ectx)
     assert replace(k, tail_estimate=1.0, s_match=-1).tail_estimate == 1.0
-    assert type(replace(k, s_match=np.int64(3)).s_match) is int
     with pytest.raises(ValidationError):
         replace(k, **{field: value})
+
+
+def test_kernel_counts_are_stored_as_ints(ectx):
+    k = replace(fractional_ft(0.1, ectx), s_match=np.int64(3),
+                n_max=np.int32(80), lattice_depth=np.uint8(30))
+    assert [type(v) for v in (k.s_match, k.n_max, k.lattice_depth)] == [int] * 3
 
 
 def test_kernel_matrix_must_be_its_window(ectx):
@@ -434,6 +439,9 @@ def test_evolve_rejects_a_kernel_built_for_another_call(change, ectx):
         evolve(rescaled_mode(2, ectx), 0.7, ectx, kernel=k)
 
 
+_GROUP_PAIRS = [(0.3, 1.0), (math.pi / 2, math.pi / 2)]
+
+
 def _matrix_residuals(ctx):
     """The rerouted residuals, each from the public kernels' matrices."""
     Phi = lambda t, c=ctx: fractional_ft(t, c).matrix  # noqa: E731
@@ -450,13 +458,10 @@ def _matrix_residuals(ctx):
             np.abs(inverse - np.eye(core)).max()]
 
 
-_GROUP_PAIRS = [(0.3, 1.0), (math.pi / 2, math.pi / 2)]
-
-
 @pytest.mark.parametrize("q, S, N", [(0.5, 30, 80), (0.8, 12, 40)])
 def test_residual_helpers_match_the_kernels_bit_for_bit(monkeypatch, q, S, N):
     # the helpers fold their matrices with no certificate (no Sturm count
-    # runs), and group_law_residual folds Phi^{t1} once when t2 == t1
+    # runs); at (pi/2, pi/2) group_law_residual's one factor serves twice
     def boom(T, ctx):
         raise AssertionError("Sturm count ran")
 

@@ -120,8 +120,8 @@ def _bits(values):
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.95])
 def test_normalizers_are_the_running_recurrence_bit_for_bit(q):
-    # 400 degrees reach past the underflow of c_n at each q, a short read
-    # comes first so that the longer one replaces its array
+    # 400 degrees reach past the underflow of c_n at each q; a short and a
+    # long read come from cached arrays of different lengths
     ctx = DeformationContext(q=q, fock_dim=400)
     want = _running(q, 400)
     assert want[-1] == 0.0
