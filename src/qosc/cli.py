@@ -59,11 +59,11 @@ def _parse_config_file(path: str) -> dict:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            raw = json.loads(text)
+            pairs = json.loads(text, object_pairs_hook=list)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"config {path!r} is not valid JSON: {exc}")
     else:
-        raw = {}
+        pairs = []
         for lineno, line in enumerate(text.splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -72,9 +72,11 @@ def _parse_config_file(path: str) -> dict:
                 raise ValidationError(
                     f"config {path!r} line {lineno}: expected key=value")
             key, _, value = line.partition("=")
-            raw[key.strip()] = value.strip()
+            pairs.append((key.strip(), value.strip()))
     out = {}
-    for key, value in raw.items():
+    for key, value in pairs:
+        if key in out:
+            raise ValidationError(f"config {path!r} sets {key!r} twice")
         if key not in _CONFIG_KEYS:
             raise ValidationError(f"config {path!r}: unknown key {key!r}")
         is_int = key in ("fock_dim", "lattice_depth", "seed")
@@ -279,8 +281,7 @@ def kernel(fmt, out, config, tau, variant, **flags):
 
 
 @main.command(name="evolve")
-@options("q", "fock_dim", "lattice_depth", "tail_tol", "match_tol", "fmt",
-         "out", "config")
+@options("q", "fock_dim", "lattice_depth", "tail_tol", "fmt", "out", "config")
 @click.option("--input", "input_path", type=click.Path(dir_okay=False),
               required=True, help="Lattice function to evolve.")
 @click.option("--tau", type=float, default=math.pi / 2, show_default="pi/2")

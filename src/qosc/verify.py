@@ -1,12 +1,15 @@
 """Named end-to-end verification checks.
 
-run_verification executes every analytic identity the library claims,
-across q in {0.3, 0.5, 0.8, 0.95}, and reports one named result per
-check: residual, tolerance, pass flag, wall time. The whole battery is
-sized to finish in well under a minute. One family covers both closed-form
-wavefunctions: psi-closed-form compares phi_eval's series and product
-too, since phi_p(y) = psi_p(iy), and phi's series with i^n h_n(p) y^n /
-(q;q)_n summed apart.
+run_verification executes every analytic identity the library claims
+and reports one named result per check: residual, tolerance, pass flag,
+wall time. The table in default_checks is the battery's one declaration:
+each family lists the contexts it runs on, a check is named after its
+own context's q, and the report's qs are those q's, ascending (0.3 to
+0.95, and ladder-limit's 0.999 and 0.9999 toward the q -> 1 limit). The
+whole battery is sized to finish in well under a minute. One family
+covers both closed-form wavefunctions: psi-closed-form compares
+phi_eval's series and product too, since phi_p(y) = psi_p(iy), and
+phi's series with i^n h_n(p) y^n / (q;q)_n summed apart.
 
 corrupt_coupling=True deliberately perturbs one off-diagonal coupling
 inside the q=0.5 commutator check; it exists so callers can confirm the
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -43,8 +47,6 @@ from .qhermite import (_I_POWERS, _p_matrix, build_mode_table,
                        lattice_point, lattice_weight, norm_c, norm_c_window,
                        orthogonality_residuals, window_values)
 
-QS = (0.3, 0.5, 0.8, 0.95)
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -65,34 +67,26 @@ class VerifyReport:
     checks: List[CheckResult] = field(default_factory=list)
 
 
-def _ctx(q: float, **kw) -> DeformationContext:
-    return DeformationContext(q=q, **kw)
-
-
 # -- individual check bodies (residual, tolerance, detail) --------------
+# Each takes the context its table rung declares, then the rung's extras.
 
-def _spectrum_match(q: float, n: int, s_cap: int, tol: float):
-    ctx = _ctx(q, fock_dim=n)
+def _spectrum_match(ctx: DeformationContext, s_cap: int, tol: float):
     rep = spectrum_report(build_Q(ctx), ctx)
     errs = [m.error for m in rep.matched if m.s <= s_cap]
-    return max(errs), tol, f"N={n}, s<= {s_cap}, s_match={rep.s_match}"
+    return max(errs), tol, f"N={ctx.fock_dim}, s<= {s_cap}, s_match={rep.s_match}"
 
 
-def _spectrum_negation(q: float):
-    ctx = _ctx(q, fock_dim=60)
-    vals = eigenvalues(build_Q(ctx), ctx)
-    v = np.sort(vals)
+def _spectrum_negation(ctx: DeformationContext):
+    v = np.sort(eigenvalues(build_Q(ctx), ctx))
     return float(np.max(np.abs(v + v[::-1]))), 1e-12, "spectrum symmetric under negation"
 
 
-def _spectrum_bound(q: float):
-    ctx = _ctx(q, fock_dim=60)
+def _spectrum_bound(ctx: DeformationContext):
     vals = eigenvalues(build_Q(ctx), ctx)
     return max(0.0, float(np.max(np.abs(vals))) - 1.0), 1e-12, "|lambda| <= 1"
 
 
-def _commutators(q: float, corrupt: bool = False):
-    ctx = _ctx(q)
+def _commutators(ctx: DeformationContext, corrupt: bool = False):
     Q = build_Q(ctx).to_dense().astype(complex)
     if corrupt:
         Q[3, 4] *= 1.0 + 1e-6
@@ -110,30 +104,29 @@ def _commutators(q: float, corrupt: bool = False):
     return float(max(r1, r2, r3)), 1e-12, detail
 
 
-def _ladder_conjugation(q: float):
-    ctx = _ctx(q)
+def _ladder_conjugation(ctx: DeformationContext):
     low, rai = build_ladders(ctx)
     Q = build_Q(ctx).to_dense().astype(complex)
     P = build_P(ctx).to_dense()
-    target = 0.5 * math.sqrt(q / (1.0 - q)) * (Q - 1j * P)
+    target = 0.5 * math.sqrt(ctx.q / (1.0 - ctx.q)) * (Q - 1j * P)
     r1 = np.max(np.abs(rai - target))
     C = commutator(low, rai)
-    r2 = abs(C[0, 0] - q)
+    r2 = abs(C[0, 0] - ctx.q)
     return float(max(r1, r2)), 1e-13, "raising = (1/2)sqrt(q/(1-q))(Q-iP); [low,rai] e_0 = q e_0"
 
 
-def _ladder_limit(q: float, n_cap: int, tol: float):
-    ctx = _ctx(q, fock_dim=n_cap + 2)
+def _ladder_limit(ctx: DeformationContext, tol: float):
+    n_cap = ctx.fock_dim - 2  # the last degree carries the truncation defect
     low, rai = build_ladders(ctx)
     diag = np.diag(commutator(low, rai)).real
     dev = float(np.max(np.abs(diag[: n_cap + 1] - 1.0)))
     return dev, tol, f"diag of [lowering, raising] near 1 for n <= {n_cap}"
 
 
-def _y_realization(q: float):
+def _y_realization(ctx: DeformationContext):
     # n capped at 40: past that the basis normalizer c_n underflows at
     # small q and the monomial inner products degenerate
-    ctx = _ctx(q)
+    q = ctx.q
     worst = 0.0
     for n in range(0, 41, 5):
         e_n = fock_monomial(n, ctx)
@@ -151,8 +144,7 @@ def _y_realization(q: float):
     return worst, 1e-12, "raising/lowering/scale reproduce ladder coefficients on e_n"
 
 
-def _qpoch_recurrence(q: float):
-    ctx = _ctx(q)
+def _qpoch_recurrence(ctx: DeformationContext):
     worst = 0.0
     for a in (-0.9, -0.3, 0.1, 0.5, 0.99):
         for n in (0, 1, 2, 5, 11):
@@ -163,20 +155,19 @@ def _qpoch_recurrence(q: float):
 
 
 def _qpoch_pinned():
-    r1 = abs(qpoch_inf(0.25, _ctx(0.25)) - 0.6885375371203405)
-    r2 = abs(qpoch_inf(0.5, _ctx(0.5)) - 0.2887880950866029)
+    r1 = abs(qpoch_inf(0.25, DeformationContext(0.25)) - 0.6885375371203405)
+    r2 = abs(qpoch_inf(0.5, DeformationContext(0.5)) - 0.2887880950866029)
     return float(max(r1, r2)), 1e-12, "(0.25;0.25)_inf and (0.5;0.5)_inf frozen values"
 
 
-def _qpoch_stability(q: float):
-    loose = qpoch_inf(0.7, _ctx(q, tail_tol=1e-12))
-    tight = qpoch_inf(0.7, _ctx(q, tail_tol=1e-14))
+def _qpoch_stability(ctx: DeformationContext):
+    loose = qpoch_inf(0.7, replace(ctx, tail_tol=1e-12))
+    tight = qpoch_inf(0.7, replace(ctx, tail_tol=1e-14))
     return abs(loose - tight) / abs(tight), 1e-10, "tail_tol 1e-12 vs 1e-14"
 
 
-def _mode_parity(q: float):
+def _mode_parity(ctx: DeformationContext):
     # the recurrence runs at -x itself: the table's -x columns are a mirror
-    ctx = _ctx(q)
     t = build_mode_table("position", ctx)
     minus, _ = _p_matrix(window_values(ctx)[1::2], ctx.fock_dim, ctx)
     signs = (-1.0) ** np.arange(ctx.fock_dim)
@@ -184,10 +175,10 @@ def _mode_parity(q: float):
     return float(np.max(np.abs(diff))), 0.0, "p_n(-x) = (-1)^n p_n(x), bitwise"
 
 
-def _hermite_mode_consistency(q: float):
+def _hermite_mode_consistency(ctx: DeformationContext):
     # generic abscissas only: at lattice points both forward recurrences
     # shed the minimal branch and stop agreeing past n ~ 2s
-    ctx = _ctx(q)
+    q = ctx.q
     xs = (0.7, 0.2, -0.43, 1.3)
     ps, hs = (forward_rows(f, 30, xs, ctx).tolist() for f in ("orthonormal", "hermite"))
     worst = 0.0
@@ -198,19 +189,18 @@ def _hermite_mode_consistency(q: float):
     return worst, 1e-9, "p_n vs rescaled h_n at generic points, n <= 30"
 
 
-def _dual_orth(q: float, depth: int, n: int):
-    ctx = _ctx(q, lattice_depth=depth, fock_dim=n)
-    return dual_orthogonality_residual(ctx), 1e-8, f"S={depth}, N={n}, core margin 4"
+def _dual_orth(ctx: DeformationContext):
+    return dual_orthogonality_residual(ctx), 1e-8, (
+        f"S={ctx.lattice_depth}, N={ctx.fock_dim}, core margin 4")
 
 
-def _sum_orth(q: float, depth: int, tol: float):
-    ctx = _ctx(q, lattice_depth=depth)
+def _sum_orth(ctx: DeformationContext, tol: float):
     worst = float(orthogonality_residuals(10, ctx).max())
-    return worst, tol, f"S={depth}, degrees k,m <= 10, normalized residual"
+    return worst, tol, f"S={ctx.lattice_depth}, degrees k,m <= 10, normalized residual"
 
 
-def _euler_weights(q: float):
-    ctx = _ctx(q)
+def _euler_weights(ctx: DeformationContext):
+    q = ctx.q
     q2 = q * q
     lhs = qpoch_inf(q, ctx) * qpoch_inf(-q, ctx)
     rhs = qpoch_inf(q2, ctx, base=q2)
@@ -220,21 +210,20 @@ def _euler_weights(q: float):
     return float(max(r1, r2)), 1e-13, "(q;q)(-q;q) = (q^2;q^2); (-1;q) = 2(-q;q)"
 
 
-def _row_completeness(q: float):
+def _row_completeness(ctx: DeformationContext):
     # |p_n(x)| grows like q^{-n/4} toward x = 0, so the lattice must reach
     # n/2 levels past the nominal tail depth before row sums settle
-    ctx0 = _ctx(q)
-    depth = ctx0.fock_dim // 2 + suggested_depth(q, 1e-15)
-    ctx = _ctx(q, lattice_depth=depth)
+    depth = ctx.fock_dim // 2 + suggested_depth(ctx.q, 1e-15)
+    ctx = replace(ctx, lattice_depth=depth)
     t = build_mode_table("position", ctx)
     cs = norm_c_window(ctx)
     sums = np.sum(cs[None, :] * t.values**2, axis=1)
     return float(np.max(np.abs(sums - 1.0))), 1e-8, f"sum_x c_x p_n(x)^2 = 1, S={depth}"
 
 
-def _norm_c_ratio(q: float):
+def _norm_c_ratio(ctx: DeformationContext):
     # a factor common to every weight cancels in the ratios; w_0 pins it
-    ctx = _ctx(q)
+    q = ctx.q
     w0 = lattice_weight(lattice_point(1, 0, ctx), ctx)
     want = float(qpoch_inf(q * q, ctx, base=q * q))
     worst = abs(w0 - want) / want
@@ -250,7 +239,7 @@ def _psi_closed_form():
     # is also held to sum_n i^n h_n(p) y^n / (q;q)_n, to n = 60
     worst = 0.0
     for q in (0.3, 0.5, 0.8):
-        ctx = _ctx(q)
+        ctx = DeformationContext(q)
         for s in (0, 1, 3):
             for sign in (1, -1):
                 pt = lattice_point(sign, s, ctx)
@@ -272,15 +261,15 @@ def _psi_closed_form():
 
 
 def _psi_pinned():
-    ctx = _ctx(0.5)
+    ctx = DeformationContext(0.5)
     val = psi_eval(WavefunctionQuery(lattice_point(1, 0, ctx), 0.5, "product"), ctx)
     return abs(val - 2.3842310), 1e-6, "psi_{x=1}(0.5) at q=0.5"
 
 
-def _eigenvector_mode_ratio(q: float):
+def _eigenvector_mode_ratio(ctx: DeformationContext):
     # past n ~ 9 the q^{-n^2/4} dominant branch amplifies the eigenvalue's
     # truncation error and the comparison stops being meaningful
-    ctx = _ctx(q, fock_dim=60)
+    q = ctx.q
     vals, vecs = eigendecompose(build_Q(ctx), ctx)
     levels = (0, 2, 5, 8)
     p = forward_rows("orthonormal", 9, [q**s for s in levels], ctx)
@@ -293,20 +282,18 @@ def _eigenvector_mode_ratio(q: float):
     return worst, 1e-8, "eigenvector component ratios equal p_n(q^s), n <= 9"
 
 
-def _position_eigenrelation(q: float):
-    ctx = _ctx(q, fock_dim=60)
+def _position_eigenrelation(ctx: DeformationContext):
     worst = 0.0
     for s in (0, 3, 7):
         pt = lattice_point(1, s, ctx)
         b = normalized_eigenfunction("position", pt, ctx)
         f = fock_to_lattice(b, "position", ctx)
         xf = apply_Q(f, ctx)
-        worst = max(worst, float(np.max(np.abs(xf.values - q**s * f.values))))
+        worst = max(worst, float(np.max(np.abs(xf.values - ctx.q**s * f.values))))
     return worst, 1e-8, "multiplication by x fixes the eigenfunction, up to truncation"
 
 
-def _momentum_equivalence(q: float):
-    ctx = _ctx(q)
+def _momentum_equivalence(ctx: DeformationContext):
     n = ctx.fock_dim
     D = np.diag(1j ** np.arange(n))
     Q = build_Q(ctx).to_dense().astype(complex)
@@ -315,10 +302,9 @@ def _momentum_equivalence(q: float):
     return float(r), 1e-13, "diag(i^n) Q diag(i^n)^* = P"
 
 
-def _q_difference_P(q: float):
+def _q_difference_P(ctx: DeformationContext):
     # roundoff in the divided differences is amplified by 1/x, so compare
     # on levels s <= 20 where the amplification stays below the tolerance
-    ctx = _ctx(q)
     core = slice(0, 42)
     worst = 0.0
     for n in (1, 2, 3):
@@ -329,11 +315,11 @@ def _q_difference_P(q: float):
     return worst, 5e-9, "q-difference route vs recurrence route for P, s <= 20"
 
 
-def _parseval(q: float):
+def _parseval(ctx: DeformationContext):
     # sup |<b1, b2> - <f1, f2>| over unit b1, b2 on modes n < 32 is
     # max |eig(G - I)|; 1e-8 / 64 is a 1e-8 bound on states of norm 8
-    depth = suggested_depth(q, 1e-15)
-    ctx = _ctx(q, lattice_depth=depth)
+    depth = suggested_depth(ctx.q, 1e-15)
+    ctx = replace(ctx, lattice_depth=depth)
     modes = build_mode_table("position", ctx).values[:32]
     G = (modes * norm_c_window(ctx)) @ modes.T
     r = float(np.max(np.abs(np.linalg.eigvalsh(G - np.eye(32)))))
@@ -341,57 +327,52 @@ def _parseval(q: float):
                           "sup over unit states on 32 modes")
 
 
-def _evolve_identity(q: float, depth: int, n: int, tol: float):
-    ctx = _ctx(q, lattice_depth=depth, fock_dim=n)
-    return identity_residual(ctx), tol, f"S={depth}, N={n}"
+def _evolve_identity(ctx: DeformationContext, tol: float):
+    return identity_residual(ctx), tol, f"S={ctx.lattice_depth}, N={ctx.fock_dim}"
 
 
-def _evolve_group(q: float):
-    ctx = _ctx(q)
+def _evolve_group(ctx: DeformationContext):
     r = max(group_law_residual(0.3, 1.0, ctx),
             group_law_residual(math.pi / 2, math.pi / 2, ctx))
     return r, 1e-8, "pairs (0.3, 1.0) and (pi/2, pi/2), buffered window"
 
 
-def _evolve_inverse(q: float):
-    return inverse_residual(math.pi / 2, _ctx(q)), 1e-8, "Phi(pi/2) Phi(-pi/2) = I, buffered"
+def _evolve_inverse(ctx: DeformationContext):
+    return inverse_residual(math.pi / 2, ctx), 1e-8, "Phi(pi/2) Phi(-pi/2) = I, buffered"
 
 
-def _evolve_phase_map(q: float):
-    return phase_map_residual(_ctx(q)), 1e-8, "Phi(pi/2) F_n = i^n F_n, n <= 20, buffered"
+def _evolve_phase_map(ctx: DeformationContext):
+    return phase_map_residual(ctx), 1e-8, "Phi(pi/2) F_n = i^n F_n, n <= 20, buffered"
 
 
-def _evolve_intertwine(q: float):
+def _evolve_intertwine(ctx: DeformationContext):
     # a 1e-7 bound on states of norm sqrt(24), per unit norm
-    return intertwine_residual(_ctx(q)), 2e-8, (
+    return intertwine_residual(ctx), 2e-8, (
         "pi/2 evolution lands on the momentum realization, sup over unit "
         "states on modes n < 12, buffered")
 
 
-def _evolve_unitarity(q: float):
-    ctx = _ctx(q)
+def _evolve_unitarity(ctx: DeformationContext):
     k = fractional_ft(1.0, ctx)
     resid, bound = unitarity_residual(k, ctx)
     return resid, bound, f"Gram defect vs lattice tail bound {bound:.2e}"
 
 
-def _evolve_drift(q: float):
-    ctx = _ctx(q, lattice_depth=30, fock_dim=80)
+def _evolve_drift(ctx: DeformationContext):
     return norm_drift_max(ctx), 1e-7, (
-        "relative norm drift, S=30, N=80, sup over states on modes n < 10")
+        f"relative norm drift, S={ctx.lattice_depth}, N={ctx.fock_dim}, "
+        "sup over states on modes n < 10")
 
 
-def _evolve_periodicity(q: float):
-    return periodicity_residual(0.7, _ctx(q)), 1e-10, "Phi(tau + 2 pi) = Phi(tau)"
+def _evolve_periodicity(ctx: DeformationContext):
+    return periodicity_residual(0.7, ctx), 1e-10, "Phi(tau + 2 pi) = Phi(tau)"
 
 
-def _kernel_sign_flip(q: float):
-    ctx = _ctx(q, lattice_depth=30, fock_dim=80)
+def _kernel_sign_flip(ctx: DeformationContext):
     return kernel_sign_flip_residual(ctx), 1e-12, "K(2 pi) = -K(0)"
 
 
-def _kernel_column_symmetry(q: float):
-    ctx = _ctx(q)
+def _kernel_column_symmetry(ctx: DeformationContext):
     k = kernel_K(0.7, ctx)
     cs = norm_c_window(ctx)
     G = k.matrix / cs[None, :]
@@ -399,15 +380,13 @@ def _kernel_column_symmetry(q: float):
     return r, 1e-12, "K / c_{col} is symmetric (relative)"
 
 
-def _heisenberg(q: float):
-    ctx = _ctx(q)
+def _heisenberg(ctx: DeformationContext):
     r = max(heisenberg_rotation_check(t, ctx)
             for t in (math.pi / 6, math.pi / 2, math.pi))
     return r, 1e-12, "phase rotation turns Q into cos Q + sin P"
 
 
-def _wavefunction_recurrence(q: float):
-    ctx = _ctx(q)
+def _wavefunction_recurrence(ctx: DeformationContext):
     t = build_mode_table("position", ctx)
     xs = window_values(ctx)
     worst = 0.0
@@ -421,72 +400,71 @@ def _wavefunction_recurrence(q: float):
 
 
 def default_checks(seed: int, corrupt_coupling: bool = False):
-    """The named battery; returns (name, thunk) pairs in run order. No
-    check is random: seed is only recorded, by run_verification."""
-    checks: List[Tuple[str, Callable]] = [
-        ("qpoch-recurrence[q=0.5]", lambda: _qpoch_recurrence(0.5)),
-        ("qpoch-pinned-values", _qpoch_pinned),
-        ("qpoch-tail-stability[q=0.8]", lambda: _qpoch_stability(0.8)),
-        ("y-realization[q=0.3]", lambda: _y_realization(0.3)),
-        ("y-realization[q=0.5]", lambda: _y_realization(0.5)),
-        ("y-realization[q=0.8]", lambda: _y_realization(0.8)),
-        ("y-realization[q=0.95]", lambda: _y_realization(0.95)),
-        ("mode-parity[q=0.5]", lambda: _mode_parity(0.5)),
-        ("mode-parity[q=0.95]", lambda: _mode_parity(0.95)),
-        ("hermite-mode-consistency[q=0.5]", lambda: _hermite_mode_consistency(0.5)),
-        ("euler-weight-identities[q=0.5]", lambda: _euler_weights(0.5)),
-        ("euler-weight-identities[q=0.8]", lambda: _euler_weights(0.8)),
-        ("norm-c-ratio[q=0.8]", lambda: _norm_c_ratio(0.8)),
-        ("row-completeness[q=0.5]", lambda: _row_completeness(0.5)),
-        ("sum-orthogonality[q=0.3]", lambda: _sum_orth(0.3, 40, 1e-9)),
-        ("sum-orthogonality[q=0.5]", lambda: _sum_orth(0.5, 40, 1e-9)),
-        ("sum-orthogonality[q=0.8]", lambda: _sum_orth(0.8, 80, 1e-7)),
-        ("dual-orthogonality[q=0.3]", lambda: _dual_orth(0.3, 40, 128)),
-        ("dual-orthogonality[q=0.5]", lambda: _dual_orth(0.5, 40, 128)),
-        ("dual-orthogonality[q=0.8]", lambda: _dual_orth(0.8, 80, 224)),
-        ("dual-orthogonality[q=0.95]", lambda: _dual_orth(0.95, 24, 120)),
-        ("spectrum-match[q=0.3]", lambda: _spectrum_match(0.3, 64, 8, 1e-10)),
-        ("spectrum-match[q=0.5]", lambda: _spectrum_match(0.5, 60, 8, 1e-10)),
-        ("spectrum-match[q=0.8]", lambda: _spectrum_match(0.8, 120, 12, 1e-8)),
-        ("spectrum-match[q=0.95]", lambda: _spectrum_match(0.95, 64, 6, 1e-8)),
-        ("spectrum-negation[q=0.5]", lambda: _spectrum_negation(0.5)),
-        ("spectrum-norm-bound[q=0.5]", lambda: _spectrum_bound(0.5)),
-        ("commutators[q=0.3]", lambda: _commutators(0.3)),
-        ("commutators[q=0.5]", lambda: _commutators(0.5, corrupt=corrupt_coupling)),
-        ("commutators[q=0.8]", lambda: _commutators(0.8)),
-        ("commutators[q=0.95]", lambda: _commutators(0.95)),
-        ("ladder-conjugation[q=0.5]", lambda: _ladder_conjugation(0.5)),
-        ("ladder-limit[q=0.999]", lambda: _ladder_limit(0.999, 10, 0.05)),
-        ("ladder-limit[q=0.9999]", lambda: _ladder_limit(0.9999, 5, 0.005)),
-        ("eigenvector-mode-ratio[q=0.5]", lambda: _eigenvector_mode_ratio(0.5)),
-        ("position-eigenrelation[q=0.5]", lambda: _position_eigenrelation(0.5)),
-        ("momentum-equivalence[q=0.5]", lambda: _momentum_equivalence(0.5)),
-        ("q-difference-P[q=0.5]", lambda: _q_difference_P(0.5)),
-        ("psi-closed-form", _psi_closed_form),
-        ("psi-pinned-value", _psi_pinned),
-        ("wavefunction-recurrence[q=0.5]", lambda: _wavefunction_recurrence(0.5)),
-        ("parseval-isometry[q=0.5]", lambda: _parseval(0.5)),
-        ("evolve-identity[q=0.5]", lambda: _evolve_identity(0.5, 30, 80, 1e-10)),
-        ("evolve-identity[q=0.8]", lambda: _evolve_identity(0.8, 60, 144, 1e-8)),
-        ("evolve-group-law[q=0.5]", lambda: _evolve_group(0.5)),
-        ("evolve-inverse[q=0.5]", lambda: _evolve_inverse(0.5)),
-        ("evolve-phase-map[q=0.5]", lambda: _evolve_phase_map(0.5)),
-        ("evolve-intertwine[q=0.5]", lambda: _evolve_intertwine(0.5)),
-        ("evolve-unitarity[q=0.5]", lambda: _evolve_unitarity(0.5)),
-        ("evolve-norm-drift[q=0.5]", lambda: _evolve_drift(0.5)),
-        ("evolve-periodicity[q=0.5]", lambda: _evolve_periodicity(0.5)),
-        ("kernel-sign-flip[q=0.5]", lambda: _kernel_sign_flip(0.5)),
-        ("kernel-column-symmetry[q=0.5]", lambda: _kernel_column_symmetry(0.5)),
-        ("heisenberg-rotation[q=0.5]", lambda: _heisenberg(0.5)),
-        ("heisenberg-rotation[q=0.95]", lambda: _heisenberg(0.95)),
+    """The named battery; returns (name, thunk) pairs in run order. Each
+    rung is a context, or a context and the body's extra arguments; its
+    check is named family[q=...] after that context's q, and a rung ()
+    takes no context. No check is random: seed is only recorded."""
+    C = DeformationContext  # C(q, fock_dim, lattice_depth)
+    table = [
+        ("qpoch-recurrence", _qpoch_recurrence, [C(0.5)]),
+        ("qpoch-pinned-values", _qpoch_pinned, [()]),
+        ("qpoch-tail-stability", _qpoch_stability, [C(0.8)]),
+        ("y-realization", _y_realization, [C(0.3), C(0.5), C(0.8), C(0.95)]),
+        ("mode-parity", _mode_parity, [C(0.5), C(0.95)]),
+        ("hermite-mode-consistency", _hermite_mode_consistency, [C(0.5)]),
+        ("euler-weight-identities", _euler_weights, [C(0.5), C(0.8)]),
+        ("norm-c-ratio", _norm_c_ratio, [C(0.8)]),
+        ("row-completeness", _row_completeness, [C(0.5)]),
+        ("sum-orthogonality", _sum_orth, [(C(0.3, lattice_depth=40), 1e-9),
+                                          (C(0.5, lattice_depth=40), 1e-9),
+                                          (C(0.8, lattice_depth=80), 1e-7)]),
+        ("dual-orthogonality", _dual_orth, [C(0.3, 128, 40), C(0.5, 128, 40),
+                                            C(0.8, 224, 80), C(0.95, 120, 24)]),
+        ("spectrum-match", _spectrum_match, [
+            (C(0.3, 64), 8, 1e-10), (C(0.5, 60), 8, 1e-10),
+            (C(0.8, 120), 12, 1e-8), (C(0.95, 64), 6, 1e-8)]),
+        ("spectrum-negation", _spectrum_negation, [C(0.5, 60)]),
+        ("spectrum-norm-bound", _spectrum_bound, [C(0.5, 60)]),
+        ("commutators", _commutators,
+         [C(0.3), (C(0.5), corrupt_coupling), C(0.8), C(0.95)]),
+        ("ladder-conjugation", _ladder_conjugation, [C(0.5)]),
+        ("ladder-limit", _ladder_limit, [(C(0.999, 12), 0.05),
+                                         (C(0.9999, 7), 0.005)]),
+        ("eigenvector-mode-ratio", _eigenvector_mode_ratio, [C(0.5, 60)]),
+        ("position-eigenrelation", _position_eigenrelation, [C(0.5, 60)]),
+        ("momentum-equivalence", _momentum_equivalence, [C(0.5)]),
+        ("q-difference-P", _q_difference_P, [C(0.5)]),
+        ("psi-closed-form", _psi_closed_form, [()]),
+        ("psi-pinned-value", _psi_pinned, [()]),
+        ("wavefunction-recurrence", _wavefunction_recurrence, [C(0.5)]),
+        ("parseval-isometry", _parseval, [C(0.5)]),
+        ("evolve-identity", _evolve_identity, [(C(0.5, 80, 30), 1e-10),
+                                               (C(0.8, 144, 60), 1e-8)]),
+        ("evolve-group-law", _evolve_group, [C(0.5)]),
+        ("evolve-inverse", _evolve_inverse, [C(0.5)]),
+        ("evolve-phase-map", _evolve_phase_map, [C(0.5)]),
+        ("evolve-intertwine", _evolve_intertwine, [C(0.5)]),
+        ("evolve-unitarity", _evolve_unitarity, [C(0.5)]),
+        ("evolve-norm-drift", _evolve_drift, [C(0.5, 80, 30)]),
+        ("evolve-periodicity", _evolve_periodicity, [C(0.5)]),
+        ("kernel-sign-flip", _kernel_sign_flip, [C(0.5, 80, 30)]),
+        ("kernel-column-symmetry", _kernel_column_symmetry, [C(0.5)]),
+        ("heisenberg-rotation", _heisenberg, [C(0.5), C(0.95)]),
     ]
+    checks: List[Tuple[str, Callable]] = []
+    for family, body, rungs in table:
+        for rung in rungs:
+            args = rung if isinstance(rung, tuple) else (rung,)
+            name = f"{family}[q={args[0].q}]" if args else family
+            checks.append((name, partial(body, *args)))
     return checks
 
 
 def run_verification(seed: int = 0, corrupt_coupling: bool = False) -> VerifyReport:
     t0 = time.perf_counter()
+    checks = default_checks(seed, corrupt_coupling)
     results: List[CheckResult] = []
-    for name, thunk in default_checks(seed, corrupt_coupling):
+    for name, thunk in checks:
         c0 = time.perf_counter()
         try:
             residual, tol, detail = thunk()
@@ -498,7 +476,9 @@ def run_verification(seed: int = 0, corrupt_coupling: bool = False) -> VerifyRep
                                    tolerance=float(tol),
                                    runtime_s=time.perf_counter() - c0,
                                    detail=detail))
+    # the q of every context a check is bound to, ascending, each once
+    qs = sorted({thunk.args[0].q for _, thunk in checks if getattr(thunk, "args", ())})
     return VerifyReport(overall_pass=all(c.passed for c in results),
-                        seed=seed, qs=QS,
+                        seed=seed, qs=tuple(qs),
                         runtime_s=time.perf_counter() - t0,
                         checks=results)

@@ -424,6 +424,20 @@ def test_config_that_does_not_parse_exits_1(runner, tmp_path, text, error):
     assert r.exit_code == 1 and error in r.output, r.output
 
 
+@pytest.mark.parametrize("name, text", [
+    ("run.cfg", "q = 0.5\nfock_dim = 24\nq = 0.8\n"),
+    ("run.json", '{"q": 0.5, "fock_dim": 24, "q": 0.8}'),
+], ids=["key-value", "json"])
+def test_config_that_sets_a_key_twice_exits_1(runner, tmp_path, name, text):
+    # neither value wins: the file is refused before anything is computed
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    r = runner.invoke(main, ["spectrum", "--config", str(cfg), "--out",
+                             str(tmp_path / "s.csv")])
+    assert r.exit_code == 1 and "sets 'q' twice" in r.output, r.output
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_config_unknown_key(runner, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("qq = 0.5\n")
@@ -487,8 +501,8 @@ def test_verify_corrupt_coupling_fails(runner):
 @pytest.mark.parametrize("command, flag", [
     ("hermite", "--tol"), ("hermite", "--match-tol"), ("hermite", "--seed"),
     ("spectrum", "--tol"), ("spectrum", "--seed"), ("kernel", "--seed"),
-    ("evolve", "--seed"), ("verify", "--q"), ("verify", "--fock-dim"),
-    ("verify", "--lattice-depth"), ("verify", "--tol"),
+    ("evolve", "--seed"), ("evolve", "--match-tol"), ("verify", "--q"),
+    ("verify", "--fock-dim"), ("verify", "--lattice-depth"), ("verify", "--tol"),
     ("verify", "--match-tol"),
 ])
 def test_unread_flag_is_usage_error(runner, command, flag):

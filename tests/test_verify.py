@@ -12,6 +12,7 @@ import qosc.evolution as evolution
 import qosc.hilbert as hilbert
 import qosc.qhermite as qhermite
 import qosc.verify as verify
+from qosc.context import DeformationContext
 from qosc.errors import DomainError
 from qosc.qcore import qpoch_inf
 
@@ -28,7 +29,7 @@ def test_every_check_body_is_reachable():
     bodies = {name: fn for name, fn in vars(verify).items()
               if name.startswith("_") and inspect.isfunction(fn)
               and fn.__module__ == verify.__name__}
-    todo = [thunk for _, thunk in verify.default_checks(seed=0)]
+    todo = [thunk.func for _, thunk in verify.default_checks(seed=0)]
     seen = set()
     while todo:
         fn = todo.pop()
@@ -41,6 +42,26 @@ def test_every_check_body_is_reachable():
     assert sorted(set(bodies) - seen) == []
 
 
+def _bracketed_q(name: str):
+    """The q in a check name family[q=...], or None for a plain name."""
+    return float(name[name.index("[q=") + 3:-1]) if "[" in name else None
+
+
+def test_each_check_is_named_after_the_context_its_body_receives():
+    for name, thunk in verify.default_checks(seed=0):
+        ctx = thunk.args[0] if thunk.args else None
+        assert isinstance(ctx, (DeformationContext, type(None))), name
+        assert _bracketed_q(name) == (None if ctx is None else ctx.q), name
+
+
+def test_report_qs_are_the_distinct_qs_of_the_named_checks():
+    # ladder-limit's rungs near q = 1 are listed with the rest
+    named = {_bracketed_q(name) for name, _ in verify.default_checks(seed=0)}
+    qs = verify.run_verification().qs
+    assert {0.999, 0.9999} <= set(qs)
+    assert qs == tuple(sorted(named - {None}))
+
+
 def test_a_check_that_raises_is_reported_as_a_failure(monkeypatch):
     def raises():
         raise DomainError("out of range")
@@ -49,6 +70,7 @@ def test_a_check_that_raises_is_reported_as_a_failure(monkeypatch):
     report = verify.run_verification()
     assert not report.overall_pass
     bad, good = report.checks
+    assert report.qs == ()  # neither check is bound to a context
     assert (bad.passed, bad.residual, bad.tolerance) == (False, float("inf"), 0.0)
     assert bad.detail == "raised DomainError('out of range')"
     assert good.passed
@@ -85,10 +107,12 @@ def _scaled_c2(monkeypatch):
     (_scaled_c2, verify._parseval),
 ])
 def test_band_sup_families_fail_under_a_1e6_mutation(monkeypatch, mutate, check):
-    residual, tol, _ = check(0.5)
+    # each family at q = 0.5, on the context the battery gives it
+    ctx, = (t.args[0] for _, t in verify.default_checks(0) if t.func is check)
+    residual, tol, _ = check(ctx)
     assert residual <= tol
     mutate(monkeypatch)
-    residual, tol, _ = check(0.5)
+    residual, tol, _ = check(ctx)
     assert residual > tol
 
 
@@ -131,13 +155,14 @@ def test_norm_c_ratio_fails_when_every_weight_shares_a_factor(monkeypatch):
     def bent(a, ctx, base=None):
         value = qpoch_inf(a, ctx, base)
         return value if base is None else value * (1 + 1e-10)
-    residual, tol, _ = verify._norm_c_ratio(0.8)
+    ctx = DeformationContext(0.8)
+    residual, tol, _ = verify._norm_c_ratio(ctx)
     assert residual <= tol
     monkeypatch.setattr(qhermite, "qpoch_inf", bent)
     qhermite._weights.cache_clear()
     try:
-        residual, tol, _ = verify._norm_c_ratio(0.8)
-        c = qhermite.norm_c_window(verify._ctx(0.8))[0::2]
+        residual, tol, _ = verify._norm_c_ratio(ctx)
+        c = qhermite.norm_c_window(ctx)[0::2]
     finally:
         qhermite._weights.cache_clear()
     assert residual > tol
