@@ -6,9 +6,15 @@ metadata line and a header. Writes are atomic (temp file, then rename)
 and emit floats with repr, so values round-trip exactly and identical
 inputs give identical bytes; the file mode follows the umask. Mode
 tables, lattice functions and kernels are streamed one window row (or
-degree n) at a time, without building the file in memory. On load, a
-missing or ill-typed field (4.9 or true for an integer) raises
-ValidationError; fields a loader does not know are ignored.
+degree n) at a time, without building the file in memory, and their CSV
+loads read a bounded chunk of 2^13 lines at a time. Of each chunk a
+load keeps compact columns only: the window site (int32), degree n
+(int32), x, the value (real for a position table), and the flags (int8),
+25 to 32 bytes a row. So a load holds those columns, one parsed chunk,
+the table it builds, and 9 bytes a row more while it places the cells,
+never the whole parsed file. On load, a missing or ill-typed field
+(4.9 or true for an integer) raises ValidationError; fields a loader
+does not know are ignored.
 
 Files are written in schema 2; the loaders read schema 1 as well, which
 differs only in the JSON bulk fields (below). In schema 2 the JSON mode
@@ -86,7 +92,7 @@ import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import Optional
 
@@ -111,6 +117,7 @@ _LATTICE_COLUMNS = np.dtype([("sign", "i8"), ("s", "i8"), ("x", "f8"),
 _KERNEL_COLUMNS = np.dtype([("row_sign", "i8"), ("row_s", "i8"),
                             ("col_sign", "i8"), ("col_s", "i8"), ("re", "f8"),
                             ("im", "f8"), ("low_confidence", "i8")])
+_CHUNK = 1 << 13  # data lines per np.loadtxt call in _read_csv
 
 
 # -- the codec ---------------------------------------------------------
@@ -260,11 +267,41 @@ def _read_json(path: str, obj: str):
         yield payload
 
 
+def _compact(part: np.ndarray, dtype) -> np.ndarray:
+    """A copy of part as dtype, or as its own dtype where it holds an
+    integer past dtype's range (a damaged key): no value changes."""
+    if np.dtype(dtype).kind == "i" and len(part):
+        lim = np.iinfo(dtype)
+        if part.min() < lim.min or part.max() > lim.max:
+            dtype = part.dtype
+    return part.astype(dtype)
+
+
+class _Held(dict):
+    """Columns by name. A column whose chunk function raised
+    ValidationError holds that error, raised when the column is read, so
+    a check fails where it stood when the whole file was parsed at once."""
+
+    def __getitem__(self, name):
+        col = super().__getitem__(name)
+        if isinstance(col, ValidationError):
+            raise col
+        return col
+
+
 @contextmanager
-def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
-    """Yield (metadata dict or None, the data rows as a 1-D array of the
-    structured dtype columns), parsed by the grammar in the module
-    docstring."""
+def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
+              meta: bool = False):
+    """Yield (metadata dict or None, the columns that keep makes of the
+    data rows, as a _Held), parsed by the grammar in the module docstring.
+
+    keep maps a name to (dtype, function of a chunk). The data lines are
+    parsed _CHUNK at a time into a 1-D array of the structured dtype
+    columns, each function's value on that chunk is kept as dtype
+    (_compact), and the chunk is dropped before the next is parsed. Each
+    column joins its parts once the last chunk is parsed; the file is
+    read once, so a pipe loads as a file does.
+    """
     with _fields(path, what) as fh:
         info = None
         if meta:
@@ -283,15 +320,32 @@ def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
                 break
         else:
             raise ValidationError(f"{what} CSV has no rows after its header")
-        with warnings.catch_warnings():
-            # numpy releases that only deprecate float text in an int column
-            # read '1.7' as 1 with this warning; as an error, loadtxt turns
-            # it into its ValueError
-            warnings.filterwarnings("error", ".*integer via a float",
-                                    DeprecationWarning)
-            rows = np.loadtxt(chain([first], fh), dtype=columns,
-                              delimiter=",", comments=None, ndmin=1)
-        yield info, rows
+        parts, held = {name: [] for name in keep}, {}
+        lines = chain([first], fh)
+        for line in lines:  # islice reads no line past its chunk
+            with warnings.catch_warnings():
+                # numpy releases that only deprecate float text in an int
+                # column read '1.7' as 1 with this warning; as an error,
+                # loadtxt turns it into its ValueError
+                warnings.filterwarnings("error", ".*integer via a float",
+                                        DeprecationWarning)
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)  # all blank
+                rows = np.loadtxt(islice(chain([line], lines), _CHUNK),
+                                  dtype=columns, delimiter=",", comments=None,
+                                  ndmin=1)
+            for name, (dtype, get) in keep.items():
+                if name not in held:
+                    try:
+                        parts[name].append(_compact(get(rows), dtype))
+                    except ValidationError as exc:
+                        held[name] = exc
+            del rows
+        cols = _Held(held)
+        for name in keep:
+            if name not in held:  # one column's parts and its join at a time
+                cols[name] = np.concatenate(parts.pop(name))
+        yield info, cols
 
 
 def _complexes(re, im) -> np.ndarray:
@@ -343,11 +397,23 @@ def _site(sign, s) -> np.ndarray:
     return window_index(sign, _typed(s, "i", "site level"))
 
 
+# what _read_csv keeps of each chunk of a bulk CSV's rows: window sites as
+# int32 (an int64 key a damaged file holds widens them), values as complex
+_SITE = {"site": (np.int32, lambda rows: _site(rows["sign"], rows["s"]))}
+_VALUE = {"value": (complex, lambda rows: _complexes(rows["re"], rows["im"]))}
+_KERNEL_CSV = {
+    "row_site": (np.int32, lambda rows: _site(rows["row_sign"], rows["row_s"])),
+    "col_site": (np.int32, lambda rows: _site(rows["col_sign"], rows["col_s"])),
+    **_VALUE, "low_confidence": (np.int8, itemgetter("low_confidence"))}
+
+
 def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
-    """Dense table of this shape with values[k] at cell (index[0][k], ...).
+    """Dense table of this shape, owning its data, with values[k] at cell
+    (index[0][k], ...).
 
     Every cell must be keyed exactly once; a key that is negative, out of
-    range, repeated or absent raises ValidationError.
+    range, repeated or absent raises ValidationError. With one value per
+    cell, that is every cell keyed.
     """
     size = math.prod(shape)
     if len(values) != size:
@@ -357,11 +423,13 @@ def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
         flat = np.ravel_multi_index(index, shape)
     except ValueError as exc:
         raise ValidationError(f"{what} has a key outside its {shape} table") from exc
-    if not np.all(np.bincount(flat, minlength=size) == 1):
+    seen = np.zeros(size, dtype=bool)
+    seen[flat] = True
+    if not seen.all():
         raise ValidationError(f"{what} must hold every cell exactly once")
-    out = np.empty(size, dtype=values.dtype)
-    out[flat] = values
-    return out.reshape(shape)
+    out = np.empty(shape, dtype=values.dtype)
+    out.reshape(-1)[flat] = values
+    return out
 
 
 def _from_pairs(pairs, shape: tuple) -> np.ndarray:
@@ -407,13 +475,16 @@ def _csv_q(x: np.ndarray, site: np.ndarray, depth: int) -> Optional[float]:
     q = float(x[at[0]]) if at.size else None
     # a one-level window is {+1, -1} at every q
     want = window_values(DeformationContext(
-        q=0.5 if q is None else q, lattice_depth=depth))[site]
-    close = np.isclose(x, want, rtol=1e-12, atol=np.finfo(float).tiny)
-    if not close.all():
-        bad = np.argmin(close)
-        raise ValidationError(
-            f"x = {x[bad]!r} at window site {site[bad]} is not its window "
-            f"value {want[bad]!r} at q={q!r}")
+        q=0.5 if q is None else q, lattice_depth=depth))
+    for i in range(0, len(x), _CHUNK):
+        part = slice(i, i + _CHUNK)
+        close = np.isclose(x[part], want[site[part]], rtol=1e-12,
+                           atol=np.finfo(float).tiny)
+        if not close.all():
+            bad = i + np.argmin(close)
+            raise ValidationError(
+                f"x = {x[bad]!r} at window site {site[bad]} is not its "
+                f"window value {want[site[bad]]!r} at q={q!r}")
     return q
 
 
@@ -486,22 +557,31 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
         if not np.all((tail_start >= 0) & (tail_start <= nmax)):
             raise ValidationError(f"tail_start must lie in [0, {nmax}]")
     else:
-        with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, rows):
-            site, n = _site(rows["sign"], rows["s"]), rows["n"]
+        # a position table keeps its real parts and whether any imaginary
+        # part is nonzero
+        value = ({"value": (float, itemgetter("value_re")),
+                  "complex": (bool, lambda rows: rows["value_im"] != 0)}
+                 if kind == "position" else
+                 {"value": (complex, lambda rows: _complexes(
+                     rows["value_re"], rows["value_im"]))})
+        with _read_csv(path, "mode table", _MODE_COLUMNS, {
+                **_SITE, "n": (np.int32, itemgetter("n")),
+                "x": (float, itemgetter("x")), **value}) as (_, cols):
+            site, n = cols["site"], cols["n"]
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
-            values = _place(_complexes(rows["value_re"], rows["value_im"]),
-                            (n, site), (nmax, 2 * depth), "mode table CSV")
-            q = _csv_q(rows["x"], site, depth)
+            values = _place(cols["value"], (n, site), (nmax, 2 * depth),
+                            "mode table CSV")
+            q = _csv_q(cols["x"], site, depth)
         if q is None:
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
-        if values.imag.any():
+        if values.imag.any() if is_json else cols["complex"].any():
             raise ValidationError(
                 f"{path!r} holds complex values; " + (
                     "a position table must hold real values" if is_json else
                     "a momentum table must be read with kind='momentum'"))
-        values = values.real
+        values = np.ascontiguousarray(values.real)
     _check_loaded(path, ctx, q, depth, nmax)
     return ModeTable(kind=kind, q=q, fock_dim=nmax, lattice_depth=depth,
                      values=values, tail_start=tail_start)
@@ -541,13 +621,15 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
             f = LatticeFunction(doc["kind"], values,
                                 rescaled=_scalar(doc, "rescaled", bool))
     else:
-        with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, rows):
-            site = _site(rows["sign"], rows["s"])
+        with _read_csv(path, "lattice function", _LATTICE_COLUMNS, {
+                **_SITE, "x": (float, itemgetter("x")), **_VALUE,
+                "flag": (np.int8, itemgetter("rescaled_flag"))}) as (_, cols):
+            site = cols["site"]
             depth = int(site.max()) // 2 + 1
-            values = _place(_complexes(rows["re"], rows["im"]), (site,),
-                            (2 * depth,), "lattice function CSV")
-            flags = rows["rescaled_flag"]  # np.unique would import numpy.ma
-            q = _csv_q(rows["x"], site, depth)
+            values = _place(cols["value"], (site,), (2 * depth,),
+                            "lattice function CSV")
+            flags = cols["flag"]  # np.unique would import numpy.ma
+            q = _csv_q(cols["x"], site, depth)
         if (flags != flags[0]).any():
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
@@ -580,20 +662,21 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
 
 
 def _json_columns(entries) -> dict:
-    """The columns of JSON kernel entries by name, re and im as floats."""
+    """The columns of schema-1 JSON kernel entries, as _KERNEL_CSV keeps
+    them of a CSV kernel's rows."""
     cols = {key: list(map(itemgetter(key), entries))
             for key in _KERNEL_COLUMNS.names}
-    for key in ("re", "im"):
-        cols[key] = _numbers(cols[key], (len(entries),), key)
-    return cols
+    value = _complexes(*(_numbers(cols[key], (len(entries),), key)
+                         for key in ("re", "im")))
+    return {"value": value, "row_site": _site(cols["row_sign"], cols["row_s"]),
+            "col_site": _site(cols["col_sign"], cols["col_s"]),
+            "low_confidence": cols["low_confidence"]}
 
 
 def _placed(cols, size: int) -> np.ndarray:
     """The size x size matrix of kernel entries given as columns by name
     (a schema-1 JSON or a CSV kernel)."""
-    return _place(_complexes(cols["re"], cols["im"]),
-                  (_site(cols["row_sign"], cols["row_s"]),
-                   _site(cols["col_sign"], cols["col_s"])),
+    return _place(cols["value"], (cols["row_site"], cols["col_site"]),
                   (size, size), "kernel")
 
 
@@ -615,20 +698,21 @@ def load_kernel(path: str, fmt: Optional[str] = None,
         with _read_json(path, "evolution_kernel") as doc:
             size = 2 * _scalar(doc, "lattice_depth", int)
             if doc["schema_version"] == 1:
-                rows = _json_columns(doc["entries"])
-                k = _kernel(doc, _placed(rows, size))
-                levels, flags = rows["row_s"], rows["low_confidence"]
+                cols = _json_columns(doc["entries"])
+                k = _kernel(doc, _placed(cols, size))
+                levels, flags = cols["row_site"] // 2, cols["low_confidence"]
             else:
                 k = _kernel(doc, _from_arrays(doc, (size, size)))
                 levels, flags = np.arange(size) // 2, doc["low_confidence"]
             flags = _typed(flags, "b", "low_confidence", (len(levels),))
     else:
-        with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (meta, rows):
+        with _read_csv(path, "kernel", _KERNEL_COLUMNS, _KERNEL_CSV,
+                       meta=True) as (meta, cols):
             _check_schema(_meta(meta, "schema_version", int))
-            k = _kernel(meta, _placed(rows, 2 * _meta(meta, "lattice_depth",
+            k = _kernel(meta, _placed(cols, 2 * _meta(meta, "lattice_depth",
                                                       int)), _meta)
-        levels, flags = rows["row_s"], rows["low_confidence"]
-    if not np.array_equal(flags, k.low_confidence(np.asarray(levels))):
+        levels, flags = cols["row_site"] // 2, cols["low_confidence"]
+    if not np.array_equal(flags, k.low_confidence(levels)):
         raise ValidationError(f"kernel low_confidence flags are not those of "
                               f"s_match {k.s_match}")
     _check_loaded(path, ctx, k.q, k.lattice_depth, k.n_max)

@@ -3,13 +3,15 @@
 run_verification executes every analytic identity the library claims
 and reports one named result per check: residual, tolerance, pass flag,
 wall time. The table in default_checks is the battery's one declaration:
-each family lists the contexts it runs on, a check is named after its
-own context's q, and the report's qs are those q's, ascending (0.3 to
-0.95, and ladder-limit's 0.999 and 0.9999 toward the q -> 1 limit). The
-whole battery is sized to finish in well under a minute. One family
-covers both closed-form wavefunctions: psi-closed-form compares
-phi_eval's series and product too, since phi_p(y) = psi_p(iy), and
-phi's series with i^n h_n(p) y^n / (q;q)_n summed apart.
+each family lists the contexts it runs on, and a check is named after
+its own context's q, or plainly where one body runs at several. The
+report's qs are the q's of every context, ascending (0.25 for a pinned
+(q;q)_inf, 0.3 to 0.95, and ladder-limit's 0.999 and 0.9999 toward the
+q -> 1 limit). The whole battery is sized to finish in well under a
+minute. One family covers both closed-form wavefunctions:
+psi-closed-form compares phi_eval's series and product too, since
+phi_p(y) = psi_p(iy), and phi's series with i^n h_n(p) y^n / (q;q)_n
+summed apart.
 
 corrupt_coupling=True deliberately perturbs one off-diagonal coupling
 inside the q=0.5 commutator check; it exists so callers can confirm the
@@ -68,7 +70,8 @@ class VerifyReport:
 
 
 # -- individual check bodies (residual, tolerance, detail) --------------
-# Each takes the context its table rung declares, then the rung's extras.
+# Each takes the context its table rung declares, then the rung's extras,
+# or the contexts it runs at as the keyword ctxs.
 
 def _spectrum_match(ctx: DeformationContext, s_cap: int, tol: float):
     rep = spectrum_report(build_Q(ctx), ctx)
@@ -77,7 +80,9 @@ def _spectrum_match(ctx: DeformationContext, s_cap: int, tol: float):
 
 
 def _spectrum_negation(ctx: DeformationContext):
-    v = np.sort(eigenvalues(build_Q(ctx), ctx))
+    # eigenvalues() builds its result as +-(singular values), which no
+    # roundoff can unbalance; the dense eigensolver computes each sign
+    v = np.sort(eigendecompose(build_Q(ctx), ctx)[0])
     return float(np.max(np.abs(v + v[::-1]))), 1e-12, "spectrum symmetric under negation"
 
 
@@ -154,10 +159,10 @@ def _qpoch_recurrence(ctx: DeformationContext):
     return worst, 0.0, "(a;q)_{n+1} = (a;q)_n (1 - a q^n), exact float identity"
 
 
-def _qpoch_pinned():
-    r1 = abs(qpoch_inf(0.25, DeformationContext(0.25)) - 0.6885375371203405)
-    r2 = abs(qpoch_inf(0.5, DeformationContext(0.5)) - 0.2887880950866029)
-    return float(max(r1, r2)), 1e-12, "(0.25;0.25)_inf and (0.5;0.5)_inf frozen values"
+def _qpoch_pinned(*, ctxs):
+    frozen = {0.25: 0.6885375371203405, 0.5: 0.2887880950866029}
+    r = max(abs(qpoch_inf(ctx.q, ctx) - frozen[ctx.q]) for ctx in ctxs)
+    return float(r), 1e-12, "(0.25;0.25)_inf and (0.5;0.5)_inf frozen values"
 
 
 def _qpoch_stability(ctx: DeformationContext):
@@ -234,12 +239,12 @@ def _norm_c_ratio(ctx: DeformationContext):
     return worst, 1e-12, "c_{s+1}/c_s = q / (1 - q^{2s+2}), w_0 = (q^2; q^2)_inf"
 
 
-def _psi_closed_form():
+def _psi_closed_form(*, ctxs):
     # phi_eval's series and product both see its factor i, so phi's series
     # is also held to sum_n i^n h_n(p) y^n / (q;q)_n, to n = 60
     worst = 0.0
-    for q in (0.3, 0.5, 0.8):
-        ctx = DeformationContext(q)
+    for ctx in ctxs:
+        q = ctx.q
         for s in (0, 1, 3):
             for sign in (1, -1):
                 pt = lattice_point(sign, s, ctx)
@@ -260,8 +265,8 @@ def _psi_closed_form():
                           "h_n(p) y^n / (q;q)_n")
 
 
-def _psi_pinned():
-    ctx = DeformationContext(0.5)
+def _psi_pinned(*, ctxs):
+    ctx, = ctxs
     val = psi_eval(WavefunctionQuery(lattice_point(1, 0, ctx), 0.5, "product"), ctx)
     return abs(val - 2.3842310), 1e-6, "psi_{x=1}(0.5) at q=0.5"
 
@@ -402,12 +407,14 @@ def _wavefunction_recurrence(ctx: DeformationContext):
 def default_checks(seed: int, corrupt_coupling: bool = False):
     """The named battery; returns (name, thunk) pairs in run order. Each
     rung is a context, or a context and the body's extra arguments; its
-    check is named family[q=...] after that context's q, and a rung ()
-    takes no context. No check is random: seed is only recorded."""
+    check is named family[q=...] after that context's q. A rung {"ctxs":
+    contexts} passes them as a keyword, to a body that runs at each, and
+    its check takes the family's plain name. No check is random: seed is
+    only recorded."""
     C = DeformationContext  # C(q, fock_dim, lattice_depth)
     table = [
         ("qpoch-recurrence", _qpoch_recurrence, [C(0.5)]),
-        ("qpoch-pinned-values", _qpoch_pinned, [()]),
+        ("qpoch-pinned-values", _qpoch_pinned, [{"ctxs": (C(0.25), C(0.5))}]),
         ("qpoch-tail-stability", _qpoch_stability, [C(0.8)]),
         ("y-realization", _y_realization, [C(0.3), C(0.5), C(0.8), C(0.95)]),
         ("mode-parity", _mode_parity, [C(0.5), C(0.95)]),
@@ -434,8 +441,9 @@ def default_checks(seed: int, corrupt_coupling: bool = False):
         ("position-eigenrelation", _position_eigenrelation, [C(0.5, 60)]),
         ("momentum-equivalence", _momentum_equivalence, [C(0.5)]),
         ("q-difference-P", _q_difference_P, [C(0.5)]),
-        ("psi-closed-form", _psi_closed_form, [()]),
-        ("psi-pinned-value", _psi_pinned, [()]),
+        ("psi-closed-form", _psi_closed_form,
+         [{"ctxs": (C(0.3), C(0.5), C(0.8))}]),
+        ("psi-pinned-value", _psi_pinned, [{"ctxs": (C(0.5),)}]),
         ("wavefunction-recurrence", _wavefunction_recurrence, [C(0.5)]),
         ("parseval-isometry", _parseval, [C(0.5)]),
         ("evolve-identity", _evolve_identity, [(C(0.5, 80, 30), 1e-10),
@@ -454,9 +462,11 @@ def default_checks(seed: int, corrupt_coupling: bool = False):
     checks: List[Tuple[str, Callable]] = []
     for family, body, rungs in table:
         for rung in rungs:
+            if isinstance(rung, dict):
+                checks.append((family, partial(body, **rung)))
+                continue
             args = rung if isinstance(rung, tuple) else (rung,)
-            name = f"{family}[q={args[0].q}]" if args else family
-            checks.append((name, partial(body, *args)))
+            checks.append((f"{family}[q={args[0].q}]", partial(body, *args)))
     return checks
 
 
@@ -476,8 +486,11 @@ def run_verification(seed: int = 0, corrupt_coupling: bool = False) -> VerifyRep
                                    tolerance=float(tol),
                                    runtime_s=time.perf_counter() - c0,
                                    detail=detail))
-    # the q of every context a check is bound to, ascending, each once
-    qs = sorted({thunk.args[0].q for _, thunk in checks if getattr(thunk, "args", ())})
+    # the q of every context a check is bound to, as its first argument or
+    # in its ctxs, ascending, each once (a stub thunk has neither)
+    qs = sorted({ctx.q for _, thunk in checks
+                 for ctx in (*getattr(thunk, "args", ())[:1],
+                             *getattr(thunk, "keywords", {}).get("ctxs", ()))})
     return VerifyReport(overall_pass=all(c.passed for c in results),
                         seed=seed, qs=tuple(qs),
                         runtime_s=time.perf_counter() - t0,

@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
                   verify_report_payload, write_kernel, write_lattice_function,
                   write_mode_table, write_spectrum_report,
                   write_verify_report)
-from qosc.serialize import _floats, atomic_write_text
+from qosc.serialize import _CHUNK, _floats, atomic_write_text
 
 
 @pytest.fixture
@@ -715,6 +716,138 @@ def test_huge_site_key_is_rejected_before_allocating(tmp_path, sctx):
     p.write_text(_rows(_first_cell(1, str(10**12)))(p.read_text()))
     with pytest.raises(ValidationError):
         load_lattice_function(str(p))
+
+
+# -- bulk CSV loads, a chunk of rows at a time --------------------------
+
+# each writes a CSV of more than two chunks of data rows
+_LONG = {
+    "mode_table": lambda p: write_mode_table(build_mode_table(
+        "position", DeformationContext(0.5, 160, 64)), p),  # 20480 rows
+    "kernel": lambda p: write_kernel(fractional_ft(
+        0.7, DeformationContext(0.5, 40, 72)), p),  # 20736 rows
+    "lattice_function": lambda p: write_lattice_function(LatticeFunction(
+        "position", np.arange(17000) * (1 + 0.5j), rescaled=True),
+        DeformationContext(0.999, lattice_depth=8500), p),  # 17000 rows
+}
+
+
+def _fields_of(obj) -> dict:
+    """Every field of a loaded object, each array as dtype, shape, bytes."""
+    return {key: (v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+            else repr(v) for key, v in vars(obj).items()}
+
+
+@pytest.fixture(scope="module", params=sorted(_LONG))
+def long_csv(request, tmp_path_factory):
+    """(artifact, the text of its long CSV, the fields it loads to)."""
+    p = tmp_path_factory.mktemp("long") / "a.csv"
+    _LONG[request.param](str(p))
+    text = p.read_text()
+    assert text.count("\n") > 2 * _CHUNK + 2
+    return request.param, text, _fields_of(_LOADERS[request.param](str(p)))
+
+
+def _last_cell(col, value):
+    """Set a cell of the last row, which lies in the file's last chunk."""
+    def edit(rows):
+        cells = rows[-1].split(",")
+        cells[col] = value(cells[col])
+        return rows[:-1] + [",".join(cells)]
+    return edit
+
+
+@pytest.mark.parametrize("damage,match", [
+    # the two copies of the first row lie in the first and last chunks
+    pytest.param(_duplicated, "exactly once", id="duplicate-across-chunks"),
+    pytest.param(_last_cell(0, lambda _: "2"), "site sign", id="bad-sign"),
+    pytest.param(_last_cell(1, lambda s: f"{s}.0"), "malformed",
+                 id="float-in-integer-column"),
+])
+def test_chunked_csv_load_rejects_a_fault_in_a_later_chunk(
+        tmp_path, long_csv, damage, match):
+    artifact, text, _ = long_csv
+    p = tmp_path / "a.csv"
+    p.write_text(_rows(damage)(text))
+    with pytest.raises(ValidationError, match=match):
+        _LOADERS[artifact](str(p))
+
+
+@pytest.mark.parametrize("artifact", ["mode_table", "lattice_function"])
+def test_chunked_csv_load_rejects_a_bad_x_in_the_last_chunk(tmp_path, artifact):
+    p = tmp_path / "a.csv"
+    _LONG[artifact](str(p))
+    p.write_text(_rows(_last_cell(2, lambda x: repr(float(x) * (1 + 1e-9))))(
+        p.read_text()))
+    with pytest.raises(ValidationError, match="not its window value"):
+        _LOADERS[artifact](str(p))
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda rows: rows[:_CHUNK - 1] + ["", ""] + rows[_CHUNK - 1:],
+                 id="blank-lines-on-a-chunk-edge"),
+    pytest.param(lambda rows: rows[:_CHUNK] + [""] * _CHUNK + rows[_CHUNK:],
+                 id="a-chunk-of-blank-lines"),
+    pytest.param(lambda rows: rows + [""] * _CHUNK, id="a-last-chunk-of-blanks"),
+    # q's site (+1, s=1) comes last within each degree or kernel row
+    pytest.param(lambda rows: rows[::-1], id="rows-reversed"),
+])
+def test_chunked_csv_load_is_bit_identical(tmp_path, long_csv, edit):
+    artifact, text, want = long_csv
+    p = tmp_path / "a.csv"
+    p.write_text(_rows(edit)(text))
+    assert _fields_of(_LOADERS[artifact](str(p))) == want
+
+
+@pytest.mark.parametrize("artifact,damage,match", [
+    # a bad sign in the first chunk, an unreadable cell in the last
+    ("mode_table", lambda t: _rows(_last_cell(4, lambda _: "x"))(
+        _rows(_first_cell(0, "2"))(t)), "malformed"),
+    # the metadata is checked before the rows' keys
+    ("kernel", lambda t: _rows(_first_cell(0, "2"))(
+        t.replace("schema_version=2", "schema_version=7", 1)),
+     "schema_version"),
+])
+def test_chunked_csv_load_checks_in_the_whole_file_order(
+        tmp_path, artifact, damage, match):
+    p = tmp_path / "a.csv"
+    _LONG[artifact](str(p))
+    p.write_text(damage(p.read_text()))
+    with pytest.raises(ValidationError, match=match):
+        _LOADERS[artifact](str(p))
+
+
+@pytest.mark.parametrize("artifact,bound_mb", [("mode_table", 6.0),
+                                               ("kernel", 5.5)])
+def test_bulk_csv_load_peaks_below_a_bound(tmp_path, artifact, bound_mb):
+    # at q = 0.5, S = 128, N = 320 (0.66 MB of mode table values, 1.05 MB
+    # of kernel), a parse of the whole file into one structured array
+    # peaked at 8.5 and 7.4 MB of tracemalloc; a chunk at a time into
+    # compact columns, at 3.5 and 3.8 MB
+    ctx = DeformationContext(0.5, 320, 128)
+    p = str(tmp_path / "a.csv")
+    if artifact == "kernel":
+        write_kernel(fractional_ft(0.7, ctx), p)
+    else:
+        write_mode_table(build_mode_table("position", ctx), p)
+    _LOADERS[artifact](p)
+    tracemalloc.start()
+    try:
+        _LOADERS[artifact](p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_loaded_position_table_owns_its_values(tmp_path, sctx, fmt):
+    # not a strided view of the real parts of a complex parse
+    p = str(tmp_path / f"t.{fmt}")
+    write_mode_table(build_mode_table("position", sctx), p)
+    values = load_mode_table(p).values
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert values.base is None
 
 
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)],

@@ -54,12 +54,39 @@ def test_each_check_is_named_after_the_context_its_body_receives():
         assert _bracketed_q(name) == (None if ctx is None else ctx.q), name
 
 
-def test_report_qs_are_the_distinct_qs_of_the_named_checks():
-    # ladder-limit's rungs near q = 1 are listed with the rest
-    named = {_bracketed_q(name) for name, _ in verify.default_checks(seed=0)}
+def _received(value):
+    """The contexts in a thunk's argument, or in a tuple of arguments."""
+    if isinstance(value, DeformationContext):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _received(v)
+
+
+def test_report_qs_are_the_qs_of_every_context_the_checks_run(monkeypatch):
+    # ladder-limit's rungs near q = 1 are listed with the rest, and so is
+    # 0.25, where qpoch-pinned-values evaluates; each context a body
+    # receives, or builds while it runs, has one of the listed q's
+    built = set()
+    post_init = DeformationContext.__post_init__
+
+    def spy(ctx):
+        built.add(ctx.q)
+        post_init(ctx)
+    monkeypatch.setattr(DeformationContext, "__post_init__", spy)
+    received = {ctx.q for _, thunk in verify.default_checks(seed=0)
+                for ctx in _received((*thunk.args, *thunk.keywords.values()))}
     qs = verify.run_verification().qs
-    assert {0.999, 0.9999} <= set(qs)
-    assert qs == tuple(sorted(named - {None}))
+    assert qs == (0.25, 0.3, 0.5, 0.8, 0.95, 0.999, 0.9999)
+    assert qs == tuple(sorted(received)) == tuple(sorted(built))
+
+
+def test_spectrum_negation_measures_computed_pairs():
+    # the dense eigensolver computes each sign apart, so the residual is
+    # a roundoff figure; eigenvalues() builds its pairs exactly (0.0)
+    thunk = dict(verify.default_checks(seed=0))["spectrum-negation[q=0.5]"]
+    residual, tol, _ = thunk()
+    assert 0.0 < residual <= tol == 1e-12
 
 
 def test_a_check_that_raises_is_reported_as_a_failure(monkeypatch):
@@ -128,10 +155,11 @@ def test_psi_closed_form_fails_under_the_retired_numerators(monkeypatch, base):
             return real(x, z, mode, ctx)
         num = qpoch_inf(-z * z, ctx, base=base(ctx.q))
         return complex(num) / complex(qpoch_inf(x * z, ctx))
-    residual, tol, _ = verify._psi_closed_form()
+    psi_closed_form = dict(verify.default_checks(seed=0))["psi-closed-form"]
+    residual, tol, _ = psi_closed_form()
     assert residual <= tol == 1e-10
     monkeypatch.setattr(hilbert, "_generating", bent)
-    residual, tol, _ = verify._psi_closed_form()
+    residual, tol, _ = psi_closed_form()
     assert residual > tol
 
 
@@ -142,10 +170,11 @@ def test_psi_closed_form_fails_when_phi_loses_its_factor_i(monkeypatch, factor):
     def bent(qry, ctx):
         return hilbert._generating(qry.point.value, factor * complex(qry.y),
                                    qry.mode, ctx)
-    residual, tol, _ = verify._psi_closed_form()
+    psi_closed_form = dict(verify.default_checks(seed=0))["psi-closed-form"]
+    residual, tol, _ = psi_closed_form()
     assert residual <= tol
     monkeypatch.setattr(verify, "phi_eval", bent)
-    residual, tol, _ = verify._psi_closed_form()
+    residual, tol, _ = psi_closed_form()
     assert residual > tol
 
 
