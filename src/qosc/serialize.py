@@ -10,8 +10,9 @@ degree n) at a time, without building the file in memory, and their CSV
 loads read a bounded chunk of 2^13 lines at a time. Of each chunk a
 load keeps compact columns only: the window site (int32), degree n
 (int32), x, the value (real for a position table), and the flags (int8),
-25 to 32 bytes a row. So a load holds those columns, one parsed chunk,
-the table it builds, and 9 bytes a row more while it places the cells,
+25 to 32 bytes a row, in buffers that double as they fill. So a load
+holds those columns (at most twice their size), one parsed chunk, the
+table it builds, and 9 bytes a row more while it places the cells,
 never the whole parsed file. On load, a missing or ill-typed field
 (4.9 or true for an integer) raises ValidationError; fields a loader
 does not know are ignored.
@@ -267,14 +268,25 @@ def _read_json(path: str, obj: str):
         yield payload
 
 
-def _compact(part: np.ndarray, dtype) -> np.ndarray:
-    """A copy of part as dtype, or as its own dtype where it holds an
-    integer past dtype's range (a damaged key): no value changes."""
+def _put(buf, filled: int, part: np.ndarray, dtype) -> np.ndarray:
+    """buf with part at [filled:] as dtype, or as part's own dtype where
+    it holds an integer past dtype's range (a damaged key), so no value
+    changes. Where part does not fit, or widens buf's dtype, it goes in a
+    new buffer of twice the size."""
     if np.dtype(dtype).kind == "i" and len(part):
         lim = np.iinfo(dtype)
         if part.min() < lim.min or part.max() > lim.max:
             dtype = part.dtype
-    return part.astype(dtype)
+    end = filled + len(part)
+    if buf is None:
+        buf = np.empty(end, dtype)
+    dtype = np.promote_types(buf.dtype, dtype)
+    if end > len(buf) or dtype != buf.dtype:
+        new = np.empty(max(end, 2 * len(buf)), dtype)
+        new[:filled] = buf[:filled]
+        buf = new
+    buf[filled:end] = part
+    return buf
 
 
 class _Held(dict):
@@ -297,10 +309,9 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
 
     keep maps a name to (dtype, function of a chunk). The data lines are
     parsed _CHUNK at a time into a 1-D array of the structured dtype
-    columns, each function's value on that chunk is kept as dtype
-    (_compact), and the chunk is dropped before the next is parsed. Each
-    column joins its parts once the last chunk is parsed; the file is
-    read once, so a pipe loads as a file does.
+    columns, each function's value on that chunk is kept as dtype in its
+    column's buffer (_put), and the chunk is dropped before the next is
+    parsed. The file is read once, so a pipe loads as a file does.
     """
     with _fields(path, what) as fh:
         info = None
@@ -320,7 +331,7 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
                 break
         else:
             raise ValidationError(f"{what} CSV has no rows after its header")
-        parts, held = {name: [] for name in keep}, {}
+        bufs, filled, held = {}, 0, {}
         lines = chain([first], fh)
         for line in lines:  # islice reads no line past its chunk
             with warnings.catch_warnings():
@@ -337,14 +348,16 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
             for name, (dtype, get) in keep.items():
                 if name not in held:
                     try:
-                        parts[name].append(_compact(get(rows), dtype))
+                        bufs[name] = _put(bufs.get(name), filled,
+                                          get(rows), dtype)
                     except ValidationError as exc:
                         held[name] = exc
+            filled += len(rows)
             del rows
         cols = _Held(held)
-        for name in keep:
-            if name not in held:  # one column's parts and its join at a time
-                cols[name] = np.concatenate(parts.pop(name))
+        for name, buf in bufs.items():
+            if name not in held:
+                cols[name] = buf[:filled]
         yield info, cols
 
 

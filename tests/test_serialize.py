@@ -763,6 +763,9 @@ def _last_cell(col, value):
     pytest.param(_last_cell(0, lambda _: "2"), "site sign", id="bad-sign"),
     pytest.param(_last_cell(1, lambda s: f"{s}.0"), "malformed",
                  id="float-in-integer-column"),
+    # a site past int32 widens the column kept of the earlier chunks
+    pytest.param(_last_cell(1, lambda _: str(3 * 10**9)),
+                 "table needs|key outside its", id="site-past-int32"),
 ])
 def test_chunked_csv_load_rejects_a_fault_in_a_later_chunk(
         tmp_path, long_csv, damage, match):
@@ -789,7 +792,8 @@ def test_chunked_csv_load_rejects_a_bad_x_in_the_last_chunk(tmp_path, artifact):
     pytest.param(lambda rows: rows[:_CHUNK] + [""] * _CHUNK + rows[_CHUNK:],
                  id="a-chunk-of-blank-lines"),
     pytest.param(lambda rows: rows + [""] * _CHUNK, id="a-last-chunk-of-blanks"),
-    # q's site (+1, s=1) comes last within each degree or kernel row
+    # q's site (+1, s=1) comes after every deeper site: in a lattice
+    # function, in the last chunk
     pytest.param(lambda rows: rows[::-1], id="rows-reversed"),
 ])
 def test_chunked_csv_load_is_bit_identical(tmp_path, long_csv, edit):
@@ -823,7 +827,7 @@ def test_bulk_csv_load_peaks_below_a_bound(tmp_path, artifact, bound_mb):
     # at q = 0.5, S = 128, N = 320 (0.66 MB of mode table values, 1.05 MB
     # of kernel), a parse of the whole file into one structured array
     # peaked at 8.5 and 7.4 MB of tracemalloc; a chunk at a time into
-    # compact columns, at 3.5 and 3.8 MB
+    # compact columns, at 4.7 and 3.3 MB
     ctx = DeformationContext(0.5, 320, 128)
     p = str(tmp_path / "a.csv")
     if artifact == "kernel":

@@ -63,7 +63,7 @@ def _received(value):
             yield from _received(v)
 
 
-def test_report_qs_are_the_qs_of_every_context_the_checks_run(monkeypatch):
+def test_report_qs_are_the_distinct_qs_of_the_named_checks(monkeypatch):
     # ladder-limit's rungs near q = 1 are listed with the rest, and so is
     # 0.25, where qpoch-pinned-values evaluates; each context a body
     # receives, or builds while it runs, has one of the listed q's
