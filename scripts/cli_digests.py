@@ -50,8 +50,13 @@ artifact is loaded once more with its data rows in reverse order (the
 metadata line and header kept first), which must give the same object:
 its digest, named "<artifact> (loaded, rows reversed)", must equal the
 "(loaded)" line. The bulk loaders parse a chunk of rows at a time, and
-the mode tables at q = 0.95 and 0.99 span 40 and 79 chunks. The
-polynomial tables have no loader, so only their bytes are digested. Run it on
+the mode tables at q = 0.95 and 0.99 span 40 and 79 chunks. Each JSON
+artifact is loaded once more after it is rewritten on one line
+(json.dumps of the parsed document), which must give the same object
+too: its digest, named "<artifact> (loaded, one line)", must equal the
+"(loaded)" line. The JSON loaders read "re" and "im" a row at a time,
+and this layout puts every row on the one line. The polynomial tables
+have no loader, so only their bytes are digested. Run it on
 two checkouts and diff the output to see whether a change moved any
 written byte or any value a loader returns:
 
@@ -185,6 +190,12 @@ def digests(src: Path) -> list:
                 loaded = _run(src, tmp, ["-c", _LOAD, "reversed.csv",
                                          LOADERS[args[0]]])
                 out.append((loaded.strip(), f"{name} (loaded, rows reversed)"))
+            else:
+                Path(tmp, "one-line.json").write_text(json.dumps(json.loads(
+                    Path(tmp, name).read_text())))
+                loaded = _run(src, tmp, ["-c", _LOAD, "one-line.json",
+                                         LOADERS[args[0]]])
+                out.append((loaded.strip(), f"{name} (loaded, one line)"))
     with tempfile.TemporaryDirectory() as tmp:
         stdout = _run(src, tmp, ["-m", "qosc.cli", "verify", "--seed", "3",
                                  "--format", "json", "--out", "verify.json"])

@@ -6,16 +6,30 @@ metadata line and a header. Writes are atomic (temp file, then rename)
 and emit floats with repr, so values round-trip exactly and identical
 inputs give identical bytes; the file mode follows the umask. Mode
 tables, lattice functions and kernels are streamed one window row (or
-degree n) at a time, without building the file in memory, and their CSV
-loads read a bounded chunk of 2^13 lines at a time. Of each chunk a
-load keeps compact columns only: the window site (int32), degree n
-(int32), x, the value (real for a position table), and the flags (int8),
-25 to 32 bytes a row, in buffers that double as they fill. So a load
-holds those columns (at most twice their size), one parsed chunk, the
-table it builds, and 9 bytes a row more while it places the cells,
-never the whole parsed file. On load, a missing or ill-typed field
-(4.9 or true for an integer) raises ValidationError; fields a loader
-does not know are ignored.
+degree n) at a time, without building the file in memory, and their
+loads read a bounded part of the file at a time too:
+
+    CSV   a chunk of 2^13 lines at a time. Of each chunk a load keeps
+          compact columns only: the window site (int32), degree n
+          (int32), the value (real for a position table) and the flags
+          (int8), 16 to 25 bytes a row, in buffers that double as they
+          fill; and of x only the least and greatest at each site, and
+          of a position table's imaginary parts only whether any is
+          nonzero. So a load holds those columns (at most twice their
+          size), one parsed chunk, the table it builds, and 9 bytes a
+          row more while it places the cells.
+    JSON  2^16 characters and the rest of the line they end in at a
+          time, as the json module's own decoder walks the top-level
+          object: scanstring reads each key and raw_decode each value
+          whole, except the rows of the schema-2 "re" and "im", which
+          are decoded one at a time straight into the real and
+          imaginary parts of the loaded values. So a load holds those
+          values, one run of lines and one decoded row.
+
+Neither holds the whole parsed file. On load, a missing or ill-typed
+field (4.9 or true for an integer) raises ValidationError, as does a
+JSON object, at the top or nested, that gives a key twice; fields a
+loader does not know are ignored.
 
 Files are written in schema 2; the loaders read schema 1 as well, which
 differs only in the JSON bulk fields (below). In schema 2 the JSON mode
@@ -31,9 +45,13 @@ in window order:
 Each row is one line, as json.dumps writes a list, NaN and +-Infinity
 included. The rest of the document is json.dumps(indent=1). On load,
 every cell must be a JSON number and the arrays must have exactly this
-shape. Schema 1 held the values as [re, im] pairs ("values"), and the
-kernel as one {row_sign, row_s, col_sign, col_s, re, im, low_confidence}
-object per entry ("entries"); there, as in CSV files, every cell is
+shape. The grammar is json's, and any layout loads: rows may share or
+span lines, and fields may come in any order. Rows read before the
+field that gives their count ("fock_dim", or a kernel's
+"lattice_depth") fill a buffer that doubles as it fills. Schema 1 held
+the values as [re, im] pairs ("values"), and the kernel as one
+{row_sign, row_s, col_sign, col_s, re, im, low_confidence} object per
+entry ("entries"); there, as in CSV files, every cell is
 placed exactly once by its key, and a key that is missing, repeated,
 negative, out of range or not an integer raises ValidationError.
 
@@ -70,7 +88,8 @@ blank; it is a row with too few cells. Every cell of every column is
 parsed, and at least one row must follow the header. Lines may end in
 '\n' or '\r\n'. Cells are keyed by window site (sign, s), plus degree
 n in mode tables, and placed as in schema-1 JSON. Each x must be its
-site's window value at the q of site (+1, s=1), to a relative 1e-12.
+site's window value, to a relative 1e-12, at q, the least x of site
+(+1, s=1); this is checked once every cell is placed.
 
 Whatever the format, the q, sizes and tolerance a file records must make
 a DeformationContext, as when the object was built. A kernel must pass
@@ -254,13 +273,167 @@ def _check_schema(version) -> None:
                               f"{SCHEMA_VERSION}, found {version!r}")
 
 
+def _repeated(key: str) -> ValidationError:
+    return ValidationError(f"a JSON object repeats the key {key!r}")
+
+
+def _object(pairs: list) -> dict:
+    """A decoded JSON object; a key given twice raises ValidationError."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise _repeated(next(k for k in keys if keys.count(k) > 1))
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
+_SPACE = json.decoder.WHITESPACE.match  # JSON's whitespace, as json skips it
+_ROWS = re.compile(r"\[[ \t\n\r]*")  # an array's "[" up to its first item
+_READ = 1 << 16  # characters of whole lines a _Text reads at a time
+_CELLS = 1 << 20  # the most cells a bulk field's first buffer is sized for
+_UNEQUAL_ROWS = '"re" and "im" hold unequal numbers of rows'
+_PART = {"re": "real", "im": "imag"}  # the part of a complex array each fills
+
+
+class _Text:
+    """A JSON file, held a run of whole lines at a time from pos on. No
+    JSON token spans a line break, so a value that raw_decode reads from
+    these lines is the whole value the file holds there."""
+
+    def __init__(self, fh):
+        self.fh, self.buf, self.pos = fh, "", 0
+
+    def more(self, size: int = _READ) -> bool:
+        """Drop the text before pos and read size more characters and the
+        rest of the line they end in; False at the end of the file."""
+        text = self.fh.read(size)
+        text += self.fh.readline()
+        self.buf, self.pos = self.buf[self.pos:] + text, 0
+        return bool(text)
+
+    def peek(self) -> str:
+        """The character after the whitespace at pos; '' at the end."""
+        while True:
+            self.pos = _SPACE(self.buf, self.pos).end()
+            if self.pos < len(self.buf) or not self.more():
+                return self.buf[self.pos:self.pos + 1]
+
+    def take(self, chars: str) -> str:
+        """The next character, which must be one of chars."""
+        c = self.peek()
+        if not c or c not in chars:
+            raise ValueError(f"expected one of {chars!r}, found {c!r} at "
+                             f"{self.buf[self.pos:self.pos + 40]!r}")
+        self.pos += 1
+        return c
+
+    def value(self):
+        """The next JSON value, decoded whole. Where the lines held do not
+        complete it, as many more characters are read as are held."""
+        self.peek()
+        while True:
+            try:
+                value, self.pos = _DECODER.raw_decode(self.buf, self.pos)
+                return value
+            except json.JSONDecodeError:
+                if not self.more(max(_READ, len(self.buf) - self.pos)):
+                    raise
+
+    def opens_rows(self) -> bool:
+        """Whether the next value is an array whose first item is an array."""
+        self.peek()
+        while True:
+            m = _ROWS.match(self.buf, self.pos)
+            if m is None:
+                return False
+            if m.end() < len(self.buf):
+                return self.buf[m.end()] == "["
+            if not self.more():
+                return False
+
+    def rows(self, key: str, out: Optional[np.ndarray], hint) -> np.ndarray:
+        """Decode the array of rows of field key ("re" or "im") a row at a
+        time into that part of out, a 2-D complex array, and return out.
+
+        With out None, the rows make a new out, first sized for hint rows
+        (or None) of the first row's width, at most _CELLS cells, then
+        doubled as it fills and cut to the rows read: a file that holds
+        as many rows as it says is read without a copy. Otherwise the rows
+        must fill out's part exactly.
+        """
+        part, grow, i = _PART[key], out is None, 0
+        self.take("[")
+        while True:
+            row = self.value()
+            if type(row) is not list or not set(map(type, row)) <= {float, int}:
+                raise ValidationError(f'"{key}" must hold only rows of numbers')
+            if out is None:
+                cap = max(1, _CELLS // max(1, len(row)))
+                if hint is not None and 0 < hint <= cap:
+                    cap = hint
+                out = np.empty((cap, len(row)), dtype=complex)
+            if len(row) != out.shape[1]:
+                raise ValidationError(f'"{key}" has a row of {len(row)} '
+                                      f'cells, not {out.shape[1]}')
+            if i == len(out):
+                if not grow:
+                    raise ValidationError(_UNEQUAL_ROWS)
+                out = np.concatenate((out, np.empty_like(out)))
+            getattr(out, part)[i] = row
+            i += 1
+            if self.take(",]") == "]":
+                break
+        if i < len(out):
+            if not grow:
+                raise ValidationError(_UNEQUAL_ROWS)
+            out = out[:i].copy()
+        return out
+
+
+def _walk(fh, height: Optional[tuple]) -> dict:
+    """The top-level JSON object in fh, read as the module docstring says.
+
+    With height, (key, factor) such that "re" and "im" hold factor times
+    the int field key rows, a schema-2 field "re" or "im" that is an
+    array of arrays is read a row at a time (_Text.rows) into one complex
+    array, whose real or imaginary part becomes the field's value. Every
+    other value is decoded whole.
+    """
+    text, doc, out = _Text(fh), {}, None
+    if text.peek() != "{":
+        raise ValidationError("top-level JSON payload must be an object")
+    text.pos += 1
+    if text.peek() == "}":
+        text.pos += 1
+    else:
+        while True:
+            text.take('"')
+            key, text.pos = json.decoder.scanstring(text.buf, text.pos)
+            if key in doc:
+                raise _repeated(key)
+            text.take(":")
+            if (height is not None and key in _PART
+                    and doc.get("schema_version") == SCHEMA_VERSION
+                    and text.opens_rows()):
+                n = doc.get(height[0])
+                out = text.rows(key, out,
+                                height[1] * n if type(n) is int else None)
+                doc[key] = getattr(out, _PART[key])
+            else:
+                doc[key] = text.value()
+            if text.take(",}") == "}":
+                break
+    if text.peek():
+        raise ValueError("extra data after the top-level JSON object")
+    return doc
+
+
 @contextmanager
-def _read_json(path: str, obj: str):
-    """The document of a JSON artifact of schema 1 or 2, tagged obj."""
+def _read_json(path: str, obj: str, height: Optional[tuple] = None):
+    """The document of a JSON artifact of schema 1 or 2, tagged obj, read
+    by _walk."""
     with _fields(path, obj) as fh:
-        payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValidationError("top-level JSON payload must be an object")
+        payload = _walk(fh, height)
         _check_schema(payload.get("schema_version"))
         if payload.get("object") != obj:
             raise ValidationError(
@@ -311,7 +484,10 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
     parsed _CHUNK at a time into a 1-D array of the structured dtype
     columns, each function's value on that chunk is kept as dtype in its
     column's buffer (_put), and the chunk is dropped before the next is
-    parsed. The file is read once, so a pipe loads as a file does.
+    parsed. With dtype None, the function folds: it is called as
+    function(value so far, chunk), with None before the first chunk, and
+    its last value is the column. The file is read once, so a pipe loads
+    as a file does.
     """
     with _fields(path, what) as fh:
         info = None
@@ -348,8 +524,9 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
             for name, (dtype, get) in keep.items():
                 if name not in held:
                     try:
-                        bufs[name] = _put(bufs.get(name), filled,
-                                          get(rows), dtype)
+                        bufs[name] = (get(bufs.get(name), rows) if dtype is None
+                                      else _put(bufs.get(name), filled,
+                                                get(rows), dtype))
                     except ValidationError as exc:
                         held[name] = exc
             filled += len(rows)
@@ -357,7 +534,7 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
         cols = _Held(held)
         for name, buf in bufs.items():
             if name not in held:
-                cols[name] = buf[:filled]
+                cols[name] = buf if keep[name][0] is None else buf[:filled]
         yield info, cols
 
 
@@ -410,9 +587,28 @@ def _site(sign, s) -> np.ndarray:
     return window_index(sign, _typed(s, "i", "site level"))
 
 
+def _x_range(seen: Optional[tuple], rows) -> tuple:
+    """(window sites, least x, greatest x), one entry per distinct site in
+    order, of the rows of a chunk and those seen before it (None, or this
+    function's value on them). No array is sized by a site's value."""
+    if seen is not None and not len(rows):
+        return seen
+    site, lo, hi = _site(rows["sign"], rows["s"]), rows["x"], rows["x"]
+    if seen is not None:
+        site, lo, hi = (np.concatenate(pair)
+                        for pair in zip(seen, (site, lo, hi)))
+    order = np.argsort(site)
+    site = site[order]
+    starts = np.flatnonzero(np.concatenate(([True], site[1:] != site[:-1])))
+    return (site[starts], np.minimum.reduceat(lo[order], starts),
+            np.maximum.reduceat(hi[order], starts))
+
+
 # what _read_csv keeps of each chunk of a bulk CSV's rows: window sites as
-# int32 (an int64 key a damaged file holds widens them), values as complex
-_SITE = {"site": (np.int32, lambda rows: _site(rows["sign"], rows["s"]))}
+# int32 (an int64 key a damaged file holds widens them), values as complex,
+# and each site's range of x
+_SITE = {"site": (np.int32, lambda rows: _site(rows["sign"], rows["s"])),
+         "x": (None, _x_range)}
 _VALUE = {"value": (complex, lambda rows: _complexes(rows["re"], rows["im"]))}
 _KERNEL_CSV = {
     "row_site": (np.int32, lambda rows: _site(rows["row_sign"], rows["row_s"])),
@@ -451,24 +647,29 @@ def _from_pairs(pairs, shape: tuple) -> np.ndarray:
 
 
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
-    """A JSON array of this shape, every cell a number, as floats."""
-    cells = [value]
-    for _ in shape:
-        cells = chain.from_iterable(cells)
-    if not set(map(type, cells)) <= {float, int}:
-        raise ValidationError(f"{what} must hold only numbers")
-    a = np.array(value, dtype=float)
-    if a.shape != shape:
-        raise ValidationError(f"{what} has shape {a.shape}, not {shape}")
-    return a
+    """A JSON array of this shape, every cell a number, as floats; or
+    rows that _Text.rows read, which it has checked are numbers."""
+    if not isinstance(value, np.ndarray):
+        cells = [value]
+        for _ in shape:
+            cells = chain.from_iterable(cells)
+        if not set(map(type, cells)) <= {float, int}:
+            raise ValidationError(f"{what} must hold only numbers")
+        value = np.array(value, dtype=float)
+    if value.shape != shape:
+        raise ValidationError(f"{what} has shape {value.shape}, not {shape}")
+    return value
 
 
 def _from_arrays(doc: dict, shape: tuple) -> np.ndarray:
     """Complex values of this shape from the "re" and "im" fields of a
-    schema-2 document, bit for bit."""
+    schema-2 document, bit for bit: the array both were read into, if
+    _walk read them a row at a time."""
+    real, imag = (_numbers(doc[key], shape, f'"{key}"') for key in _PART)
+    if real.base is not None and real.base is imag.base:
+        return real.base
     out = np.empty(shape, dtype=complex)
-    out.real, out.imag = (_numbers(doc[key], shape, f'"{key}"')
-                          for key in ("re", "im"))
+    out.real, out.imag = real, imag
     return out
 
 
@@ -479,25 +680,27 @@ def _bulk(doc: dict, shape: tuple) -> np.ndarray:
     return _from_arrays(doc, shape)
 
 
-def _csv_q(x: np.ndarray, site: np.ndarray, depth: int) -> Optional[float]:
-    """q read from the x cell of window site (+1, s=1); None if the window
-    has one level. Every x must be its site's window value at that q to a
-    relative 1e-12, not bit for bit: the file may come from a machine whose
-    power function rounds differently, or ValidationError."""
-    at = np.flatnonzero(site == window_index(1, 1))
-    q = float(x[at[0]]) if at.size else None
+def _csv_q(x_range: tuple, depth: int) -> Optional[float]:
+    """q read from the least x of window site (+1, s=1); None if the window
+    has one level. x_range is _x_range's value over a file whose cells
+    _place has checked, so it holds every site of the window. Every x must
+    be its site's window value at that q to a relative 1e-12, not bit for
+    bit: the file may come from a machine whose power function rounds
+    differently, or ValidationError. The least and the greatest x of a
+    site are within that of its value only if all its x are."""
+    site, lo, hi = x_range
+    at = window_index(1, 1)
+    q = float(lo[at]) if at < len(lo) else None
     # a one-level window is {+1, -1} at every q
     want = window_values(DeformationContext(
-        q=0.5 if q is None else q, lattice_depth=depth))
-    for i in range(0, len(x), _CHUNK):
-        part = slice(i, i + _CHUNK)
-        close = np.isclose(x[part], want[site[part]], rtol=1e-12,
-                           atol=np.finfo(float).tiny)
+        q=0.5 if q is None else q, lattice_depth=depth))[site]
+    for x in (lo, hi):
+        close = np.isclose(x, want, rtol=1e-12, atol=np.finfo(float).tiny)
         if not close.all():
-            bad = i + np.argmin(close)
+            bad = np.argmin(close)
             raise ValidationError(
                 f"x = {x[bad]!r} at window site {site[bad]} is not its "
-                f"window value {want[site[bad]]!r} at q={q!r}")
+                f"window value {want[bad]!r} at q={q!r}")
     return q
 
 
@@ -560,7 +763,7 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
     """
     is_json = _infer_format(path, fmt) == "json"
     if is_json:
-        with _read_json(path, "mode_table") as doc:
+        with _read_json(path, "mode_table", ("fock_dim", 1)) as doc:
             kind, q = doc["kind"], _scalar(doc, "q", float)
             nmax = _scalar(doc, "fock_dim", int)
             depth = _scalar(doc, "lattice_depth", int)
@@ -573,23 +776,23 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
         # a position table keeps its real parts and whether any imaginary
         # part is nonzero
         value = ({"value": (float, itemgetter("value_re")),
-                  "complex": (bool, lambda rows: rows["value_im"] != 0)}
+                  "complex": (None, lambda seen, rows: bool(
+                      seen or (rows["value_im"] != 0).any()))}
                  if kind == "position" else
                  {"value": (complex, lambda rows: _complexes(
                      rows["value_re"], rows["value_im"]))})
         with _read_csv(path, "mode table", _MODE_COLUMNS, {
-                **_SITE, "n": (np.int32, itemgetter("n")),
-                "x": (float, itemgetter("x")), **value}) as (_, cols):
+                **_SITE, "n": (np.int32, itemgetter("n")), **value}) as (_, cols):
             site, n = cols["site"], cols["n"]
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
             values = _place(cols["value"], (n, site), (nmax, 2 * depth),
                             "mode table CSV")
-            q = _csv_q(cols["x"], site, depth)
+            q = _csv_q(cols["x"], depth)
         if q is None:
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
-        if values.imag.any() if is_json else cols["complex"].any():
+        if values.imag.any() if is_json else cols["complex"]:
             raise ValidationError(
                 f"{path!r} holds complex values; " + (
                     "a position table must hold real values" if is_json else
@@ -635,14 +838,14 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
                                 rescaled=_scalar(doc, "rescaled", bool))
     else:
         with _read_csv(path, "lattice function", _LATTICE_COLUMNS, {
-                **_SITE, "x": (float, itemgetter("x")), **_VALUE,
+                **_SITE, **_VALUE,
                 "flag": (np.int8, itemgetter("rescaled_flag"))}) as (_, cols):
             site = cols["site"]
             depth = int(site.max()) // 2 + 1
             values = _place(cols["value"], (site,), (2 * depth,),
                             "lattice function CSV")
             flags = cols["flag"]  # np.unique would import numpy.ma
-            q = _csv_q(cols["x"], site, depth)
+            q = _csv_q(cols["x"], depth)
         if (flags != flags[0]).any():
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
@@ -708,7 +911,7 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     """Read a kernel; with ctx, its q, lattice_depth and n_max must be
     ctx's (n_max is the fock_dim it was built at), or ValidationError."""
     if _infer_format(path, fmt) == "json":
-        with _read_json(path, "evolution_kernel") as doc:
+        with _read_json(path, "evolution_kernel", ("lattice_depth", 2)) as doc:
             size = 2 * _scalar(doc, "lattice_depth", int)
             if doc["schema_version"] == 1:
                 cols = _json_columns(doc["entries"])

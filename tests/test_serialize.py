@@ -23,6 +23,7 @@ from qosc import (DeformationContext, EvolutionKernel, LatticeFunction,
                   verify_report_payload, write_kernel, write_lattice_function,
                   write_mode_table, write_spectrum_report,
                   write_verify_report)
+from qosc import serialize
 from qosc.serialize import _CHUNK, _floats, atomic_write_text
 
 
@@ -275,6 +276,17 @@ def _set(*path_and_value):
     return _doc(edit)
 
 
+def _repeat(at, field):
+    """Put field, a key and its value, on a line of its own before the
+    first line that holds at."""
+    def apply(text):
+        i = text.index(at)
+        i = text.rindex("\n", 0, i) + 1
+        return f"{text[:i]}{' ' * (len(text[i:]) - len(text[i:].lstrip()))}" \
+            f"{field}\n{text[i:]}"
+    return apply
+
+
 def _first_cell(col, value):
     def edit(rows):
         cells = rows[0].split(",")
@@ -299,10 +311,11 @@ def _commented(rows):
     return [rows[0] + " # a note"] + rows[1:]
 
 
-def _edited_x(rows):
-    """The x cell of the first row at site (-1, s=2) set to 0.9."""
+def _edited_x(rows, x="0.9"):
+    """The x cell of the first row at site (-1, s=2), window site 5, set
+    to x."""
     cells = [r.split(",") for r in rows]
-    next(c for c in cells if c[:2] == ["-1", "2"])[2] = "0.9"
+    next(c for c in cells if c[:2] == ["-1", "2"])[2] = x
     return [",".join(c) for c in cells]
 
 
@@ -516,8 +529,37 @@ def _edited_x(rows):
     pytest.param("kernel", "csv", lambda text: text.replace("q=0.5 ",
                                                             "q=0.5 q=0.25 "),
                  id="kernel-csv-repeated-metadata-key"),
+    # a key given twice in a JSON object, of which json.load kept the last
+    pytest.param("kernel", "json", _repeat('"q": 0.5,', '"q": 0.25,'),
+                 id="kernel-json2-repeated-key"),
+    pytest.param("kernel", "json", _repeat('"tau": 0.37,', '"tau": 0.37,'),
+                 id="kernel-json2-key-repeated-with-its-value"),
+    pytest.param("kernel", "json", _repeat(' "re": [', ' "re": [[0.0]],'),
+                 id="kernel-json2-repeated-re"),
+    pytest.param("kernel", "json1", _repeat('"row_s": 0,', '"row_s": 1,'),
+                 id="kernel-json-repeated-key-in-an-entry"),
+    pytest.param("mode_table", "json", _repeat('"fock_dim": 20,',
+                                               '"fock_dim": 20,'),
+                 id="mode-table-json2-repeated-key"),
+    pytest.param("mode_table", "json", _repeat('"kind": "position",',
+                                               '"kind": "momentum",'),
+                 id="mode-table-json2-repeated-kind"),
+    pytest.param("lattice_function", "json",
+                 _repeat('"rescaled": false,', '"rescaled": true,'),
+                 id="lattice-function-json2-repeated-key"),
+    pytest.param("spectrum_report", "json", _repeat('"s_match": ', '"s_match": -1,'),
+                 id="spectrum-json-repeated-key"),
+    pytest.param("spectrum_report", "json", _repeat('"lambda": ', '"lambda": 0.0,'),
+                 id="spectrum-json-repeated-key-in-a-level"),
     # well-typed values that no DeformationContext holds
     pytest.param("kernel", "json", _set("q", 1.5), id="kernel-json2-q-above-1"),
+    # a row count that the rows do not fill, which _walk sizes a buffer by
+    pytest.param("kernel", "json", _set("lattice_depth", 10**12),
+                 id="kernel-json2-huge-depth"),
+    pytest.param("mode_table", "json", _set("fock_dim", 5),
+                 id="mode-table-json2-fock-dim-below-its-rows"),
+    pytest.param("mode_table", "json", _set("fock_dim", 10**15),
+                 id="mode-table-json2-huge-fock-dim"),
     pytest.param("kernel", "json", _set("q", -0.2),
                  id="kernel-json2-negative-q"),
     pytest.param("kernel", "json", _set("q", math.nan), id="kernel-json2-nan-q"),
@@ -821,15 +863,12 @@ def test_chunked_csv_load_checks_in_the_whole_file_order(
         _LOADERS[artifact](str(p))
 
 
-@pytest.mark.parametrize("artifact,bound_mb", [("mode_table", 6.0),
-                                               ("kernel", 5.5)])
-def test_bulk_csv_load_peaks_below_a_bound(tmp_path, artifact, bound_mb):
-    # at q = 0.5, S = 128, N = 320 (0.66 MB of mode table values, 1.05 MB
-    # of kernel), a parse of the whole file into one structured array
-    # peaked at 8.5 and 7.4 MB of tracemalloc; a chunk at a time into
-    # compact columns, at 4.7 and 3.3 MB
+def _load_peak(tmp_path, artifact, fmt) -> int:
+    """The tracemalloc peak of loading a second time the artifact written
+    at q = 0.5, S = 128, N = 320 (0.66 MB of position mode table values,
+    1.05 MB of kernel)."""
     ctx = DeformationContext(0.5, 320, 128)
-    p = str(tmp_path / "a.csv")
+    p = str(tmp_path / f"a.{fmt}")
     if artifact == "kernel":
         write_kernel(fractional_ft(0.7, ctx), p)
     else:
@@ -838,10 +877,49 @@ def test_bulk_csv_load_peaks_below_a_bound(tmp_path, artifact, bound_mb):
     tracemalloc.start()
     try:
         _LOADERS[artifact](p)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("artifact,bound_mb", [("mode_table", 4.2),
+                                               ("kernel", 5.5)])
+def test_bulk_csv_load_peaks_below_a_bound(tmp_path, artifact, bound_mb):
+    # a parse of the whole file into one structured array peaked at 8.5
+    # and 7.4 MB; a chunk at a time into compact columns, at 4.7 and 3.3
+    # MB; with a range of x per site in place of an x column, the mode
+    # table at 3.5 MB
+    assert _load_peak(tmp_path, artifact, "csv") < bound_mb * 1e6
+
+
+@pytest.mark.parametrize("artifact", ["mode_table", "kernel"])
+def test_bulk_json_load_peaks_below_a_bound(tmp_path, artifact):
+    # json.load on the whole document peaked at 8.0 MB (mode table) and
+    # 7.2 MB (kernel); the rows of "re" and "im" read one at a time into
+    # the complex values, at 2.0 and 1.3 MB
+    assert _load_peak(tmp_path, artifact, "json") < 3.5e6
+
+
+@pytest.mark.parametrize("artifact", ["mode_table", "lattice_function"])
+@pytest.mark.parametrize("x", ["0.9", "-0.2500000001", "nan"])
+def test_csv_x_check_names_a_bad_x_and_its_site(tmp_path, sctx, artifact, x):
+    # site 5 holds -0.25; in a mode table, 0.9 is the greatest of its x
+    # and -0.2500000001 the least
+    p = tmp_path / "a.csv"
+    _WRITERS[artifact](sctx, str(p))
+    p.write_text(_rows(lambda rows: _edited_x(rows, x))(p.read_text()))
+    with pytest.raises(ValidationError, match=rf"x = \S*{re.escape(x)}\S* at "
+                       r"window site 5 is not its window value"):
+        _LOADERS[artifact](str(p))
+
+
+@pytest.mark.parametrize("artifact", ["mode_table", "lattice_function"])
+def test_csv_x_is_checked_after_the_cells_are_placed(tmp_path, sctx, artifact):
+    p = tmp_path / "a.csv"
+    _WRITERS[artifact](sctx, str(p))
+    p.write_text(_rows(lambda rows: _duplicated(_edited_x(rows)))(p.read_text()))
+    with pytest.raises(ValidationError, match="exactly once"):
+        _LOADERS[artifact](str(p))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -1191,3 +1269,90 @@ def test_lattice_function_roundtrip_is_bit_exact(tmp_path_factory, data, depth,
     back = load_lattice_function(p, ctx=ctx)
     assert back.rescaled == rescaled
     assert back.values.tobytes() == f.values.tobytes()
+
+
+# -- JSON loads, a row at a time ----------------------------------------
+
+def _bulk_first(doc):
+    """doc with "re" and "im" moved ahead of every other field."""
+    return {**{key: doc[key] for key in ("re", "im") if key in doc}, **doc}
+
+
+_RELAID = {
+    "one-line": json.dumps,
+    "indent-4": lambda doc: json.dumps(doc, indent=4),
+    "bulk-first": lambda doc: json.dumps(_bulk_first(doc), indent=1),
+    "keys-reversed": lambda doc: json.dumps(dict(reversed(doc.items()))),
+}
+
+
+def _json_artifact(name, ctx, path):
+    """Write a JSON artifact: one of _WRITERS' at ctx; one of
+    _SPECIAL_ARTIFACTS, as "special_<name>"; or one of _LONG, as
+    "long_<name>", whose text spans many of the reader's reads. Return
+    its loader."""
+    kind, _, base = name.partition("_")
+    if kind == "special" and base in _SPECIAL_ARTIFACTS:
+        _write_any(_SPECIAL_ARTIFACTS[base](ctx), ctx, path)
+    elif kind == "long":
+        _LONG[base](path)
+    else:
+        _WRITERS[name](ctx, path)
+        base = name
+    return _LOADERS[base]
+
+
+_JSON_ARTIFACTS = [*sorted(_WRITERS),
+                   *(f"special_{a}" for a in sorted(_SPECIAL_ARTIFACTS)),
+                   "long_kernel", "long_mode_table"]
+
+
+@pytest.mark.parametrize("layout", sorted(_RELAID))
+@pytest.mark.parametrize("artifact", _JSON_ARTIFACTS)
+def test_json_load_does_not_depend_on_layout(tmp_path, sctx, artifact, layout):
+    p = tmp_path / "a.json"
+    load = _json_artifact(artifact, sctx, str(p))
+    want = _fields_of(load(str(p)))
+    p.write_text(_RELAID[layout](json.loads(p.read_text())))
+    assert _fields_of(load(str(p))) == want
+
+
+@pytest.mark.parametrize("artifact", ["kernel", "mode_table"])
+def test_json_rows_read_before_their_count_fill_a_growing_buffer(
+        tmp_path, sctx, monkeypatch, artifact):
+    # with no row count read yet, the first buffer holds _CELLS cells: at
+    # 64, 4 rows of 16, doubled to 16 rows (the kernel's) and cut to 20
+    # (the mode table's, in 32)
+    p = tmp_path / "a.json"
+    _WRITERS[artifact](sctx, str(p))
+    want = _fields_of(_LOADERS[artifact](str(p)))
+    p.write_text(_RELAID["bulk-first"](json.loads(p.read_text())))
+    monkeypatch.setattr(serialize, "_CELLS", 64)
+    assert _fields_of(_LOADERS[artifact](str(p))) == want
+
+
+def _cut(share):
+    return lambda text: text[:int(len(text) * share)]
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(_cut(1 / 3), id="truncated-at-a-third"),
+    pytest.param(_cut(1 / 2), id="truncated-at-half"),
+    pytest.param(_cut(0.9), id="truncated-at-nine-tenths"),
+    pytest.param(lambda text: text[:text.rindex("\n", 0, -1) + 1],
+                 id="truncated-before-the-last-line"),
+    pytest.param(lambda text: text + "{}\n", id="a-second-object"),
+    pytest.param(lambda text: text + "x", id="trailing-text"),
+    pytest.param(lambda text: text.rstrip() + ", 1\n", id="trailing-item"),
+    pytest.param(lambda text: f"[{text}]", id="a-top-level-array"),
+    pytest.param(lambda text: "", id="empty"),
+])
+@pytest.mark.parametrize("artifact", ["kernel", "mode_table", "lattice_function",
+                                      "spectrum_report", "long_kernel"])
+def test_json_loader_rejects_a_broken_document(tmp_path, sctx, artifact,
+                                                damage):
+    p = tmp_path / "a.json"
+    load = _json_artifact(artifact, sctx, str(p))
+    p.write_text(damage(p.read_text()))
+    with pytest.raises(ValidationError):
+        load(str(p))
