@@ -699,8 +699,8 @@ def _csv_q(x_range: tuple, depth: int) -> Optional[float]:
         if not close.all():
             bad = np.argmin(close)
             raise ValidationError(
-                f"x = {x[bad]!r} at window site {site[bad]} is not its "
-                f"window value {want[bad]!r} at q={q!r}")
+                f"x = {float(x[bad])!r} at window site {site[bad]} is not "
+                f"its window value {float(want[bad])!r} at q={q!r}")
     return q
 
 
