@@ -21,21 +21,21 @@ loads read a bounded part of the file at a time too:
     JSON  2^16 characters and the rest of the line they end in at a
           time, as the json module's own decoder walks the top-level
           object: scanstring reads each key and raw_decode each value
-          whole, except the rows of the schema-2 "re" and "im", which
-          are decoded one at a time straight into the real and
-          imaginary parts of the loaded values. So a load holds those
-          values, one run of lines and one decoded row.
+          whole, except the rows of a mode table's or kernel's "re" and
+          "im", which are decoded one at a time straight into the real
+          and imaginary parts of the loaded values. So a load holds
+          those values, one run of lines and one decoded row.
 
 Neither holds the whole parsed file. On load, a missing or ill-typed
 field (4.9 or true for an integer) raises ValidationError, as does a
 JSON object, at the top or nested, that gives a key twice; fields a
 loader does not know are ignored.
 
-Files are written in schema 2; the loaders read schema 1 as well, which
-differs only in the JSON bulk fields (below). In schema 2 the JSON mode
-table, lattice function and kernel end in two fields, "re" and "im",
-the real and imaginary parts of their values as nested number arrays
-in window order:
+Files are written in schema 2, and a file that records any other
+schema_version raises ValidationError. The JSON mode table, lattice
+function and kernel end in two fields, "re" and "im", the real and
+imaginary parts of their values as nested number arrays in window
+order:
 
     mode table        N x 2S, one row per degree n
     lattice function  2S, on one line
@@ -48,12 +48,7 @@ every cell must be a JSON number and the arrays must have exactly this
 shape. The grammar is json's, and any layout loads: rows may share or
 span lines, and fields may come in any order. Rows read before the
 field that gives their count ("fock_dim", or a kernel's
-"lattice_depth") fill a buffer that doubles as it fills. Schema 1 held
-the values as [re, im] pairs ("values"), and the kernel as one
-{row_sign, row_s, col_sign, col_s, re, im, low_confidence} object per
-entry ("entries"); there, as in CSV files, every cell is
-placed exactly once by its key, and a key that is missing, repeated,
-negative, out of range or not an integer raises ValidationError.
+"lattice_depth") fill a buffer that doubles as it fills.
 
 Column layouts:
 
@@ -86,8 +81,11 @@ There is no quoting and no comment syntax after the metadata line: a
 '"' or '#' in a row makes its cell unreadable. A line of spaces is not
 blank; it is a row with too few cells. Every cell of every column is
 parsed, and at least one row must follow the header. Lines may end in
-'\n' or '\r\n'. Cells are keyed by window site (sign, s), plus degree
-n in mode tables, and placed as in schema-1 JSON. Each x must be its
+'\n' or '\r\n'. Each chunk is checked as it is parsed, so a load raises
+at the first chunk that holds a fault. Cells are keyed by window site
+(sign, s), plus degree n in mode tables, and every cell is placed
+exactly once by its key: a key that is missing, repeated, negative, out
+of range or not an integer raises ValidationError. Each x must be its
 site's window value, to a relative 1e-12, at q, the least x of site
 (+1, s=1); this is checked once every cell is placed.
 
@@ -113,7 +111,6 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from itertools import chain, islice, repeat
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -267,10 +264,10 @@ def _fields(path: str, what: str):
 
 
 def _check_schema(version) -> None:
-    """ValidationError unless version is a schema the loaders read."""
-    if type(version) is not int or version not in (1, SCHEMA_VERSION):
-        raise ValidationError(f"expected schema_version 1 or "
-                              f"{SCHEMA_VERSION}, found {version!r}")
+    """ValidationError unless version is the schema the loaders read."""
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValidationError(f"expected schema_version {SCHEMA_VERSION}, "
+                              f"found {version!r}")
 
 
 def _repeated(key: str) -> ValidationError:
@@ -288,7 +285,6 @@ def _object(pairs: list) -> dict:
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_object)
 _SPACE = json.decoder.WHITESPACE.match  # JSON's whitespace, as json skips it
-_ROWS = re.compile(r"\[[ \t\n\r]*")  # an array's "[" up to its first item
 _READ = 1 << 16  # characters of whole lines a _Text reads at a time
 _CELLS = 1 << 20  # the most cells a bulk field's first buffer is sized for
 _UNEQUAL_ROWS = '"re" and "im" hold unequal numbers of rows'
@@ -339,18 +335,6 @@ class _Text:
                 if not self.more(max(_READ, len(self.buf) - self.pos)):
                     raise
 
-    def opens_rows(self) -> bool:
-        """Whether the next value is an array whose first item is an array."""
-        self.peek()
-        while True:
-            m = _ROWS.match(self.buf, self.pos)
-            if m is None:
-                return False
-            if m.end() < len(self.buf):
-                return self.buf[m.end()] == "["
-            if not self.more():
-                return False
-
     def rows(self, key: str, out: Optional[np.ndarray], hint) -> np.ndarray:
         """Decode the array of rows of field key ("re" or "im") a row at a
         time into that part of out, a 2-D complex array, and return out.
@@ -394,10 +378,10 @@ def _walk(fh, height: Optional[tuple]) -> dict:
     """The top-level JSON object in fh, read as the module docstring says.
 
     With height, (key, factor) such that "re" and "im" hold factor times
-    the int field key rows, a schema-2 field "re" or "im" that is an
-    array of arrays is read a row at a time (_Text.rows) into one complex
-    array, whose real or imaginary part becomes the field's value. Every
-    other value is decoded whole.
+    the int field key rows (a mode table or a kernel), the fields "re"
+    and "im" are read a row at a time (_Text.rows) into one complex
+    array, whose real or imaginary part becomes each field's value.
+    Every other value is decoded whole.
     """
     text, doc, out = _Text(fh), {}, None
     if text.peek() != "{":
@@ -412,9 +396,7 @@ def _walk(fh, height: Optional[tuple]) -> dict:
             if key in doc:
                 raise _repeated(key)
             text.take(":")
-            if (height is not None and key in _PART
-                    and doc.get("schema_version") == SCHEMA_VERSION
-                    and text.opens_rows()):
+            if height is not None and key in _PART:
                 n = doc.get(height[0])
                 out = text.rows(key, out,
                                 height[1] * n if type(n) is int else None)
@@ -430,8 +412,8 @@ def _walk(fh, height: Optional[tuple]) -> dict:
 
 @contextmanager
 def _read_json(path: str, obj: str, height: Optional[tuple] = None):
-    """The document of a JSON artifact of schema 1 or 2, tagged obj, read
-    by _walk."""
+    """The document of a schema-2 JSON artifact tagged obj, read by
+    _walk."""
     with _fields(path, obj) as fh:
         payload = _walk(fh, height)
         _check_schema(payload.get("schema_version"))
@@ -441,20 +423,22 @@ def _read_json(path: str, obj: str, height: Optional[tuple] = None):
         yield payload
 
 
-def _put(buf, filled: int, part: np.ndarray, dtype) -> np.ndarray:
-    """buf with part at [filled:] as dtype, or as part's own dtype where
-    it holds an integer past dtype's range (a damaged key), so no value
-    changes. Where part does not fit, or widens buf's dtype, it goes in a
-    new buffer of twice the size."""
+def _put(buf: Optional[np.ndarray], filled: int, part: np.ndarray,
+         dtype) -> np.ndarray:
+    """buf (None before the first part) with part at [filled:] as dtype,
+    in a new buffer of twice the size where part does not fit. An integer
+    of part past dtype's range (a damaged key or flag) raises
+    ValidationError, so no value changes."""
     if np.dtype(dtype).kind == "i" and len(part):
         lim = np.iinfo(dtype)
-        if part.min() < lim.min or part.max() > lim.max:
-            dtype = part.dtype
+        for bad in (part.min(), part.max()):
+            if not lim.min <= bad <= lim.max:
+                raise ValidationError(f"{bad} lies past the {lim.dtype} "
+                                      f"range of a CSV key or flag column")
     end = filled + len(part)
     if buf is None:
         buf = np.empty(end, dtype)
-    dtype = np.promote_types(buf.dtype, dtype)
-    if end > len(buf) or dtype != buf.dtype:
+    elif end > len(buf):
         new = np.empty(max(end, 2 * len(buf)), dtype)
         new[:filled] = buf[:filled]
         buf = new
@@ -462,32 +446,15 @@ def _put(buf, filled: int, part: np.ndarray, dtype) -> np.ndarray:
     return buf
 
 
-class _Held(dict):
-    """Columns by name. A column whose chunk function raised
-    ValidationError holds that error, raised when the column is read, so
-    a check fails where it stood when the whole file was parsed at once."""
-
-    def __getitem__(self, name):
-        col = super().__getitem__(name)
-        if isinstance(col, ValidationError):
-            raise col
-        return col
-
-
 @contextmanager
-def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
-              meta: bool = False):
-    """Yield (metadata dict or None, the columns that keep makes of the
-    data rows, as a _Held), parsed by the grammar in the module docstring.
+def _read_csv(path: str, what: str, columns: np.dtype, meta: bool = False):
+    """Yield (metadata dict or None, an iterator of the data rows), parsed
+    by the grammar in the module docstring.
 
-    keep maps a name to (dtype, function of a chunk). The data lines are
-    parsed _CHUNK at a time into a 1-D array of the structured dtype
-    columns, each function's value on that chunk is kept as dtype in its
-    column's buffer (_put), and the chunk is dropped before the next is
-    parsed. With dtype None, the function folds: it is called as
-    function(value so far, chunk), with None before the first chunk, and
-    its last value is the column. The file is read once, so a pipe loads
-    as a file does.
+    The iterator parses the data lines _CHUNK at a time, each chunk into
+    a 1-D array of the structured dtype columns, parses no line before
+    the loader asks for its chunk, and holds no chunk while it parses the
+    next. The file is read once, so a pipe loads as a file does.
     """
     with _fields(path, what) as fh:
         info = None
@@ -502,40 +469,28 @@ def _read_csv(path: str, what: str, columns: np.dtype, keep: dict,
         header = ",".join(columns.names)
         if fh.readline().rstrip("\r\n") != header:
             raise ValidationError(f"{what} CSV header is wrong, expected {header}")
-        for first in fh:  # empty lines are skipped, as loadtxt skips them
-            if first.rstrip("\r\n"):
+        for line in fh:  # empty lines are skipped, as loadtxt skips them
+            if line.rstrip("\r\n"):
                 break
         else:
             raise ValidationError(f"{what} CSV has no rows after its header")
-        bufs, filled, held = {}, 0, {}
-        lines = chain([first], fh)
-        for line in lines:  # islice reads no line past its chunk
-            with warnings.catch_warnings():
-                # numpy releases that only deprecate float text in an int
-                # column read '1.7' as 1 with this warning; as an error,
-                # loadtxt turns it into its ValueError
-                warnings.filterwarnings("error", ".*integer via a float",
-                                        DeprecationWarning)
-                warnings.filterwarnings("ignore", "loadtxt: input contained "
-                                        "no data", UserWarning)  # all blank
-                rows = np.loadtxt(islice(chain([line], lines), _CHUNK),
-                                  dtype=columns, delimiter=",", comments=None,
-                                  ndmin=1)
-            for name, (dtype, get) in keep.items():
-                if name not in held:
-                    try:
-                        bufs[name] = (get(bufs.get(name), rows) if dtype is None
-                                      else _put(bufs.get(name), filled,
-                                                get(rows), dtype))
-                    except ValidationError as exc:
-                        held[name] = exc
-            filled += len(rows)
-            del rows
-        cols = _Held(held)
-        for name, buf in bufs.items():
-            if name not in held:
-                cols[name] = buf if keep[name][0] is None else buf[:filled]
-        yield info, cols
+        lines = chain([line], fh)  # islice reads no line past its chunk
+        yield info, (_parse(islice(chain([line], lines), _CHUNK), columns)
+                     for line in lines)
+
+
+def _parse(lines, columns: np.dtype) -> np.ndarray:
+    """The lines of one chunk as a 1-D array of the structured dtype."""
+    with warnings.catch_warnings():
+        # numpy releases that only deprecate float text in an int column
+        # read '1.7' as 1 with this warning; as an error, loadtxt turns it
+        # into its ValueError
+        warnings.filterwarnings("error", ".*integer via a float",
+                                DeprecationWarning)
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                UserWarning)  # all blank
+        return np.loadtxt(lines, dtype=columns, delimiter=",", comments=None,
+                          ndmin=1)
 
 
 def _complexes(re, im) -> np.ndarray:
@@ -587,13 +542,14 @@ def _site(sign, s) -> np.ndarray:
     return window_index(sign, _typed(s, "i", "site level"))
 
 
-def _x_range(seen: Optional[tuple], rows) -> tuple:
+def _x_range(seen: Optional[tuple], site: np.ndarray, x: np.ndarray) -> tuple:
     """(window sites, least x, greatest x), one entry per distinct site in
-    order, of the rows of a chunk and those seen before it (None, or this
-    function's value on them). No array is sized by a site's value."""
-    if seen is not None and not len(rows):
+    order, of a chunk's rows, at window sites site with abscissas x, and
+    of those seen before it (None, or this function's value on them). No
+    array is sized by a site's value."""
+    if seen is not None and not len(site):
         return seen
-    site, lo, hi = _site(rows["sign"], rows["s"]), rows["x"], rows["x"]
+    lo = hi = x
     if seen is not None:
         site, lo, hi = (np.concatenate(pair)
                         for pair in zip(seen, (site, lo, hi)))
@@ -602,18 +558,6 @@ def _x_range(seen: Optional[tuple], rows) -> tuple:
     starts = np.flatnonzero(np.concatenate(([True], site[1:] != site[:-1])))
     return (site[starts], np.minimum.reduceat(lo[order], starts),
             np.maximum.reduceat(hi[order], starts))
-
-
-# what _read_csv keeps of each chunk of a bulk CSV's rows: window sites as
-# int32 (an int64 key a damaged file holds widens them), values as complex,
-# and each site's range of x
-_SITE = {"site": (np.int32, lambda rows: _site(rows["sign"], rows["s"])),
-         "x": (None, _x_range)}
-_VALUE = {"value": (complex, lambda rows: _complexes(rows["re"], rows["im"]))}
-_KERNEL_CSV = {
-    "row_site": (np.int32, lambda rows: _site(rows["row_sign"], rows["row_s"])),
-    "col_site": (np.int32, lambda rows: _site(rows["col_sign"], rows["col_s"])),
-    **_VALUE, "low_confidence": (np.int8, itemgetter("low_confidence"))}
 
 
 def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
@@ -641,11 +585,6 @@ def _place(values: np.ndarray, index, shape: tuple, what: str) -> np.ndarray:
     return out
 
 
-def _from_pairs(pairs, shape: tuple) -> np.ndarray:
-    """Complex values of this shape from schema-1 [re, im] pairs."""
-    return _numbers(pairs, (*shape, 2), '"values"').view(complex)[..., 0]
-
-
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
     """A JSON array of this shape, every cell a number, as floats; or
     rows that _Text.rows read, which it has checked are numbers."""
@@ -663,21 +602,14 @@ def _numbers(value, shape: tuple, what: str) -> np.ndarray:
 
 def _from_arrays(doc: dict, shape: tuple) -> np.ndarray:
     """Complex values of this shape from the "re" and "im" fields of a
-    schema-2 document, bit for bit: the array both were read into, if
-    _walk read them a row at a time."""
+    document, bit for bit: the array both were read into, if _walk read
+    them a row at a time."""
     real, imag = (_numbers(doc[key], shape, f'"{key}"') for key in _PART)
     if real.base is not None and real.base is imag.base:
         return real.base
     out = np.empty(shape, dtype=complex)
     out.real, out.imag = real, imag
     return out
-
-
-def _bulk(doc: dict, shape: tuple) -> np.ndarray:
-    """The values of a JSON mode table or lattice function, either schema."""
-    if doc["schema_version"] == 1:
-        return _from_pairs(doc["values"], shape)
-    return _from_arrays(doc, shape)
 
 
 def _csv_q(x_range: tuple, depth: int) -> Optional[float]:
@@ -767,32 +699,40 @@ def load_mode_table(path: str, fmt: Optional[str] = None,
             kind, q = doc["kind"], _scalar(doc, "q", float)
             nmax = _scalar(doc, "fock_dim", int)
             depth = _scalar(doc, "lattice_depth", int)
-            values = _bulk(doc, (nmax, 2 * depth))
+            values = _from_arrays(doc, (nmax, 2 * depth))
             tail_start = _typed(doc["tail_start"], "i", "tail_start",
                                 (2 * depth,))
         if not np.all((tail_start >= 0) & (tail_start <= nmax)):
             raise ValidationError(f"tail_start must lie in [0, {nmax}]")
     else:
-        # a position table keeps its real parts and whether any imaginary
-        # part is nonzero
-        value = ({"value": (float, itemgetter("value_re")),
-                  "complex": (None, lambda seen, rows: bool(
-                      seen or (rows["value_im"] != 0).any()))}
-                 if kind == "position" else
-                 {"value": (complex, lambda rows: _complexes(
-                     rows["value_re"], rows["value_im"]))})
-        with _read_csv(path, "mode table", _MODE_COLUMNS, {
-                **_SITE, "n": (np.int32, itemgetter("n")), **value}) as (_, cols):
-            site, n = cols["site"], cols["n"]
+        site = n = value = x = None
+        filled, imag = 0, False
+        with _read_csv(path, "mode table", _MODE_COLUMNS) as (_, chunks):
+            for rows in chunks:
+                site = _put(site, filled, _site(rows["sign"], rows["s"]),
+                            np.int32)
+                x = _x_range(x, site[filled:filled + len(rows)], rows["x"])
+                n = _put(n, filled, rows["n"], np.int32)
+                # a position table keeps its real parts, and whether any
+                # imaginary part is nonzero
+                if kind == "position":
+                    value = _put(value, filled, rows["value_re"], float)
+                    imag = imag or bool((rows["value_im"] != 0).any())
+                else:
+                    value = _put(value, filled, _complexes(
+                        rows["value_re"], rows["value_im"]), complex)
+                filled += len(rows)
+                del rows  # before the next chunk is parsed
+            site, n = site[:filled], n[:filled]
             nmax, depth = int(n.max()) + 1, int(site.max()) // 2 + 1
-            values = _place(cols["value"], (n, site), (nmax, 2 * depth),
+            values = _place(value[:filled], (n, site), (nmax, 2 * depth),
                             "mode table CSV")
-            q = _csv_q(cols["x"], depth)
+            q = _csv_q(x, depth)
         if q is None:
             raise ValidationError("mode table CSV needs level s=1 to give q")
         tail_start = np.full(2 * depth, nmax, dtype=int)
     if kind == "position":
-        if values.imag.any() if is_json else cols["complex"]:
+        if values.imag.any() if is_json else imag:
             raise ValidationError(
                 f"{path!r} holds complex values; " + (
                     "a position table must hold real values" if is_json else
@@ -833,20 +773,28 @@ def load_lattice_function(path: str, fmt: Optional[str] = None,
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "lattice_function") as doc:
             q = _scalar(doc, "q", float)
-            values = _bulk(doc, (2 * _scalar(doc, "lattice_depth", int),))
+            values = _from_arrays(doc, (2 * _scalar(doc, "lattice_depth", int),))
             f = LatticeFunction(doc["kind"], values,
                                 rescaled=_scalar(doc, "rescaled", bool))
     else:
-        with _read_csv(path, "lattice function", _LATTICE_COLUMNS, {
-                **_SITE, **_VALUE,
-                "flag": (np.int8, itemgetter("rescaled_flag"))}) as (_, cols):
-            site = cols["site"]
+        site = value = flags = x = None
+        filled = 0
+        with _read_csv(path, "lattice function", _LATTICE_COLUMNS) as (_, chunks):
+            for rows in chunks:
+                site = _put(site, filled, _site(rows["sign"], rows["s"]),
+                            np.int32)
+                x = _x_range(x, site[filled:filled + len(rows)], rows["x"])
+                value = _put(value, filled, _complexes(rows["re"], rows["im"]),
+                             complex)
+                flags = _put(flags, filled, rows["rescaled_flag"], np.int8)
+                filled += len(rows)
+                del rows  # before the next chunk is parsed
+            site, flags = site[:filled], flags[:filled]
             depth = int(site.max()) // 2 + 1
-            values = _place(cols["value"], (site,), (2 * depth,),
+            values = _place(value[:filled], (site,), (2 * depth,),
                             "lattice function CSV")
-            flags = cols["flag"]  # np.unique would import numpy.ma
-            q = _csv_q(cols["x"], depth)
-        if (flags != flags[0]).any():
+            q = _csv_q(x, depth)
+        if (flags != flags[0]).any():  # np.unique would import numpy.ma
             raise ValidationError("rescaled_flag must be constant across rows")
         f = LatticeFunction(kind, values, rescaled=bool(flags[0]))
     _check_loaded(path, ctx, q, len(f.values) // 2)
@@ -877,25 +825,6 @@ def write_kernel(k: EvolutionKernel, path: str, fmt: Optional[str] = None) -> No
         for s in range(k.lattice_depth)))
 
 
-def _json_columns(entries) -> dict:
-    """The columns of schema-1 JSON kernel entries, as _KERNEL_CSV keeps
-    them of a CSV kernel's rows."""
-    cols = {key: list(map(itemgetter(key), entries))
-            for key in _KERNEL_COLUMNS.names}
-    value = _complexes(*(_numbers(cols[key], (len(entries),), key)
-                         for key in ("re", "im")))
-    return {"value": value, "row_site": _site(cols["row_sign"], cols["row_s"]),
-            "col_site": _site(cols["col_sign"], cols["col_s"]),
-            "low_confidence": cols["low_confidence"]}
-
-
-def _placed(cols, size: int) -> np.ndarray:
-    """The size x size matrix of kernel entries given as columns by name
-    (a schema-1 JSON or a CSV kernel)."""
-    return _place(cols["value"], (cols["row_site"], cols["col_site"]),
-                  (size, size), "kernel")
-
-
 def _kernel(meta: dict, matrix: np.ndarray, num=_scalar) -> EvolutionKernel:
     """A kernel from its metadata and its 2S x 2S matrix; num(meta, key,
     type) reads each number, by default as a JSON value of that type."""
@@ -913,21 +842,30 @@ def load_kernel(path: str, fmt: Optional[str] = None,
     if _infer_format(path, fmt) == "json":
         with _read_json(path, "evolution_kernel", ("lattice_depth", 2)) as doc:
             size = 2 * _scalar(doc, "lattice_depth", int)
-            if doc["schema_version"] == 1:
-                cols = _json_columns(doc["entries"])
-                k = _kernel(doc, _placed(cols, size))
-                levels, flags = cols["row_site"] // 2, cols["low_confidence"]
-            else:
-                k = _kernel(doc, _from_arrays(doc, (size, size)))
-                levels, flags = np.arange(size) // 2, doc["low_confidence"]
-            flags = _typed(flags, "b", "low_confidence", (len(levels),))
+            k = _kernel(doc, _from_arrays(doc, (size, size)))
+            levels = np.arange(size) // 2
+            flags = _typed(doc["low_confidence"], "b", "low_confidence",
+                           (size,))
     else:
-        with _read_csv(path, "kernel", _KERNEL_COLUMNS, _KERNEL_CSV,
-                       meta=True) as (meta, cols):
+        row = col = value = flags = None
+        filled = 0
+        with _read_csv(path, "kernel", _KERNEL_COLUMNS, meta=True) as (
+                meta, chunks):
             _check_schema(_meta(meta, "schema_version", int))
-            k = _kernel(meta, _placed(cols, 2 * _meta(meta, "lattice_depth",
-                                                      int)), _meta)
-        levels, flags = cols["row_site"] // 2, cols["low_confidence"]
+            size = 2 * _meta(meta, "lattice_depth", int)
+            for rows in chunks:
+                row = _put(row, filled, _site(rows["row_sign"], rows["row_s"]),
+                           np.int32)
+                col = _put(col, filled, _site(rows["col_sign"], rows["col_s"]),
+                           np.int32)
+                value = _put(value, filled, _complexes(rows["re"], rows["im"]),
+                             complex)
+                flags = _put(flags, filled, rows["low_confidence"], np.int8)
+                filled += len(rows)
+                del rows  # before the next chunk is parsed
+            k = _kernel(meta, _place(value[:filled], (row[:filled], col[:filled]),
+                                     (size, size), "kernel"), _meta)
+        levels, flags = row[:filled] // 2, flags[:filled]
     if not np.array_equal(flags, k.low_confidence(levels)):
         raise ValidationError(f"kernel low_confidence flags are not those of "
                               f"s_match {k.s_match}")

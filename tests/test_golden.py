@@ -8,13 +8,11 @@ Nothing here comes from a GEMM or from numpy's vectorized power, whose
 last bits depend on the CPU; the `hermite --family hermite` command runs
 a pure-Python recurrence.
 
-tests/golden/schema1/ holds the files of the same inputs that schema 1
-wrote where schema 2 writes other bytes: every JSON file and the kernel
-CSVs. They are loader fixtures: each must still load to the very object
-written.
+The golden files that a loader reads back whole (every JSON artifact
+but the verify report and the polynomial tables, and the kernel CSVs)
+are loader fixtures too: each must load to the very object written.
 """
 
-import json
 import math
 from pathlib import Path
 
@@ -31,7 +29,6 @@ from qosc import (CheckResult, DeformationContext, EvolutionKernel,
 from qosc.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
-SCHEMA1 = GOLDEN / "schema1"
 Q, N, S = 0.7, 5, 4
 AWKWARD = [-0.0, 5e-324, 1e308, 0.1]
 
@@ -139,15 +136,17 @@ def _fields(obj) -> dict:
             for key, v in vars(obj).items()}
 
 
-@pytest.mark.parametrize("name", _files(SCHEMA1))
-def test_schema1_fixture_loads_to_written_object(name):
-    stem = name.rpartition(".")[0]
+def _loader(name: str):
+    """The loader of a golden file, or None where it reads the file back
+    as another object: no loader reads a verify report, a polynomial table
+    or a spectrum CSV, a CSV mode table or lattice function records no
+    kind, and a CSV mode table no tail_start."""
+    stem, fmt = name.split(".")
     loader = _LOADERS.get(stem.partition("_")[0])
-    if loader is None:
-        # no loader reads verify reports or polynomial tables; their
-        # layout did not change, and only the version moved
-        new = json.loads((GOLDEN / name).read_text())
-        assert json.loads((SCHEMA1 / name).read_text()) == {
-            **new, "schema_version": 1}
-        return
-    assert _fields(loader(str(SCHEMA1 / name))) == _fields(_objects()[stem])
+    return loader if fmt == "json" or loader is load_kernel else None
+
+
+@pytest.mark.parametrize("name", [n for n in _files(GOLDEN) if _loader(n)])
+def test_golden_file_loads_to_written_object(name):
+    assert (_fields(_loader(name)(str(GOLDEN / name)))
+            == _fields(_objects()[name.split(".")[0]]))

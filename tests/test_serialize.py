@@ -5,6 +5,7 @@ import math
 import os
 import re
 import stat
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -326,50 +327,22 @@ def _edited_x(rows, x="0.9"):
                  id="kernel-csv-negative-site"),
     pytest.param("kernel", "csv", _rows(_first_cell(0, "0")),
                  id="kernel-csv-zero-sign"),
-    # "json1": the same object as a schema-1 document
-    pytest.param("kernel", "json1", _doc(lambda d: d["entries"].pop()),
-                 id="kernel-json-truncated"),
-    pytest.param("kernel", "json1",
-                 _doc(lambda d: d["entries"].__setitem__(-1, d["entries"][0])),
-                 id="kernel-json-duplicate"),
-    pytest.param("kernel", "json1", _set("entries", 0, "row_s", -1),
-                 id="kernel-json-negative-site"),
-    pytest.param("kernel", "json1", _set("entries", 0, "col_s", 8),
-                 id="kernel-json-out-of-range-site"),
-    pytest.param("kernel", "json1", _doc(lambda d: d.pop("entries")),
-                 id="kernel-json-missing-key"),
-    pytest.param("kernel", "json1", _set("entries", 0, "row_s", 0.7),
-                 id="kernel-json-float-key"),
-    pytest.param("kernel", "json1", _set("entries", 0, "re", "1.5"),
-                 id="kernel-json-string-cell"),
-    pytest.param("kernel", "json1", _set("entries", 1, "im", True),
-                 id="kernel-json-boolean-cell"),
     pytest.param("mode_table", "csv", _rows(_truncated),
                  id="mode-table-csv-truncated"),
     pytest.param("mode_table", "csv", _rows(_duplicated),
                  id="mode-table-csv-duplicate"),
-    pytest.param("mode_table", "json1", lambda text: text[:-5],
+    pytest.param("mode_table", "json", lambda text: text[:-5],
                  id="mode-table-json-invalid"),
-    pytest.param("mode_table", "json1", _doc(lambda d: d.pop("values")),
-                 id="mode-table-json-missing-key"),
-    pytest.param("mode_table", "json1", _set("kind", "bogus"),
+    pytest.param("mode_table", "json", _set("kind", "bogus"),
                  id="mode-table-json-unknown-kind"),
-    pytest.param("mode_table", "json1", _doc(lambda d: d["tail_start"].pop()),
+    pytest.param("mode_table", "json", _doc(lambda d: d["tail_start"].pop()),
                  id="mode-table-json-short-tail-start"),
-    pytest.param("mode_table", "json1", _set("tail_start", 0, 0.5),
-                 id="mode-table-json-float-tail-start"),
     # undamaged, but read with the default kind="position"
     pytest.param("momentum_table", "csv", lambda text: text,
                  id="mode-table-csv-momentum-read-as-position"),
-    pytest.param("mode_table", "json1", _set("values", 1, 2, 1, 0.5),
-                 id="mode-table-json-position-with-imaginary-part"),
-    pytest.param("mode_table", "json1", _set("values", 0, 0, 0, None),
-                 id="mode-table-json-null-cell"),
-    pytest.param("lattice_function", "json1", _set("values", 2, 1, "0.5"),
-                 id="lattice-function-json-string-cell"),
     pytest.param("lattice_function", "csv", _rows(_duplicated),
                  id="lattice-function-csv-duplicate"),
-    pytest.param("lattice_function", "json1", _doc(lambda d: d.pop("rescaled")),
+    pytest.param("lattice_function", "json", _doc(lambda d: d.pop("rescaled")),
                  id="lattice-function-json-missing-key"),
     pytest.param("spectrum_report", "json", _doc(lambda d: d.pop("matched")),
                  id="spectrum-json-missing-key"),
@@ -474,7 +447,7 @@ def _edited_x(rows, x="0.9"):
     # ill-typed scalar fields, which int(), float() and bool() would convert
     pytest.param("lattice_function", "json", _set("rescaled", "false"),
                  id="lattice-function-json2-string-rescaled"),
-    pytest.param("lattice_function", "json1", _set("rescaled", 0),
+    pytest.param("lattice_function", "json", _set("rescaled", 0),
                  id="lattice-function-json-integer-rescaled"),
     pytest.param("lattice_function", "json", _set("q", "0.5"),
                  id="lattice-function-json2-string-q"),
@@ -482,19 +455,19 @@ def _edited_x(rows, x="0.9"):
                  id="lattice-function-json2-float-depth"),
     pytest.param("mode_table", "json", _set("lattice_depth", 8.9),
                  id="mode-table-json2-float-depth"),
-    pytest.param("mode_table", "json1", _set("fock_dim", 20.5),
+    pytest.param("mode_table", "json", _set("fock_dim", 20.5),
                  id="mode-table-json-float-fock-dim"),
     pytest.param("mode_table", "json", _set("q", True),
                  id="mode-table-json2-boolean-q"),
     pytest.param("kernel", "json", _doc(lambda d: d.update(
         s_match=d["s_match"] + 0.7)), id="kernel-json2-float-s-match"),
-    pytest.param("kernel", "json1", _set("n_max", 20.0),
+    pytest.param("kernel", "json", _set("n_max", 20.0),
                  id="kernel-json-float-n-max"),
     pytest.param("kernel", "json", _set("lattice_depth", True),
                  id="kernel-json2-boolean-depth"),
     pytest.param("kernel", "json", _set("tau", "0.37"),
                  id="kernel-json2-string-tau"),
-    pytest.param("kernel", "json1", _set("tail_estimate", None),
+    pytest.param("kernel", "json", _set("tail_estimate", None),
                  id="kernel-json-null-tail-estimate"),
     pytest.param("spectrum_report", "json", _set("s_match", 3.5),
                  id="spectrum-json-float-s-match"),
@@ -536,8 +509,6 @@ def _edited_x(rows, x="0.9"):
                  id="kernel-json2-key-repeated-with-its-value"),
     pytest.param("kernel", "json", _repeat(' "re": [', ' "re": [[0.0]],'),
                  id="kernel-json2-repeated-re"),
-    pytest.param("kernel", "json1", _repeat('"row_s": 0,', '"row_s": 1,'),
-                 id="kernel-json-repeated-key-in-an-entry"),
     pytest.param("mode_table", "json", _repeat('"fock_dim": 20,',
                                                '"fock_dim": 20,'),
                  id="mode-table-json2-repeated-key"),
@@ -596,9 +567,9 @@ def _edited_x(rows, x="0.9"):
                  id="kernel-json2-s-match-below-minus-1"),
     pytest.param("kernel", "json", _set("s_match", 7),
                  id="kernel-json2-s-match-edited-alone"),
-    pytest.param("kernel", "json1", _set("entries", 0, "low_confidence", True),
+    pytest.param("kernel", "json", _set("low_confidence", 0, True),
                  id="kernel-json-flag-flipped"),
-    pytest.param("kernel", "json1", _set("tail_estimate", -1e-3),
+    pytest.param("kernel", "json", _set("tail_estimate", -1e-3),
                  id="kernel-json-negative-tail-estimate"),
     pytest.param("kernel", "csv", _rows(_first_cell(6, "7")),
                  id="kernel-csv-flag-7"),
@@ -662,12 +633,33 @@ def _edited_x(rows, x="0.9"):
         "\n")[2], id="lattice-function-csv-no-header"),
 ])
 def test_loader_rejects_damaged_file(tmp_path, sctx, artifact, fmt, damage):
-    p = tmp_path / f"a.{fmt[:4]}"
+    p = tmp_path / f"a.{fmt}"
     _WRITERS[artifact](sctx, str(p))
-    if fmt == "json1":
-        p.write_text(_SCHEMA1[artifact](_LOADERS[artifact](str(p)), sctx))
     p.write_text(damage(p.read_text()))
     with pytest.raises(ValidationError):
+        _LOADERS[artifact](str(p))
+
+
+def _as_schema1(doc):
+    """A schema-2 mode table document as schema 1 wrote it, its values
+    as [re, im] pairs."""
+    doc.update(schema_version=1, values=[
+        [list(pair) for pair in zip(*rows)]
+        for rows in zip(doc.pop("re"), doc.pop("im"))])
+
+
+@pytest.mark.parametrize("artifact,fmt,damage", [
+    pytest.param("kernel", "csv", lambda text: text.replace(
+        "schema_version=2", "schema_version=1"), id="kernel-csv"),
+    pytest.param("mode_table", "json", _doc(_as_schema1), id="mode-table-json"),
+])
+def test_schema_1_file_is_rejected_by_its_version(tmp_path, sctx, artifact,
+                                                  fmt, damage):
+    p = tmp_path / f"a.{fmt}"
+    _WRITERS[artifact](sctx, str(p))
+    p.write_text(damage(p.read_text()))
+    with pytest.raises(ValidationError,
+                       match="expected schema_version 2, found 1"):
         _LOADERS[artifact](str(p))
 
 
@@ -805,9 +797,9 @@ def _last_cell(col, value):
     pytest.param(_last_cell(0, lambda _: "2"), "site sign", id="bad-sign"),
     pytest.param(_last_cell(1, lambda s: f"{s}.0"), "malformed",
                  id="float-in-integer-column"),
-    # a site past int32 widens the column kept of the earlier chunks
+    # a site past the int32 column kept of the earlier chunks
     pytest.param(_last_cell(1, lambda _: str(3 * 10**9)),
-                 "table needs|key outside its", id="site-past-int32"),
+                 "past the int32 range", id="site-past-int32"),
 ])
 def test_chunked_csv_load_rejects_a_fault_in_a_later_chunk(
         tmp_path, long_csv, damage, match):
@@ -847,14 +839,14 @@ def test_chunked_csv_load_is_bit_identical(tmp_path, long_csv, edit):
 
 @pytest.mark.parametrize("artifact,damage,match", [
     # a bad sign in the first chunk, an unreadable cell in the last
-    ("mode_table", lambda t: _rows(_last_cell(4, lambda _: "x"))(
-        _rows(_first_cell(0, "2"))(t)), "malformed"),
+    pytest.param("mode_table", lambda t: _rows(_last_cell(4, lambda _: "x"))(
+        _rows(_first_cell(0, "2"))(t)), "site sign", id="mode-table"),
     # the metadata is checked before the rows' keys
-    ("kernel", lambda t: _rows(_first_cell(0, "2"))(
+    pytest.param("kernel", lambda t: _rows(_first_cell(0, "2"))(
         t.replace("schema_version=2", "schema_version=7", 1)),
-     "schema_version"),
+                 "schema_version", id="kernel-metadata-first"),
 ])
-def test_chunked_csv_load_checks_in_the_whole_file_order(
+def test_chunked_csv_load_raises_at_the_first_faulty_chunk(
         tmp_path, artifact, damage, match):
     p = tmp_path / "a.csv"
     _LONG[artifact](str(p))
@@ -932,6 +924,40 @@ def test_loaded_position_table_owns_its_values(tmp_path, sctx, fmt):
     assert values.base is None
 
 
+def _from_pipe(path, load):
+    """load's value on a named pipe that is fed the bytes of path."""
+    fifo = os.path.join(os.path.dirname(path), "pipe" + os.path.splitext(path)[1])
+    os.mkfifo(fifo)
+    data = open(path, "rb").read()
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return load(fifo)
+    finally:
+        writer.join(timeout=30)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("artifact,fmt", [
+    *((artifact, fmt) for artifact in sorted(_LONG) for fmt in ("csv", "json")),
+    ("spectrum_report", "json")])
+def test_artifact_loads_from_a_pipe_as_from_its_file(tmp_path, sctx, artifact,
+                                                     fmt):
+    # every loader reads its file once, front to back; the bulk ones here
+    # span many CSV chunks or JSON reads
+    p = str(tmp_path / f"a.{fmt}")
+    if artifact in _LONG:
+        _LONG[artifact](p)
+    else:
+        _WRITERS[artifact](sctx, p)
+    load = _LOADERS[artifact]
+    assert _fields_of(_from_pipe(p, load)) == _fields_of(load(p))
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664)],
                          ids=["022", "002"])
 def test_artifact_mode_follows_umask(tmp_path, sctx, umask, mode):
@@ -945,10 +971,9 @@ def test_artifact_mode_follows_umask(tmp_path, sctx, umask, mode):
 
 
 # The streamed writers against reference encoders: csv.writer on the row
-# tuples; for schema 2, json.dumps(indent=1) on the metadata and
-# json.dumps on each row of "re" and "im"; for schema 1, json.dumps on
-# the whole dict/list payload. They run at a size and with values (nan,
-# +-inf, -0.0, the smallest subnormal) the golden files do not have.
+# tuples; json.dumps(indent=1) on the metadata and json.dumps on each row
+# of "re" and "im". They run at a size and with values (nan, +-inf, -0.0,
+# the smallest subnormal) the golden files do not have.
 
 _SPECIAL = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324]
 
@@ -979,12 +1004,9 @@ def _csv_text(header, rows, meta=None):
     return buf.getvalue()
 
 
-def _json_text(meta, values, schema):
-    """A JSON document: meta, then values as "values" pairs (schema 1) or
-    as "re" and "im" arrays, one line per row (schema 2)."""
-    meta = {"schema_version": schema, **meta}
-    if schema == 1:
-        return json.dumps({**meta, "values": _pairs(values)}, indent=1) + "\n"
+def _json_text(meta, values):
+    """A JSON document: meta, then values as "re" and "im" arrays, one
+    line per row."""
     text = json.dumps(meta, indent=1)[:-2]
     for key, part in (("re", values.real), ("im", values.imag)):
         if part.ndim == 1:
@@ -995,49 +1017,45 @@ def _json_text(meta, values, schema):
     return text + "\n}\n"
 
 
-def _mode_table_text(t, fmt, schema=2):
+def _mode_table_text(t, fmt):
     if fmt == "json":
         return _json_text({
-            "object": "mode_table", "kind": t.kind,
+            "schema_version": 2, "object": "mode_table", "kind": t.kind,
             "q": t.q, "fock_dim": t.fock_dim, "lattice_depth": t.lattice_depth,
-            "tail_start": [int(v) for v in t.tail_start]}, t.values, schema)
+            "tail_start": [int(v) for v in t.tail_start]}, t.values)
     return _csv_text(["sign", "s", "x", "n", "value_re", "value_im"], [
         (sign, s, x, n, re, im) for n, row in enumerate(t.values)
         for (sign, s, x), (re, im) in zip(_sites(t.q, t.lattice_depth),
                                           _pairs(row))])
 
 
-def _lattice_function_text(f, ctx, fmt, schema=2):
+def _lattice_function_text(f, ctx, fmt):
     if fmt == "json":
         return _json_text({
-            "object": "lattice_function", "kind": f.kind,
+            "schema_version": 2, "object": "lattice_function", "kind": f.kind,
             "q": ctx.q, "lattice_depth": ctx.lattice_depth,
-            "rescaled": f.rescaled}, f.values, schema)
+            "rescaled": f.rescaled}, f.values)
     return _csv_text(["sign", "s", "x", "re", "im", "rescaled_flag"], [
         (sign, s, x, re, im, int(f.rescaled))
         for (sign, s, x), (re, im) in zip(_sites(ctx.q, ctx.lattice_depth),
                                           _pairs(f.values))])
 
 
-def _kernel_text(k, fmt, schema=2):
+def _kernel_text(k, fmt):
     columns = ["row_sign", "row_s", "col_sign", "col_s", "re", "im",
                "low_confidence"]
     sites = _sites(k.q, k.lattice_depth)
-    flag = bool if fmt == "json" else int
-    cells = [(rs, rl, cs, cl, re, im, flag(k.low_confidence(rl)))
+    cells = [(rs, rl, cs, cl, re, im, int(k.low_confidence(rl)))
              for (rs, rl, _), row in zip(sites, k.matrix)
              for (cs, cl, _), (re, im) in zip(sites, _pairs(row))]
-    meta = {"schema_version": schema, "object": "evolution_kernel",
+    meta = {"schema_version": 2, "object": "evolution_kernel",
             "variant": k.variant, "tau": k.tau, "q": k.q, "n_max": k.n_max,
             "lattice_depth": k.lattice_depth, "s_match": k.s_match,
             "tail_estimate": k.tail_estimate}
     if fmt == "csv":
         return _csv_text(columns, cells, meta)
-    if schema == 1:
-        meta["entries"] = [dict(zip(columns, c)) for c in cells]
-        return json.dumps(meta, indent=1) + "\n"
     meta["low_confidence"] = [k.low_confidence(rl) for _, rl, _ in sites]
-    return _json_text(meta, k.matrix, schema)
+    return _json_text(meta, k.matrix)
 
 
 def test_report_csv_matches_reference_encoder(tmp_path, sctx):
@@ -1068,15 +1086,6 @@ def test_verify_check_names_need_no_csv_quoting():
     names = [name for name, _ in default_checks(0)]
     assert len(names) > 50
     assert not [n for n in names if set(n) & set(',"\r\n')]
-
-
-# the schema-1 JSON document of a loaded artifact, and the context it
-# lies on
-_SCHEMA1 = {
-    "kernel": lambda k, ctx: _kernel_text(k, "json", 1),
-    "mode_table": lambda t, ctx: _mode_table_text(t, "json", 1),
-    "lattice_function": lambda f, ctx: _lattice_function_text(f, ctx, "json", 1),
-}
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
