@@ -863,8 +863,9 @@ def load_kernel(path: str, fmt: Optional[str] = None,
                 flags = _put(flags, filled, rows["low_confidence"], np.int8)
                 filled += len(rows)
                 del rows  # before the next chunk is parsed
-            k = _kernel(meta, _place(value[:filled], (row[:filled], col[:filled]),
-                                     (size, size), "kernel"), _meta)
+            matrix = _place(value[:filled], (row[:filled], col[:filled]),
+                            (size, size), "kernel")
+            k = _kernel(meta, matrix, _meta)
         levels, flags = row[:filled] // 2, flags[:filled]
     if not np.array_equal(flags, k.low_confidence(levels)):
         raise ValidationError(f"kernel low_confidence flags are not those of "

@@ -797,7 +797,7 @@ def _last_cell(col, value):
     pytest.param(_last_cell(0, lambda _: "2"), "site sign", id="bad-sign"),
     pytest.param(_last_cell(1, lambda s: f"{s}.0"), "malformed",
                  id="float-in-integer-column"),
-    # a site past the int32 column kept of the earlier chunks
+    # a site that the int32 site column kept so far cannot hold
     pytest.param(_last_cell(1, lambda _: str(3 * 10**9)),
                  "past the int32 range", id="site-past-int32"),
 ])
@@ -844,7 +844,7 @@ def test_chunked_csv_load_is_bit_identical(tmp_path, long_csv, edit):
     # the metadata is checked before the rows' keys
     pytest.param("kernel", lambda t: _rows(_first_cell(0, "2"))(
         t.replace("schema_version=2", "schema_version=7", 1)),
-                 "schema_version", id="kernel-metadata-first"),
+        "schema_version", id="kernel-metadata-first"),
 ])
 def test_chunked_csv_load_raises_at_the_first_faulty_chunk(
         tmp_path, artifact, damage, match):
@@ -926,9 +926,11 @@ def test_loaded_position_table_owns_its_values(tmp_path, sctx, fmt):
 
 def _from_pipe(path, load):
     """load's value on a named pipe that is fed the bytes of path."""
-    fifo = os.path.join(os.path.dirname(path), "pipe" + os.path.splitext(path)[1])
+    head, suffix = os.path.split(path)
+    fifo = os.path.join(head, "pipe-" + suffix)
     os.mkfifo(fifo)
-    data = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        data = fh.read()
 
     def feed():
         with open(fifo, "wb") as fh:
@@ -936,9 +938,11 @@ def _from_pipe(path, load):
     writer = threading.Thread(target=feed, daemon=True)
     writer.start()
     try:
-        return load(fifo)
+        loaded = load(fifo)
     finally:
         writer.join(timeout=30)
+    assert not writer.is_alive()
+    return loaded
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")

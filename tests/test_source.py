@@ -7,7 +7,7 @@ import pytest
 
 import qosc
 
-SRC = Path(qosc.__file__).parent
+SRC = Path(__file__).resolve().parent.parent / "src" / "qosc"
 
 
 def _unread_imports(tree: ast.Module, exported: frozenset) -> list:
